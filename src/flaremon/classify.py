@@ -7,8 +7,8 @@ hyperparameters, and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 

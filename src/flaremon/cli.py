@@ -7,19 +7,17 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 external-service error.
 from __future__ import annotations
 
 import argparse
-import itertools
+import json
 import os
 import sys
 
 import numpy as np
 
 from . import classify, pipeline
-from .errors import (AuthError, FlaremonError, InvalidPreset, ParseError,
-                     Unavailable)
+from .errors import AuthError, FlaremonError, ParseError, Unavailable
 from .features import FeatureVector
-from .ingest import (FrameAnnotation, read_annotation_stream,
-                     write_annotation_stream)
-from .labeling import API_KEY_ENV, LlmClientConfig
+from .ingest import read_annotation_stream, write_annotation_stream
+from .labeling import LlmClientConfig
 from .pipeline import MonitorConfig
 from .simulator import PRESET_NAMES, preset, render
 
@@ -29,31 +27,38 @@ EXIT_DATA = 2
 EXIT_SERVICE = 3
 
 
-def _annotation_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from fh
-
-
 def _frame_stream(annotations_path, frames_dir):
-    frames = {f.index: f for f in pipeline.load_frames(frames_dir)}
+    """Pair each annotation with its frame, holding one frame at a time.
+
+    Annotation indices never decrease and frames come in index order, so
+    a merge-join of the two streams suffices.
+    """
+    frames = pipeline.load_frames(frames_dir)
+    frame = next(frames, None)
     with open(annotations_path, "r", encoding="utf-8") as fh:
         for ann in read_annotation_stream(fh):
-            if ann.frame_index not in frames:
+            while frame is not None and frame.index < ann.frame_index:
+                frame = next(frames, None)
+            if frame is None or frame.index != ann.frame_index:
                 raise ParseError(f"no frame {ann.frame_index} in {frames_dir}")
-            yield frames[ann.frame_index], ann
-
-
-def _preset_stream(name):
-    for rf in render(preset(name)):
-        yield rf.frame, rf.annotation
+            yield frame, ann
 
 
 def _input_stream(args):
     if args.input.startswith("preset:"):
-        return _preset_stream(args.input.split(":", 1)[1])
+        name = args.input.split(":", 1)[1]
+        return pipeline.rendered_stream(render(preset(name)))
     if not args.frames:
         raise ParseError("--frames is required with a file input")
     return _frame_stream(args.input, args.frames)
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_feature_csv(path):
@@ -70,8 +75,9 @@ def _read_feature_csv(path):
         pass
     feats, labels = [], []
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    start = 1 if lines and not lines[0].split(",")[0].replace(
-        ".", "", 1).lstrip("-").isdigit() else 0
+    # The first line is a header when none of its feature fields is a number.
+    start = 1 if lines and not any(
+        _is_float(p) for p in lines[0].split(",")[:3]) else 0
     for i, line in enumerate(lines[start:], start=start + 1):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (3, 4):
@@ -85,31 +91,20 @@ def _read_feature_csv(path):
 def cmd_simulate(args):
     spec = preset(args.preset)
     os.makedirs(args.out, exist_ok=True)
-    ann_path = os.path.join(args.out, "annotations.jsonl")
-    gt_path = os.path.join(args.out, "ground_truth.jsonl")
-    frames_dir = os.path.join(args.out, "frames")
-    os.makedirs(frames_dir, exist_ok=True)
-    count = 0
-    with open(ann_path, "w", encoding="utf-8") as ann_fh, \
-            open(gt_path, "w", encoding="utf-8") as gt_fh:
-        meta = None
+
+    def frames(ann_fh, gt_fh):
         for rf in render(spec):
             write_annotation_stream([rf.annotation], ann_fh)
             gt_fh.write(pipeline.format_ground_truth(rf.frame.index, rf.truths))
             gt_fh.write("\n")
-            path = os.path.join(frames_dir, f"frame_{rf.frame.index:06d}.rgb")
-            with open(path, "wb") as fh:
-                fh.write(rf.frame.pixels.tobytes())
-            if meta is None:
-                meta = {"width": rf.frame.width, "height": rf.frame.height,
-                        "fps": 25.0}
-            count += 1
-    import json
-    meta["frame_count"] = count
-    with open(os.path.join(frames_dir, "meta.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
+            yield rf.frame
+
+    with open(os.path.join(args.out, "annotations.jsonl"), "w",
+              encoding="utf-8") as ann_fh, \
+            open(os.path.join(args.out, "ground_truth.jsonl"), "w",
+                 encoding="utf-8") as gt_fh:
+        count = pipeline.save_frames(frames(ann_fh, gt_fh),
+                                     os.path.join(args.out, "frames"))
     print(f"wrote {count} frames to {args.out}")
     return EXIT_OK
 
@@ -122,10 +117,7 @@ def cmd_label(args):
     if args.mode == "llm":
         llm_cfg = LlmClientConfig(endpoint=args.endpoint, model=args.model)
     labeled = pipeline.label_samples(
-        samples, mode=args.mode, llm_cfg=llm_cfg,
-        do_review=args.review or args.accept_all,
-        accept_all=args.accept_all)
-    import json
+        samples, mode=args.mode, llm_cfg=llm_cfg, do_review=args.review)
     with open(args.out, "w", encoding="utf-8") as fh:
         for s in labeled:
             f = s.features
@@ -158,8 +150,7 @@ def cmd_train(args):
         model, report, rows = pipeline.run_training(
             _frame_stream(args.annotations, args.frames),
             labeling_mode=args.labeling, llm_cfg=llm_cfg,
-            do_review=args.review, accept_all=args.accept_all,
-            seed=args.seed)
+            do_review=args.review, seed=args.seed)
     pipeline.save_model(model, args.out)
     if args.log and rows:
         with open(args.log, "w", encoding="utf-8") as fh:
@@ -243,7 +234,6 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=("llm", "rule"), default="rule")
     p.add_argument("--review", action="store_true")
-    p.add_argument("--accept-all", action="store_true")
     p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
     p.add_argument("--model", default="gpt-4")
     p.add_argument("--out", required=True)
@@ -255,7 +245,6 @@ def build_parser():
     p.add_argument("--features", help="pre-extracted labeled feature CSV")
     p.add_argument("--labeling", choices=("llm", "rule"), default="rule")
     p.add_argument("--review", action="store_true")
-    p.add_argument("--accept-all", action="store_true", default=True)
     p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
     p.add_argument("--model", default="gpt-4")
     p.add_argument("--seed", type=int, default=0)

@@ -137,7 +137,3 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area + b.area - inter)
-
-
-def mask_area(m: Mask) -> int:
-    return m.area()

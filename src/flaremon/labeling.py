@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import requests
@@ -28,7 +28,6 @@ class LlmClientConfig:
     api_key_env: str = API_KEY_ENV
     timeout: float = 30.0
     max_retries: int = 3
-    max_concurrent_requests: int = 4
     backoff_base: float = 0.5
 
     def __post_init__(self):
@@ -118,17 +117,14 @@ def rule_label(f: FeatureVector) -> str:
     return LOW
 
 
-def review(samples: Sequence[LabeledSample], accept_all: bool = False,
+def review(samples: Sequence[LabeledSample],
            input_fn: Callable[[str], str] = input,
            print_fn: Callable[[str], None] = print) -> List[LabeledSample]:
     """Interactive confirm/flip/skip pass over preliminary labels.
 
     Confirmed and flipped samples are re-sourced as human; skipped samples
-    keep their original label and source.  With accept_all the labels pass
-    through unchanged.
+    keep their original label and source.
     """
-    if accept_all:
-        return list(samples)
     out = []
     for i, s in enumerate(samples):
         f = s.features

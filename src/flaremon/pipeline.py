@@ -7,7 +7,7 @@ import datetime
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,9 +15,8 @@ import numpy as np
 from . import classify
 from .classify import HIGH, LOW, ClassifierModel
 from .core import BBox, DetClass, Frame, Mask
-from .errors import (DegenerateOrientation, EmptyRegion, FlaremonError,
-                     InsufficientSignal, ModelVersionError, ParseError,
-                     TrainingDataError)
+from .errors import (DegenerateOrientation, EmptyRegion, InsufficientSignal,
+                     ModelVersionError, ParseError, TrainingDataError)
 from .features import (FeatureVector, associate_smoke, channel_means,
                        flame_angle, rgb_index, smoke_flame_ratio)
 from .ingest import FrameAnnotation
@@ -126,8 +125,16 @@ def extract_track_features(
                          for i in smoke_idx]
         smoke_areas, dropped = associate_smoke(flame_boxes, smoke_regions)
         if dropped:
-            log.warning("frame %d: %d unassignable smoke region(s)",
-                        ann.frame_index, dropped)
+            # Smoke over a flame the tracker does not report yet (warm-up)
+            # is expected; only smoke with no flame detection below is not.
+            _, orphans = associate_smoke(
+                {i: d.bbox for i, d in enumerate(flame_dets)}, smoke_regions)
+            if orphans:
+                log.warning("frame %d: %d unassignable smoke region(s)",
+                            ann.frame_index, orphans)
+            if dropped > orphans:
+                log.debug("frame %d: %d smoke region(s) over unreported "
+                          "flames", ann.frame_index, dropped - orphans)
 
         out: List[TrackFeatures] = []
         for track in reported:
@@ -255,8 +262,7 @@ def fit_efficiency_model(features, labels, seed: int = 0,
 
 
 def label_samples(samples: Sequence[TrackFeatures], mode: str = "rule",
-                  llm_cfg=None, do_review: bool = False,
-                  accept_all: bool = True) -> List[LabeledSample]:
+                  llm_cfg=None, do_review: bool = False) -> List[LabeledSample]:
     labeled: List[LabeledSample] = []
     for s in samples:
         if mode == "llm":
@@ -269,14 +275,13 @@ def label_samples(samples: Sequence[TrackFeatures], mode: str = "rule",
         else:
             raise ValueError(f"unknown labeling mode {mode!r}")
     if do_review:
-        labeled = review(labeled, accept_all=accept_all)
+        labeled = review(labeled)
     return labeled
 
 
 def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
                  labeling_mode: str = "rule", llm_cfg=None,
-                 do_review: bool = False, accept_all: bool = True,
-                 seed: int = 0):
+                 do_review: bool = False, seed: int = 0):
     """Full training pass over a frame/annotation stream.
 
     Returns (model, report, feature_log_rows).
@@ -287,8 +292,7 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
     if len(samples) < 3:
         raise TrainingDataError(
             f"only {len(samples)} feature samples extracted")
-    labeled = label_samples(samples, labeling_mode, llm_cfg, do_review,
-                            accept_all)
+    labeled = label_samples(samples, labeling_mode, llm_cfg, do_review)
     features = np.array([s.features.as_array() for s in labeled])
     labels = [s.label for s in labeled]
     model, report = fit_efficiency_model(features, labels, seed=seed)

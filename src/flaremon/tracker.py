@@ -2,8 +2,7 @@
 
 State is the 7-vector (u, v, s, r, du, dv, ds): box center, scale (area),
 aspect ratio, and velocities for all but the aspect ratio.  Constant
-velocity transition with unit timestep; the control term B u is kept in the
-interface but zero (nothing steers a flame).
+velocity transition with unit timestep.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +35,6 @@ def _observation_H():
 @dataclass(frozen=True)
 class KalmanParams:
     F: np.ndarray = field(default_factory=_constant_velocity_F)
-    B: np.ndarray = field(default_factory=lambda: np.zeros((7, 1)))
-    u: np.ndarray = field(default_factory=lambda: np.zeros(1))
     Q: np.ndarray = field(
         default_factory=lambda: np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4])
     )
@@ -80,7 +77,7 @@ def _symmetrize(P):
 
 
 def kalman_predict(state: KalmanState, p: KalmanParams) -> KalmanState:
-    x = p.F @ state.x + (p.B @ p.u).ravel()
+    x = p.F @ state.x
     P = _symmetrize(p.F @ state.P @ p.F.T + p.Q)
     degenerate = False
     if x[2] <= 0.0:

@@ -1,10 +1,17 @@
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from flaremon import pipeline
-from flaremon.cli import main
+from flaremon.cli import _frame_stream, _read_feature_csv, main
+from flaremon.core import Frame
+from flaremon.errors import ParseError
+from flaremon.ingest import write_annotation_stream
+from flaremon.simulator import preset, render
+from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
 def run(*argv):
@@ -121,3 +128,127 @@ def test_usage_error_exit_code():
 def test_missing_model_file_is_data_error(tmp_path):
     assert run("monitor", "--model", str(tmp_path / "nope.json"),
                "--input", "preset:clean_high") == 2
+
+
+def write_stream(stream, out_dir):
+    """Write (frame, annotation) pairs as an annotation file plus frames."""
+    os.makedirs(out_dir, exist_ok=True)
+    ann_path = os.path.join(out_dir, "annotations.jsonl")
+    with open(ann_path, "w", encoding="utf-8") as fh:
+        def frames():
+            for frame, ann in stream:
+                write_annotation_stream([ann], fh)
+                yield frame
+        pipeline.save_frames(frames(), os.path.join(out_dir, "frames"))
+    return ann_path, os.path.join(out_dir, "frames")
+
+
+def blank_frames_dir(tmp_path, count, indices):
+    """`count` tiny frames and an annotation file naming `indices`."""
+    frames_dir = tmp_path / "frames"
+    pipeline.save_frames(
+        [Frame(i, i / 25.0, 4, 3, np.full((3, 4, 3), i, dtype=np.uint8))
+         for i in range(count)], frames_dir)
+    ann_path = tmp_path / "annotations.jsonl"
+    ann_path.write_text("".join(
+        json.dumps({"frame_index": i, "detections": []}) + "\n"
+        for i in indices))
+    return str(ann_path), str(frames_dir)
+
+
+def test_frame_stream_holds_one_frame(tmp_path, monkeypatch):
+    ann_path, frames_dir = blank_frames_dir(tmp_path, 4, [0, 0, 2])
+    pulled = []
+    load_frames = pipeline.load_frames
+
+    def counting_load_frames(in_dir):
+        for frame in load_frames(in_dir):
+            pulled.append(frame.index)
+            yield frame
+
+    monkeypatch.setattr(pipeline, "load_frames", counting_load_frames)
+    stream = _frame_stream(ann_path, frames_dir)
+    first = next(stream)
+    assert pulled == [0]
+    pairs = [first] + list(stream)
+    assert [(f.index, a.frame_index) for f, a in pairs] == [
+        (0, 0), (0, 0), (2, 2)]
+    assert int(pairs[2][0].pixels[0, 0, 0]) == 2
+    assert pulled == [0, 1, 2]
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, 4]])
+def test_frame_stream_index_without_frame(tmp_path, indices):
+    ann_path, frames_dir = blank_frames_dir(tmp_path, 4, indices)
+    with pytest.raises(ParseError, match=f"no frame {indices[-1]} in"):
+        list(_frame_stream(ann_path, frames_dir))
+    model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+    model_path = tmp_path / "model.json"
+    pipeline.save_model(model, model_path)
+    assert run("monitor", "--model", str(model_path), "--input", ann_path,
+               "--frames", frames_dir) == 2
+
+
+def tree_digest(root):
+    """sha256 of every file under root, keyed by relative path."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = hashlib.sha256(
+                    fh.read()).hexdigest()
+    return out
+
+
+def test_simulate_matches_program_writers(sim_dir, tmp_path):
+    expected = tmp_path / "expected"
+    expected.mkdir()
+
+    def frames(ann_fh, gt_fh):
+        for rf in render(preset("clean_high")):
+            write_annotation_stream([rf.annotation], ann_fh)
+            gt_fh.write(pipeline.format_ground_truth(rf.frame.index, rf.truths)
+                        + "\n")
+            yield rf.frame
+
+    with open(expected / "annotations.jsonl", "w", encoding="utf-8") as a, \
+            open(expected / "ground_truth.jsonl", "w", encoding="utf-8") as g:
+        pipeline.save_frames(frames(a, g), expected / "frames")
+    actual = tree_digest(sim_dir / "clean")
+    assert len(actual) == 203  # two JSONL files, meta.json, 200 frames
+    assert actual == tree_digest(expected)
+
+
+@pytest.fixture(scope="module")
+def two_regime_dir(tmp_path_factory):
+    from tests.test_pipeline import two_regime_stream
+    return write_stream(two_regime_stream(10),
+                        tmp_path_factory.mktemp("two_regime"))
+
+
+@pytest.mark.parametrize("flags, reviews", [([], 0), (["--review"], 1)])
+def test_train_review_flag_reaches_review(two_regime_dir, tmp_path,
+                                          monkeypatch, flags, reviews):
+    calls = []
+
+    def spy_review(samples):
+        calls.append(len(samples))
+        return list(samples)
+
+    monkeypatch.setattr(pipeline, "review", spy_review)
+    ann_path, frames_dir = two_regime_dir
+    assert run("train", "--annotations", ann_path, "--frames", frames_dir,
+               "--out", str(tmp_path / "model.json"), *flags) == 0
+    assert len(calls) == reviews
+
+
+def test_feature_csv_first_row_in_exponent_form(tmp_path):
+    csv = tmp_path / "f.csv"
+    csv.write_text("1e-1,0.5,10,high\n0.3,0.4,20,low\n2.0,0.2,5,low\n")
+    feats, labels = _read_feature_csv(str(csv))
+    assert [f.smoke_flame_ratio for f in feats] == [0.1, 0.3, 2.0]
+    assert labels == ["high", "low", "low"]
+    csv.write_text("ratio,E,angle,label\nnan,0.5,10,high\n")
+    feats, labels = _read_feature_csv(str(csv))
+    assert len(feats) == 1 and labels == ["high"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flaremon.core import BBox, Detection, DetClass, Frame, Mask, box_center, iou, mask_area
+from flaremon.core import BBox, Detection, DetClass, Frame, Mask, box_center, iou
 from flaremon.errors import DecodeError
 
 
@@ -54,15 +54,15 @@ class TestIou:
 class TestMask:
     def test_all_background(self):
         m = Mask(4, 4, (16,))
-        assert mask_area(m) == 0
+        assert m.area() == 0
 
     def test_all_foreground(self):
         m = Mask(4, 4, (0, 16))
-        assert mask_area(m) == 16
+        assert m.area() == 16
 
     def test_hand_decoded(self):
         m = Mask(4, 4, (3, 2, 11))
-        assert mask_area(m) == 2
+        assert m.area() == 2
         arr = m.to_array()
         assert arr.ravel()[3:5].all() and arr.sum() == 2
 
@@ -74,7 +74,7 @@ class TestMask:
 
     def test_area_complement(self):
         m = Mask(5, 3, (4, 6, 5))
-        assert mask_area(m) + (sum(m.runs) - mask_area(m)) == 15
+        assert m.area() + (sum(m.runs) - m.area()) == 15
 
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
     def test_roundtrip_random(self, w, h, seed):
@@ -82,7 +82,7 @@ class TestMask:
         arr = rng.random((h, w)) < 0.5
         m = Mask.from_array(arr)
         assert np.array_equal(m.to_array(), arr)
-        assert mask_area(m) == int(arr.sum())
+        assert m.area() == int(arr.sum())
 
     def test_first_run_counts_background(self):
         arr = np.ones((2, 2), dtype=bool)

@@ -1,0 +1,44 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flaremon"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    """Names bound by import statements that the module never reads.
+
+    A name counts as read when it appears as a bare name anywhere in the
+    module: in code, as the root of an attribute chain, or in an unquoted
+    annotation.  Quoted annotations are not looked into.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_unused_and_used_names():
+    source = ("import os\nimport numpy as np\nfrom typing import List, Dict\n"
+              "def f(x: List[int]):\n    return np.asarray(x)\n")
+    assert unused_imports(source) == [(1, "os"), (3, "Dict")]

@@ -138,7 +138,3 @@ class TestReview:
         out = review([sample(HIGH)], input_fn=lambda _: "s",
                      print_fn=lambda _: None)
         assert out[0].source == "rule"
-
-    def test_accept_all_passthrough(self):
-        samples = [sample(HIGH), sample(LOW)]
-        assert review(samples, accept_all=True) == samples

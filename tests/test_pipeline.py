@@ -1,17 +1,20 @@
 import dataclasses
 import io
+import logging
 
 import numpy as np
 import pytest
 
 from flaremon import pipeline
 from flaremon.classify import HIGH, LOW
+from flaremon.core import BBox, DetClass, Detection, Frame, Mask
 from flaremon.errors import (ModelVersionError, ParseError, TrainingDataError)
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
 from flaremon.pipeline import (Alert, AlertState, MonitorConfig, StatusRecord,
                                derive_alerts_from_log, emit_scatter_plot,
-                               fit_efficiency_model, format_feature_log,
+                               extract_track_features, fit_efficiency_model,
+                               format_feature_log,
                                load_frames, load_model, model_from_json,
                                model_to_json, parse_feature_log,
                                rendered_stream, run_monitor, run_training,
@@ -38,6 +41,42 @@ def trained():
     model, report, rows = run_training(two_regime_stream(),
                                        labeling_mode="rule")
     return model, report, rows
+
+
+def warnings_of(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING]
+
+
+class TestSmokeAttributionLogging:
+    def box_region(self, x0, y0, x1, y1, cls):
+        arr = np.zeros((40, 40), dtype=bool)
+        arr[y0:y1, x0:x1] = True
+        return (Detection(BBox(x0, y0, x1, y1), cls, 0.9),
+                Mask.from_array(arr))
+
+    def test_track_warm_up_is_not_a_warning(self, caplog):
+        spec = dataclasses.replace(preset("clean_high"), frame_count=5)
+        with caplog.at_level(logging.DEBUG, logger="flaremon.pipeline"):
+            list(extract_track_features(rendered_stream(render(spec))))
+        assert warnings_of(caplog) == []
+        assert any("unreported flames" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_smoke_with_no_flame_below_warns_once(self, caplog):
+        regions = [
+            self.box_region(10, 20, 16, 34, DetClass.FLAME),
+            self.box_region(8, 4, 18, 16, DetClass.SMOKE),  # above the flame
+            self.box_region(24, 30, 34, 38, DetClass.SMOKE),  # nothing below
+        ]
+        ann = FrameAnnotation(0, tuple(d for d, _ in regions),
+                              tuple((i, m) for i, (_, m) in
+                                    enumerate(regions)))
+        frame = Frame(0, 0.0, 40, 40, np.zeros((40, 40, 3), dtype=np.uint8))
+        with caplog.at_level(logging.DEBUG, logger="flaremon.pipeline"):
+            list(extract_track_features([(frame, ann)]))
+        assert warnings_of(caplog) == [
+            "frame 0: 1 unassignable smoke region(s)"]
 
 
 class TestTraining:
