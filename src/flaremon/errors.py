@@ -75,6 +75,10 @@ class ModelVersionError(FlaremonError):
     """Serialized model schema version does not match this reader."""
 
 
+class EndOfInput(FlaremonError):
+    """Interactive input ended before every sample was answered."""
+
+
 class InvalidPreset(FlaremonError):
     """Unknown simulator preset name."""
 

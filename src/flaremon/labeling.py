@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import requests
 
 from .classify import HIGH, LOW
-from .errors import AuthError, Unavailable, UnparseableReply
+from .errors import AuthError, EndOfInput, Unavailable, UnparseableReply
 from .features import FeatureVector
 
 API_KEY_ENV = "FLAREMON_LLM_API_KEY"
@@ -123,7 +123,7 @@ def review(samples: Sequence[LabeledSample],
     """Interactive confirm/flip/skip pass over preliminary labels.
 
     Confirmed and flipped samples are re-sourced as human; skipped samples
-    keep their original label and source.
+    keep their original label and source.  End of input raises EndOfInput.
     """
     out = []
     for i, s in enumerate(samples):
@@ -134,7 +134,12 @@ def review(samples: Sequence[LabeledSample],
             f"-> {s.label} ({s.source})"
         )
         while True:
-            key = input_fn("confirm [c] / flip [f] / skip [s]: ").strip().lower()
+            try:
+                key = input_fn("confirm [c] / flip [f] / skip [s]: ")
+            except EOFError:
+                raise EndOfInput(f"input ended at sample [{i}] of "
+                                 f"{len(samples)}") from None
+            key = key.strip().lower()
             if key in ("c", "f", "s"):
                 break
             print_fn("please answer c, f, or s")

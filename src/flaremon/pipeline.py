@@ -15,8 +15,9 @@ import numpy as np
 from . import classify
 from .classify import HIGH, LOW, ClassifierModel
 from .core import BBox, DetClass, Frame, Mask
-from .errors import (DegenerateOrientation, EmptyRegion, InsufficientSignal,
-                     ModelVersionError, ParseError, TrainingDataError)
+from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
+                     InsufficientSignal, ModelVersionError, OutOfBounds,
+                     ParseError, TrainingDataError)
 from .features import (FeatureVector, associate_smoke, channel_means,
                        flame_angle, rgb_index, smoke_flame_ratio)
 from .ingest import FrameAnnotation
@@ -90,8 +91,10 @@ def extract_track_features(
 
     External masks are preferred; box-only detections fall back to the
     region-grow segmenter.  Tracks whose features cannot be computed this
-    frame (degenerate orientation, empty region) are skipped with a log
-    line, not fatal.
+    frame (degenerate orientation, empty region, box-only detection centred
+    off the frame) are skipped with a log line, not fatal; an off-frame
+    box-only smoke detection is left out of smoke attribution the same way.
+    A mask whose size differs from its frame raises DecodeError.
     """
     tracker = SortTracker(params=sort_params)
     for frame, ann in stream:
@@ -104,8 +107,13 @@ def extract_track_features(
         def mask_of(orig_idx):
             mask = ann.mask_for(orig_idx)
             if mask is None:
-                mask = segment_box(frame, ann.detections[orig_idx].bbox,
+                return segment_box(frame, ann.detections[orig_idx].bbox,
                                    segmenter).mask
+            if (mask.width, mask.height) != (frame.width, frame.height):
+                raise DecodeError(
+                    f"frame {ann.frame_index} detection {orig_idx}: mask is "
+                    f"{mask.width}x{mask.height}, frame is "
+                    f"{frame.width}x{frame.height}")
             return mask
 
         reported, matches, _, _ = tracker.step(flame_dets)
@@ -119,10 +127,20 @@ def extract_track_features(
                 continue
             orig = flame_idx[col]
             flame_boxes[track.id] = ann.detections[orig].bbox
-            flame_masks[track.id] = mask_of(orig)
+            try:
+                flame_masks[track.id] = mask_of(orig)
+            except OutOfBounds as exc:
+                # Its box stays, so smoke above it is not given to another.
+                log.warning("frame %d track %d skipped: %s",
+                            ann.frame_index, track.id, exc)
 
-        smoke_regions = [(ann.detections[i].bbox, mask_of(i))
-                         for i in smoke_idx]
+        smoke_regions = []
+        for i in smoke_idx:
+            try:
+                smoke_regions.append((ann.detections[i].bbox, mask_of(i)))
+            except OutOfBounds as exc:
+                log.warning("frame %d smoke detection %d skipped: %s",
+                            ann.frame_index, i, exc)
         smoke_areas, dropped = associate_smoke(flame_boxes, smoke_regions)
         if dropped:
             # Smoke over a flame the tracker does not report yet (warm-up)

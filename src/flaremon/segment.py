@@ -2,13 +2,16 @@
 
 Grows a 4-connected region from the box midpoint, admitting pixels whose
 per-channel (Chebyshev) distance from the 3x3 seed-neighborhood mean stays
-within a tolerance.  External masks, when present, always take precedence
-over this fallback.
+within a tolerance.  The region is admitted in breadth-first order: level by
+level from the seed, within a level by parent, and each parent's neighbours
+in the order up, down, left, right.  The cap keeps the first
+max(1, int(max_region_fraction * box area)) pixels of that order.  Each step
+of the search expands a whole level at once.  External masks, when present,
+always take precedence over this fallback.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,32 +52,38 @@ def segment_box(frame: Frame, box: BBox, cfg: SegmenterConfig = None) -> Segment
     x_hi = min(frame.width - 1, int(np.ceil(box.x_max + dx)))
     y_hi = min(frame.height - 1, int(np.ceil(box.y_max + dy)))
 
-    pix = frame.pixels.astype(np.int16)
-    seed_patch = pix[max(0, sy - 1):sy + 2, max(0, sx - 1):sx + 2]
-    seed_mean = seed_patch.reshape(-1, 3).mean(axis=0)
+    # From the frame: for a small box the seed patch can overhang the window.
+    seed_mean = frame.pixels[max(0, sy - 1):sy + 2, max(0, sx - 1):sx + 2] \
+        .reshape(-1, 3).mean(axis=0)
+    # Admissible pixels of the window, padded with an inadmissible border
+    # so that neighbour indices never leave the array.
+    window = frame.pixels[y_lo:y_hi + 1, x_lo:x_hi + 1]
+    h, w = window.shape[:2]
+    ok = np.zeros((h + 2, w + 2), dtype=bool)
+    ok[1:-1, 1:-1] = (np.abs(window - seed_mean).max(axis=2)
+                      <= cfg.color_tolerance)
+    ok = ok.ravel()
+    stride = w + 2
+    steps = np.array([-stride, stride, -1, 1])  # up, down, left, right
 
     max_pixels = max(1, int(cfg.max_region_fraction * box.area))
-    admitted = np.zeros((frame.height, frame.width), dtype=bool)
-
-    def fits(x, y):
-        return np.max(np.abs(pix[y, x] - seed_mean)) <= cfg.color_tolerance
-
-    degenerate = not fits(sx, sy)
-    admitted[sy, sx] = True
+    seed = (sy - y_lo + 1) * stride + (sx - x_lo + 1)
+    admitted = np.zeros_like(ok)
+    admitted[seed] = True
+    degenerate = not ok[seed]
     if not degenerate:
         count = 1
-        queue = deque([(sx, sy)])
-        while queue and count < max_pixels:
-            x, y = queue.popleft()
-            for nx, ny in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
-                if not (x_lo <= nx <= x_hi and y_lo <= ny <= y_hi):
-                    continue
-                if admitted[ny, nx] or not fits(nx, ny):
-                    continue
-                admitted[ny, nx] = True
-                count += 1
-                queue.append((nx, ny))
-                if count >= max_pixels:
-                    break
+        frontier = np.array([seed])
+        while frontier.size and count < max_pixels:
+            # Candidates in discovery order: by parent, then by step.
+            cand = (frontier[:, None] + steps).ravel()
+            cand = cand[ok[cand] & ~admitted[cand]]
+            _, first = np.unique(cand, return_index=True)
+            frontier = cand[np.sort(first)][:max_pixels - count]
+            admitted[frontier] = True
+            count += frontier.size
 
-    return SegmentResult(mask=Mask.from_array(admitted), degenerate=degenerate)
+    full = np.zeros((frame.height, frame.width), dtype=bool)
+    full[y_lo:y_hi + 1, x_lo:x_hi + 1] = \
+        admitted.reshape(h + 2, w + 2)[1:-1, 1:-1]
+    return SegmentResult(mask=Mask.from_array(full), degenerate=degenerate)

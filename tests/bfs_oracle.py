@@ -1,0 +1,62 @@
+"""Reference region grow: the per-pixel deque BFS that `segment_box` must match.
+
+`flaremon.segment.segment_box` grows a whole frontier per numpy step.  This
+module keeps the pixel-at-a-time breadth-first search it replaced, so the
+tests can require identical masks, cap and degenerate flag included.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from flaremon.core import BBox, Frame, Mask, box_center
+from flaremon.errors import OutOfBounds
+from flaremon.segment import SegmenterConfig, SegmentResult
+
+
+def segment_box_bfs(frame: Frame, box: BBox,
+                    cfg: SegmenterConfig = None) -> SegmentResult:
+    """Flood fill from the box midpoint, clipped to the box dilated by 10%."""
+    cfg = cfg or SegmenterConfig()
+    cx, cy = box_center(box)
+    sx, sy = int(round(cx)), int(round(cy))
+    if not (0 <= sx < frame.width and 0 <= sy < frame.height):
+        raise OutOfBounds(f"seed ({sx}, {sy}) outside {frame.width}x{frame.height}")
+
+    dx, dy = 0.1 * box.width, 0.1 * box.height
+    x_lo = max(0, int(np.floor(box.x_min - dx)))
+    y_lo = max(0, int(np.floor(box.y_min - dy)))
+    x_hi = min(frame.width - 1, int(np.ceil(box.x_max + dx)))
+    y_hi = min(frame.height - 1, int(np.ceil(box.y_max + dy)))
+
+    pix = frame.pixels.astype(np.int16)
+    seed_patch = pix[max(0, sy - 1):sy + 2, max(0, sx - 1):sx + 2]
+    seed_mean = seed_patch.reshape(-1, 3).mean(axis=0)
+
+    max_pixels = max(1, int(cfg.max_region_fraction * box.area))
+    admitted = np.zeros((frame.height, frame.width), dtype=bool)
+
+    def fits(x, y):
+        return np.max(np.abs(pix[y, x] - seed_mean)) <= cfg.color_tolerance
+
+    degenerate = not fits(sx, sy)
+    admitted[sy, sx] = True
+    if not degenerate:
+        count = 1
+        queue = deque([(sx, sy)])
+        while queue and count < max_pixels:
+            x, y = queue.popleft()
+            for nx, ny in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
+                if not (x_lo <= nx <= x_hi and y_lo <= ny <= y_hi):
+                    continue
+                if admitted[ny, nx] or not fits(nx, ny):
+                    continue
+                admitted[ny, nx] = True
+                count += 1
+                queue.append((nx, ny))
+                if count >= max_pixels:
+                    break
+
+    return SegmentResult(mask=Mask.from_array(admitted), degenerate=degenerate)

@@ -1,16 +1,23 @@
+import dataclasses
 import hashlib
+import io
+import itertools
 import json
+import logging
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from flaremon import pipeline
 from flaremon.cli import _frame_stream, _read_feature_csv, main
-from flaremon.core import Frame
+from flaremon.core import BBox, DetClass, Detection, Frame, Mask
 from flaremon.errors import ParseError
 from flaremon.ingest import write_annotation_stream
+from flaremon.segment import segment_box
 from flaremon.simulator import preset, render
+from tests.bfs_oracle import segment_box_bfs
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -252,3 +259,94 @@ def test_feature_csv_first_row_in_exponent_form(tmp_path):
     csv.write_text("ratio,E,angle,label\nnan,0.5,10,high\n")
     feats, labels = _read_feature_csv(str(csv))
     assert len(feats) == 1 and labels == ["high"]
+
+
+def test_train_review_end_of_input_is_data_error(two_regime_dir, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    ann_path, frames_dir = two_regime_dir
+    assert run("train", "--annotations", ann_path, "--frames", frames_dir,
+               "--out", str(tmp_path / "model.json"), "--review") == 2
+    assert "error: input ended at sample [0] of " in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.fixture(scope="module")
+def three_stacks_head():
+    """The first 40 frames of the three_stacks preset (320x240), with masks."""
+    return [(rf.frame, rf.annotation)
+            for rf in itertools.islice(render(preset("three_stacks")), 40)]
+
+
+@pytest.fixture(scope="module")
+def table_model(tmp_path_factory):
+    model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    pipeline.save_model(model, path)
+    return str(path)
+
+
+def box_only(pairs):
+    return [(f, dataclasses.replace(a, masks=None)) for f, a in pairs]
+
+
+def monitor_outputs(model, pairs, out_dir, capsys):
+    """Exit code, feature log bytes and stdout of `monitor --log`."""
+    ann_path, frames_dir = write_stream(pairs, out_dir)
+    log_path = os.path.join(out_dir, "monitor.csv")
+    code = run("monitor", "--model", model, "--input", ann_path,
+               "--frames", frames_dir, "--log", log_path)
+    with open(log_path, "rb") as fh:
+        return code, fh.read(), capsys.readouterr().out
+
+
+def test_box_only_monitor_matches_pixel_bfs(three_stacks_head, table_model,
+                                            tmp_path, monkeypatch, capsys):
+    outputs = []
+    for grow in (segment_box_bfs, segment_box):
+        monkeypatch.setattr(pipeline, "segment_box", grow)
+        outputs.append(monitor_outputs(
+            table_model, box_only(three_stacks_head),
+            str(tmp_path / grow.__name__), capsys))
+    assert outputs[0] == outputs[1]
+    code, log_bytes, _ = outputs[1]
+    assert code == 0 and log_bytes.count(b"\n") > 90
+
+
+def test_off_frame_box_only_detections_skip_their_records(
+        three_stacks_head, table_model, tmp_path, capsys, caplog):
+    # Flame and smoke boxes centred at (345, 20), right of the 320 px frame.
+    extra = (Detection(BBox(330, 10, 360, 30), DetClass.FLAME, 0.9),
+             Detection(BBox(330, 10, 360, 30), DetClass.SMOKE, 0.9))
+    plain = box_only(three_stacks_head)
+    stray = [(f, dataclasses.replace(a, detections=a.detections + extra))
+             if f.index >= 5 else (f, a) for f, a in plain]
+    expect = monitor_outputs(table_model, plain, str(tmp_path / "plain"),
+                             capsys)
+    with caplog.at_level(logging.WARNING, logger="flaremon.pipeline"):
+        got = monitor_outputs(table_model, stray, str(tmp_path / "stray"),
+                              capsys)
+    assert got == expect
+    oob = "seed (345, 20) outside 320x240"
+    warnings = [r.getMessage() for r in caplog.records]
+    smoke = [f"frame {i} smoke detection 7 skipped: {oob}"
+             for i in range(5, 40)]
+    flame = [f"frame {i} track 4 skipped: {oob}" for i in range(7, 40)]
+    assert sorted(warnings) == sorted(smoke + flame)
+
+
+def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
+                                          tmp_path, capsys):
+    def widened(ann):
+        return dataclasses.replace(ann, masks=tuple(
+            (i, Mask.from_array(np.pad(m.to_array(), ((0, 0), (0, 40)))))
+            for i, m in ann.masks))
+
+    pairs = [(f, widened(a) if f.index == 8 else a)
+             for f, a in three_stacks_head[:10]]
+    ann_path, frames_dir = write_stream(pairs, str(tmp_path))
+    assert run("monitor", "--model", table_model, "--input", ann_path,
+               "--frames", frames_dir) == 2
+    err = capsys.readouterr().err
+    assert "error: frame 8 detection " in err
+    assert ": mask is 360x240, frame is 320x240" in err

@@ -1,7 +1,8 @@
 import pytest
 
 from flaremon.classify import HIGH, LOW
-from flaremon.errors import AuthError, Unavailable, UnparseableReply
+from flaremon.errors import (AuthError, EndOfInput, Unavailable,
+                             UnparseableReply)
 from flaremon.features import FeatureVector
 from flaremon.labeling import (LabeledSample, LlmClientConfig, build_prompt,
                                llm_label, parse_label, review, rule_label)
@@ -138,3 +139,16 @@ class TestReview:
         out = review([sample(HIGH)], input_fn=lambda _: "s",
                      print_fn=lambda _: None)
         assert out[0].source == "rule"
+
+    def test_end_of_input_names_the_sample(self):
+        answers = iter(["c", "x"])
+
+        def input_fn(_):
+            try:
+                return next(answers)
+            except StopIteration:
+                raise EOFError from None
+
+        with pytest.raises(EndOfInput, match=r"input ended at sample \[1\] of 3"):
+            review([sample(HIGH), sample(LOW), sample(LOW)],
+                   input_fn=input_fn, print_fn=lambda _: None)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import OutOfBounds
 from flaremon.segment import SegmenterConfig, segment_box
+from tests.bfs_oracle import segment_box_bfs
 
 
 def make_frame(w=60, h=40, bg=(10, 10, 10)):
@@ -114,3 +118,58 @@ def test_config_validation():
         SegmenterConfig(color_tolerance=-1)
     with pytest.raises(ValueError):
         SegmenterConfig(max_region_fraction=3.0)
+
+
+@st.composite
+def frame_box_config(draw):
+    """A blocky frame of four colours, two of them close, a box around a
+    seed that may lie off the frame, and a config whose tolerance and cap
+    reach their extremes."""
+    block = draw(st.integers(1, 4))
+    cells = draw(arrays(np.uint8, (draw(st.integers(1, 16)),
+                                   draw(st.integers(1, 16))),
+                        elements=st.integers(0, 3)))
+    palette = np.array([[200, 60, 40], [220, 80, 30], [30, 40, 200],
+                        [0, 0, 0]], dtype=np.uint8)
+    pix = palette[cells].repeat(block, axis=0).repeat(block, axis=1)
+    h, w, _ = pix.shape
+    cx = draw(st.integers(-2, w + 1)) + draw(st.floats(-0.45, 0.45))
+    cy = draw(st.integers(-2, h + 1)) + draw(st.floats(-0.45, 0.45))
+    # from under 3 px wide up to well past the frame edges
+    hw = draw(st.floats(0.05, w + 2))
+    hh = draw(st.floats(0.05, h + 2))
+    box = BBox(cx - hw, cy - hh, cx + hw, cy + hh)
+    cfg = SegmenterConfig(
+        draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0)),
+        draw(st.floats(0.05, 2.0)))
+    return Frame(0, 0.0, w, h, pix), box, cfg
+
+
+@settings(max_examples=500, deadline=None)
+@given(frame_box_config())
+def test_matches_pixel_bfs(case):
+    frame, box, cfg = case
+    try:
+        expect = segment_box_bfs(frame, box, cfg)
+    except OutOfBounds:
+        with pytest.raises(OutOfBounds):
+            segment_box(frame, box, cfg)
+        return
+    got = segment_box(frame, box, cfg)
+    assert got.degenerate == expect.degenerate
+    assert got.mask == expect.mask
+
+
+def test_cap_keeps_breadth_first_order():
+    # Uniform frame, seed at (5, 5): the first five pixels in BFS order are
+    # the seed and its up, down, left and right neighbours; the sixth is
+    # the up neighbour's up neighbour.
+    frame = frame_of(make_frame(w=11, h=11))
+    box = BBox(0, 0, 10, 10)
+    for n, extra in ((5, None), (6, (3, 5))):
+        res = segment_box(frame, box, SegmenterConfig(0, n / box.area))
+        expect = np.zeros((11, 11), dtype=bool)
+        expect[[5, 4, 6, 5, 5], [5, 5, 5, 4, 6]] = True
+        if extra:
+            expect[extra] = True
+        assert np.array_equal(res.mask.to_array(), expect)
