@@ -62,6 +62,12 @@ class Mask:
 
     Runs alternate background/foreground, first run counting background
     pixels (possibly zero).  Runs must sum to width * height.
+
+    Work on a mask costs O(runs + foreground pixels), not O(frame):
+    ``from_array`` can encode a window placed at ``origin`` in a frame of
+    ``size`` without building the frame, and ``indices()`` decodes to the
+    flat foreground indices without building the frame.  ``to_array()``
+    builds the full frame and is meant for tests and tools.
     """
 
     width: int
@@ -69,36 +75,53 @@ class Mask:
     runs: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
+        runs = tuple(map(int, self.runs))
+        object.__setattr__(self, "runs", runs)
         if self.width <= 0 or self.height <= 0:
             raise DecodeError(f"bad mask size {self.width}x{self.height}")
-        if any(r < 0 for r in self.runs):
+        if runs and min(runs) < 0:
             raise DecodeError("negative run length")
-        total = sum(self.runs)
+        total = sum(runs)
         if total != self.width * self.height:
             raise DecodeError(
                 f"runs sum to {total}, expected {self.width * self.height}"
             )
 
     @classmethod
-    def from_array(cls, arr) -> "Mask":
+    def from_array(cls, arr, origin=(0, 0), size=None) -> "Mask":
+        """Encode a boolean array; with origin (x0, y0) and size (width,
+        height) it is a window of that frame, the rest background."""
         arr = np.asarray(arr, dtype=bool)
         h, w = arr.shape
-        flat = arr.ravel()
-        # boundaries between runs of equal value
-        change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        bounds = np.concatenate(([0], change, [flat.size]))
-        runs = np.diff(bounds).tolist()
-        if flat.size and flat[0]:
-            runs = [0] + runs
-        if not flat.size:
-            runs = [0]
-        return cls(width=w, height=h, runs=tuple(runs))
+        x0, y0 = origin
+        width, height = (w, h) if size is None else size
+        if x0 < 0 or y0 < 0 or x0 + w > width or y0 + h > height:
+            raise ValueError(f"{w}x{h} window at ({x0}, {y0}) outside "
+                             f"{width}x{height}")
+        ys, xs = np.nonzero(arr)
+        idx = (ys + y0) * width + (xs + x0)
+        # A foreground run ends wherever the next index is not adjacent.
+        gap = np.flatnonzero(np.diff(idx) != 1)
+        starts = np.concatenate((idx[:1], idx[gap + 1]))
+        ends = np.concatenate((idx[gap], idx[-1:])) + 1
+        bounds = np.column_stack((starts, ends)).ravel()
+        runs = np.diff(np.concatenate(([0], bounds, [width * height])))
+        if runs.size > 1 and runs[-1] == 0:
+            runs = runs[:-1]
+        return cls(width=width, height=height, runs=runs.tolist())
+
+    def indices(self):
+        """Sorted flat row-major indices of the foreground pixels."""
+        runs = np.asarray(self.runs, dtype=np.int64)
+        starts = (np.cumsum(runs) - runs)[1::2]
+        lengths = runs[1::2]
+        before = np.cumsum(lengths) - lengths  # foreground ahead of each run
+        return np.arange(int(lengths.sum())) + np.repeat(starts - before,
+                                                         lengths)
 
     def to_array(self):
-        values = np.zeros(len(self.runs), dtype=bool)
-        values[1::2] = True
-        flat = np.repeat(values, np.asarray(self.runs, dtype=np.int64))
+        flat = np.zeros(self.width * self.height, dtype=bool)
+        flat[self.indices()] = True
         return flat.reshape(self.height, self.width)
 
     def area(self) -> int:

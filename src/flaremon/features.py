@@ -38,11 +38,10 @@ class FeatureVector:
 
 def channel_means(frame: Frame, mask: Mask):
     """Mean (R, G, B) over the mask's foreground pixels."""
-    sel = mask.to_array()
-    if not sel.any():
+    vals = frame.pixels.reshape(-1, 3)[mask.indices()]
+    if not vals.size:
         raise EmptyRegion("mask has no foreground pixels")
-    vals = frame.pixels[sel].astype(float)
-    means = vals.mean(axis=0)
+    means = vals.astype(float).mean(axis=0)
     return float(means[0]), float(means[1]), float(means[2])
 
 
@@ -104,8 +103,7 @@ def flame_angle(mask: Mask, min_axis_ratio: float = 1.05) -> float:
     upright flame reports 0 degrees.  Regions with major/minor axis ratio
     below min_axis_ratio have no meaningful orientation.
     """
-    arr = mask.to_array()
-    ys, xs = np.nonzero(arr)
+    ys, xs = np.divmod(mask.indices(), mask.width)
     if xs.size < 5:
         raise EmptyRegion(f"only {xs.size} foreground pixels, need >= 5")
     x = xs - xs.mean()

@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 MODEL_SCHEMA_VERSION = 1
 FEATURE_SCHEMA_VERSION = 1
 FEATURE_LOG_HEADER = "frame,track_id,ratio,E,angle,pc1,pc2,label"
+N_FEATURES = 3  # ratio, E, angle
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ def extract_track_features(
     stream: Iterable[Tuple[Frame, FrameAnnotation]],
     sort_params: SortParams = None,
     segmenter: SegmenterConfig = None,
-) -> Iterator[List[TrackFeatures]]:
-    """Per frame, feature vectors for every reported flame track.
+) -> Iterator[Tuple[List[TrackFeatures], List[int]]]:
+    """Per frame, feature vectors for every reported flame track, and the
+    ids of the tracks that died in that frame.
 
     External masks are preferred; box-only detections fall back to the
     region-grow segmenter.  Tracks whose features cannot be computed this
@@ -116,7 +118,7 @@ def extract_track_features(
                     f"{frame.width}x{frame.height}")
             return mask
 
-        reported, matches, _, _ = tracker.step(flame_dets)
+        reported, matches, _, deaths = tracker.step(flame_dets)
         det_of_track = dict(matches)
 
         flame_boxes: Dict[int, BBox] = {}
@@ -171,7 +173,7 @@ def extract_track_features(
             out.append(TrackFeatures(
                 frame=ann.frame_index, track_id=track.id,
                 features=FeatureVector(ratio, index, angle)))
-        yield out
+        yield out, deaths
 
 
 def rendered_stream(rendered: Iterable[RenderedFrame]):
@@ -305,7 +307,7 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
     Returns (model, report, feature_log_rows).
     """
     samples: List[TrackFeatures] = []
-    for per_frame in extract_track_features(stream):
+    for per_frame, _ in extract_track_features(stream):
         samples.extend(per_frame)
     if len(samples) < 3:
         raise TrainingDataError(
@@ -331,7 +333,10 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
 
 
 class AlertState:
-    """Debounced per-track alerting; the exact fold the feature log replays."""
+    """Debounced per-track alerting; the exact fold the feature log replays.
+
+    Track ids are never reused, so forgetting a dead track changes no alert.
+    """
 
     def __init__(self, cfg: MonitorConfig):
         self.cfg = cfg
@@ -357,6 +362,12 @@ class AlertState:
                      last_frame=rec.frame, features=rec.features,
                      pcs=rec.pcs)
 
+    def forget(self, track_ids: Iterable[int]) -> None:
+        for tid in track_ids:
+            self._streak.pop(tid, None)
+            self._streak_start.pop(tid, None)
+            self._cooldown_until.pop(tid, None)
+
 
 def classify_features(model: EfficiencyModel, f: FeatureVector):
     z = standardize_apply(f.as_array(), model.standardization)
@@ -370,14 +381,16 @@ def run_monitor(model: EfficiencyModel,
                 cfg: MonitorConfig = None,
                 sort_params: SortParams = None):
     """Stream (StatusRecord, Optional[Alert]) pairs; memory is bounded
-    regardless of stream length."""
+    regardless of stream length, since dead tracks' alert state is dropped."""
     cfg = cfg or MonitorConfig()
     alerts = AlertState(cfg)
-    for per_frame in extract_track_features(stream, sort_params=sort_params):
+    for per_frame, deaths in extract_track_features(stream,
+                                                    sort_params=sort_params):
         for tf in per_frame:
             pcs, label = classify_features(model, tf.features)
             rec = StatusRecord(tf.frame, tf.track_id, tf.features, pcs, label)
             yield rec, alerts.observe(rec)
+        alerts.forget(deaths)
 
 
 def derive_alerts_from_log(rows: Iterable[StatusRecord],
@@ -484,6 +497,23 @@ def model_from_json(text: str) -> EfficiencyModel:
         meta = obj["metadata"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
+    for name, arr, shape in (
+            ("standardization.means", std.means, (N_FEATURES,)),
+            ("standardization.stds", std.stds, (N_FEATURES,)),
+            ("pca.components", pca.components, (2, N_FEATURES)),
+            ("pca.eigenvalues", pca.eigenvalues, (2,)),
+            ("pca.explained_variance_fraction",
+             pca.explained_variance_fraction, (2,))):
+        if arr.shape != shape:
+            raise ParseError(f"model field {name}: shape {arr.shape}, "
+                             f"expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ParseError(f"model field {name}: non-finite value")
+    if not (std.stds > 0).all():
+        raise ParseError("model field standardization.stds: not positive")
+    if clf.kind not in _KIND_ORDER:
+        raise ParseError(f"model field classifier.kind: unknown kind "
+                         f"{clf.kind!r}")
     return EfficiencyModel(standardization=std, pca=pca, classifier=clf,
                            metadata=meta)
 

@@ -83,7 +83,7 @@ def segment_box(frame: Frame, box: BBox, cfg: SegmenterConfig = None) -> Segment
             admitted[frontier] = True
             count += frontier.size
 
-    full = np.zeros((frame.height, frame.width), dtype=bool)
-    full[y_lo:y_hi + 1, x_lo:x_hi + 1] = \
-        admitted.reshape(h + 2, w + 2)[1:-1, 1:-1]
-    return SegmentResult(mask=Mask.from_array(full), degenerate=degenerate)
+    region = admitted.reshape(h + 2, w + 2)[1:-1, 1:-1]
+    mask = Mask.from_array(region, origin=(x_lo, y_lo),
+                           size=(frame.width, frame.height))
+    return SegmentResult(mask=mask, degenerate=degenerate)

@@ -90,42 +90,46 @@ class RenderedFrame:
 
 
 def _ellipse_mask(width, height, cx, cy, a, b, axis_dir):
-    """Boolean mask plus normalized radius field for a rotated ellipse.
+    """Foreground and normalized radius of a rotated ellipse, in a window.
 
     axis_dir is the unit direction of the major axis; returns
-    (mask, rho, truncated) where rho is the normalized elliptic radius on
-    foreground pixels (0 at center, 1 at the rim).
+    (win, inside, rho, truncated) where win is the (rows, columns) slice
+    pair of the ellipse's bounding window clipped to the frame (empty when
+    the ellipse lies off the frame), inside the window's boolean
+    foreground, and rho the normalized elliptic radius of the foreground
+    pixels in row-major order (0 at center, 1 at the rim).
     """
     ax, ay = axis_dir
     x_lo = max(0, int(math.floor(cx - a - 2)))
     x_hi = min(width - 1, int(math.ceil(cx + a + 2)))
     y_lo = max(0, int(math.floor(cy - a - 2)))
     y_hi = min(height - 1, int(math.ceil(cy + a + 2)))
-    mask = np.zeros((height, width), dtype=bool)
-    rho = np.zeros((height, width))
-    if x_hi < x_lo or y_hi < y_lo:
-        return mask, rho, True
-    ys, xs = np.mgrid[y_lo:y_hi + 1, x_lo:x_hi + 1]
+    win = (slice(y_lo, max(y_lo, y_hi + 1)), slice(x_lo, max(x_lo, x_hi + 1)))
+    ys, xs = np.mgrid[win]
     dx = xs - cx
     dy = ys - cy
     u = dx * ax + dy * ay
     v = -dx * ay + dy * ax
     r2 = (u / a) ** 2 + (v / b) ** 2
     inside = r2 <= 1.0
-    mask[y_lo:y_hi + 1, x_lo:x_hi + 1] = inside
-    rho_win = np.sqrt(np.clip(r2, 0.0, 1.0))
-    rho[y_lo:y_hi + 1, x_lo:x_hi + 1][inside] = rho_win[inside]
+    rho = np.sqrt(np.clip(r2[inside], 0.0, 1.0))
     truncated = (cx - a < 0 or cx + a > width - 1
                  or cy - a < 0 or cy + a > height - 1)
-    return mask, rho, truncated
+    return win, inside, rho, truncated
 
 
-def _tight_bbox(mask_arr) -> Optional[BBox]:
-    ys, xs = np.nonzero(mask_arr)
+def _tight_bbox(win, inside) -> Optional[BBox]:
+    ys, xs = np.nonzero(inside)
     if xs.size == 0:
         return None
-    return BBox(float(xs.min()), float(ys.min()),
-                float(xs.max() + 1), float(ys.max() + 1))
+    x0, y0 = win[1].start, win[0].start
+    return BBox(float(x0 + xs.min()), float(y0 + ys.min()),
+                float(x0 + xs.max() + 1), float(y0 + ys.max() + 1))
+
+
+def _encode(win, inside, width, height) -> Mask:
+    return Mask.from_array(inside, origin=(win[1].start, win[0].start),
+                           size=(width, height))
 
 
 def _jitter_box(box: BBox, rng, width, height) -> BBox:
@@ -152,14 +156,13 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
             cy = fl.base_y + fl.drift[1] * fi
             t = math.radians(fl.tilt_deg)
             axis_dir = (math.sin(t), -math.cos(t))  # y is down; up-tilted major axis
-            fmask, rho, truncated = _ellipse_mask(w, h, cx, cy, fl.major,
-                                                  fl.minor, axis_dir)
+            fwin, ffg, rho, truncated = _ellipse_mask(w, h, cx, cy, fl.major,
+                                                      fl.minor, axis_dir)
             core = np.array(fl.core_color, dtype=float)
             edge = np.array(fl.edge_color, dtype=float)
-            if fmask.any():
-                mix = rho[fmask][:, None]
-                img[fmask] = np.round(core * (1.0 - mix) + edge * mix)
-            fbox = _tight_bbox(fmask)
+            mix = rho[:, None]
+            img[fwin][ffg] = np.round(core * (1.0 - mix) + edge * mix)
+            fbox = _tight_bbox(fwin, ffg)
 
             sbox = smask = None
             if stack.smoke is not None and fbox is not None:
@@ -168,12 +171,13 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
                 a_s = math.sqrt(area / math.pi * 1.5)
                 b_s = area / (math.pi * a_s)
                 scy = fbox.y_min - sm.gap - b_s
-                smask_arr, _, _ = _ellipse_mask(w, h, cx, scy, a_s, b_s,
+                swin, sfg, _, _ = _ellipse_mask(w, h, cx, scy, a_s, b_s,
                                                 (1.0, 0.0))
-                if smask_arr.any():
-                    img[smask_arr] = sm.gray
-                    sbox = _tight_bbox(smask_arr)
-                    smask = Mask.from_array(smask_arr)
+                if sfg.any():
+                    img[swin][sfg] = sm.gray
+                    sbox = _tight_bbox(swin, sfg)
+                    smask = _encode(swin, sfg, w, h)
+            fmask = None if fbox is None else _encode(fwin, ffg, w, h)
 
             truths.append(StackTruth(
                 stack_id=si,
@@ -181,7 +185,7 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
                 tilt_deg=fl.tilt_deg,
                 truncated=truncated,
                 flame_box=fbox,
-                flame_mask=Mask.from_array(fmask) if fbox is not None else None,
+                flame_mask=fmask,
                 smoke_box=sbox,
                 smoke_mask=smask,
             ))

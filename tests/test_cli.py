@@ -137,6 +137,19 @@ def test_missing_model_file_is_data_error(tmp_path):
                "--input", "preset:clean_high") == 2
 
 
+def test_model_of_wrong_shape_is_data_error(tmp_path, capsys):
+    model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+    obj = json.loads(pipeline.model_to_json(model))
+    obj["pca"]["components"] = [[1.0, 2.0]]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(obj))
+    assert run("monitor", "--model", str(model_path),
+               "--input", "preset:clean_high") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "pca.components" in err
+
+
 def write_stream(stream, out_dir):
     """Write (frame, annotation) pairs as an annotation file plus frames."""
     os.makedirs(out_dir, exist_ok=True)

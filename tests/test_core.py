@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flaremon.core import BBox, Detection, DetClass, Frame, Mask, box_center, iou
 from flaremon.errors import DecodeError
+from tests.fullframe_oracle import decode_runs, encode_runs, mask_arrays
+
+# A leading foreground run, and a run that wraps from row 0 into row 1.
+LEADING_AND_WRAPPING = np.array([[True, True, False, True],
+                                 [True, False, False, False],
+                                 [False, False, True, True]])
 
 
 def boxes():
@@ -87,6 +93,42 @@ class TestMask:
     def test_first_run_counts_background(self):
         arr = np.ones((2, 2), dtype=bool)
         assert Mask.from_array(arr).runs == (0, 4)
+
+    def test_runs_become_ints(self):
+        m = Mask(2, 2, np.array([1, 3]))
+        assert m.runs == (1, 3) and all(type(r) is int for r in m.runs)
+
+    @given(mask_arrays())
+    @example(LEADING_AND_WRAPPING)
+    def test_encode_matches_full_frame_runs(self, arr):
+        assert Mask.from_array(arr).runs == encode_runs(arr)
+
+    @given(mask_arrays())
+    @example(LEADING_AND_WRAPPING)
+    def test_indices_are_flat_foreground(self, arr):
+        m = Mask.from_array(arr)
+        assert np.array_equal(m.indices(), np.flatnonzero(m.to_array()))
+        assert np.array_equal(m.indices(), np.flatnonzero(decode_runs(m)))
+        assert np.array_equal(m.indices(), np.flatnonzero(arr))
+
+    @given(mask_arrays(), st.integers(0, 5), st.integers(0, 5),
+           st.integers(0, 5), st.integers(0, 5))
+    @example(LEADING_AND_WRAPPING, 0, 2, 0, 1)
+    @example(LEADING_AND_WRAPPING, 3, 0, 2, 0)
+    def test_window_encodes_as_pasted(self, win, left, top, right, bottom):
+        h, w = win.shape
+        size = (left + w + right, top + h + bottom)
+        pasted = np.zeros((size[1], size[0]), dtype=bool)
+        pasted[top:top + h, left:left + w] = win
+        assert (Mask.from_array(win, origin=(left, top), size=size)
+                == Mask.from_array(pasted))
+
+    def test_window_outside_frame_rejected(self):
+        win = np.ones((2, 3), dtype=bool)
+        with pytest.raises(ValueError):
+            Mask.from_array(win, origin=(2, 0), size=(4, 4))
+        with pytest.raises(ValueError):
+            Mask.from_array(win, origin=(0, -1), size=(4, 4))
 
 
 class TestDetectionAndFrame:

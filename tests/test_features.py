@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import (DegenerateOrientation, EmptyRegion,
@@ -9,6 +10,8 @@ from flaremon.errors import (DegenerateOrientation, EmptyRegion,
 from flaremon.features import (FeatureVector, RgbIndexParams, associate_smoke,
                                channel_means, flame_angle, rgb_index,
                                smoke_flame_ratio)
+from flaremon.simulator import preset, render
+from tests import fullframe_oracle as oracle
 
 
 def frame_with(pixels):
@@ -185,3 +188,27 @@ class TestFeatureVector:
     def test_as_array(self):
         f = FeatureVector(0.22, 0.62, 52.0)
         assert np.array_equal(f.as_array(), [0.22, 0.62, 52.0])
+
+
+class TestFullFrameOracle:
+    """Window-free features must equal the full-frame ones exactly."""
+
+    def assert_same(self, frame, mask):
+        assert (oracle.outcome(channel_means, frame, mask)
+                == oracle.outcome(oracle.channel_means, frame, mask))
+        assert (oracle.outcome(flame_angle, mask)
+                == oracle.outcome(oracle.flame_angle, mask))
+
+    @given(oracle.mask_arrays(), st.integers(0, 2 ** 32 - 1))
+    def test_random_masks(self, arr, seed):
+        h, w = arr.shape
+        pixels = np.random.default_rng(seed).integers(0, 256, (h, w, 3))
+        self.assert_same(frame_with(pixels), Mask.from_array(arr))
+
+    def test_every_three_stacks_mask(self):
+        count = 0
+        for rf in render(preset("three_stacks")):
+            for _, mask in rf.annotation.masks:
+                self.assert_same(rf.frame, mask)
+                count += 1
+        assert count == 1200  # 3 flames and 3 smoke regions, 200 frames

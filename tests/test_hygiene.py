@@ -42,3 +42,25 @@ def test_checker_sees_unused_and_used_names():
     source = ("import os\nimport numpy as np\nfrom typing import List, Dict\n"
               "def f(x: List[int]):\n    return np.asarray(x)\n")
     assert unused_imports(source) == [(1, "os"), (3, "Dict")]
+
+
+def to_array_calls(source: str):
+    """Lines that call a method named to_array: a full-frame mask decode."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "to_array")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_no_full_frame_mask_decodes(path):
+    """Masks are read through Mask.indices(); to_array() builds a whole
+    frame and is for tests and tools only."""
+    assert to_array_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_decode_checker_sees_calls():
+    source = ("def f(m, x):\n    a = m.to_array()\n    to_array = 1\n"
+              "    return x.to_array\n")
+    assert to_array_calls(source) == [2]

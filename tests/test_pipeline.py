@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import logging
 
 import numpy as np
@@ -148,6 +149,27 @@ class TestModelPersistence:
         with pytest.raises(ModelVersionError):
             model_from_json(text)
 
+    @pytest.mark.parametrize("section,key,value,field", [
+        ("pca", "components", [[1.0, 2.0]], "pca.components"),
+        ("pca", "eigenvalues", [1.0, 2.0, 3.0], "pca.eigenvalues"),
+        ("pca", "explained_variance_fraction", 0.5,
+         "pca.explained_variance_fraction"),
+        ("standardization", "means", [0.0, 0.0], "standardization.means"),
+        ("standardization", "stds", [[1.0, 1.0, 1.0]],
+         "standardization.stds"),
+        ("standardization", "means", [0.0, float("nan"), 0.0],
+         "standardization.means"),
+        ("pca", "eigenvalues", [float("inf"), 1.0], "pca.eigenvalues"),
+        ("standardization", "stds", [1.0, 0.0, 1.0], "standardization.stds"),
+        ("classifier", "kind", "forest", "classifier.kind"),
+    ])
+    def test_invalid_fields_name_themselves(self, trained, section, key,
+                                            value, field):
+        obj = json.loads(model_to_json(trained[0]))
+        obj[section][key] = value
+        with pytest.raises(ParseError, match=field.replace(".", r"\.")):
+            model_from_json(json.dumps(obj))
+
 
 class TestFeatureLog:
     def rows(self):
@@ -200,6 +222,14 @@ class TestAlerts:
             assert state.observe(self.rec(fr, LOW)) is None
         assert state.observe(self.rec(12, LOW)) is not None
 
+    def test_forget_drops_only_named_tracks(self):
+        state = AlertState(MonitorConfig(alert_window=2))
+        state.observe(self.rec(0, LOW, tid=1))
+        state.observe(self.rec(0, LOW, tid=2))
+        state.forget([1, 99])
+        assert state.observe(self.rec(1, LOW, tid=2)) is not None
+        assert state.observe(self.rec(1, LOW, tid=1)) is None
+
     def test_per_track_independent(self):
         state = AlertState(MonitorConfig(alert_window=2))
         state.observe(self.rec(0, LOW, tid=1))
@@ -241,6 +271,48 @@ class TestMonitor:
         # the middle stack (smoky) was born second -> track id 2
         assert {a.track_id for a in alerts} == {2}
         assert derive_alerts_from_log(recs) == alerts
+
+    def test_dead_tracks_leave_no_alert_state(self, monkeypatch):
+        """10,000 tracks, each reported in 3 frames and dead in the next:
+        alert state holds only live tracks, and the alerts are the ones a
+        replay of the log (which never forgets) derives."""
+        n = 10_000
+        states, alive = [], set()
+
+        class SpyState(AlertState):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                states.append(self)
+
+        def short_lived(stream, sort_params=None):
+            for f in range(n + 2):
+                if states:  # state after frame f-1 against its live tracks
+                    held = states[0]._streak.keys() | \
+                        states[0]._streak_start.keys() | \
+                        states[0]._cooldown_until.keys()
+                    assert held <= alive
+                # frame f reports tracks f-1..f+1; track f-2 dies
+                live = range(max(1, f - 1), min(n, f + 1) + 1)
+                alive.difference_update([f - 2])
+                alive.update(live)
+                yield ([pipeline.TrackFeatures(f, t, FeatureVector(1, 0.4, 9))
+                        for t in live],
+                       [f - 2] if 1 <= f - 2 <= n else [])
+
+        monkeypatch.setattr(pipeline, "AlertState", SpyState)
+        monkeypatch.setattr(pipeline, "extract_track_features", short_lived)
+        monkeypatch.setattr(pipeline, "classify_features",
+                            lambda model, f: ((0.0, 0.0), LOW))
+        recs, alerts = [], []
+        for rec, alert in run_monitor(None, iter([]),
+                                      MonitorConfig(alert_window=2)):
+            recs.append(rec)
+            if alert is not None:
+                alerts.append(alert)
+        assert len(recs) == 3 * n and len(alerts) == n
+        assert len(states[0]._streak) <= len(alive) == 1
+        assert derive_alerts_from_log(recs,
+                                      MonitorConfig(alert_window=2)) == alerts
 
     def test_alerts_rederivable_from_log_text(self, trained):
         model = trained[0]

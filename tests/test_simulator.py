@@ -1,8 +1,10 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flaremon.core import DetClass
 from flaremon.errors import InvalidPreset
@@ -10,7 +12,8 @@ from flaremon.features import channel_means, flame_angle, rgb_index
 from flaremon.ingest import read_annotation_stream, write_annotation_stream
 from flaremon.labeling import rule_label
 from flaremon.simulator import (FlameSpec, SceneSpec, SmokeSpec, StackSpec,
-                                preset, render)
+                                _ellipse_mask, preset, render)
+from tests import fullframe_oracle as oracle
 
 
 def single_flame_spec(**kw):
@@ -20,6 +23,27 @@ def single_flame_spec(**kw):
     return SceneSpec(frame_count=kw.pop("frame_count", 3),
                      noise_amplitude=kw.pop("noise_amplitude", 0),
                      stacks=(StackSpec(flame, None, "high"),), **kw)
+
+
+class TestEllipseWindow:
+    @settings(max_examples=300)
+    @given(cx=st.floats(-50, 90), cy=st.floats(-50, 80),
+           a=st.floats(0.5, 30), aspect=st.floats(0.2, 1.0),
+           tilt=st.floats(0, 180))
+    def test_matches_full_frame_raster(self, cx, cy, a, aspect, tilt):
+        """Centres reach past every edge, so ellipses get cut off or miss
+        the 40x30 frame entirely."""
+        t = math.radians(tilt)
+        axis = (math.sin(t), -math.cos(t))
+        mask, rho, truncated = oracle.ellipse_mask(40, 30, cx, cy, a,
+                                                   a * aspect, axis)
+        win, inside, rho_fg, win_truncated = _ellipse_mask(
+            40, 30, cx, cy, a, a * aspect, axis)
+        pasted = np.zeros((30, 40), dtype=bool)
+        pasted[win] = inside
+        assert np.array_equal(pasted, mask)
+        assert np.array_equal(rho_fg, rho[mask])
+        assert win_truncated == truncated
 
 
 class TestRenderBasics:
