@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,14 @@ class Mask:
     runs: tuple = field(default=())
 
     def __post_init__(self):
-        runs = tuple(map(int, self.runs))
+        try:
+            size = operator.index(self.width), operator.index(self.height)
+            runs = tuple(map(operator.index, self.runs))
+        except TypeError as exc:  # a float or a string, say
+            raise DecodeError(f"mask sizes and runs must be integers: {exc}") \
+                from exc
+        object.__setattr__(self, "width", size[0])
+        object.__setattr__(self, "height", size[1])
         object.__setattr__(self, "runs", runs)
         if self.width <= 0 or self.height <= 0:
             raise DecodeError(f"bad mask size {self.width}x{self.height}")
@@ -100,11 +108,20 @@ class Mask:
                              f"{width}x{height}")
         ys, xs = np.nonzero(arr)
         idx = (ys + y0) * width + (xs + x0)
-        # A foreground run ends wherever the next index is not adjacent.
-        gap = np.flatnonzero(np.diff(idx) != 1)
-        starts = np.concatenate((idx[:1], idx[gap + 1]))
-        ends = np.concatenate((idx[gap], idx[-1:])) + 1
-        bounds = np.column_stack((starts, ends)).ravel()
+        return cls.from_runs(idx, idx + 1, size=(width, height))
+
+    @classmethod
+    def from_runs(cls, starts, ends, size) -> "Mask":
+        """Encode foreground runs [starts[i], ends[i]) of flat row-major
+        indices, sorted and disjoint, in a frame of size (width, height);
+        runs that touch are merged."""
+        width, height = size
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        # A foreground run ends wherever the next one does not start.
+        gap = np.flatnonzero(starts[1:] != ends[:-1])
+        bounds = np.column_stack((np.concatenate((starts[:1], starts[gap + 1])),
+                                  np.concatenate((ends[gap], ends[-1:])))).ravel()
         runs = np.diff(np.concatenate(([0], bounds, [width * height])))
         if runs.size > 1 and runs[-1] == 0:
             runs = runs[:-1]

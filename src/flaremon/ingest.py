@@ -53,30 +53,40 @@ def _parse_detection(obj, line_no) -> Detection:
 def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", line_no) from exc
     if not isinstance(obj, dict) or "frame_index" not in obj:
         raise ParseError("record must be an object with frame_index", line_no)
-    try:
-        frame_index = int(obj["frame_index"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad frame_index: {exc}", line_no) from exc
+    frame_index = obj["frame_index"]
+    if type(frame_index) is not int:  # bool is a subclass of int
+        raise ParseError(f"bad frame_index: {frame_index!r} is not an integer",
+                         line_no)
 
-    detections = tuple(
-        _parse_detection(d, line_no) for d in obj.get("detections", [])
-    )
+    records = obj.get("detections", [])
+    mask_records = obj.get("masks")
+    if type(records) is not list or mask_records is not None \
+            and type(mask_records) is not list:
+        raise ParseError("detections and masks must be lists", line_no)
+    detections = tuple(_parse_detection(d, line_no) for d in records)
 
     masks = None
-    if "masks" in obj and obj["masks"] is not None:
+    if mask_records is not None:
         entries = []
-        for m in obj["masks"]:
+        for m in mask_records:
             try:
-                det_idx = int(m["detection"])
-                mask = Mask(int(m["width"]), int(m["height"]), tuple(m["runs"]))
+                det_idx, width, height, runs = (m["detection"], m["width"],
+                                                m["height"], m["runs"])
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"bad mask record: {exc}", line_no) from exc
+            # Exact types, so that floats and bools are not truncated.
+            if not (type(det_idx) is type(width) is type(height) is int
+                    and type(runs) is list and set(map(type, runs)) <= {int}):
+                raise ParseError("bad mask record: detection, width, height "
+                                 "and runs must be integers", line_no)
+            try:
+                mask = Mask(width, height, runs)
             except DecodeError as exc:
                 raise ParseError(f"bad mask: {exc}", line_no) from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad mask record: {exc}", line_no) from exc
             if not (0 <= det_idx < len(detections)):
                 raise ParseError(
                     f"mask references detection {det_idx} of {len(detections)}",

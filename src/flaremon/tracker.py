@@ -7,7 +7,6 @@ velocity transition with unit timestep.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
@@ -197,21 +196,6 @@ def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
     pairs.sort()
     total = float(sum(cost[i, j] for i, j in pairs))
     return pairs, total
-
-
-def brute_force_assignment(cost) -> float:
-    """Exhaustive-permutation minimum; oracle for the Hungarian solver."""
-    cost = np.asarray(cost, dtype=float)
-    n_rows, n_cols = cost.shape
-    rows = range(n_rows)
-    best = float("inf")
-    if n_rows <= n_cols:
-        for perm in itertools.permutations(range(n_cols), n_rows):
-            best = min(best, float(cost[list(rows), list(perm)].sum()))
-    else:
-        for perm in itertools.permutations(range(n_rows), n_cols):
-            best = min(best, float(cost[list(perm), list(range(n_cols))].sum()))
-    return best
 
 
 def initial_state(measurement, p: KalmanParams) -> KalmanState:

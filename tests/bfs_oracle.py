@@ -1,8 +1,10 @@
 """Reference region grow: the per-pixel deque BFS that `segment_box` must match.
 
-`flaremon.segment.segment_box` grows a whole frontier per numpy step.  This
-module keeps the pixel-at-a-time breadth-first search it replaced, so the
-tests can require identical masks, cap and degenerate flag included.
+`flaremon.segment.segment_box` walks the graph of the window's row runs,
+and grows a whole breadth-first level per numpy step only where the cap
+binds or the runs are short.  This module keeps the plain pixel-at-a-time
+breadth-first search, so the tests can require identical masks, cap and
+degenerate flag included, whichever path `segment_box` takes.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ from flaremon.simulator import (FlameSpec, SceneSpec, StackSpec, preset,
 from flaremon.stats import (eigen_symmetric, pca_fit, pca_project,
                             standardize_apply, standardize_fit)
 from flaremon.tracker import (KalmanParams, SortParams, SortTracker,
-                              brute_force_assignment, hungarian,
-                              kalman_predict, kalman_update, predicted_bbox,
-                              bbox_to_measurement)
+                              hungarian, kalman_predict, kalman_update,
+                              predicted_bbox, bbox_to_measurement)
+from tests.assignment_oracle import brute_force_assignment
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 

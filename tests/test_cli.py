@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -6,9 +7,12 @@ import json
 import logging
 import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaremon import pipeline
 from flaremon.cli import _frame_stream, _read_feature_csv, main
@@ -17,6 +21,7 @@ from flaremon.errors import ParseError
 from flaremon.ingest import write_annotation_stream
 from flaremon.segment import segment_box
 from flaremon.simulator import preset, render
+from tests.annotation_fuzz import annotation_lines
 from tests.bfs_oracle import segment_box_bfs
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
@@ -363,3 +368,34 @@ def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
     err = capsys.readouterr().err
     assert "error: frame 8 detection " in err
     assert ": mask is 360x240, frame is 320x240" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_frames(tmp_path_factory):
+    """Three 8x6 frames: smoke over a flame with an edge on a dark
+    background."""
+    out = str(tmp_path_factory.mktemp("fuzz") / "frames")
+    pix = np.full((6, 8, 3), (20, 22, 28), dtype=np.uint8)
+    pix[0:2, 1:7] = (90, 90, 90)
+    pix[3:6, 1:7] = (250, 90, 40)
+    pix[3:6, 1] = (255, 150, 70)
+    pipeline.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(3)),
+                         out)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(annotation_lines(8, 6), min_size=1, max_size=2))
+def test_monitor_on_fuzzed_lines_exits_0_or_2(fuzz_frames, table_model, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        ann_path = os.path.join(tmp, "annotations.jsonl")
+        with open(ann_path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines for _ in range(3)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run("monitor", "--model", table_model, "--input", ann_path,
+                       "--frames", fuzz_frames,
+                       "--log", os.path.join(tmp, "monitor.csv"))
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,11 +1,16 @@
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaremon.core import BBox, DetClass, Detection, Mask
-from flaremon.errors import OrderError, ParseError
+from flaremon.errors import FlaremonError, OrderError, ParseError
 from flaremon.ingest import (FrameAnnotation, format_annotation,
-                             read_annotation_stream, write_annotation_stream)
+                             parse_annotation_line, read_annotation_stream,
+                             write_annotation_stream)
+from tests.annotation_fuzz import annotation_lines
 
 ONE_FLAME = ('{"frame_index":0,"detections":[{"class":"flame",'
              '"bbox":[1.0,2.0,5.0,9.0],"confidence":0.9}]}')
@@ -95,3 +100,56 @@ def test_reader_output_satisfies_invariants():
 def test_format_annotation_single_line():
     ann = FrameAnnotation(0, (), None)
     assert "\n" not in format_annotation(ann)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("runs", "[1.9, 3.9]"), ("runs", "[true, 3]"), ("runs", "[1, 3.0]"),
+    ("runs", '"13"'), ("width", "2.7"), ("width", "2.0"), ("width", "true"),
+    ("height", "2.0"), ("detection", "0.0"), ("detection", "false")])
+def test_non_integer_mask_fields_rejected(field, value):
+    # Each of these used to load as Mask(2, 2, runs=(1, 3)).
+    fields = {"detection": "0", "width": "2", "height": "2", "runs": "[1, 3]"}
+    fields[field] = value
+    line = ('{"frame_index":0,"detections":[{"class":"flame",'
+            '"bbox":[0,0,2,2],"confidence":1.0}],"masks":[{'
+            + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}]}")
+    with pytest.raises(ParseError) as err:
+        read_all(line)
+    assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("value", ["1.0", "true", '"1"', "null"])
+def test_non_integer_frame_index_rejected(value):
+    with pytest.raises(ParseError):
+        read_all(ONE_FLAME.replace('"frame_index":0', f'"frame_index":{value}'))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("detections", "null"), ("detections", "7"), ("detections", "{}"),
+    ("masks", "7"), ("masks", "{}"), ("masks", "[7]")])
+def test_non_list_sections_rejected(field, value):
+    line = f'{{"frame_index":0,"detections":[],"{field}":{value}}}'
+    with pytest.raises(ParseError):
+        read_all(line)
+
+
+def test_deep_nesting_rejected():
+    with pytest.raises(ParseError):
+        read_all("[" * 100_000 + "]" * 100_000)
+
+
+@settings(max_examples=500, deadline=None)
+@given(annotation_lines())
+def test_fuzzed_lines_parse_or_raise_flaremon_error(line):
+    try:
+        ann = parse_annotation_line(line)
+    except FlaremonError:
+        return
+    # Accepted integers were integers in the line, not truncated floats.
+    obj = json.loads(line)
+    assert type(obj["frame_index"]) is int
+    for m in obj.get("masks") or ():
+        assert all(type(v) is int for v in (m["detection"], m["width"],
+                                            m["height"], *m["runs"]))
+    for idx, mask in ann.masks or ():
+        assert 0 <= idx < len(ann.detections)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flaremon import segment
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import OutOfBounds
 from flaremon.segment import SegmenterConfig, segment_box
@@ -173,3 +174,150 @@ def test_cap_keeps_breadth_first_order():
         if extra:
             expect[extra] = True
         assert np.array_equal(res.mask.to_array(), expect)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap flaremon.segment.<name> so that its calls are counted."""
+    calls = []
+    real = getattr(segment, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(segment, name, spy)
+    return calls
+
+
+@st.composite
+def uncapped_case(draw):
+    """A frame from frame_box_config and a box at least 16 px on a side
+    around an on-frame seed.  Its window, the box dilated by 10% and
+    rounded outwards, is at most 1.2 * side + 3 px on a side, so it holds
+    fewer pixels than twice the box area and the cap of
+    max_region_fraction=2.0 never binds."""
+    frame, _, cfg = draw(frame_box_config())
+    cx = draw(st.integers(0, frame.width - 1)) + draw(st.floats(-0.45, 0.45))
+    cy = draw(st.integers(0, frame.height - 1)) + draw(st.floats(-0.45, 0.45))
+    hw = draw(st.floats(8.0, max(8.0, frame.width + 2.0)))
+    hh = draw(st.floats(8.0, max(8.0, frame.height + 2.0)))
+    box = BBox(cx - hw, cy - hh, cx + hw, cy + hh)
+    return frame, box, SegmenterConfig(cfg.color_tolerance, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uncapped_case())
+def test_run_walk_matches_pixel_bfs(case):
+    frame, box, cfg = case
+    expect = segment_box_bfs(frame, box, cfg)
+    # With the short-run guard lifted, every grow that is not degenerate
+    # takes the run walk, and the level search never runs.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "MIN_MEAN_RUN", 0)
+        walks = count_calls(mp, "_component_runs")
+        searches = count_calls(mp, "_level_bfs")
+        got = segment_box(frame, box, cfg)
+    assert got.degenerate == expect.degenerate
+    assert got.mask == expect.mask
+    assert len(walks) == (not expect.degenerate) and not searches
+
+
+def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
+    # A uniform 300x300 box: one run per row, far above the short-run
+    # guard, and a component of the whole window, far above the cap.
+    frame = frame_of(make_frame(w=400, h=400, bg=(128, 128, 128)))
+    box = BBox(50, 50, 350, 350)
+    cfg = SegmenterConfig(40, 0.5)
+    walks = count_calls(monkeypatch, "_component_runs")
+    searches = count_calls(monkeypatch, "_level_bfs")
+    got = segment_box(frame, box, cfg)
+    assert len(walks) == 1 and len(searches) == 1
+    assert got.mask.area() == int(0.5 * box.area)
+    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+
+
+def noisy_frame(amplitude, seed):
+    """Base colour 128 plus uniform per-channel noise of +/- amplitude,
+    the 3x3 patch around (30, 30) left at 128."""
+    rng = np.random.default_rng(seed)
+    pix = (128 + rng.integers(-amplitude, amplitude + 1, size=(60, 60, 3))) \
+        .astype(np.uint8)
+    pix[29:32, 29:32] = 128
+    return frame_of(pix)
+
+
+def percolation_frame(p, seed):
+    on = np.random.default_rng(seed).random((60, 60)) < p
+    on[29:32, 29:32] = True
+    return frame_of(np.where(on[..., None], 100, 200).astype(np.uint8)
+                    .repeat(3, axis=2))
+
+
+@pytest.mark.parametrize("frame", [
+    *(noisy_frame(amp, seed) for amp in (44, 45, 48, 52, 60)
+      for seed in range(3)),
+    *(percolation_frame(p, seed) for p in (0.55, 0.62, 0.7)
+      for seed in range(3)),
+])
+def test_short_runs_take_level_bfs(frame, monkeypatch):
+    # Fragmented windows whose runs average under MIN_MEAN_RUN pixels skip
+    # the run walk; the level search then grows the same region.
+    box = BBox(5, 5, 55, 55)
+    cfg = SegmenterConfig(40)
+    walks = count_calls(monkeypatch, "_component_runs")
+    searches = count_calls(monkeypatch, "_level_bfs")
+    got = segment_box(frame, box, cfg)
+    expect = segment_box_bfs(frame, box, cfg)
+    assert not walks and len(searches) == 1
+    assert not got.degenerate and got.mask == expect.mask
+    assert got.mask.area() > 1
+
+
+def test_diagonal_runs_do_not_touch():
+    # The seed's 8 px wide block meets a block at each corner only
+    # diagonally; every run is 8 px long, so the run walk handles it.
+    pix = make_frame(w=24, h=9)
+    for rows, cols in ((slice(0, 3), slice(0, 8)), (slice(0, 3), slice(16, 24)),
+                       (slice(3, 6), slice(8, 16)), (slice(6, 9), slice(0, 8)),
+                       (slice(6, 9), slice(16, 24))):
+        pix[rows, cols] = (200, 50, 50)
+    frame = frame_of(pix)
+    box = BBox(0, 0, 24, 9)
+    cfg = SegmenterConfig(30, 2.0)
+    got = segment_box(frame, box, cfg)
+    assert got.mask.area() == 24
+    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+
+
+def test_component_of_exactly_the_cap_takes_the_walk(monkeypatch):
+    pix = make_frame()
+    pix[10:30, 20:40] = (200, 50, 50)
+    frame = frame_of(pix)
+    box = BBox(20, 10, 40, 30)
+    cfg = SegmenterConfig(30, 1.0)  # the cap is the region's 400 pixels
+    searches = count_calls(monkeypatch, "_level_bfs")
+    got = segment_box(frame, box, cfg)
+    assert not searches and got.mask.area() == 400
+    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+
+
+@pytest.mark.parametrize("distance", [20, 40])
+def test_tolerance_boundary_in_float64(distance):
+    # A seed patch whose mean, 1198/9, is not a float32 value, and a
+    # tolerance equal to a probe pixel's float64 distance from it: the
+    # probe is admitted, as in the oracle, only when the mean stays float64.
+    pix = make_frame(w=20, h=20, bg=(133, 133, 133))
+    pix[9, 9] = 134  # in the seed patch around (10, 10)
+    mean = pix[9:12, 9:12].reshape(-1, 3).mean(axis=0)[0]
+    rounded = float(np.float32(mean))
+    # The probe lies on the side of the mean away from its float32 value.
+    value = 133 + (distance if rounded < mean else -distance)
+    tol = abs(value - mean)
+    assert abs(value - rounded) > tol
+    pix[10, 12:16] = value
+    frame = frame_of(pix)
+    box = BBox(5, 5, 15, 15)
+    cfg = SegmenterConfig(tol, 2.0)
+    got = segment_box(frame, box, cfg)
+    assert got.mask.to_array()[10, 12:16].all()
+    assert got.mask == segment_box_bfs(frame, box, cfg).mask

@@ -4,10 +4,10 @@ import pytest
 from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import InvalidCost, NumericalError
 from flaremon.tracker import (KalmanParams, KalmanState, SortParams,
-                              SortTracker, bbox_to_measurement,
-                              brute_force_assignment, hungarian,
+                              SortTracker, bbox_to_measurement, hungarian,
                               kalman_predict, kalman_update,
                               measurement_to_bbox, predicted_bbox)
+from tests.assignment_oracle import brute_force_assignment
 
 
 def identity_params(q=0.0, r=1.0):
