@@ -42,11 +42,14 @@ def _parse_detection(obj, line_no) -> Detection:
     try:
         cls = DetClass(obj["class"])
         x0, y0, x1, y1 = obj["bbox"]
-        conf = float(obj["confidence"])
-        return Detection(BBox(float(x0), float(y0), float(x1), float(y1)), cls, conf)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        conf = obj["confidence"]
+        # Exact types, so that bools and numeric strings are not numbers.
+        if not {type(x0), type(y0), type(x1), type(y1), type(conf)} \
+                <= {int, float}:
+            raise TypeError("bbox and confidence must be numbers")
+        return Detection(BBox(float(x0), float(y0), float(x1), float(y1)),
+                         cls, float(conf))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad detection record: {exc}", line_no) from exc
 
 

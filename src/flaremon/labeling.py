@@ -8,8 +8,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import requests
-
 from .classify import HIGH, LOW
 from .errors import AuthError, EndOfInput, Unavailable, UnparseableReply
 from .features import FeatureVector
@@ -79,6 +77,9 @@ def llm_label(cfg: LlmClientConfig, f: FeatureVector,
     with exponential backoff; total wait never exceeds
     timeout * (max_retries + 1) plus backoff.
     """
+    # Imported here: only LLM labelling needs it, and it is slow to import.
+    import requests
+
     api_key = os.environ.get(cfg.api_key_env, "")
     body = {
         "model": cfg.model,

@@ -123,18 +123,18 @@ def extract_track_features(
 
         flame_boxes: Dict[int, BBox] = {}
         flame_masks: Dict[int, Mask] = {}
-        for track in reported:
-            col = det_of_track.get(track.id)
+        for track_id in reported:
+            col = det_of_track.get(track_id)
             if col is None:
                 continue
             orig = flame_idx[col]
-            flame_boxes[track.id] = ann.detections[orig].bbox
+            flame_boxes[track_id] = ann.detections[orig].bbox
             try:
-                flame_masks[track.id] = mask_of(orig)
+                flame_masks[track_id] = mask_of(orig)
             except OutOfBounds as exc:
                 # Its box stays, so smoke above it is not given to another.
                 log.warning("frame %d track %d skipped: %s",
-                            ann.frame_index, track.id, exc)
+                            ann.frame_index, track_id, exc)
 
         smoke_regions = []
         for i in smoke_idx:
@@ -157,21 +157,21 @@ def extract_track_features(
                           "flames", ann.frame_index, dropped - orphans)
 
         out: List[TrackFeatures] = []
-        for track in reported:
-            if track.id not in flame_masks:
+        for track_id in reported:
+            if track_id not in flame_masks:
                 continue
-            fmask = flame_masks[track.id]
+            fmask = flame_masks[track_id]
             try:
-                ratio = smoke_flame_ratio(smoke_areas[track.id], fmask.area())
+                ratio = smoke_flame_ratio(smoke_areas[track_id], fmask.area())
                 index = rgb_index(channel_means(frame, fmask))
                 angle = flame_angle(fmask)
             except (DegenerateOrientation, EmptyRegion,
                     InsufficientSignal) as exc:
                 log.warning("frame %d track %d skipped: %s",
-                            ann.frame_index, track.id, exc)
+                            ann.frame_index, track_id, exc)
                 continue
             out.append(TrackFeatures(
-                frame=ann.frame_index, track_id=track.id,
+                frame=ann.frame_index, track_id=track_id,
                 features=FeatureVector(ratio, index, angle)))
         yield out, deaths
 

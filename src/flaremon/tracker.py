@@ -3,17 +3,23 @@
 State is the 7-vector (u, v, s, r, du, dv, ds): box center, scale (area),
 aspect ratio, and velocities for all but the aspect ratio.  Constant
 velocity transition with unit timestep.
+
+`SortTracker` keeps its tracks as stacked arrays, one row per track in
+birth order: ``x`` (n, 7), ``P`` (n, 7, 7), ``hits``, ``time_since_update``
+and ``id``.  Each step is one batched predict, one broadcast IoU matrix, one
+Hungarian assignment, one batched update of the matched rows, and births
+and deaths by concatenation and a boolean mask.  The Kalman functions take
+any leading batch axes, a single (7,)/(7, 7) state included.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import BBox, DetClass, Detection, iou
+from .core import BBox, Detection
 from .errors import InvalidCost, NumericalError
 
 _SCALE_EPS = 1e-9
@@ -43,19 +49,9 @@ class KalmanParams:
 
 @dataclass(frozen=True)
 class KalmanState:
-    x: np.ndarray  # shape (7,)
-    P: np.ndarray  # shape (7, 7)
-    degenerate_scale: bool = False
-
-
-@dataclass(frozen=True)
-class Track:
-    id: int
-    state: KalmanState
-    hits: int
-    age: int
-    time_since_update: int
-    cls: DetClass
+    x: np.ndarray  # shape (..., 7)
+    P: np.ndarray  # shape (..., 7, 7)
+    degenerate_scale: bool = False  # per row: the scale was clamped
 
 
 @dataclass(frozen=True)
@@ -72,63 +68,78 @@ class SortParams:
 
 
 def _symmetrize(P):
-    return (P + P.T) / 2.0
+    return (P + P.swapaxes(-1, -2)) / 2.0
+
+
+def _apply(A, v):
+    """A @ v for every vector v on the last axis."""
+    return (A @ v[..., None])[..., 0]
 
 
 def kalman_predict(state: KalmanState, p: KalmanParams) -> KalmanState:
-    x = p.F @ state.x
+    x = _apply(p.F, state.x)
     P = _symmetrize(p.F @ state.P @ p.F.T + p.Q)
-    degenerate = False
-    if x[2] <= 0.0:
-        x = x.copy()
-        x[2] = _SCALE_EPS
-        degenerate = True
+    degenerate = x[..., 2] <= 0.0
+    x[..., 2] = np.where(degenerate, _SCALE_EPS, x[..., 2])
     return KalmanState(x=x, P=P, degenerate_scale=degenerate)
 
 
 def kalman_update(state: KalmanState, z, p: KalmanParams) -> KalmanState:
     z = np.asarray(z, dtype=float)
     S = _symmetrize(p.H @ state.P @ p.H.T + p.R)
-    innovation = z - p.H @ state.x
+    innovation = z - _apply(p.H, state.x)
 
     # Exact-zero innovation modes arise in the perfect-measurement limit
     # (R = 0 collapses already-measured variances to zero).  A zero mode
     # whose innovation is also zero carries no correction; a zero mode with
     # a non-zero innovation, or a badly spread positive spectrum, means the
-    # gain is numerically undefined.
+    # gain is numerically undefined.  The first such row raises.
     vals, vecs = np.linalg.eigh(S)
-    lam_max = max(float(vals.max()), 0.0)
-    zero = vals <= max(lam_max * 1e-12, 1e-300)
-    innov_rot = vecs.T @ innovation
-    scale = 1.0 + float(np.linalg.norm(z))
-    if np.any(zero & (np.abs(innov_rot) > 1e-9 * scale)):
-        raise NumericalError("innovation covariance is singular")
-    positive = vals[~zero]
-    if positive.size and positive.max() / positive.min() > 1e12:
-        raise NumericalError("innovation covariance is ill-conditioned")
-    inv_vals = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, vals))
-    S_pinv = vecs @ np.diag(inv_vals) @ vecs.T
+    lam_max = vals.max(axis=-1, keepdims=True)
+    zero = vals <= np.maximum(lam_max * 1e-12, 1e-300)
+    singular = zero.any(axis=-1)  # narrowed below to inconsistent rows
+    if singular.any():
+        innov_rot = _apply(vecs.swapaxes(-1, -2), innovation)
+        scale = 1.0 + np.sqrt((z * z).sum(axis=-1, keepdims=True))
+        singular = np.any(zero & (np.abs(innov_rot) > 1e-9 * scale), axis=-1)
+    positive = np.where(zero, np.inf, vals)  # zero modes invert to 0
+    spread = lam_max[..., 0] / positive.min(axis=-1)
+    bad = np.flatnonzero(singular | (spread > 1e12))
+    if bad.size:
+        raise NumericalError("innovation covariance is singular"
+                             if np.ravel(singular)[bad[0]] else
+                             "innovation covariance is ill-conditioned")
+    S_pinv = (vecs * (1.0 / positive)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
     K = state.P @ p.H.T @ S_pinv
-    x = state.x + K @ innovation
-    P = _symmetrize((np.eye(state.P.shape[0]) - K @ p.H) @ state.P)
+    x = state.x + _apply(K, innovation)
+    P = _symmetrize((np.eye(state.P.shape[-1]) - K @ p.H) @ state.P)
     return KalmanState(x=x, P=P)
 
 
-def bbox_to_measurement(b: BBox):
-    """Box -> (u, v, s, r): center, area, aspect ratio."""
-    u, v = (b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0
-    w, h = b.width, b.height
-    return np.array([u, v, w * h, w / h])
+def _measurements(b):
+    """(m, 4) boxes (x0, y0, x1, y1) -> (u, v, s, r): center, area, aspect."""
+    w, h = (b[:, 2:] - b[:, :2]).T
+    return np.concatenate([(b[:, :2] + b[:, 2:]) / 2.0,
+                           np.array([w * h, w / h]).T], axis=1)
 
 
-def measurement_to_bbox(m) -> BBox:
-    u, v, s, r = float(m[0]), float(m[1]), float(m[2]), float(m[3])
-    s = max(s, _SCALE_EPS)
-    r = max(r, _SCALE_EPS)
-    w = math.sqrt(s * r)
-    h = s / w
-    return BBox(u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0)
+def _boxes(m):
+    """(n, 4) measurements (u, v, s, r) -> (n, 4) boxes (x0, y0, x1, y1)."""
+    s, r = np.maximum(m[:, 2:4], _SCALE_EPS).T
+    w = np.sqrt(s * r)
+    half = np.array([w, s / w]).T / 2.0
+    return np.concatenate([m[:, :2] - half, m[:, :2] + half], axis=1)
+
+
+def _iou_matrix(a, b):
+    """IoU of each of the (n, 4) boxes a with each of the (m, 4) boxes b,
+    in the operation order of `core.iou`."""
+    overlap = np.maximum(np.minimum(a[:, None, 2:], b[:, 2:])
+                         - np.maximum(a[:, None, :2], b[:, :2]), 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    (wa, ha), (wb, hb) = (a[:, 2:] - a[:, :2]).T, (b[:, 2:] - b[:, :2]).T
+    return inter / ((wa * ha)[:, None] + wb * hb - inter)
 
 
 def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
@@ -198,100 +209,80 @@ def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
     return pairs, total
 
 
-def initial_state(measurement, p: KalmanParams) -> KalmanState:
-    """Fresh track state: zero velocities, inflated velocity covariance."""
-    x = np.zeros(7)
-    x[:4] = measurement
-    # position/scale variances from measurement noise (floored so the first
-    # update stays well-posed even with R = 0), velocities inflated x1000
-    meas_var = np.maximum(np.diag(p.R), 1.0)
-    P = np.zeros((7, 7))
-    P[:4, :4] = np.diag(meas_var)
-    P[4:, 4:] = np.diag(meas_var[:3]) * 1000.0
-    return KalmanState(x=x, P=P)
-
-
-def predicted_bbox(track: Track) -> BBox:
-    return measurement_to_bbox(track.state.x[:4])
-
-
 class SortTracker:
     """Per-class SORT instance.  Single writer, frames strictly in order."""
 
-    def __init__(self, params: SortParams = None, kalman: KalmanParams = None,
-                 cls: DetClass = DetClass.FLAME):
+    def __init__(self, params: SortParams = None, kalman: KalmanParams = None):
         self.params = params or SortParams()
         self.kalman = kalman or KalmanParams()
-        self.cls = cls
-        self.tracks: List[Track] = []
+        self.x = np.zeros((0, 7))
+        self.P = np.zeros((0, 7, 7))
+        self.hits = np.zeros(0, dtype=np.int64)
+        self.time_since_update = np.zeros(0, dtype=np.int64)
+        self.id = np.zeros(0, dtype=np.int64)
         self._next_id = 1
+        # A newborn's covariance: measurement-noise variances (floored so the
+        # first update stays well-posed even with R = 0), velocities x1000.
+        meas_var = np.maximum(np.diag(self.kalman.R), 1.0)
+        self._birth_P = np.diag(np.concatenate(
+            [meas_var, meas_var[:3] * 1000.0]))[None]
 
     def step(self, detections: Sequence[Detection]):
         """Advance one frame.
 
-        Returns (reported_tracks, matches, births, deaths) where matches is
-        a list of (track_id, detection_index), births/deaths are track ids,
-        and reported_tracks have hits >= min_hits.
+        Returns (reported, matches, births, deaths): the ids of the tracks
+        with hits >= min_hits matched or born this frame, (track_id,
+        detection_index) pairs, and the ids born and died this frame.
         """
         p = self.params
-        predicted = [
-            replace(t, state=kalman_predict(t.state, self.kalman),
-                    age=t.age + 1)
-            for t in self.tracks
-        ]
+        predicted = kalman_predict(KalmanState(self.x, self.P), self.kalman)
+        x, P = predicted.x, predicted.P
+        det_boxes = np.array(
+            [(d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max)
+             for d in detections], dtype=float).reshape(-1, 4)
+        # Huge boxes overflow here silently, as they do in Python floats.
+        with np.errstate(all="ignore"):
+            z = _measurements(det_boxes)
+            boxes = _boxes(x)
+            iou_mat = _iou_matrix(boxes, det_boxes)
+        if len(z) and not (np.isfinite(boxes).all()
+                           and (boxes[:, :2] < boxes[:, 2:]).all()):
+            for box in boxes.tolist():
+                BBox(*box)  # raises the ValueError of the first bad box
 
-        matches: List[Tuple[int, int]] = []
-        matched_rows, matched_cols = set(), set()
-        if predicted and detections:
-            iou_mat = np.array(
-                [[iou(predicted_bbox(t), d.bbox) for d in detections]
-                 for t in predicted]
-            )
-            pairs, _ = hungarian(-iou_mat)
-            for row, col in pairs:
-                if iou_mat[row, col] >= p.iou_threshold:
-                    matches.append((row, col))
-                    matched_rows.add(row)
-                    matched_cols.add(col)
+        pairs, _ = hungarian(-iou_mat)
+        rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        keep = iou_mat[rows, cols] >= p.iou_threshold
+        rows, cols = rows[keep], cols[keep]
+        if rows.size:
+            updated = kalman_update(KalmanState(x[rows], P[rows]), z[cols],
+                                    self.kalman)
+            x[rows], P[rows] = updated.x, updated.P
 
-        next_tracks: List[Track] = []
-        deaths: List[int] = []
-        match_ids: List[Tuple[int, int]] = []
-        for row, track in enumerate(predicted):
-            if row in matched_rows:
-                col = next(c for r, c in matches if r == row)
-                z = bbox_to_measurement(detections[col].bbox)
-                state = kalman_update(track.state, z, self.kalman)
-                track = replace(track, state=state, hits=track.hits + 1,
-                                time_since_update=0)
-                match_ids.append((track.id, col))
-                next_tracks.append(track)
-            else:
-                track = replace(track,
-                                time_since_update=track.time_since_update + 1)
-                if track.time_since_update > p.max_age:
-                    deaths.append(track.id)
-                else:
-                    next_tracks.append(track)
+        self.hits[rows] += 1
+        self.time_since_update += 1
+        self.time_since_update[rows] = 0
+        alive = self.time_since_update <= p.max_age
+        unmatched = np.ones(len(z), dtype=bool)
+        unmatched[cols] = False
+        born = self._next_id + np.arange(np.count_nonzero(unmatched))
+        self._next_id += len(born)
+        match_ids = list(zip(self.id[rows].tolist(), cols.tolist()))
+        deaths = self.id[~alive].tolist()
 
-        births: List[int] = []
-        for col, det in enumerate(detections):
-            if col in matched_cols:
-                continue
-            z = bbox_to_measurement(det.bbox)
-            track = Track(
-                id=self._next_id,
-                state=initial_state(z, self.kalman),
-                hits=1,
-                age=0,
-                time_since_update=0,
-                cls=self.cls,
-            )
-            self._next_id += 1
-            births.append(track.id)
-            next_tracks.append(track)
+        if len(born) or deaths:
+            def grow(a, new):
+                return np.concatenate([a[alive], new])
 
-        self.tracks = next_tracks
-        reported = [t for t in next_tracks
-                    if t.hits >= p.min_hits and t.time_since_update == 0]
-        return reported, match_ids, births, deaths
+            x_born = np.zeros((len(born), 7))
+            x_born[:, :4] = z[unmatched]
+            x, P = grow(x, x_born), grow(P, np.repeat(self._birth_P,
+                                                      len(born), axis=0))
+            self.hits = grow(self.hits, np.ones_like(born))
+            self.time_since_update = grow(self.time_since_update,
+                                          np.zeros_like(born))
+            self.id = grow(self.id, born)
+        self.x, self.P = x, P
+        reported = self.id[(self.hits >= p.min_hits)
+                           & (self.time_since_update == 0)]
+        return reported.tolist(), match_ids, born.tolist(), deaths

@@ -1,6 +1,8 @@
 """Hypothesis strategies for annotation lines near the schema of
 `flaremon.ingest`: records with a field left out, of the wrong JSON type,
-or an integer given as a float or a bool, including every mask field."""
+an integer given as a float or a bool, including every mask field, or a
+box coordinate or confidence given as a bool, a numeric string or an
+integer too large for a float."""
 
 from __future__ import annotations
 
@@ -16,14 +18,17 @@ JSON = st.recursive(JUNK, lambda kids: st.lists(kids, max_size=3)
 
 
 def near_miss(n):
-    return st.sampled_from([float(n), n + 0.5, bool(n)])
+    if type(n) is int:
+        return st.sampled_from([float(n), n + 0.5, bool(n)])
+    return st.sampled_from([bool(n), str(n), 10 ** 400, -10 ** 400])
 
 
 @st.composite
 def spoiled(draw, record):
     """The record as it is half the time, else with one defect: a field
-    left out or swapped for junk, or an integer field (or one run) given
-    as a float, as n + 0.5 or as a bool."""
+    left out or swapped for junk, an integer field (or one run) given as a
+    float, as n + 0.5 or as a bool, or a float field (or one coordinate)
+    given as a bool, a string or a huge integer."""
     key = draw(st.sampled_from(sorted(record)))
     action = draw(st.integers(0, 5))
     if action == 3:
@@ -32,10 +37,10 @@ def spoiled(draw, record):
         record[key] = draw(JSON)
     elif action == 5:
         value = record[key]
-        if type(value) is int:
+        if type(value) in (int, float):
             record[key] = draw(near_miss(value))
-        elif type(value) is list and value and type(value[0]) is int:
-            i = draw(st.integers(0, len(value) - 1))  # one of the runs
+        elif type(value) is list and value and type(value[0]) in (int, float):
+            i = draw(st.integers(0, len(value) - 1))  # a run or coordinate
             value[i] = draw(near_miss(value[i]))
     return record
 

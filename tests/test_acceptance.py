@@ -29,9 +29,9 @@ from flaremon.simulator import (FlameSpec, SceneSpec, StackSpec, preset,
 from flaremon.stats import (eigen_symmetric, pca_fit, pca_project,
                             standardize_apply, standardize_fit)
 from flaremon.tracker import (KalmanParams, SortParams, SortTracker,
-                              hungarian, kalman_predict, kalman_update,
-                              predicted_bbox, bbox_to_measurement)
+                              hungarian, kalman_predict, kalman_update)
 from tests.assignment_oracle import brute_force_assignment
+from tests.sort_oracle import measurement_to_bbox
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -75,7 +75,7 @@ def test_criterion_2_kalman_limits():
         det = Detection(BBox(x0, y0, x0 + 12, y0 + 20), DetClass.FLAME, 0.9)
         reported, _, _, _ = tracker.step([det])
         if k >= 3:
-            m = reported[0].state.x
+            m = tracker.x[tracker.id == reported[0]][0]
             errs.append(abs(m[0] - (x0 + 6)) + abs(m[1] - (y0 + 10)))
     assert max(errs) < 1e-6
 
@@ -108,13 +108,14 @@ def test_criterion_3_tracking_identity():
         flame_dets = [d for d in rf.annotation.detections
                       if d.cls is DetClass.FLAME]
         reported, _, _, _ = tracker.step(flame_dets)
-        for tr in reported:
-            overlaps = [(iou(predicted_bbox(tr), t.flame_box), t.stack_id)
+        for tid in reported:
+            box = measurement_to_bbox(tracker.x[tracker.id == tid][0, :4])
+            overlaps = [(iou(box, t.flame_box), t.stack_id)
                         for t in rf.truths]
             sid = max(overlaps)[1]
-            if sid in stack_to_track and stack_to_track[sid] != tr.id:
+            if sid in stack_to_track and stack_to_track[sid] != tid:
                 switches += 1
-            stack_to_track.setdefault(sid, tr.id)
+            stack_to_track.setdefault(sid, tid)
     ok = (switches == 0 and len(stack_to_track) == 3
           and len(set(stack_to_track.values())) == 3 and frames == 200)
     report(3, ok, f"200 frames, 0 switches, mapping {stack_to_track}")

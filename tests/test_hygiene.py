@@ -1,7 +1,10 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +67,13 @@ def test_decode_checker_sees_calls():
     source = ("def f(m, x):\n    a = m.to_array()\n    to_array = 1\n"
               "    return x.to_array\n")
     assert to_array_calls(source) == [2]
+
+
+def test_cli_import_loads_no_http_client():
+    """Only `--labeling llm` talks HTTP; start-up must not pay for it."""
+    code = ("import sys, flaremon.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('requests', 'urllib3')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

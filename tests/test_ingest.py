@@ -118,6 +118,23 @@ def test_non_integer_mask_fields_rejected(field, value):
     assert err.value.line_number == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bbox", '[true, "0", "2.5", 2]'), ("bbox", '[0, 0, 2, "2"]'),
+    ("bbox", '"0122"'), ("bbox", "[0, 0, 2, 2, 2]"),
+    ("bbox", "[0, 0, 2, 1" + "0" * 400 + "]"), ("confidence", '"0.9"'),
+    ("confidence", "true"), ("confidence", "1" + "0" * 400)])
+def test_non_numeric_detection_fields_rejected(field, value):
+    # The first two used to load as BBox(1.0, 0.0, 2.5, 2.0) and 0.9, a
+    # 400-digit integer raised OverflowError.
+    fields = {"class": '"flame"', "bbox": "[0, 0, 2, 2]", "confidence": "1"}
+    fields[field] = value
+    line = ('{"frame_index":0,"detections":[{'
+            + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}]}")
+    with pytest.raises(ParseError) as err:
+        read_all(line)
+    assert err.value.line_number == 1
+
+
 @pytest.mark.parametrize("value", ["1.0", "true", '"1"', "null"])
 def test_non_integer_frame_index_rejected(value):
     with pytest.raises(ParseError):
@@ -151,5 +168,7 @@ def test_fuzzed_lines_parse_or_raise_flaremon_error(line):
     for m in obj.get("masks") or ():
         assert all(type(v) is int for v in (m["detection"], m["width"],
                                             m["height"], *m["runs"]))
+    for d in obj.get("detections", []):
+        assert {type(d["confidence"]), *map(type, d["bbox"])} <= {int, float}
     for idx, mask in ann.masks or ():
         assert 0 <= idx < len(ann.detections)
