@@ -1,7 +1,7 @@
 """Streaming flare-stack combustion monitoring from visual features."""
 
 from .core import BBox, DetClass, Detection, Frame, Mask, box_center, iou
-from .features import FeatureVector, RgbIndexParams
+from .features import FeatureVector
 from .ingest import FrameAnnotation, read_annotation_stream, write_annotation_stream
 from .pipeline import (Alert, EfficiencyModel, MonitorConfig, fit_efficiency_model,
                        load_model, run_monitor, run_training, save_model)

@@ -53,22 +53,28 @@ def logistic_loss_grad(w, b, X, y01):
     return loss, X.T @ diff / len(y01), float(diff.mean())
 
 
-def train_logistic(data, labels, epochs: int = 2000,
-                   learning_rate: float = 0.1) -> ClassifierModel:
-    X, y01 = _check_data(data, labels)
-    w = np.zeros(X.shape[1])
+def _train_linear(kind, loss_grad, n_features, epochs, learning_rate):
+    """Full-batch gradient descent on (w, b) from zero; loss_grad(w, b)
+    returns (loss, grad_w, grad_b)."""
+    w = np.zeros(n_features)
     b = 0.0
     for _ in range(epochs):
-        loss, gw, gb = logistic_loss_grad(w, b, X, y01)
+        loss, gw, gb = loss_grad(w, b)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became {loss}")
         w -= learning_rate * gw
         b -= learning_rate * gb
-    return ClassifierModel(
-        kind="logistic",
-        parameters={"weights": w.tolist(), "bias": b},
-        parameter_count=w.size + 1,
-    )
+    return ClassifierModel(kind=kind,
+                           parameters={"weights": w.tolist(), "bias": b},
+                           parameter_count=w.size + 1)
+
+
+def train_logistic(data, labels, epochs: int = 2000,
+                   learning_rate: float = 0.1) -> ClassifierModel:
+    X, y01 = _check_data(data, labels)
+    return _train_linear(
+        "logistic", lambda w, b: logistic_loss_grad(w, b, X, y01),
+        X.shape[1], epochs, learning_rate)
 
 
 def svm_loss_grad(w, b, X, ypm, reg):
@@ -86,19 +92,9 @@ def train_svm(data, labels, epochs: int = 2000, learning_rate: float = 0.1,
               regularization: float = 1e-2) -> ClassifierModel:
     X, y01 = _check_data(data, labels)
     ypm = 2.0 * y01 - 1.0
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    for _ in range(epochs):
-        loss, gw, gb = svm_loss_grad(w, b, X, ypm, regularization)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"loss became {loss}")
-        w -= learning_rate * gw
-        b -= learning_rate * gb
-    return ClassifierModel(
-        kind="svm",
-        parameters={"weights": w.tolist(), "bias": b},
-        parameter_count=w.size + 1,
-    )
+    return _train_linear(
+        "svm", lambda w, b: svm_loss_grad(w, b, X, ypm, regularization),
+        X.shape[1], epochs, learning_rate)
 
 
 def train_knn(data, labels, k: int = 3) -> ClassifierModel:
@@ -112,19 +108,6 @@ def train_knn(data, labels, k: int = 3) -> ClassifierModel:
         parameters={"samples": X.tolist(), "labels": list(labels), "k": k},
         parameter_count=X.shape[0] * 3,  # 2 coordinates + 1 label per sample
     )
-
-
-def knn_predict(stored_X, stored_labels, k: int, x) -> str:
-    stored_X = np.asarray(stored_X, dtype=float)
-    if k % 2 == 0:
-        raise InvalidK("k must be odd")
-    if k > stored_X.shape[0]:
-        raise InvalidK(f"k={k} exceeds sample count {stored_X.shape[0]}")
-    d = np.linalg.norm(stored_X - np.asarray(x, dtype=float), axis=1)
-    # stable sort: distance ties resolve to the lower sample index
-    nearest = np.argsort(d, kind="stable")[:k]
-    votes = sum(1 for i in nearest if stored_labels[i] == HIGH)
-    return HIGH if votes * 2 > k else LOW
 
 
 def _mlp_init(n_in, hidden_width, seed):
@@ -182,6 +165,8 @@ def train_mlp(data, labels, hidden_width: int = 8, epochs: int = 2000,
 
 
 def predict(model: ClassifierModel, X) -> List[str]:
+    """Label of each (PC1, PC2) row; the parameters are trusted, as the
+    trainers and `pipeline.model_from_json` check them."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if model.kind in ("logistic", "svm"):
         w = np.asarray(model.parameters["weights"])
@@ -190,7 +175,12 @@ def predict(model: ClassifierModel, X) -> List[str]:
         return [HIGH if s >= 0 else LOW for s in score]
     if model.kind == "knn":
         p = model.parameters
-        return [knn_predict(p["samples"], p["labels"], p["k"], x) for x in X]
+        d = np.linalg.norm(np.asarray(p["samples"], dtype=float)
+                           - X[:, None, :], axis=2)
+        # stable sort: distance ties resolve to the lower sample index
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :p["k"]]
+        votes = (np.asarray(p["labels"]) == HIGH)[nearest].sum(axis=1)
+        return [HIGH if v * 2 > p["k"] else LOW for v in votes]
     if model.kind == "mlp":
         params = {k: np.asarray(v) for k, v in model.parameters.items()}
         _, prob = mlp_forward(params, X)

@@ -7,11 +7,10 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 external-service error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import classify, pipeline
 from .errors import AuthError, FlaremonError, ParseError, Unavailable
@@ -68,9 +67,7 @@ def _read_feature_csv(path):
         text = fh.read()
     try:
         rows = pipeline.parse_feature_log(text)
-        feats = [r.features for r in rows]
-        labels = [r.label for r in rows]
-        return feats, labels
+        return [r.features for r in rows], [r.label for r in rows]
     except ParseError:
         pass
     feats, labels = [], []
@@ -111,13 +108,9 @@ def cmd_simulate(args):
 
 def cmd_label(args):
     feats, _ = _read_feature_csv(args.features)
-    samples = [pipeline.TrackFeatures(frame=i, track_id=0, features=f)
-               for i, f in enumerate(feats)]
-    llm_cfg = None
-    if args.mode == "llm":
-        llm_cfg = LlmClientConfig(endpoint=args.endpoint, model=args.model)
     labeled = pipeline.label_samples(
-        samples, mode=args.mode, llm_cfg=llm_cfg, do_review=args.review)
+        feats, mode=args.mode, do_review=args.review,
+        llm_cfg=LlmClientConfig(endpoint=args.endpoint, model=args.model))
     with open(args.out, "w", encoding="utf-8") as fh:
         for s in labeled:
             f = s.features
@@ -137,19 +130,17 @@ def cmd_train(args):
         if any(lbl is None for lbl in labels):
             raise ParseError("feature CSV must carry a label column")
         model, report = pipeline.fit_efficiency_model(
-            np.array([f.as_array() for f in feats]), labels, seed=args.seed)
+            pipeline.feature_matrix(feats), labels, seed=args.seed)
         rows = []
     else:
         if not (args.annotations and args.frames):
             print("train needs --features or both --annotations and --frames",
                   file=sys.stderr)
             return EXIT_USAGE
-        llm_cfg = None
-        if args.labeling == "llm":
-            llm_cfg = LlmClientConfig(endpoint=args.endpoint, model=args.model)
         model, report, rows = pipeline.run_training(
             _frame_stream(args.annotations, args.frames),
-            labeling_mode=args.labeling, llm_cfg=llm_cfg,
+            labeling_mode=args.labeling,
+            llm_cfg=LlmClientConfig(endpoint=args.endpoint, model=args.model),
             do_review=args.review, seed=args.seed)
     pipeline.save_model(model, args.out)
     if args.log and rows:
@@ -166,10 +157,9 @@ def cmd_monitor(args):
     model = pipeline.load_model(args.model)
     cfg = MonitorConfig(alert_window=args.alert_window,
                         cooldown=args.cooldown)
-    rows = []
     n_alerts = 0
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
+    with (open(args.log, "w", encoding="utf-8") if args.log
+          else contextlib.nullcontext()) as log_fh:
         if log_fh:
             log_fh.write(pipeline.FEATURE_LOG_HEADER + "\n")
         for rec, alert in pipeline.run_monitor(model, _input_stream(args),
@@ -179,15 +169,11 @@ def cmd_monitor(args):
                   f"ratio={f.smoke_flame_ratio:.3f} E={f.rgb_index:.3f} "
                   f"angle={f.flame_angle:.1f} -> {rec.label}")
             if log_fh:
-                log_fh.write(pipeline.format_feature_log([rec])
-                             .splitlines()[1] + "\n")
+                log_fh.write(pipeline.format_feature_row(rec) + "\n")
             if alert is not None:
                 n_alerts += 1
                 print(f"ALERT track {alert.track_id}: low efficiency frames "
                       f"{alert.first_frame}-{alert.last_frame}")
-    finally:
-        if log_fh:
-            log_fh.close()
     print(f"{n_alerts} alert(s)")
     return EXIT_OK
 
@@ -208,12 +194,8 @@ def cmd_eval(args):
     feats, labels = _read_feature_csv(args.test)
     if any(lbl is None for lbl in labels):
         raise ParseError("test CSV must carry a label column")
-    pcs = []
-    for f in feats:
-        pc, _ = pipeline.classify_features(model, f)
-        pcs.append(pc)
-    acc, confusion = classify.evaluate(model.classifier, np.array(pcs),
-                                       labels)
+    pcs, _ = pipeline.classify_features(model, pipeline.feature_matrix(feats))
+    acc, confusion = classify.evaluate(model.classifier, pcs, labels)
     print(f"accuracy: {acc:.3f} on {len(labels)} samples")
     print("confusion (true, predicted):")
     for (t, p), n in sorted(confusion.items()):

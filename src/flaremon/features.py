@@ -12,18 +12,11 @@ from .core import BBox, Frame, Mask, box_center
 from .errors import DegenerateOrientation, EmptyRegion, InsufficientSignal
 
 
-@dataclass(frozen=True)
-class RgbIndexParams:
-    """Weights for the blue, yellow, red channel proportions."""
+# The paper's weights for the blue, yellow and red channel proportions.
+W_BLUE, W_YELLOW, W_RED = 0.7, 0.5, 0.3
 
-    w1: float = 0.7
-    w2: float = 0.5
-    w3: float = 0.3
-
-    def __post_init__(self):
-        for w in (self.w1, self.w2, self.w3):
-            if not (0.0 <= w <= 1.0):
-                raise ValueError(f"weight {w} outside [0, 1]")
+# Regions with a major/minor axis ratio below this have no orientation.
+MIN_AXIS_RATIO = 1.05
 
 
 @dataclass(frozen=True)
@@ -45,13 +38,12 @@ def channel_means(frame: Frame, mask: Mask):
     return float(means[0]), float(means[1]), float(means[2])
 
 
-def rgb_index(means, p: RgbIndexParams = None) -> float:
+def rgb_index(means) -> float:
     """Weighted sum of blue/yellow/red channel proportions.
 
     Yellow has no RGB channel of its own; its value is the mean of the
     green and red channels, and the same value enters the denominator.
     """
-    p = p or RgbIndexParams()
     v_red, v_green, v_blue = means
     v_yellow = (v_green + v_red) / 2.0
     total = v_blue + v_yellow + v_red
@@ -60,7 +52,7 @@ def rgb_index(means, p: RgbIndexParams = None) -> float:
     r1 = v_blue / total
     r2 = v_yellow / total
     r3 = v_red / total
-    return p.w1 * r1 + p.w2 * r2 + p.w3 * r3
+    return W_BLUE * r1 + W_YELLOW * r2 + W_RED * r3
 
 
 def smoke_flame_ratio(smoke_area: float, flame_area: float) -> float:
@@ -96,12 +88,12 @@ def associate_smoke(flame_boxes: Dict[int, BBox],
     return areas, dropped
 
 
-def flame_angle(mask: Mask, min_axis_ratio: float = 1.05) -> float:
+def flame_angle(mask: Mask) -> float:
     """Tilt of the region's equivalent-ellipse major axis from vertical.
 
     Uses second-order central moments of the foreground pixel set; an
     upright flame reports 0 degrees.  Regions with major/minor axis ratio
-    below min_axis_ratio have no meaningful orientation.
+    below MIN_AXIS_RATIO raise DegenerateOrientation.
     """
     ys, xs = np.divmod(mask.indices(), mask.width)
     if xs.size < 5:
@@ -119,9 +111,9 @@ def flame_angle(mask: Mask, min_axis_ratio: float = 1.05) -> float:
         axis_ratio = math.inf
     else:
         axis_ratio = math.sqrt(lam_major / lam_minor)
-    if axis_ratio < min_axis_ratio:
+    if axis_ratio < MIN_AXIS_RATIO:
         raise DegenerateOrientation(
-            f"axis ratio {axis_ratio:.4f} below {min_axis_ratio}"
+            f"axis ratio {axis_ratio:.4f} below {MIN_AXIS_RATIO}"
         )
 
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)

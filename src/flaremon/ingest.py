@@ -16,6 +16,7 @@ detections are legal.  Frame indices must be non-decreasing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -47,8 +48,13 @@ def _parse_detection(obj, line_no) -> Detection:
         if not {type(x0), type(y0), type(x1), type(y1), type(conf)} \
                 <= {int, float}:
             raise TypeError("bbox and confidence must be numbers")
-        return Detection(BBox(float(x0), float(y0), float(x1), float(y1)),
-                         cls, float(conf))
+        box = BBox(float(x0), float(y0), float(x1), float(y1))
+        # The tracker holds a box as area s and aspect r and takes its width
+        # back as sqrt(s * r), which is finite only if s and r are too.
+        if not math.isfinite(box.area * (box.width / box.height)):
+            raise ValueError(f"box {obj['bbox']} has a non-finite area or "
+                             "aspect ratio")
+        return Detection(box, cls, float(conf))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad detection record: {exc}", line_no) from exc
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
@@ -23,7 +24,6 @@ RULE_INDEX_MIN = 0.40
 class LlmClientConfig:
     endpoint: str
     model: str = "gpt-4"
-    api_key_env: str = API_KEY_ENV
     timeout: float = 30.0
     max_retries: int = 3
     backoff_base: float = 0.5
@@ -38,7 +38,6 @@ class LlmClientConfig:
 @dataclass(frozen=True)
 class LabeledSample:
     features: FeatureVector
-    pcs: Optional[tuple]
     label: str
     source: str  # llm | rule | human
     transcript: Optional[str] = None
@@ -77,33 +76,41 @@ def llm_label(cfg: LlmClientConfig, f: FeatureVector,
     with exponential backoff; total wait never exceeds
     timeout * (max_retries + 1) plus backoff.
     """
-    # Imported here: only LLM labelling needs it, and it is slow to import.
-    import requests
+    # Imported here: only LLM labelling talks HTTP.
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    api_key = os.environ.get(cfg.api_key_env, "")
-    body = {
+    request = urllib.request.Request(cfg.endpoint, method="POST", headers={
+        "Authorization": f"Bearer {os.environ.get(API_KEY_ENV, '')}",
+        "Content-Type": "application/json",
+    }, data=json.dumps({
         "model": cfg.model,
         "messages": [{"role": "user", "content": build_prompt(f)}],
-    }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    }).encode("utf-8"))
     last_error = None
     for attempt in range(cfg.max_retries + 1):
         if attempt:
             sleep(cfg.backoff_base * (2 ** (attempt - 1)))
         try:
-            resp = requests.post(cfg.endpoint, json=body, headers=headers,
-                                 timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            try:
+                resp = urllib.request.urlopen(request, timeout=cfg.timeout)
+            except urllib.error.HTTPError as exc:
+                resp = exc  # a status outside 2xx is a reply like any other
+            with resp:
+                status, body = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError, refused or dropped connections and timeouts
             last_error = exc
             continue
-        if resp.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected credentials ({resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = RuntimeError(f"HTTP {resp.status_code}")
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected credentials ({status})")
+        if status == 429 or status >= 500:
+            last_error = RuntimeError(f"HTTP {status}")
             continue
-        transcript = resp.text
+        transcript = body.decode("utf-8", errors="replace")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(transcript)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise UnparseableReply(f"malformed reply body: {exc}") from exc
         return parse_label(content), transcript
@@ -148,6 +155,6 @@ def review(samples: Sequence[LabeledSample],
             out.append(s)
         else:
             label = s.label if key == "c" else (LOW if s.label == HIGH else HIGH)
-            out.append(LabeledSample(features=s.features, pcs=s.pcs, label=label,
+            out.append(LabeledSample(features=s.features, label=label,
                                      source="human", transcript=s.transcript))
     return out

@@ -22,11 +22,11 @@ from .features import (FeatureVector, associate_smoke, channel_means,
                        flame_angle, rgb_index, smoke_flame_ratio)
 from .ingest import FrameAnnotation
 from .labeling import LabeledSample, llm_label, review, rule_label
-from .segment import SegmenterConfig, segment_box
+from .segment import segment_box
 from .simulator import RenderedFrame
 from .stats import (PcaModel, StandardizationParams, pca_fit, pca_project,
                     standardize_apply, standardize_fit)
-from .tracker import SortParams, SortTracker
+from .tracker import SortTracker
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +85,6 @@ class StatusRecord:
 
 def extract_track_features(
     stream: Iterable[Tuple[Frame, FrameAnnotation]],
-    sort_params: SortParams = None,
-    segmenter: SegmenterConfig = None,
 ) -> Iterator[Tuple[List[TrackFeatures], List[int]]]:
     """Per frame, feature vectors for every reported flame track, and the
     ids of the tracks that died in that frame.
@@ -98,7 +96,7 @@ def extract_track_features(
     box-only smoke detection is left out of smoke attribution the same way.
     A mask whose size differs from its frame raises DecodeError.
     """
-    tracker = SortTracker(params=sort_params)
+    tracker = SortTracker()
     for frame, ann in stream:
         flame_idx = [i for i, d in enumerate(ann.detections)
                      if d.cls is DetClass.FLAME]
@@ -109,8 +107,7 @@ def extract_track_features(
         def mask_of(orig_idx):
             mask = ann.mask_for(orig_idx)
             if mask is None:
-                return segment_box(frame, ann.detections[orig_idx].bbox,
-                                   segmenter).mask
+                return segment_box(frame, ann.detections[orig_idx].bbox).mask
             if (mask.width, mask.height) != (frame.width, frame.height):
                 raise DecodeError(
                     f"frame {ann.frame_index} detection {orig_idx}: mask is "
@@ -231,8 +228,7 @@ def select_classifier(models: Dict[str, ClassifierModel], accuracies):
     return ranked[0]
 
 
-def fit_efficiency_model(features, labels, seed: int = 0,
-                         test_fraction: float = 0.3):
+def fit_efficiency_model(features, labels, seed: int = 0):
     """Standardize -> PCA -> train all four classifiers -> pick the best.
 
     Returns (model, report) where report maps classifier kind to held-out
@@ -246,22 +242,20 @@ def fit_efficiency_model(features, labels, seed: int = 0,
         raise TrainingDataError("labels must contain both classes")
 
     std = standardize_fit(features)
-    zs = np.array([standardize_apply(f, std) for f in features])
+    zs = standardize_apply(features, std)
     pca = pca_fit(zs)
-    pcs = np.array([pca_project(z, pca) for z in zs])
+    pcs = pca_project(zs, pca)
 
-    train_idx, test_idx = stratified_split(labels, test_fraction, seed)
+    train_idx, test_idx = stratified_split(labels, seed=seed)
     eval_idx = test_idx if test_idx else train_idx
     train_labels = [labels[i] for i in train_idx]
     if len(set(train_labels)) < 2:
         raise TrainingDataError("training split lost a class")
 
     models = train_all_classifiers(pcs[train_idx], train_labels, seed=seed)
-    accuracies = {}
-    for kind, model in models.items():
-        acc, _ = classify.evaluate(model, pcs[eval_idx],
-                                   [labels[i] for i in eval_idx])
-        accuracies[kind] = acc
+    eval_labels = [labels[i] for i in eval_idx]
+    accuracies = {kind: classify.evaluate(m, pcs[eval_idx], eval_labels)[0]
+                  for kind, m in models.items()}
     best = select_classifier(models, accuracies)
 
     meta = {
@@ -281,17 +275,15 @@ def fit_efficiency_model(features, labels, seed: int = 0,
     return model, report
 
 
-def label_samples(samples: Sequence[TrackFeatures], mode: str = "rule",
+def label_samples(features: Sequence[FeatureVector], mode: str = "rule",
                   llm_cfg=None, do_review: bool = False) -> List[LabeledSample]:
     labeled: List[LabeledSample] = []
-    for s in samples:
+    for f in features:
         if mode == "llm":
-            lbl, transcript = llm_label(llm_cfg, s.features)
-            labeled.append(LabeledSample(s.features, None, lbl, "llm",
-                                         transcript))
+            lbl, transcript = llm_label(llm_cfg, f)
+            labeled.append(LabeledSample(f, lbl, "llm", transcript))
         elif mode == "rule":
-            labeled.append(LabeledSample(s.features, None,
-                                         rule_label(s.features), "rule"))
+            labeled.append(LabeledSample(f, rule_label(f), "rule"))
         else:
             raise ValueError(f"unknown labeling mode {mode!r}")
     if do_review:
@@ -312,19 +304,16 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
     if len(samples) < 3:
         raise TrainingDataError(
             f"only {len(samples)} feature samples extracted")
-    labeled = label_samples(samples, labeling_mode, llm_cfg, do_review)
-    features = np.array([s.features.as_array() for s in labeled])
-    labels = [s.label for s in labeled]
-    model, report = fit_efficiency_model(features, labels, seed=seed)
-
-    rows = []
-    for sample, lab in zip(samples, labeled):
-        z = standardize_apply(sample.features.as_array(),
-                              model.standardization)
-        pc = pca_project(z, model.pca)
-        rows.append(StatusRecord(sample.frame, sample.track_id,
-                                 sample.features,
-                                 (float(pc[0]), float(pc[1])), lab.label))
+    labeled = label_samples([s.features for s in samples], labeling_mode,
+                            llm_cfg, do_review)
+    features = feature_matrix(s.features for s in samples)
+    model, report = fit_efficiency_model(
+        features, [s.label for s in labeled], seed=seed)
+    pcs = pca_project(standardize_apply(features, model.standardization),
+                      model.pca)
+    rows = [StatusRecord(s.frame, s.track_id, s.features, tuple(pc),
+                         lab.label)
+            for s, pc, lab in zip(samples, pcs.tolist(), labeled)]
     return model, report, rows
 
 
@@ -369,27 +358,33 @@ class AlertState:
             self._cooldown_until.pop(tid, None)
 
 
-def classify_features(model: EfficiencyModel, f: FeatureVector):
-    z = standardize_apply(f.as_array(), model.standardization)
-    pc = pca_project(z, model.pca)
-    label = classify.predict(model.classifier, pc.reshape(1, -1))[0]
-    return (float(pc[0]), float(pc[1])), label
+def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
+    """(k, 3) array of feature vectors, k = 0 included."""
+    return np.array([v.as_array() for v in vectors],
+                    dtype=float).reshape(-1, N_FEATURES)
+
+
+def classify_features(model: EfficiencyModel, X):
+    """Standardize -> project -> classify each row of a (k, 3) feature
+    array.  Returns ((k, 2) pcs, k labels)."""
+    pcs = pca_project(standardize_apply(X, model.standardization), model.pca)
+    return pcs, classify.predict(model.classifier, pcs)
 
 
 def run_monitor(model: EfficiencyModel,
                 stream: Iterable[Tuple[Frame, FrameAnnotation]],
-                cfg: MonitorConfig = None,
-                sort_params: SortParams = None):
+                cfg: MonitorConfig = None):
     """Stream (StatusRecord, Optional[Alert]) pairs; memory is bounded
     regardless of stream length, since dead tracks' alert state is dropped."""
-    cfg = cfg or MonitorConfig()
-    alerts = AlertState(cfg)
-    for per_frame, deaths in extract_track_features(stream,
-                                                    sort_params=sort_params):
-        for tf in per_frame:
-            pcs, label = classify_features(model, tf.features)
-            rec = StatusRecord(tf.frame, tf.track_id, tf.features, pcs, label)
-            yield rec, alerts.observe(rec)
+    alerts = AlertState(cfg or MonitorConfig())
+    for per_frame, deaths in extract_track_features(stream):
+        if per_frame:
+            pcs, labels = classify_features(
+                model, feature_matrix(tf.features for tf in per_frame))
+            for tf, pc, label in zip(per_frame, pcs.tolist(), labels):
+                rec = StatusRecord(tf.frame, tf.track_id, tf.features,
+                                   tuple(pc), label)
+                yield rec, alerts.observe(rec)
         alerts.forget(deaths)
 
 
@@ -397,29 +392,24 @@ def derive_alerts_from_log(rows: Iterable[StatusRecord],
                            cfg: MonitorConfig = None) -> List[Alert]:
     """Replay the alert fold over feature-log rows; the log is the audit
     trail, so this reproduces run_monitor's alerts exactly."""
-    cfg = cfg or MonitorConfig()
-    state = AlertState(cfg)
-    out = []
-    for rec in rows:
-        alert = state.observe(rec)
-        if alert is not None:
-            out.append(alert)
-    return out
+    state = AlertState(cfg or MonitorConfig())
+    return [a for a in map(state.observe, rows) if a is not None]
 
 
 # ---------------------------------------------------------------------------
 # feature log CSV
 
 
-def format_feature_log(rows: Iterable[StatusRecord]) -> str:
-    lines = [FEATURE_LOG_HEADER]
-    for r in rows:
-        f = r.features
-        lines.append(
-            f"{r.frame},{r.track_id},{f.smoke_flame_ratio!r},"
+def format_feature_row(r: StatusRecord) -> str:
+    """One feature-log line, without its newline."""
+    f = r.features
+    return (f"{r.frame},{r.track_id},{f.smoke_flame_ratio!r},"
             f"{f.rgb_index!r},{f.flame_angle!r},{r.pcs[0]!r},{r.pcs[1]!r},"
-            f"{r.label}"
-        )
+            f"{r.label}")
+
+
+def format_feature_log(rows: Iterable[StatusRecord]) -> str:
+    lines = [FEATURE_LOG_HEADER, *map(format_feature_row, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -470,6 +460,47 @@ def model_to_json(model: EfficiencyModel) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _field(obj, name: str, shape) -> np.ndarray:
+    """The array of finite numbers at the dotted path `name` of a model
+    object, checked against `shape`, in which -1 matches any size."""
+    try:
+        for key in name.split("."):
+            obj = obj[key]
+        arr = np.array(obj)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"model field {name}: missing or malformed "
+                         f"({exc!r})") from exc
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():  # int/float
+        raise ParseError(f"model field {name}: not all finite numbers")
+    if arr.ndim != len(shape) or any(
+            want not in (-1, got) for want, got in zip(shape, arr.shape)):
+        raise ParseError(f"model field {name}: shape {arr.shape}, "
+                         f"expected {shape}")
+    return arr.astype(float)
+
+
+def _check_classifier(obj, clf: ClassifierModel) -> None:
+    """The parameters `classify.predict` relies on."""
+    p = "classifier.parameters."
+    if clf.kind == "knn":
+        n = len(_field(obj, p + "samples", (-1, 2)))
+        labels, k = clf.parameters.get("labels"), clf.parameters.get("k")
+        if not (type(labels) is list and len(labels) == n
+                and all(lbl in (HIGH, LOW) for lbl in labels)):
+            raise ParseError(f"model field {p}labels: expected {n} labels, "
+                             f"each {HIGH!r} or {LOW!r}")
+        if not (type(k) is int and k % 2 == 1 and 1 <= k <= n):
+            raise ParseError(f"model field {p}k: {k!r} is not an odd "
+                             f"integer in [1, {n}]")
+        return
+    shapes = {"weights": (2,), "bias": ()}
+    if clf.kind == "mlp":
+        h = _field(obj, p + "b1", (-1,)).size
+        shapes = {"W1": (2, h), "W2": (h, 1), "b2": (1,)}
+    for key, shape in shapes.items():
+        _field(obj, p + key, shape)
+
+
 def model_from_json(text: str) -> EfficiencyModel:
     try:
         obj = json.loads(text)
@@ -481,15 +512,17 @@ def model_from_json(text: str) -> EfficiencyModel:
     if version != MODEL_SCHEMA_VERSION:
         raise ModelVersionError(
             f"schema version {version}, reader supports {MODEL_SCHEMA_VERSION}")
+    std = StandardizationParams(
+        means=_field(obj, "standardization.means", (N_FEATURES,)),
+        stds=_field(obj, "standardization.stds", (N_FEATURES,)))
+    if not (std.stds > 0).all():
+        raise ParseError("model field standardization.stds: not positive")
+    pca = PcaModel(
+        components=_field(obj, "pca.components", (2, N_FEATURES)),
+        eigenvalues=_field(obj, "pca.eigenvalues", (2,)),
+        explained_variance_fraction=_field(
+            obj, "pca.explained_variance_fraction", (2,)))
     try:
-        std = StandardizationParams(
-            means=np.array(obj["standardization"]["means"], dtype=float),
-            stds=np.array(obj["standardization"]["stds"], dtype=float))
-        pca = PcaModel(
-            components=np.array(obj["pca"]["components"], dtype=float),
-            eigenvalues=np.array(obj["pca"]["eigenvalues"], dtype=float),
-            explained_variance_fraction=np.array(
-                obj["pca"]["explained_variance_fraction"], dtype=float))
         clf = ClassifierModel(
             kind=obj["classifier"]["kind"],
             parameters=obj["classifier"]["parameters"],
@@ -497,23 +530,10 @@ def model_from_json(text: str) -> EfficiencyModel:
         meta = obj["metadata"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
-    for name, arr, shape in (
-            ("standardization.means", std.means, (N_FEATURES,)),
-            ("standardization.stds", std.stds, (N_FEATURES,)),
-            ("pca.components", pca.components, (2, N_FEATURES)),
-            ("pca.eigenvalues", pca.eigenvalues, (2,)),
-            ("pca.explained_variance_fraction",
-             pca.explained_variance_fraction, (2,))):
-        if arr.shape != shape:
-            raise ParseError(f"model field {name}: shape {arr.shape}, "
-                             f"expected {shape}")
-        if not np.isfinite(arr).all():
-            raise ParseError(f"model field {name}: non-finite value")
-    if not (std.stds > 0).all():
-        raise ParseError("model field standardization.stds: not positive")
     if clf.kind not in _KIND_ORDER:
         raise ParseError(f"model field classifier.kind: unknown kind "
                          f"{clf.kind!r}")
+    _check_classifier(obj, clf)
     return EfficiencyModel(standardization=std, pca=pca, classifier=clf,
                            metadata=meta)
 
@@ -532,12 +552,11 @@ def load_model(path) -> EfficiencyModel:
 # scatter plot (SVG)
 
 
-def emit_scatter_plot(samples: Sequence[Tuple[float, float, str]],
-                      width: int = 640, height: int = 480) -> str:
+def emit_scatter_plot(samples: Sequence[Tuple[float, float, str]]) -> str:
     """Deterministic standalone SVG scatter of labeled (PC1, PC2) points."""
     if not samples:
         raise ValueError("need at least one sample")
-    margin = 60
+    width, height, margin = 640, 480, 60
     xs = [s[0] for s in samples]
     ys = [s[1] for s in samples]
     x_lo, x_hi = min(xs), max(xs)

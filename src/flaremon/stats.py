@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DegenerateFeature, InvalidInput
 
+_OFF_TOL = 1e-12  # Jacobi stops when every off-diagonal entry is below it
+
 
 @dataclass(frozen=True)
 class StandardizationParams:
@@ -49,7 +51,7 @@ def covariance(data):
     return (cov + cov.T) / 2.0
 
 
-def eigen_symmetric(M, off_tol: float = 1e-12, max_sweeps: int = 100):
+def eigen_symmetric(M):
     """Eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors): values sorted descending,
@@ -65,14 +67,14 @@ def eigen_symmetric(M, off_tol: float = 1e-12, max_sweeps: int = 100):
     A = (M + M.T) / 2.0
     V = np.eye(n)
 
-    for _ in range(max_sweeps):
+    for _ in range(100):  # sweeps
         off = np.max(np.abs(A - np.diag(np.diag(A)))) if n > 1 else 0.0
-        if off < off_tol:
+        if off < _OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = A[p, q]
-                if abs(apq) < off_tol:
+                if abs(apq) < _OFF_TOL:
                     continue
                 tau = (A[q, q] - A[p, p]) / (2.0 * apq)
                 t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
@@ -117,5 +119,7 @@ def pca_fit(data) -> PcaModel:
 
 
 def pca_project(x, m: PcaModel):
-    """(PC1, PC2) coordinates of a feature vector."""
-    return m.components @ np.asarray(x, dtype=float)
+    """(PC1, PC2) of a (d,) feature vector, or (k, 2) of a (k, d) array;
+    a row projects to the same bits alone or in a batch (X @ components.T
+    would not)."""
+    return (m.components @ np.asarray(x, dtype=float)[..., None])[..., 0]

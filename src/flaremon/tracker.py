@@ -92,23 +92,18 @@ def kalman_update(state: KalmanState, z, p: KalmanParams) -> KalmanState:
     # Exact-zero innovation modes arise in the perfect-measurement limit
     # (R = 0 collapses already-measured variances to zero).  A zero mode
     # whose innovation is also zero carries no correction; a zero mode with
-    # a non-zero innovation, or a badly spread positive spectrum, means the
-    # gain is numerically undefined.  The first such row raises.
+    # a non-zero innovation means the gain is numerically undefined.  The
+    # zero-mode threshold also bounds the spread of the modes kept below
+    # 1e12, so no positive spectrum is too ill-conditioned to invert.
     vals, vecs = np.linalg.eigh(S)
     lam_max = vals.max(axis=-1, keepdims=True)
     zero = vals <= np.maximum(lam_max * 1e-12, 1e-300)
-    singular = zero.any(axis=-1)  # narrowed below to inconsistent rows
-    if singular.any():
+    if zero.any():
         innov_rot = _apply(vecs.swapaxes(-1, -2), innovation)
         scale = 1.0 + np.sqrt((z * z).sum(axis=-1, keepdims=True))
-        singular = np.any(zero & (np.abs(innov_rot) > 1e-9 * scale), axis=-1)
+        if np.any(zero & (np.abs(innov_rot) > 1e-9 * scale)):
+            raise NumericalError("innovation covariance is singular")
     positive = np.where(zero, np.inf, vals)  # zero modes invert to 0
-    spread = lam_max[..., 0] / positive.min(axis=-1)
-    bad = np.flatnonzero(singular | (spread > 1e12))
-    if bad.size:
-        raise NumericalError("innovation covariance is singular"
-                             if np.ravel(singular)[bad[0]] else
-                             "innovation covariance is ill-conditioned")
     S_pinv = (vecs * (1.0 / positive)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
     K = state.P @ p.H.T @ S_pinv

@@ -1,8 +1,9 @@
 """Hypothesis strategies for annotation lines near the schema of
 `flaremon.ingest`: records with a field left out, of the wrong JSON type,
 an integer given as a float or a bool, including every mask field, or a
-box coordinate or confidence given as a bool, a numeric string or an
-integer too large for a float."""
+box coordinate or confidence given as a bool, a numeric string, an
+integer too large for a float or a float of 1e200, which overflows the
+box's area."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ JSON = st.recursive(JUNK, lambda kids: st.lists(kids, max_size=3)
 def near_miss(n):
     if type(n) is int:
         return st.sampled_from([float(n), n + 0.5, bool(n)])
-    return st.sampled_from([bool(n), str(n), 10 ** 400, -10 ** 400])
+    return st.sampled_from([bool(n), str(n), 10 ** 400, -10 ** 400,
+                            1e200, -1e200])
 
 
 @st.composite
@@ -28,7 +30,7 @@ def spoiled(draw, record):
     """The record as it is half the time, else with one defect: a field
     left out or swapped for junk, an integer field (or one run) given as a
     float, as n + 0.5 or as a bool, or a float field (or one coordinate)
-    given as a bool, a string or a huge integer."""
+    given as a bool, a string, a huge integer or +-1e200."""
     key = draw(st.sampled_from(sorted(record)))
     action = draw(st.integers(0, 5))
     if action == 3:

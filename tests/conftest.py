@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -29,17 +30,21 @@ class _StubHandler(BaseHTTPRequestHandler):
         status, content = server.script[min(server.call_count,
                                             len(server.script) - 1)]
         server.call_count += 1
+        time.sleep(server.delay)
         if content is None:
             self.send_response(status)
             self.end_headers()
             return
-        body = json.dumps(
+        body = content if isinstance(content, bytes) else json.dumps(
             {"choices": [{"message": {"content": content}}]}).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client timed out and hung up
 
     def log_message(self, *args):
         pass
@@ -47,12 +52,15 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 class StubLlmServer:
     """Local chat-completion stub; `script` is a list of (status, content)
-    consumed per call, the last entry repeating."""
+    consumed per call, the last entry repeating.  Content None sends no
+    body, bytes are sent as the body, and text is sent as the reply of a
+    chat completion.  Each reply waits `delay` seconds first."""
 
     def __init__(self):
         self.server = HTTPServer(("127.0.0.1", 0), _StubHandler)
         self.server.script = [(200, "high")]
         self.server.call_count = 0
+        self.server.delay = 0.0
         self.thread = threading.Thread(target=self.server.serve_forever,
                                        daemon=True)
         self.thread.start()
@@ -62,9 +70,10 @@ class StubLlmServer:
         host, port = self.server.server_address
         return f"http://{host}:{port}/v1/chat/completions"
 
-    def set_script(self, script):
+    def set_script(self, script, delay=0.0):
         self.server.script = script
         self.server.call_count = 0
+        self.server.delay = delay
 
     @property
     def call_count(self):

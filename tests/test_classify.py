@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from flaremon import classify
-from flaremon.classify import (HIGH, LOW, evaluate, knn_predict,
-                               logistic_loss_grad, mlp_loss_grad, predict,
+from flaremon.classify import (HIGH, LOW, evaluate, logistic_loss_grad, mlp_loss_grad, predict,
                                svm_loss_grad, train_knn, train_logistic,
                                train_mlp, train_svm)
 from flaremon.errors import InvalidK, TrainingDataError
@@ -103,29 +102,27 @@ class TestSvm:
 
 class TestKnn:
     def test_k1_exact_point(self):
-        assert knn_predict(SEP_X, SEP_Y, 1, SEP_X[2]) == LOW
+        assert predict(train_knn(SEP_X, SEP_Y, k=1), SEP_X[2]) == [LOW]
 
     def test_k3_majority(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
         y = [HIGH, HIGH, LOW, LOW]
-        assert knn_predict(X, y, 3, [0.05, 0.0]) == HIGH
+        assert predict(train_knn(X, y, k=3), [0.05, 0.0]) == [HIGH]
 
     def test_k_equals_n_global_majority(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
                       [4.0, 0.0]])
         y = [LOW, LOW, LOW, HIGH, HIGH]
-        assert knn_predict(X, y, 5, [100.0, 100.0]) == LOW
+        assert predict(train_knn(X, y, k=5), [100.0, 100.0]) == [LOW]
 
     def test_even_k_rejected(self):
-        with pytest.raises(InvalidK):
-            knn_predict(SEP_X, SEP_Y, 2, [0, 0])
         with pytest.raises(InvalidK):
             train_knn(SEP_X, SEP_Y, k=4)
 
     def test_distance_tie_lower_index(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = [HIGH, LOW]
-        assert knn_predict(X, y, 1, [0.0, 0.0]) == HIGH
+        assert predict(train_knn(X, y, k=1), [0.0, 0.0]) == [HIGH]
 
 
 class TestMlp:

@@ -155,6 +155,36 @@ def test_model_of_wrong_shape_is_data_error(tmp_path, capsys):
     assert "pca.components" in err
 
 
+def test_knn_model_of_even_k_is_data_error(tmp_path, capsys):
+    model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+    obj = json.loads(pipeline.model_to_json(model))
+    obj["classifier"] = {
+        "kind": "knn", "parameter_count": 6,
+        "parameters": {"samples": [[0.0, 0.0], [1.0, 1.0]],
+                       "labels": ["high", "low"], "k": 2}}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(obj))
+    assert run("monitor", "--model", str(model_path),
+               "--input", "preset:clean_high") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "classifier.parameters.k" in err
+
+
+def test_box_of_non_finite_area_is_data_error(tmp_path, table_model,
+                                              capsys):
+    ann_path, frames_dir = blank_frames_dir(tmp_path, 2, [])
+    with open(ann_path, "w", encoding="utf-8") as fh:
+        for i, bbox in enumerate([[0, 0, 2, 2], [0, 0, 1e200, 3]]):
+            fh.write(json.dumps({"frame_index": i, "detections": [
+                {"class": "flame", "bbox": bbox, "confidence": 0.9}]}) + "\n")
+    assert run("monitor", "--model", table_model, "--input", ann_path,
+               "--frames", frames_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: bad detection record: box ")
+    assert "non-finite area" in err and "Warning" not in err
+
+
 def write_stream(stream, out_dir):
     """Write (frame, annotation) pairs as an annotation file plus frames."""
     os.makedirs(out_dir, exist_ok=True)

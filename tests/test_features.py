@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import (DegenerateOrientation, EmptyRegion,
                              InsufficientSignal)
-from flaremon.features import (FeatureVector, RgbIndexParams, associate_smoke,
-                               channel_means, flame_angle, rgb_index,
-                               smoke_flame_ratio)
+from flaremon.features import (FeatureVector, associate_smoke, channel_means,
+                               flame_angle, rgb_index, smoke_flame_ratio)
 from flaremon.simulator import preset, render
 from tests import fullframe_oracle as oracle
 
@@ -77,10 +76,6 @@ class TestRgbIndex:
             cur = rgb_index((100, 100, b))
             assert cur >= prev
             prev = cur
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            RgbIndexParams(w1=1.5)
 
 
 class TestSmokeFlameRatio:

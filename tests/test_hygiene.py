@@ -72,7 +72,8 @@ def test_decode_checker_sees_calls():
 def test_cli_import_loads_no_http_client():
     """Only `--labeling llm` talks HTTP; start-up must not pay for it."""
     code = ("import sys, flaremon.cli; print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('requests', 'urllib3')))")
+            "if m.partition('.')[0] in ('requests', 'urllib3') or m in "
+            "('ssl', 'http.client', 'urllib.request')))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

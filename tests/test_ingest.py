@@ -135,6 +135,22 @@ def test_non_numeric_detection_fields_rejected(field, value):
     assert err.value.line_number == 1
 
 
+@pytest.mark.parametrize("bbox", [
+    [0, 0, 1e200, 1e200], [0, 0, 1e200, 1e-200], [-1e308, 0, 1e308, 1],
+    [0, 0, 1e200, 3]])
+def test_non_finite_box_geometry_rejected(bbox):
+    # Such a box used to enter the tracker, whose predicted box (width
+    # sqrt(area * aspect)) then overflowed and ended the run one frame
+    # later with "non-finite box".  The last has a finite area and aspect
+    # ratio; their product is not.
+    det = {"class": "flame", "bbox": bbox, "confidence": 1}
+    lines = ['{"frame_index":0,"detections":[]}',
+             json.dumps({"frame_index": 1, "detections": [det]})]
+    with pytest.raises(ParseError, match="non-finite area") as err:
+        read_all("\n".join(lines))
+    assert err.value.line_number == 2
+
+
 @pytest.mark.parametrize("value", ["1.0", "true", '"1"', "null"])
 def test_non_integer_frame_index_rejected(value):
     with pytest.raises(ParseError):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from flaremon.classify import HIGH, LOW
@@ -102,6 +104,51 @@ class TestLlmLabel:
             llm_label(self.cfg(stub_llm), fv(0.5, 0.5, 20))
         assert stub_llm.call_count == 1
 
+    def test_forbidden_is_an_auth_error(self, stub_llm):
+        stub_llm.set_script([(403, None)])
+        with pytest.raises(AuthError):
+            llm_label(self.cfg(stub_llm), fv(0.5, 0.5, 20))
+        assert stub_llm.call_count == 1
+
+    def test_rate_limit_retried(self, stub_llm):
+        stub_llm.set_script([(429, None), (200, "high")])
+        label, _ = llm_label(self.cfg(stub_llm), fv(0.2, 0.6, 50))
+        assert label == HIGH
+        assert stub_llm.call_count == 2
+
+    def test_other_error_status_body_is_the_transcript(self, stub_llm):
+        stub_llm.set_script([(404, "low")])
+        label, transcript = llm_label(self.cfg(stub_llm), fv(0.5, 0.5, 20))
+        assert label == LOW and json.loads(transcript)["choices"]
+        assert stub_llm.call_count == 1
+
+    def test_transcript_is_the_body_as_utf8(self, stub_llm):
+        body = json.dumps({"choices": [{"message": {"content": "hoch: high"}}],
+                           "note": "überprüft"}, ensure_ascii=False)
+        stub_llm.set_script([(200, body.encode("utf-8"))])
+        assert llm_label(self.cfg(stub_llm), fv(0.2, 0.6, 50)) == (HIGH, body)
+
+    def test_malformed_body(self, stub_llm):
+        stub_llm.set_script([(200, b"<html>not json</html>")])
+        with pytest.raises(UnparseableReply):
+            llm_label(self.cfg(stub_llm), fv(0.5, 0.5, 20))
+
+    def test_timeout_retried(self, stub_llm):
+        stub_llm.set_script([(200, "high")], delay=0.3)
+        waits = []
+        with pytest.raises(Unavailable, match="timed out"):
+            llm_label(self.cfg(stub_llm, timeout=0.05, max_retries=1),
+                      fv(0.5, 0.5, 20), sleep=waits.append)
+        assert len(waits) == 1
+
+    def test_refused_connection_retried(self, stub_llm):
+        cfg = self.cfg(stub_llm, max_retries=2)
+        stub_llm.close()
+        waits = []
+        with pytest.raises(Unavailable, match="3 attempts"):
+            llm_label(cfg, fv(0.5, 0.5, 20), sleep=waits.append)
+        assert len(waits) == 2
+
     def test_backoff_bounded(self, stub_llm):
         stub_llm.set_script([(500, None)])
         waits = []
@@ -118,7 +165,7 @@ class TestLlmLabel:
 
 
 def sample(label):
-    return LabeledSample(fv(0.5, 0.5, 20), None, label, "rule")
+    return LabeledSample(fv(0.5, 0.5, 20), label, "rule")
 
 
 class TestReview:

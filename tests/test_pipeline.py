@@ -1,10 +1,13 @@
 import dataclasses
 import io
+import itertools
 import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaremon import pipeline
 from flaremon.classify import HIGH, LOW
@@ -20,7 +23,8 @@ from flaremon.pipeline import (Alert, AlertState, MonitorConfig, StatusRecord,
                                model_to_json, parse_feature_log,
                                rendered_stream, run_monitor, run_training,
                                save_frames, save_model, stratified_split)
-from flaremon.simulator import preset, render
+from flaremon.simulator import PRESET_NAMES, preset, render
+from tests import classify_oracle
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -42,6 +46,16 @@ def trained():
     model, report, rows = run_training(two_regime_stream(),
                                        labeling_mode="rule")
     return model, report, rows
+
+
+@pytest.fixture(scope="module")
+def kind_models(trained):
+    """The trained model with each of the four classifier kinds."""
+    model, _, rows = trained
+    fitted = pipeline.train_all_classifiers(np.array([r.pcs for r in rows]),
+                                            [r.label for r in rows])
+    return {kind: dataclasses.replace(model, classifier=clf)
+            for kind, clf in fitted.items()}
 
 
 def warnings_of(caplog):
@@ -84,16 +98,11 @@ class TestTraining:
     def test_table_rows_all_classifiers_perfect(self):
         model, report = fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
         # evaluate on the full nine rows through the fitted transform
-        pcs = []
-        for row in TRAINING_ROWS:
-            pc, _ = pipeline.classify_features(
-                dataclasses.replace(model), FeatureVector(*row))
-            pcs.append(pc)
+        pcs, _ = pipeline.classify_features(model, TRAINING_ROWS)
         from flaremon import classify
-        models = pipeline.train_all_classifiers(np.array(pcs),
-                                                TRAINING_LABELS)
+        models = pipeline.train_all_classifiers(pcs, TRAINING_LABELS)
         for kind, m in models.items():
-            acc, _ = classify.evaluate(m, np.array(pcs), TRAINING_LABELS)
+            acc, _ = classify.evaluate(m, pcs, TRAINING_LABELS)
             assert acc == 1.0, kind
 
     def test_two_regime_training_separates(self, trained):
@@ -120,6 +129,38 @@ class TestTraining:
         assert stratified_split(labels, 0.3, seed=1) == (train, test)
 
 
+class TestClassifyFeatures:
+    """One call on a (k, 3) array against the per-record oracle."""
+
+    def assert_matches_oracle(self, models, vectors):
+        X = pipeline.feature_matrix(vectors)
+        for kind, model in models.items():
+            pcs, labels = pipeline.classify_features(model, X)
+            expect = [classify_oracle.classify_features(model, v)
+                      for v in vectors]
+            assert pcs.shape == (len(vectors), 2)
+            assert [tuple(pc) for pc in pcs.tolist()] == \
+                [pc for pc, _ in expect], kind
+            assert labels == [label for _, label in expect], kind
+
+    def test_every_frame_of_each_preset(self, kind_models):
+        frames = 0
+        for name in PRESET_NAMES:
+            head = itertools.islice(render(preset(name)), 40)
+            for per_frame, _ in extract_track_features(rendered_stream(head)):
+                self.assert_matches_oracle(
+                    kind_models, [tf.features for tf in per_frame])
+                frames += 1
+        assert frames == 40 * len(PRESET_NAMES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-5, 20), st.floats(0, 1),
+                              st.floats(0, 90)), max_size=12))
+    def test_drawn_feature_arrays(self, kind_models, rows):
+        self.assert_matches_oracle(kind_models,
+                                   [FeatureVector(*row) for row in rows])
+
+
 class TestModelPersistence:
     def test_roundtrip_byte_identical(self, trained, tmp_path):
         model = trained[0]
@@ -132,11 +173,12 @@ class TestModelPersistence:
     def test_roundtrip_predictions_identical(self, trained):
         model = trained[0]
         reloaded = model_from_json(model_to_json(model))
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            f = FeatureVector(*rng.uniform([0, 0.1, 0], [3, 0.7, 90]))
-            assert (pipeline.classify_features(model, f)
-                    == pipeline.classify_features(reloaded, f))
+        X = np.random.default_rng(0).uniform([0, 0.1, 0], [3, 0.7, 90],
+                                              size=(100, 3))
+        pcs, labels = pipeline.classify_features(model, X)
+        pcs_reloaded, labels_reloaded = pipeline.classify_features(reloaded,
+                                                                   X)
+        assert (pcs == pcs_reloaded).all() and labels == labels_reloaded
 
     def test_truncated_file(self, trained):
         text = model_to_json(trained[0])
@@ -168,6 +210,37 @@ class TestModelPersistence:
         obj = json.loads(model_to_json(trained[0]))
         obj[section][key] = value
         with pytest.raises(ParseError, match=field.replace(".", r"\.")):
+            model_from_json(json.dumps(obj))
+
+    def test_every_classifier_kind_roundtrips(self, kind_models):
+        for model in kind_models.values():
+            text = model_to_json(model)
+            assert model_to_json(model_from_json(text)) == text
+
+    @pytest.mark.parametrize("kind,spoil,field", [
+        ("logistic", lambda p: p.update(weights=[1.0, 2.0, 3.0]), "weights"),
+        ("logistic", lambda p: p.pop("weights"), "weights"),
+        ("svm", lambda p: p.update(bias=float("nan")), "bias"),
+        ("svm", lambda p: p.update(bias="0.5"), "bias"),
+        ("knn", lambda p: p.update(samples=[[0.0, 1.0, 2.0]]), "samples"),
+        ("knn", lambda p: p["labels"].pop(), "labels"),
+        ("knn", lambda p: p["labels"].__setitem__(0, "medium"), "labels"),
+        ("knn", lambda p: p.update(k=2), "k"),
+        ("knn", lambda p: p.update(k=3.0), "k"),
+        ("knn", lambda p: p.update(k=-1), "k"),
+        ("knn", lambda p: p.update(k=len(p["samples"]) + 2), "k"),
+        ("mlp", lambda p: p.update(W1=p["W1"][:1]), "W1"),
+        ("mlp", lambda p: p.update(W2=[[v[0] for v in p["W2"]]]), "W2"),
+        ("mlp", lambda p: p.update(b1=p["b1"][:-1]), "W1"),
+        ("mlp", lambda p: p.update(b2=[0.0, 0.0]), "b2"),
+        ("mlp", lambda p: p["b1"].__setitem__(0, float("inf")), "b1"),
+    ])
+    def test_invalid_classifier_parameters_name_themselves(
+            self, kind_models, kind, spoil, field):
+        obj = json.loads(model_to_json(kind_models[kind]))
+        spoil(obj["classifier"]["parameters"])
+        with pytest.raises(ParseError,
+                           match=rf"classifier\.parameters\.{field}\b"):
             model_from_json(json.dumps(obj))
 
 
@@ -284,7 +357,7 @@ class TestMonitor:
                 super().__init__(cfg)
                 states.append(self)
 
-        def short_lived(stream, sort_params=None):
+        def short_lived(stream):
             for f in range(n + 2):
                 if states:  # state after frame f-1 against its live tracks
                     held = states[0]._streak.keys() | \
@@ -302,7 +375,8 @@ class TestMonitor:
         monkeypatch.setattr(pipeline, "AlertState", SpyState)
         monkeypatch.setattr(pipeline, "extract_track_features", short_lived)
         monkeypatch.setattr(pipeline, "classify_features",
-                            lambda model, f: ((0.0, 0.0), LOW))
+                            lambda model, X: (np.zeros((len(X), 2)),
+                                              [LOW] * len(X)))
         recs, alerts = [], []
         for rec, alert in run_monitor(None, iter([]),
                                       MonitorConfig(alert_window=2)):
