@@ -190,12 +190,17 @@ def predict(model: ClassifierModel, X) -> List[str]:
 
 def evaluate(model: ClassifierModel, X, labels):
     """Accuracy plus 2x2 confusion counts keyed (true, predicted)."""
+    return score(labels, predict(model, X))
+
+
+def score(labels, predicted):
+    """Accuracy plus 2x2 confusion counts keyed (true, predicted), from
+    labels already predicted."""
     labels = list(labels)
     if not labels:
         raise TrainingDataError("evaluation data is empty")
-    preds = predict(model, X)
     confusion = {(t, p): 0 for t in (HIGH, LOW) for p in (HIGH, LOW)}
-    for t, p in zip(labels, preds):
+    for t, p in zip(labels, predicted):
         confusion[(t, p)] += 1
     correct = confusion[(HIGH, HIGH)] + confusion[(LOW, LOW)]
     return correct / len(labels), confusion

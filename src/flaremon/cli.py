@@ -65,13 +65,11 @@ def _read_feature_csv(path):
     ratio,E,angle[,label] CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if lines and lines[0] == pipeline.FEATURE_LOG_HEADER:
         rows = pipeline.parse_feature_log(text)
         return [r.features for r in rows], [r.label for r in rows]
-    except ParseError:
-        pass
     feats, labels = [], []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
     # The first line is a header when none of its feature fields is a number.
     start = 1 if lines and not any(
         _is_float(p) for p in lines[0].split(",")[:3]) else 0
@@ -79,9 +77,10 @@ def _read_feature_csv(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (3, 4):
             raise ParseError(f"expected 3 or 4 columns, got {len(parts)}", i)
-        feats.append(FeatureVector(float(parts[0]), float(parts[1]),
-                                   float(parts[2])))
-        labels.append(parts[3] if len(parts) == 4 else None)
+        values, label = pipeline.parse_features(
+            parts[:3], parts[3] if len(parts) == 4 else None, i)
+        feats.append(FeatureVector(*values))
+        labels.append(label)
     return feats, labels
 
 
@@ -194,8 +193,9 @@ def cmd_eval(args):
     feats, labels = _read_feature_csv(args.test)
     if any(lbl is None for lbl in labels):
         raise ParseError("test CSV must carry a label column")
-    pcs, _ = pipeline.classify_features(model, pipeline.feature_matrix(feats))
-    acc, confusion = classify.evaluate(model.classifier, pcs, labels)
+    _, predicted = pipeline.classify_features(model,
+                                              pipeline.feature_matrix(feats))
+    acc, confusion = classify.score(labels, predicted)
     print(f"accuracy: {acc:.3f} on {len(labels)} samples")
     print("confusion (true, predicted):")
     for (t, p), n in sorted(confusion.items()):

@@ -129,12 +129,7 @@ class Mask:
 
     def indices(self):
         """Sorted flat row-major indices of the foreground pixels."""
-        runs = np.asarray(self.runs, dtype=np.int64)
-        starts = (np.cumsum(runs) - runs)[1::2]
-        lengths = runs[1::2]
-        before = np.cumsum(lengths) - lengths  # foreground ahead of each run
-        return np.arange(int(lengths.sum())) + np.repeat(starts - before,
-                                                         lengths)
+        return foreground_indices([self])[0]
 
     def to_array(self):
         flat = np.zeros(self.width * self.height, dtype=bool)
@@ -144,6 +139,32 @@ class Mask:
     def area(self) -> int:
         """Foreground pixel count."""
         return int(sum(self.runs[1::2]))
+
+
+def foreground_indices(masks):
+    """Each mask's sorted flat row-major foreground indices, concatenated in
+    mask order, and each mask's foreground count, as int64 arrays.
+
+    One decode serves any number of masks, and no frame is built.
+    """
+    runs, fg_runs, sizes = [], [], []
+    for m in masks:
+        runs += m.runs
+        if len(m.runs) % 2:
+            runs.append(0)  # the next mask's first, background run is even
+        fg_runs.append((len(m.runs) + 1) // 2)
+        sizes.append(m.width * m.height)
+    runs = np.array(runs, dtype=np.int64)
+    fg_runs = np.array(fg_runs, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
+    lengths = runs[1::2]
+    # A mask's runs sum to its size, so the runs of mask k start at the sum
+    # of the sizes before it.
+    starts = ((np.cumsum(runs) - runs)[1::2]
+              - np.repeat(np.cumsum(sizes) - sizes, fg_runs))
+    before = np.cumsum(lengths) - lengths  # foreground ahead of each run
+    idx = np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)
+    return idx, np.add.reduceat(lengths, np.cumsum(fg_runs) - fg_runs)
 
 
 @dataclass(frozen=True)

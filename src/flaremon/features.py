@@ -8,7 +8,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .core import BBox, Frame, Mask, box_center
+from .core import BBox, Frame, Mask, box_center, foreground_indices
 from .errors import DegenerateOrientation, EmptyRegion, InsufficientSignal
 
 
@@ -29,13 +29,46 @@ class FeatureVector:
         return np.array([self.smoke_flame_ratio, self.rgb_index, self.flame_angle])
 
 
+def flame_moments(frame: Frame, masks: Sequence[Mask]):
+    """Foreground count, mean (R, G, B) and central second moments (mu20,
+    mu02, mu11) of each mask over `frame`, as (k,), (k, 3) and (k, 3)
+    arrays.  A mask with no foreground has NaN means and zero moments.
+
+    The masks share one decode and one pixel gather, and the channel and
+    coordinate sums are one int64 reduceat each, so they are exact.  Each
+    mask's moments are dot products over its own contiguous slice.  Every
+    value thus equals, bit for bit, a float mean and a dot product over
+    that mask's pixels alone.
+    """
+    idx, counts = foreground_indices(masks)
+    ys, xs = np.divmod(idx, frame.width)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    full = counts > 0
+    sums = np.zeros((len(counts), 5), dtype=np.int64)  # R, G, B, x, y
+    if idx.size:
+        at = starts[full]
+        # take() gathers rows several times faster than fancy indexing.
+        sums[full, :3] = np.add.reduceat(
+            np.take(frame.pixels.reshape(-1, 3), idx, axis=0), at, axis=0,
+            dtype=np.int64)
+        sums[full, 3:] = np.add.reduceat(np.stack((xs, ys)), at, axis=1).T
+    means = np.full(sums.shape, np.nan)
+    np.divide(sums, counts[:, None], out=means, where=full[:, None])
+    x = xs - np.repeat(means[:, 3], counts)
+    y = ys - np.repeat(means[:, 4], counts)
+    moments = np.array([(np.dot(x[a:b], x[a:b]), np.dot(y[a:b], y[a:b]),
+                         np.dot(x[a:b], y[a:b]))
+                        for a, b in zip(starts.tolist(), ends.tolist())])
+    return counts, means[:, :3], moments.reshape(-1, 3)
+
+
 def channel_means(frame: Frame, mask: Mask):
     """Mean (R, G, B) over the mask's foreground pixels."""
-    vals = frame.pixels.reshape(-1, 3)[mask.indices()]
-    if not vals.size:
+    counts, means, _ = flame_moments(frame, [mask])
+    if not counts[0]:
         raise EmptyRegion("mask has no foreground pixels")
-    means = vals.astype(float).mean(axis=0)
-    return float(means[0]), float(means[1]), float(means[2])
+    return tuple(means[0].tolist())
 
 
 def rgb_index(means) -> float:
@@ -88,22 +121,17 @@ def associate_smoke(flame_boxes: Dict[int, BBox],
     return areas, dropped
 
 
-def flame_angle(mask: Mask) -> float:
-    """Tilt of the region's equivalent-ellipse major axis from vertical.
+def angle_from_moments(count: int, mu20: float, mu02: float,
+                       mu11: float) -> float:
+    """Tilt from vertical of the equivalent-ellipse major axis of a region
+    of `count` pixels with these central second moments.
 
-    Uses second-order central moments of the foreground pixel set; an
-    upright flame reports 0 degrees.  Regions with major/minor axis ratio
-    below MIN_AXIS_RATIO raise DegenerateOrientation.
+    An upright flame reports 0 degrees.  Fewer than 5 pixels raise
+    EmptyRegion; a major/minor axis ratio below MIN_AXIS_RATIO raises
+    DegenerateOrientation.
     """
-    ys, xs = np.divmod(mask.indices(), mask.width)
-    if xs.size < 5:
-        raise EmptyRegion(f"only {xs.size} foreground pixels, need >= 5")
-    x = xs - xs.mean()
-    y = ys - ys.mean()
-    mu20 = float(np.dot(x, x))
-    mu02 = float(np.dot(y, y))
-    mu11 = float(np.dot(x, y))
-
+    if count < 5:
+        raise EmptyRegion(f"only {count} foreground pixels, need >= 5")
     common = math.hypot(mu20 - mu02, 2.0 * mu11)
     lam_major = (mu20 + mu02 + common) / 2.0
     lam_minor = (mu20 + mu02 - common) / 2.0
@@ -120,3 +148,14 @@ def flame_angle(mask: Mask) -> float:
     deg = math.degrees(theta)
     angle = abs(90.0 - abs(deg))
     return min(angle, 90.0)
+
+
+def flame_angle(mask: Mask) -> float:
+    """Tilt of the mask's foreground from vertical; see angle_from_moments."""
+    # Colour plays no part, so a blank frame of the mask's size serves; it
+    # is a broadcast view, not a buffer.
+    blank = np.broadcast_to(np.zeros(3, dtype=np.uint8),
+                            (mask.height, mask.width, 3))
+    counts, _, moments = flame_moments(
+        Frame(0, 0.0, mask.width, mask.height, blank), [mask])
+    return angle_from_moments(int(counts[0]), *moments[0].tolist())

@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -18,8 +19,8 @@ from .core import BBox, DetClass, Frame, Mask
 from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
                      InsufficientSignal, ModelVersionError, OutOfBounds,
                      ParseError, TrainingDataError)
-from .features import (FeatureVector, associate_smoke, channel_means,
-                       flame_angle, rgb_index, smoke_flame_ratio)
+from .features import (FeatureVector, angle_from_moments, associate_smoke,
+                       flame_moments, rgb_index, smoke_flame_ratio)
 from .ingest import FrameAnnotation
 from .labeling import LabeledSample, llm_label, review, rule_label
 from .segment import segment_box
@@ -153,15 +154,17 @@ def extract_track_features(
                 log.debug("frame %d: %d smoke region(s) over unreported "
                           "flames", ann.frame_index, dropped - orphans)
 
+        tracks = [t for t in reported if t in flame_masks]
+        counts, means, moments = flame_moments(
+            frame, [flame_masks[t] for t in tracks])
         out: List[TrackFeatures] = []
-        for track_id in reported:
-            if track_id not in flame_masks:
-                continue
-            fmask = flame_masks[track_id]
+        for track_id, n, rgb, mu in zip(tracks, counts.tolist(),
+                                        means.tolist(), moments.tolist()):
             try:
-                ratio = smoke_flame_ratio(smoke_areas[track_id], fmask.area())
-                index = rgb_index(channel_means(frame, fmask))
-                angle = flame_angle(fmask)
+                # An empty mask fails here, so its NaN means go unread.
+                ratio = smoke_flame_ratio(smoke_areas[track_id], n)
+                index = rgb_index(rgb)
+                angle = angle_from_moments(n, *mu)
             except (DegenerateOrientation, EmptyRegion,
                     InsufficientSignal) as exc:
                 log.warning("frame %d track %d skipped: %s",
@@ -234,6 +237,12 @@ def fit_efficiency_model(features, labels, seed: int = 0):
     Returns (model, report) where report maps classifier kind to held-out
     accuracy and lists the split sizes.
     """
+    model, report, _ = _fit_efficiency_model(features, labels, seed)
+    return model, report
+
+
+def _fit_efficiency_model(features, labels, seed):
+    """fit_efficiency_model, also returning the (n, 2) pcs of `features`."""
     features = np.asarray(features, dtype=float)
     labels = list(labels)
     if features.shape[0] < 3:
@@ -272,7 +281,7 @@ def fit_efficiency_model(features, labels, seed: int = 0):
         "train_size": len(train_idx),
         "test_size": len(test_idx),
     }
-    return model, report
+    return model, report, pcs
 
 
 def label_samples(features: Sequence[FeatureVector], mode: str = "rule",
@@ -307,10 +316,8 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
     labeled = label_samples([s.features for s in samples], labeling_mode,
                             llm_cfg, do_review)
     features = feature_matrix(s.features for s in samples)
-    model, report = fit_efficiency_model(
-        features, [s.label for s in labeled], seed=seed)
-    pcs = pca_project(standardize_apply(features, model.standardization),
-                      model.pca)
+    model, report, pcs = _fit_efficiency_model(
+        features, [s.label for s in labeled], seed)
     rows = [StatusRecord(s.frame, s.track_id, s.features, tuple(pc),
                          lab.label)
             for s, pc, lab in zip(samples, pcs.tolist(), labeled)]
@@ -413,6 +420,23 @@ def format_feature_log(rows: Iterable[StatusRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_features(fields: Sequence[str], label: Optional[str],
+                   line_number: int):
+    """Finite floats from text fields, and a label that is None, HIGH or
+    LOW; anything else is a ParseError naming the line."""
+    try:
+        values = [float(f) for f in fields]
+    except ValueError as exc:
+        raise ParseError(str(exc), line_number) from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"non-finite value in {','.join(fields)}",
+                         line_number)
+    if label not in (None, HIGH, LOW):
+        raise ParseError(f"label {label!r} is neither {HIGH!r} nor {LOW!r}",
+                         line_number)
+    return values, label
+
+
 def parse_feature_log(text: str) -> List[StatusRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != FEATURE_LOG_HEADER:
@@ -423,13 +447,15 @@ def parse_feature_log(text: str) -> List[StatusRecord]:
         if len(parts) != 8:
             raise ParseError(f"expected 8 columns, got {len(parts)}", i)
         try:
-            rows.append(StatusRecord(
-                frame=int(parts[0]), track_id=int(parts[1]),
-                features=FeatureVector(float(parts[2]), float(parts[3]),
-                                       float(parts[4])),
-                pcs=(float(parts[5]), float(parts[6])), label=parts[7]))
+            frame, track_id = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError(str(exc), i) from exc
+        (ratio, index, angle, pc1, pc2), label = parse_features(
+            parts[2:7], parts[7], i)
+        rows.append(StatusRecord(
+            frame=frame, track_id=track_id,
+            features=FeatureVector(ratio, index, angle), pcs=(pc1, pc2),
+            label=label))
     return rows
 
 
@@ -470,7 +496,9 @@ def _field(obj, name: str, shape) -> np.ndarray:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"model field {name}: missing or malformed "
                          f"({exc!r})") from exc
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():  # int/float
+    # numpy reads a bool among numbers as 0 or 1, so look at the elements.
+    if (arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()  # int/float
+            or any(type(v) is bool for v in np.array(obj, dtype=object).flat)):
         raise ParseError(f"model field {name}: not all finite numbers")
     if arr.ndim != len(shape) or any(
             want not in (-1, got) for want, got in zip(shape, arr.shape)):
@@ -504,7 +532,7 @@ def _check_classifier(obj, clf: ClassifierModel) -> None:
 def model_from_json(text: str) -> EfficiencyModel:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid model file: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("model file must hold a JSON object")
@@ -526,10 +554,13 @@ def model_from_json(text: str) -> EfficiencyModel:
         clf = ClassifierModel(
             kind=obj["classifier"]["kind"],
             parameters=obj["classifier"]["parameters"],
-            parameter_count=int(obj["classifier"]["parameter_count"]))
+            parameter_count=obj["classifier"]["parameter_count"])
         meta = obj["metadata"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
+    if type(clf.parameter_count) is not int:
+        raise ParseError(f"model field classifier.parameter_count: "
+                         f"{clf.parameter_count!r} is not an integer")
     if clf.kind not in _KIND_ORDER:
         raise ParseError(f"model field classifier.kind: unknown kind "
                          f"{clf.kind!r}")

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -23,6 +24,7 @@ from flaremon.segment import segment_box
 from flaremon.simulator import preset, render
 from tests.annotation_fuzz import annotation_lines
 from tests.bfs_oracle import segment_box_bfs
+from tests.file_fuzz import feature_csvs, model_texts
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -185,6 +187,83 @@ def test_box_of_non_finite_area_is_data_error(tmp_path, table_model,
     assert "non-finite area" in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("parameter_count", float("inf")), ("parameter_count", 3.0),
+    ("parameter_count", True), ("parameters.weights", [True, 1.0]),
+    ("parameters.weights", [1.0, False]), ("parameters.bias", True),
+], ids=str)
+def test_model_field_of_wrong_type_is_data_error(tmp_path, capsys, field,
+                                                 value):
+    model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+    obj = json.loads(pipeline.model_to_json(model))
+    assert obj["classifier"]["kind"] == "logistic"
+    *path, key = ["classifier", *field.split(".")]
+    functools.reduce(dict.__getitem__, path, obj)[key] = value
+    model_path = tmp_path / "model.json"
+    # json.dumps writes inf as Infinity; the file holds 1e400 instead.
+    model_path.write_text(json.dumps(obj).replace("Infinity", "1e400"))
+    assert run("monitor", "--model", str(model_path),
+               "--input", "preset:clean_high") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"model field classifier.{field}" in err[:60]
+    assert err.startswith("error: ")
+
+
+def test_deeply_nested_model_is_data_error(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("monitor", "--model", str(model_path),
+               "--input", "preset:clean_high") == 2
+    assert capsys.readouterr().err.startswith("error: invalid model file: ")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.3,0.4,20,bogus", "line 3: label 'bogus' is neither 'high' nor 'low'"),
+    ("0.3,0.4,20,", "line 3: label '' is neither 'high' nor 'low'"),
+    ("nan,0.4,20,low", "line 3: non-finite value in nan,0.4,20"),
+    ("0.3,1e400,20,low", "line 3: non-finite value in 0.3,1e400,20"),
+    ("0.3,0.4,-inf,low", "line 3: non-finite value in 0.3,0.4,-inf"),
+    ("0.3,0.4,x,low", "line 3: could not convert string to float: 'x'"),
+])
+def test_bad_feature_csv_row_is_data_error(tmp_path, table_model, capsys,
+                                           row, message):
+    csv = tmp_path / "f.csv"
+    csv.write_text("0.22,0.62,52,high\n2.42,0.15,12,low\n" + row + "\n"
+                   "0.14,0.56,43,high\n1.72,0.21,19,low\n")
+    assert run("eval", "--model", table_model, "--test", str(csv)) == 2
+    assert run("train", "--features", str(csv),
+               "--out", str(tmp_path / "model.json")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n" * 2
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (7, "bogus", "line 3: label 'bogus' is neither 'high' nor 'low'"),
+    (2, "nan", "line 3: non-finite value in nan,"),
+    (5, "1e400", "line 3: non-finite value in "),
+    (1, "1.5", "line 3: invalid literal for int() with base 10: '1.5'"),
+])
+def test_bad_feature_log_row_is_data_error(tmp_path, table_model, capsys,
+                                           field, value, message):
+    rows = [pipeline.StatusRecord(i, 1, pipeline.FeatureVector(*r), (0.0, 1.0),
+                                  lbl)
+            for i, (r, lbl) in enumerate(zip(TRAINING_ROWS.tolist(),
+                                             TRAINING_LABELS))]
+    lines = pipeline.format_feature_log(rows).splitlines()
+    parts = lines[2].split(",")
+    parts[field] = value
+    lines[2] = ",".join(parts)
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(lines) + "\n")
+    for argv in (["eval", "--model", table_model, "--test", str(log)],
+                 ["train", "--features", str(log),
+                  "--out", str(tmp_path / "model.json")],
+                 ["plot", "--samples", str(log),
+                  "--out", str(tmp_path / "fig.svg")]):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def write_stream(stream, out_dir):
     """Write (frame, annotation) pairs as an annotation file plus frames."""
     os.makedirs(out_dir, exist_ok=True)
@@ -304,7 +383,7 @@ def test_feature_csv_first_row_in_exponent_form(tmp_path):
     feats, labels = _read_feature_csv(str(csv))
     assert [f.smoke_flame_ratio for f in feats] == [0.1, 0.3, 2.0]
     assert labels == ["high", "low", "low"]
-    csv.write_text("ratio,E,angle,label\nnan,0.5,10,high\n")
+    csv.write_text("ratio,E,angle,label\n0.5,0.5,10,high\n")
     feats, labels = _read_feature_csv(str(csv))
     assert len(feats) == 1 and labels == ["high"]
 
@@ -429,3 +508,89 @@ def test_monitor_on_fuzzed_lines_exits_0_or_2(fuzz_frames, table_model, lines):
                        "--log", os.path.join(tmp, "monitor.csv"))
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def run_quietly(*argv):
+    """Exit code and stderr of one CLI call, stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_stream(fuzz_frames):
+    """Annotations for `fuzz_frames`: a 6x3 flame with its mask under a
+    smoke box, in all three frames; the tracker reports it in the last."""
+    mask = np.zeros((6, 8), dtype=bool)
+    mask[3:6, 1:7] = True
+    runs = list(Mask.from_array(mask).runs)
+    ann_path = os.path.join(os.path.dirname(fuzz_frames), "annotations.jsonl")
+    with open(ann_path, "w", encoding="utf-8") as fh:
+        for i in range(3):
+            fh.write(json.dumps({
+                "frame_index": i,
+                "detections": [
+                    {"class": "flame", "bbox": [1, 3, 7, 6], "confidence": 0.9},
+                    {"class": "smoke", "bbox": [1, 0, 7, 2], "confidence": 0.8}],
+                "masks": [{"detection": 0, "width": 8, "height": 6,
+                           "runs": runs}]}) + "\n")
+    return ann_path
+
+
+def test_fuzz_stream_reports_records(fuzz_stream, fuzz_frames, table_model,
+                                     tmp_path):
+    log = tmp_path / "monitor.csv"
+    assert run("monitor", "--model", table_model, "--input", fuzz_stream,
+               "--frames", fuzz_frames, "--log", str(log)) == 0
+    assert len(pipeline.parse_feature_log(log.read_text())) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_texts())
+def test_monitor_and_eval_on_fuzzed_models_exit_0_or_2(
+        fuzz_stream, fuzz_frames, lines_csv, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path = os.path.join(tmp, "model.json")
+        with open(model_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        results = [
+            run_quietly("monitor", "--model", model_path, "--input",
+                        fuzz_stream, "--frames", fuzz_frames),
+            run_quietly("eval", "--model", model_path, "--test", lines_csv)]
+    codes = {code for code, _ in results}
+    assert len(codes) == 1 and codes <= {0, 2}, results
+    assert not any("Traceback" in err for _, err in results)
+
+
+@pytest.fixture(scope="module")
+def lines_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_text("".join(f"{r[0]},{r[1]},{r[2]},{lbl}\n" for r, lbl in
+                            zip(TRAINING_ROWS.tolist(), TRAINING_LABELS)))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_csvs())
+def test_eval_and_train_on_fuzzed_csvs_exit_0_or_2(table_model, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "features.csv")
+        with open(csv, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            feats, labels = _read_feature_csv(csv)
+        except ParseError:
+            feats = labels = None
+        results = [
+            run_quietly("eval", "--model", table_model, "--test", csv),
+            run_quietly("train", "--features", csv,
+                        "--out", os.path.join(tmp, "model.json"))]
+    for code, err in results:
+        assert code in (0, 2) and "Traceback" not in err, results
+    if feats is None:
+        assert [code for code, _ in results] == [2, 2]
+    else:
+        assert all(np.isfinite(f.as_array()).all() for f in feats)
+        assert set(labels) <= {"high", "low", None}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from flaremon.core import BBox, Detection, DetClass, Frame, Mask, box_center, iou
+from flaremon.core import (BBox, Detection, DetClass, Frame, Mask, box_center,
+                           foreground_indices, iou)
 from flaremon.errors import DecodeError
 from tests.fullframe_oracle import decode_runs, encode_runs, mask_arrays
 
@@ -110,6 +111,15 @@ class TestMask:
         assert np.array_equal(m.indices(), np.flatnonzero(m.to_array()))
         assert np.array_equal(m.indices(), np.flatnonzero(decode_runs(m)))
         assert np.array_equal(m.indices(), np.flatnonzero(arr))
+
+    @given(st.lists(mask_arrays(), max_size=6))
+    def test_many_masks_decode_as_each_alone(self, arrays):
+        masks = [Mask.from_array(arr) for arr in arrays]
+        idx, counts = foreground_indices(masks)
+        assert idx.dtype == counts.dtype == np.int64
+        assert counts.tolist() == [int(arr.sum()) for arr in arrays]
+        assert np.array_equal(idx, np.concatenate(
+            [np.flatnonzero(arr) for arr in arrays] + [np.zeros(0, int)]))
 
     @given(mask_arrays(), st.integers(0, 5), st.integers(0, 5),
            st.integers(0, 5), st.integers(0, 5))

@@ -7,9 +7,11 @@ from hypothesis import given, strategies as st
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import (DegenerateOrientation, EmptyRegion,
                              InsufficientSignal)
-from flaremon.features import (FeatureVector, associate_smoke, channel_means,
-                               flame_angle, rgb_index, smoke_flame_ratio)
-from flaremon.simulator import preset, render
+from flaremon.features import (FeatureVector, angle_from_moments,
+                               associate_smoke, channel_means, flame_angle,
+                               flame_moments, rgb_index, smoke_flame_ratio)
+from flaremon.simulator import PRESET_NAMES, preset, render
+from tests import features_oracle
 from tests import fullframe_oracle as oracle
 
 
@@ -207,3 +209,100 @@ class TestFullFrameOracle:
                 self.assert_same(rf.frame, mask)
                 count += 1
         assert count == 1200  # 3 flames and 3 smoke regions, 200 frames
+
+
+def mask_shape(kind, w, h, rng):
+    """A w x h boolean array: empty, 1-4 pixels, a square or disc (no
+    orientation), a block in a corner (touching two frame edges), the
+    full frame, or random."""
+    arr = np.zeros((h, w), dtype=bool)
+    if kind == "few":
+        arr.ravel()[rng.choice(w * h, min(w * h, rng.integers(1, 5)),
+                               replace=False)] = True
+    elif kind == "round":
+        side = int(rng.integers(1, min(w, h) + 1))
+        y0, x0 = rng.integers(0, h - side + 1), rng.integers(0, w - side + 1)
+        ys, xs = np.mgrid[0:side, 0:side] - (side - 1) / 2.0
+        disc = xs * xs + ys * ys <= (side / 2.0) ** 2
+        arr[y0:y0 + side, x0:x0 + side] = disc if rng.random() < 0.5 else True
+    elif kind == "corner":
+        a, b = rng.integers(1, h + 1), rng.integers(1, w + 1)
+        arr[:a, :b] = rng.random((a, b)) < 0.8
+        arr[:] = arr[::rng.choice([1, -1]), ::rng.choice([1, -1])]
+        arr[0 if rng.random() < 0.5 else -1, :] |= rng.random(w) < 0.5
+    elif kind == "full":
+        arr[:] = True
+    elif kind == "random":
+        arr[:] = rng.random((h, w)) < rng.choice([0.1, 0.5, 0.9])
+    return arr
+
+
+@st.composite
+def frames_with_masks(draw):
+    """A frame up to 16 x 16 with 0-8 masks.  Its pixels are random,
+    black, or black on the left half, so that some masks see no colour."""
+    w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pixels = rng.integers(0, 256, (h, w, 3))
+    pixels[:, :draw(st.sampled_from([0, w // 2, w]))] = 0
+    kinds = draw(st.lists(st.sampled_from(
+        ["empty", "few", "round", "corner", "full", "random"]), max_size=8))
+    return frame_with(pixels), [Mask.from_array(mask_shape(k, w, h, rng))
+                                for k in kinds]
+
+
+def batched_rows(frame, masks):
+    """Per mask: count, means, E and angle (or the error each raises) from
+    one flame_moments call; an empty mask's means are NaN."""
+    counts, means, moments = flame_moments(frame, masks)
+    rows = []
+    for n, rgb, mu in zip(counts.tolist(), means.tolist(), moments.tolist()):
+        if n:
+            rgb, index = tuple(rgb), oracle.outcome(rgb_index, rgb)
+        else:
+            assert all(math.isnan(v) for v in rgb)
+            rgb = index = (EmptyRegion, "mask has no foreground pixels")
+        rows.append((n, rgb, index,
+                     oracle.outcome(angle_from_moments, n, *mu)))
+    return rows
+
+
+def oracle_row(frame, mask):
+    """The same from the per-mask oracle."""
+    rgb = oracle.outcome(features_oracle.channel_means, frame, mask)
+    index = rgb if len(rgb) == 2 else oracle.outcome(rgb_index, rgb)
+    return (len(features_oracle.indices(mask)), rgb, index,
+            oracle.outcome(features_oracle.flame_angle, mask))
+
+
+class TestBatchedAgainstPerMaskOracle:
+    """flame_moments over a frame's masks equals the per-mask oracle
+    exactly: count, means, E, angle and every raised error."""
+
+    def assert_same(self, frame, masks):
+        assert batched_rows(frame, masks) == [oracle_row(frame, m)
+                                              for m in masks]
+        for m in masks:
+            assert (oracle.outcome(channel_means, frame, m)
+                    == oracle.outcome(features_oracle.channel_means, frame, m))
+            assert (oracle.outcome(flame_angle, m)
+                    == oracle.outcome(features_oracle.flame_angle, m))
+
+    @given(frames_with_masks())
+    def test_random_frames(self, case):
+        self.assert_same(*case)
+
+    def test_no_masks(self):
+        counts, means, moments = flame_moments(
+            frame_with(np.zeros((2, 3, 3))), [])
+        assert (counts.shape, means.shape, moments.shape) == (
+            (0,), (0, 3), (0, 3))
+
+    def test_every_preset_frame(self):
+        seen = 0
+        for name in PRESET_NAMES:
+            for rf in render(preset(name)):
+                masks = [m for _, m in rf.annotation.masks or ()]
+                self.assert_same(rf.frame, masks)
+                seen += len(masks)
+        assert seen == 3200

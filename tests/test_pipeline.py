@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from flaremon import pipeline
 from flaremon.classify import HIGH, LOW
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
-from flaremon.errors import (ModelVersionError, ParseError, TrainingDataError)
+from flaremon.errors import (FlaremonError, ModelVersionError, ParseError,
+                             TrainingDataError)
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
 from flaremon.pipeline import (Alert, AlertState, MonitorConfig, StatusRecord,
@@ -25,6 +26,7 @@ from flaremon.pipeline import (Alert, AlertState, MonitorConfig, StatusRecord,
                                save_frames, save_model, stratified_split)
 from flaremon.simulator import PRESET_NAMES, preset, render
 from tests import classify_oracle
+from tests.file_fuzz import feature_csvs, model_texts
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -244,6 +246,19 @@ class TestModelPersistence:
             model_from_json(json.dumps(obj))
 
 
+    @settings(max_examples=400, deadline=None)
+    @given(model_texts())
+    def test_fuzzed_model_files_load_or_raise_flaremon_error(self, text):
+        try:
+            model = model_from_json(text)
+        except FlaremonError:
+            return
+        obj = json.loads(text)
+        assert type(obj["classifier"]["parameter_count"]) is int
+        pcs, labels = pipeline.classify_features(model, TRAINING_ROWS)
+        assert pcs.shape == (9, 2) and set(labels) <= {HIGH, LOW}
+
+
 class TestFeatureLog:
     def rows(self):
         return [
@@ -266,6 +281,18 @@ class TestFeatureLog:
         text = format_feature_log(self.rows()) + "1,2,3\n"
         with pytest.raises(ParseError):
             parse_feature_log(text)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature_csvs())
+    def test_fuzzed_logs_parse_or_raise_flaremon_error(self, text):
+        try:
+            rows = parse_feature_log(text)
+        except FlaremonError:
+            return
+        for r in rows:
+            assert np.isfinite([*r.features.as_array(), *r.pcs]).all()
+            assert r.label in (HIGH, LOW)
 
 
 class TestAlerts:
