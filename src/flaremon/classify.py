@@ -16,11 +16,12 @@ from .errors import DivergenceError, InvalidK, TrainingDataError
 
 HIGH = "high"
 LOW = "low"
+KINDS = ("logistic", "svm", "knn", "mlp")  # ties in selection go to the first
 
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    kind: str  # logistic | svm | knn | mlp
+    kind: str  # one of KINDS
     parameters: dict
     parameter_count: int
 
@@ -166,7 +167,7 @@ def train_mlp(data, labels, hidden_width: int = 8, epochs: int = 2000,
 
 def predict(model: ClassifierModel, X) -> List[str]:
     """Label of each (PC1, PC2) row; the parameters are trusted, as the
-    trainers and `pipeline.model_from_json` check them."""
+    trainers and `formats.model_from_json` check them."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if model.kind in ("logistic", "svm"):
         w = np.asarray(model.parameters["weights"])

@@ -19,6 +19,9 @@ W_BLUE, W_YELLOW, W_RED = 0.7, 0.5, 0.3
 MIN_AXIS_RATIO = 1.05
 
 
+N_FEATURES = 3  # ratio, E, angle
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     smoke_flame_ratio: float

@@ -129,28 +129,30 @@ def read_annotation_stream(source) -> Iterator[FrameAnnotation]:
         yield ann
 
 
+def bbox_json(b: BBox) -> list:
+    """A box as annotations encode it: [x_min, y_min, x_max, y_max]."""
+    return [float(b.x_min), float(b.y_min), float(b.x_max), float(b.y_max)]
+
+
+def mask_json(m: Mask) -> dict:
+    """A mask as annotations encode it: its size and row-major runs."""
+    return {"width": m.width, "height": m.height, "runs": list(m.runs)}
+
+
 def format_annotation(ann: FrameAnnotation) -> str:
     """Canonical single-line JSON form of one annotation."""
     obj = {"frame_index": ann.frame_index}
     obj["detections"] = [
         {
             "class": d.cls.value,
-            "bbox": [float(d.bbox.x_min), float(d.bbox.y_min),
-                     float(d.bbox.x_max), float(d.bbox.y_max)],
+            "bbox": bbox_json(d.bbox),
             "confidence": float(d.confidence),
         }
         for d in ann.detections
     ]
     if ann.masks is not None:
-        obj["masks"] = [
-            {
-                "detection": idx,
-                "width": m.width,
-                "height": m.height,
-                "runs": list(m.runs),
-            }
-            for idx, m in ann.masks
-        ]
+        obj["masks"] = [{"detection": idx, **mask_json(m)}
+                        for idx, m in ann.masks]
     return json.dumps(obj, separators=(",", ":"))
 
 

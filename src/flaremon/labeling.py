@@ -111,8 +111,12 @@ def llm_label(cfg: LlmClientConfig, f: FeatureVector,
         transcript = body.decode("utf-8", errors="replace")
         try:
             content = json.loads(transcript)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError,
+                RecursionError) as exc:
             raise UnparseableReply(f"malformed reply body: {exc}") from exc
+        if type(content) is not str:
+            raise UnparseableReply(f"reply content {content!r:.40} is not "
+                                   "text")
         return parse_label(content), transcript
     raise Unavailable(f"gave up after {cfg.max_retries + 1} attempts: {last_error}")
 

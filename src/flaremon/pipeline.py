@@ -1,48 +1,40 @@
 """End-to-end orchestration: ingest -> track -> segment -> features ->
-train/monitor, plus model persistence, feature logs, alerts, and plots."""
+train/monitor -> alerts.  Every file format lives in `flaremon.formats`."""
 
 from __future__ import annotations
 
 import datetime
-import json
 import logging
-import math
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import classify
-from .classify import HIGH, LOW, ClassifierModel
+from . import classify, formats
+from .classify import LOW, ClassifierModel
 from .core import BBox, DetClass, Frame, Mask
 from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
-                     InsufficientSignal, ModelVersionError, OutOfBounds,
-                     ParseError, TrainingDataError)
-from .features import (FeatureVector, angle_from_moments, associate_smoke,
-                       flame_moments, rgb_index, smoke_flame_ratio)
+                     InsufficientSignal, OutOfBounds, TrainingDataError)
+from .features import (N_FEATURES, FeatureVector, angle_from_moments,
+                       associate_smoke, flame_moments, rgb_index,
+                       smoke_flame_ratio)
+from .formats import EfficiencyModel, StatusRecord
 from .ingest import FrameAnnotation
 from .labeling import LabeledSample, llm_label, review, rule_label
 from .segment import segment_box
 from .simulator import RenderedFrame
-from .stats import (PcaModel, StandardizationParams, pca_fit, pca_project,
-                    standardize_apply, standardize_fit)
+from .stats import pca_fit, pca_project, standardize_apply, standardize_fit
 from .tracker import SortTracker
 
 log = logging.getLogger(__name__)
 
-MODEL_SCHEMA_VERSION = 1
 FEATURE_SCHEMA_VERSION = 1
-FEATURE_LOG_HEADER = "frame,track_id,ratio,E,angle,pc1,pc2,label"
-N_FEATURES = 3  # ratio, E, angle
 
-
-@dataclass(frozen=True)
-class EfficiencyModel:
-    standardization: StandardizationParams
-    pca: PcaModel
-    classifier: ClassifierModel
-    metadata: dict
+# perfbench calls and traces these six as pipeline.*; formats holds them.
+load_frames, save_frames = formats.load_frames, formats.save_frames
+format_ground_truth = formats.format_ground_truth
+format_feature_log = formats.format_feature_log
+load_model, model_to_json = formats.load_model, formats.model_to_json
 
 
 @dataclass(frozen=True)
@@ -69,15 +61,6 @@ class TrackFeatures:
     frame: int
     track_id: int
     features: FeatureVector
-
-
-@dataclass(frozen=True)
-class StatusRecord:
-    frame: int
-    track_id: int
-    features: FeatureVector
-    pcs: Tuple[float, float]
-    label: str
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +186,6 @@ def stratified_split(labels: Sequence[str], test_fraction: float = 0.3,
     return sorted(train_idx), sorted(test_idx)
 
 
-_KIND_ORDER = ("logistic", "svm", "knn", "mlp")
-
-
 def train_all_classifiers(pcs, labels, seed: int = 0):
     """Fit the four classifiers on (PC1, PC2) data."""
     n = len(labels)
@@ -226,7 +206,7 @@ def select_classifier(models: Dict[str, ClassifierModel], accuracies):
     ranked = sorted(
         models.values(),
         key=lambda m: (-accuracies[m.kind], m.parameter_count,
-                       _KIND_ORDER.index(m.kind)),
+                       classify.KINDS.index(m.kind)),
     )
     return ranked[0]
 
@@ -401,309 +381,3 @@ def derive_alerts_from_log(rows: Iterable[StatusRecord],
     trail, so this reproduces run_monitor's alerts exactly."""
     state = AlertState(cfg or MonitorConfig())
     return [a for a in map(state.observe, rows) if a is not None]
-
-
-# ---------------------------------------------------------------------------
-# feature log CSV
-
-
-def format_feature_row(r: StatusRecord) -> str:
-    """One feature-log line, without its newline."""
-    f = r.features
-    return (f"{r.frame},{r.track_id},{f.smoke_flame_ratio!r},"
-            f"{f.rgb_index!r},{f.flame_angle!r},{r.pcs[0]!r},{r.pcs[1]!r},"
-            f"{r.label}")
-
-
-def format_feature_log(rows: Iterable[StatusRecord]) -> str:
-    lines = [FEATURE_LOG_HEADER, *map(format_feature_row, rows)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_features(fields: Sequence[str], label: Optional[str],
-                   line_number: int):
-    """Finite floats from text fields, and a label that is None, HIGH or
-    LOW; anything else is a ParseError naming the line."""
-    try:
-        values = [float(f) for f in fields]
-    except ValueError as exc:
-        raise ParseError(str(exc), line_number) from exc
-    if not all(map(math.isfinite, values)):
-        raise ParseError(f"non-finite value in {','.join(fields)}",
-                         line_number)
-    if label not in (None, HIGH, LOW):
-        raise ParseError(f"label {label!r} is neither {HIGH!r} nor {LOW!r}",
-                         line_number)
-    return values, label
-
-
-def parse_feature_log(text: str) -> List[StatusRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FEATURE_LOG_HEADER:
-        raise ParseError("missing feature-log header")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ParseError(f"expected 8 columns, got {len(parts)}", i)
-        try:
-            frame, track_id = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), i) from exc
-        (ratio, index, angle, pc1, pc2), label = parse_features(
-            parts[2:7], parts[7], i)
-        rows.append(StatusRecord(
-            frame=frame, track_id=track_id,
-            features=FeatureVector(ratio, index, angle), pcs=(pc1, pc2),
-            label=label))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# model persistence
-
-
-def model_to_json(model: EfficiencyModel) -> str:
-    obj = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "metadata": model.metadata,
-        "standardization": {
-            "means": model.standardization.means.tolist(),
-            "stds": model.standardization.stds.tolist(),
-        },
-        "pca": {
-            "components": model.pca.components.tolist(),
-            "eigenvalues": model.pca.eigenvalues.tolist(),
-            "explained_variance_fraction":
-                model.pca.explained_variance_fraction.tolist(),
-        },
-        "classifier": {
-            "kind": model.classifier.kind,
-            "parameters": model.classifier.parameters,
-            "parameter_count": model.classifier.parameter_count,
-        },
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _field(obj, name: str, shape) -> np.ndarray:
-    """The array of finite numbers at the dotted path `name` of a model
-    object, checked against `shape`, in which -1 matches any size."""
-    try:
-        for key in name.split("."):
-            obj = obj[key]
-        arr = np.array(obj)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ParseError(f"model field {name}: missing or malformed "
-                         f"({exc!r})") from exc
-    # numpy reads a bool among numbers as 0 or 1, so look at the elements.
-    if (arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()  # int/float
-            or any(type(v) is bool for v in np.array(obj, dtype=object).flat)):
-        raise ParseError(f"model field {name}: not all finite numbers")
-    if arr.ndim != len(shape) or any(
-            want not in (-1, got) for want, got in zip(shape, arr.shape)):
-        raise ParseError(f"model field {name}: shape {arr.shape}, "
-                         f"expected {shape}")
-    return arr.astype(float)
-
-
-def _check_classifier(obj, clf: ClassifierModel) -> None:
-    """The parameters `classify.predict` relies on."""
-    p = "classifier.parameters."
-    if clf.kind == "knn":
-        n = len(_field(obj, p + "samples", (-1, 2)))
-        labels, k = clf.parameters.get("labels"), clf.parameters.get("k")
-        if not (type(labels) is list and len(labels) == n
-                and all(lbl in (HIGH, LOW) for lbl in labels)):
-            raise ParseError(f"model field {p}labels: expected {n} labels, "
-                             f"each {HIGH!r} or {LOW!r}")
-        if not (type(k) is int and k % 2 == 1 and 1 <= k <= n):
-            raise ParseError(f"model field {p}k: {k!r} is not an odd "
-                             f"integer in [1, {n}]")
-        return
-    shapes = {"weights": (2,), "bias": ()}
-    if clf.kind == "mlp":
-        h = _field(obj, p + "b1", (-1,)).size
-        shapes = {"W1": (2, h), "W2": (h, 1), "b2": (1,)}
-    for key, shape in shapes.items():
-        _field(obj, p + key, shape)
-
-
-def model_from_json(text: str) -> EfficiencyModel:
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid model file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("model file must hold a JSON object")
-    version = obj.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ModelVersionError(
-            f"schema version {version}, reader supports {MODEL_SCHEMA_VERSION}")
-    std = StandardizationParams(
-        means=_field(obj, "standardization.means", (N_FEATURES,)),
-        stds=_field(obj, "standardization.stds", (N_FEATURES,)))
-    if not (std.stds > 0).all():
-        raise ParseError("model field standardization.stds: not positive")
-    pca = PcaModel(
-        components=_field(obj, "pca.components", (2, N_FEATURES)),
-        eigenvalues=_field(obj, "pca.eigenvalues", (2,)),
-        explained_variance_fraction=_field(
-            obj, "pca.explained_variance_fraction", (2,)))
-    try:
-        clf = ClassifierModel(
-            kind=obj["classifier"]["kind"],
-            parameters=obj["classifier"]["parameters"],
-            parameter_count=obj["classifier"]["parameter_count"])
-        meta = obj["metadata"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed model file: {exc}") from exc
-    if type(clf.parameter_count) is not int:
-        raise ParseError(f"model field classifier.parameter_count: "
-                         f"{clf.parameter_count!r} is not an integer")
-    if clf.kind not in _KIND_ORDER:
-        raise ParseError(f"model field classifier.kind: unknown kind "
-                         f"{clf.kind!r}")
-    _check_classifier(obj, clf)
-    return EfficiencyModel(standardization=std, pca=pca, classifier=clf,
-                           metadata=meta)
-
-
-def save_model(model: EfficiencyModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
-
-
-def load_model(path) -> EfficiencyModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# scatter plot (SVG)
-
-
-def emit_scatter_plot(samples: Sequence[Tuple[float, float, str]]) -> str:
-    """Deterministic standalone SVG scatter of labeled (PC1, PC2) points."""
-    if not samples:
-        raise ValueError("need at least one sample")
-    width, height, margin = 640, 480, 60
-    xs = [s[0] for s in samples]
-    ys = [s[1] for s in samples]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    pad_x = 0.05 * (x_hi - x_lo)
-    pad_y = 0.05 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-
-    def sx(v):
-        return margin + (v - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 20}" text-anchor="middle" '
-        f'font-size="14">PC1</text>',
-        f'<text x="20" y="{height // 2}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 20 {height // 2})">PC2</text>',
-    ]
-    for pc1, pc2, label in samples:
-        cx, cy = sx(pc1), sy(pc2)
-        if label == HIGH:
-            parts.append(
-                f'<circle class="marker high" cx="{cx:.2f}" cy="{cy:.2f}" '
-                f'r="5" fill="#1f77b4"/>')
-        else:
-            parts.append(
-                f'<rect class="marker low" x="{cx - 4.5:.2f}" '
-                f'y="{cy - 4.5:.2f}" width="9" height="9" fill="#d62728"/>')
-    lx, ly = width - margin - 110, margin + 10
-    parts += [
-        f'<circle cx="{lx}" cy="{ly}" r="5" fill="#1f77b4"/>',
-        f'<text x="{lx + 12}" y="{ly + 4}" font-size="12">high</text>',
-        f'<rect x="{lx - 4.5}" y="{ly + 15.5}" width="9" height="9" '
-        f'fill="#d62728"/>',
-        f'<text x="{lx + 12}" y="{ly + 24}" font-size="12">low</text>',
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# frame and ground-truth files
-
-
-def save_frames(frames: Iterable[Frame], out_dir) -> int:
-    """Raw RGB frame files plus a meta.json describing their geometry."""
-    os.makedirs(out_dir, exist_ok=True)
-    meta = None
-    count = 0
-    for frame in frames:
-        if meta is None:
-            meta = {"width": frame.width, "height": frame.height, "fps": 25.0}
-        path = os.path.join(out_dir, f"frame_{frame.index:06d}.rgb")
-        with open(path, "wb") as fh:
-            fh.write(frame.pixels.tobytes())
-        count += 1
-    meta = meta or {"width": 0, "height": 0, "fps": 25.0}
-    meta["frame_count"] = count
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True)
-        fh.write("\n")
-    return count
-
-
-def load_frames(in_dir) -> Iterator[Frame]:
-    with open(os.path.join(in_dir, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    w, h = meta["width"], meta["height"]
-    fps = meta.get("fps", 25.0)
-    for i in range(meta["frame_count"]):
-        path = os.path.join(in_dir, f"frame_{i:06d}.rgb")
-        with open(path, "rb") as fh:
-            buf = np.frombuffer(fh.read(), dtype=np.uint8)
-        yield Frame(index=i, timestamp=i / fps, width=w, height=h,
-                    pixels=buf.reshape(h, w, 3))
-
-
-def _bbox_json(b: Optional[BBox]):
-    return None if b is None else [b.x_min, b.y_min, b.x_max, b.y_max]
-
-
-def _mask_json(m: Optional[Mask]):
-    if m is None:
-        return None
-    return {"width": m.width, "height": m.height, "runs": list(m.runs)}
-
-
-def format_ground_truth(frame_index, truths) -> str:
-    obj = {
-        "frame_index": frame_index,
-        "stacks": [
-            {
-                "id": t.stack_id,
-                "regime": t.regime,
-                "tilt_deg": t.tilt_deg,
-                "truncated": t.truncated,
-                "flame_bbox": _bbox_json(t.flame_box),
-                "flame_mask": _mask_json(t.flame_mask),
-                "smoke_bbox": _bbox_json(t.smoke_box),
-                "smoke_mask": _mask_json(t.smoke_mask),
-            }
-            for t in truths
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"))

@@ -51,7 +51,6 @@ class KalmanParams:
 class KalmanState:
     x: np.ndarray  # shape (..., 7)
     P: np.ndarray  # shape (..., 7, 7)
-    degenerate_scale: bool = False  # per row: the scale was clamped
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,8 @@ def _apply(A, v):
 def kalman_predict(state: KalmanState, p: KalmanParams) -> KalmanState:
     x = _apply(p.F, state.x)
     P = _symmetrize(p.F @ state.P @ p.F.T + p.Q)
-    degenerate = x[..., 2] <= 0.0
-    x[..., 2] = np.where(degenerate, _SCALE_EPS, x[..., 2])
-    return KalmanState(x=x, P=P, degenerate_scale=degenerate)
+    x[..., 2] = np.where(x[..., 2] <= 0.0, _SCALE_EPS, x[..., 2])
+    return KalmanState(x=x, P=P)
 
 
 def kalman_update(state: KalmanState, z, p: KalmanParams) -> KalmanState:

@@ -1,16 +1,20 @@
-"""Hypothesis strategies for model files and feature CSVs near the formats
-`flaremon.pipeline` and `flaremon.cli` read: a model of each classifier
-kind with a few values left out, swapped for other JSON or given as a
-bool, a string, a float for an integer or a number outside the float
-range; and feature CSVs, bare or in feature-log form, whose fields are
-now and then not finite, not numbers, or labels other than high and low,
-or a field short.
+"""Hypothesis strategies for the files `flaremon.formats` reads and for
+LLM replies: a model of each classifier kind with a few values left out,
+swapped for other JSON or given as a bool, a string, a float for an
+integer or a number outside the float range; feature CSVs, bare or in
+feature-log form, whose fields are now and then not finite, not numbers,
+or labels other than high and low, or a field short; frame directories
+whose meta.json is spoiled the same way and whose frame files are now
+and then cut short, extended or absent; and chat-completion reply bodies
+spoiled the same way.
 pytest does not collect this file."""
 
 from __future__ import annotations
 
 import copy
+import io
 import json
+import os
 
 from hypothesis import strategies as st
 
@@ -46,15 +50,10 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-@st.composite
-def model_object(draw):
-    """A valid model of one kind, then 0-3 edits at any depth: a value
-    left out or replaced by junk or a near miss."""
-    obj = {"schema_version": 1, "metadata": {"created": "2024-01-01T00:00:00Z"},
-           "standardization": STANDARDIZATION, "pca": PCA,
-           "classifier": draw(st.sampled_from(CLASSIFIERS))}
-    obj = copy.deepcopy(obj)
-    for _ in range(draw(st.integers(0, 3))):
+def _spoil(draw, obj, max_edits=3):
+    """0..max_edits edits at any depth of a JSON object: a value left out
+    or replaced by junk or a near miss."""
+    for _ in range(draw(st.integers(0, max_edits))):
         paths = [p for p in _paths(obj) if p]
         if not paths:
             break
@@ -67,6 +66,16 @@ def model_object(draw):
         else:
             holder[key] = draw(NEAR_MISS | JSON)
     return obj
+
+
+@st.composite
+def model_object(draw):
+    """A valid model of one kind, then 0-3 edits at any depth: a value
+    left out or replaced by junk or a near miss."""
+    obj = {"schema_version": 1, "metadata": {"created": "2024-01-01T00:00:00Z"},
+           "standardization": STANDARDIZATION, "pca": PCA,
+           "classifier": draw(st.sampled_from(CLASSIFIERS))}
+    return _spoil(draw, copy.deepcopy(obj))
 
 
 def model_texts():
@@ -118,3 +127,62 @@ def feature_csvs():
                      rows(feature_row(3))).map(
         lambda t: t[0] + "".join(r + "\n" for r in t[1]))
     return log | bare | bare
+
+
+# Not JSON, JSON nested too deep to decode, and JSON of the wrong shape.
+BROKEN_JSON = st.sampled_from(["", "{", "[" * 100_000 + "]" * 100_000,
+                               "[]", "null", '"x"', "3"])
+
+
+@st.composite
+def frame_dirs(draw, width=8, height=6, count=3):
+    """(meta.json text, frame file sizes): a meta.json for `count` frames
+    of width x height with 0-2 edits, or now and then text that is not a
+    JSON object; each frame file holds width * height * 3 bytes, and now
+    and then fewer, more or none (size None)."""
+    meta = _spoil(draw, {"width": width, "height": height, "fps": 25.0,
+                         "frame_count": count}, max_edits=2)
+    text = draw(st.just(json.dumps(meta)) | st.just(json.dumps(meta))
+                | BROKEN_JSON)
+    size = width * height * 3
+    sizes = [draw(st.sampled_from([size] * 6 + [0, size - 1, size + 1,
+                                                2 * size, None]))
+             for _ in range(count)]
+    return text.replace("Infinity", "1e400"), sizes
+
+
+@st.composite
+def llm_replies(draw):
+    """A chat-completion reply body: one whose content names high or low,
+    with 0-2 edits at any depth, or now and then any JSON, bytes that are
+    not JSON or not UTF-8, or JSON nested too deep to decode."""
+    content = draw(st.sampled_from(["high", "LOW", "It is low.", "unsure",
+                                    "", "high? no, low"]))
+    body = _spoil(draw, {"choices": [{"message": {"content": content}}]},
+                  max_edits=2)
+    text = draw(st.just(json.dumps(body)) | st.just(json.dumps(body))
+                | JSON.map(json.dumps) | BROKEN_JSON)
+    return draw(st.just(text.encode()) | st.just(b"\xff\xfe" + text.encode()))
+
+
+def write_frame_dir(out_dir, meta_text, sizes, pixels):
+    """A frame directory with this meta.json text, and frame i holding the
+    first sizes[i] bytes of `pixels` repeated (no file when None)."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
+        fh.write(meta_text)
+    for i, size in enumerate(sizes):
+        if size is not None:
+            with open(os.path.join(out_dir, f"frame_{i:06d}.rgb"), "wb") as fh:
+                fh.write((pixels * 3)[:size])
+
+
+class Reply(io.BytesIO):
+    """What urlopen returns: a status and a body to read."""
+    status = 200
+
+
+def urlopen_replying(body):
+    """A stand-in for urllib.request.urlopen answering `body` to every
+    request."""
+    return lambda request, timeout=None: Reply(body)

@@ -41,12 +41,10 @@ def _symmetrize(P):
 def kalman_predict(state: KalmanState, p: KalmanParams) -> KalmanState:
     x = p.F @ state.x
     P = _symmetrize(p.F @ state.P @ p.F.T + p.Q)
-    degenerate = False
     if x[2] <= 0.0:
         x = x.copy()
         x[2] = _SCALE_EPS
-        degenerate = True
-    return KalmanState(x=x, P=P, degenerate_scale=degenerate)
+    return KalmanState(x=x, P=P)
 
 
 def kalman_update(state: KalmanState, z, p: KalmanParams) -> KalmanState:

@@ -9,14 +9,15 @@ import logging
 import os
 import sys
 import tempfile
+import urllib.request
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flaremon import pipeline
-from flaremon.cli import _frame_stream, _read_feature_csv, main
+from flaremon import formats, pipeline
+from flaremon.cli import main
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
 from flaremon.errors import ParseError
 from flaremon.ingest import write_annotation_stream
@@ -24,7 +25,8 @@ from flaremon.segment import segment_box
 from flaremon.simulator import preset, render
 from tests.annotation_fuzz import annotation_lines
 from tests.bfs_oracle import segment_box_bfs
-from tests.file_fuzz import feature_csvs, model_texts
+from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
+                             urlopen_replying, write_frame_dir)
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -94,7 +96,7 @@ def test_train_monitor_flow(sim_dir, tmp_path, capsys):
     from flaremon.pipeline import run_training
     from tests.test_pipeline import two_regime_stream
     model, report, rows = run_training(two_regime_stream(60))
-    pipeline.save_model(model, model_path)
+    formats.save_model(model, model_path)
 
     log_path = tmp_path / "monitor.csv"
     assert run("monitor", "--model", str(model_path),
@@ -103,7 +105,7 @@ def test_train_monitor_flow(sim_dir, tmp_path, capsys):
                "--alert-window", "5", "--log", str(log_path)) == 0
     out = capsys.readouterr().out
     assert "ALERT" in out
-    recs = pipeline.parse_feature_log(log_path.read_text())
+    recs = formats.load_feature_csv(log_path, log_only=True)
     assert recs and all(r.label == "low" for r in recs[5:])
 
     svg_path = tmp_path / "fig.svg"
@@ -117,7 +119,7 @@ def test_monitor_preset_input(tmp_path):
     from tests.test_pipeline import two_regime_stream
     model, _, _ = run_training(two_regime_stream(60))
     model_path = tmp_path / "model.json"
-    pipeline.save_model(model, model_path)
+    formats.save_model(model, model_path)
     assert run("monitor", "--model", str(model_path),
                "--input", "preset:crossing_near_miss") == 0
 
@@ -146,7 +148,7 @@ def test_missing_model_file_is_data_error(tmp_path):
 
 def test_model_of_wrong_shape_is_data_error(tmp_path, capsys):
     model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
-    obj = json.loads(pipeline.model_to_json(model))
+    obj = json.loads(formats.model_to_json(model))
     obj["pca"]["components"] = [[1.0, 2.0]]
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(obj))
@@ -159,7 +161,7 @@ def test_model_of_wrong_shape_is_data_error(tmp_path, capsys):
 
 def test_knn_model_of_even_k_is_data_error(tmp_path, capsys):
     model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
-    obj = json.loads(pipeline.model_to_json(model))
+    obj = json.loads(formats.model_to_json(model))
     obj["classifier"] = {
         "kind": "knn", "parameter_count": 6,
         "parameters": {"samples": [[0.0, 0.0], [1.0, 1.0]],
@@ -195,7 +197,7 @@ def test_box_of_non_finite_area_is_data_error(tmp_path, table_model,
 def test_model_field_of_wrong_type_is_data_error(tmp_path, capsys, field,
                                                  value):
     model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
-    obj = json.loads(pipeline.model_to_json(model))
+    obj = json.loads(formats.model_to_json(model))
     assert obj["classifier"]["kind"] == "logistic"
     *path, key = ["classifier", *field.split(".")]
     functools.reduce(dict.__getitem__, path, obj)[key] = value
@@ -245,11 +247,11 @@ def test_bad_feature_csv_row_is_data_error(tmp_path, table_model, capsys,
 ])
 def test_bad_feature_log_row_is_data_error(tmp_path, table_model, capsys,
                                            field, value, message):
-    rows = [pipeline.StatusRecord(i, 1, pipeline.FeatureVector(*r), (0.0, 1.0),
+    rows = [formats.StatusRecord(i, 1, pipeline.FeatureVector(*r), (0.0, 1.0),
                                   lbl)
             for i, (r, lbl) in enumerate(zip(TRAINING_ROWS.tolist(),
                                              TRAINING_LABELS))]
-    lines = pipeline.format_feature_log(rows).splitlines()
+    lines = formats.format_feature_log(rows).splitlines()
     parts = lines[2].split(",")
     parts[field] = value
     lines[2] = ",".join(parts)
@@ -273,14 +275,14 @@ def write_stream(stream, out_dir):
             for frame, ann in stream:
                 write_annotation_stream([ann], fh)
                 yield frame
-        pipeline.save_frames(frames(), os.path.join(out_dir, "frames"))
+        formats.save_frames(frames(), os.path.join(out_dir, "frames"))
     return ann_path, os.path.join(out_dir, "frames")
 
 
 def blank_frames_dir(tmp_path, count, indices):
     """`count` tiny frames and an annotation file naming `indices`."""
     frames_dir = tmp_path / "frames"
-    pipeline.save_frames(
+    formats.save_frames(
         [Frame(i, i / 25.0, 4, 3, np.full((3, 4, 3), i, dtype=np.uint8))
          for i in range(count)], frames_dir)
     ann_path = tmp_path / "annotations.jsonl"
@@ -293,15 +295,15 @@ def blank_frames_dir(tmp_path, count, indices):
 def test_frame_stream_holds_one_frame(tmp_path, monkeypatch):
     ann_path, frames_dir = blank_frames_dir(tmp_path, 4, [0, 0, 2])
     pulled = []
-    load_frames = pipeline.load_frames
+    load_frames = formats.load_frames
 
     def counting_load_frames(in_dir):
         for frame in load_frames(in_dir):
             pulled.append(frame.index)
             yield frame
 
-    monkeypatch.setattr(pipeline, "load_frames", counting_load_frames)
-    stream = _frame_stream(ann_path, frames_dir)
+    monkeypatch.setattr(formats, "load_frames", counting_load_frames)
+    stream = formats.load_annotated_frames(ann_path, frames_dir)
     first = next(stream)
     assert pulled == [0]
     pairs = [first] + list(stream)
@@ -315,10 +317,10 @@ def test_frame_stream_holds_one_frame(tmp_path, monkeypatch):
 def test_frame_stream_index_without_frame(tmp_path, indices):
     ann_path, frames_dir = blank_frames_dir(tmp_path, 4, indices)
     with pytest.raises(ParseError, match=f"no frame {indices[-1]} in"):
-        list(_frame_stream(ann_path, frames_dir))
+        list(formats.load_annotated_frames(ann_path, frames_dir))
     model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
     model_path = tmp_path / "model.json"
-    pipeline.save_model(model, model_path)
+    formats.save_model(model, model_path)
     assert run("monitor", "--model", str(model_path), "--input", ann_path,
                "--frames", frames_dir) == 2
 
@@ -342,13 +344,13 @@ def test_simulate_matches_program_writers(sim_dir, tmp_path):
     def frames(ann_fh, gt_fh):
         for rf in render(preset("clean_high")):
             write_annotation_stream([rf.annotation], ann_fh)
-            gt_fh.write(pipeline.format_ground_truth(rf.frame.index, rf.truths)
+            gt_fh.write(formats.format_ground_truth(rf.frame.index, rf.truths)
                         + "\n")
             yield rf.frame
 
     with open(expected / "annotations.jsonl", "w", encoding="utf-8") as a, \
             open(expected / "ground_truth.jsonl", "w", encoding="utf-8") as g:
-        pipeline.save_frames(frames(a, g), expected / "frames")
+        formats.save_frames(frames(a, g), expected / "frames")
     actual = tree_digest(sim_dir / "clean")
     assert len(actual) == 203  # two JSONL files, meta.json, 200 frames
     assert actual == tree_digest(expected)
@@ -380,12 +382,12 @@ def test_train_review_flag_reaches_review(two_regime_dir, tmp_path,
 def test_feature_csv_first_row_in_exponent_form(tmp_path):
     csv = tmp_path / "f.csv"
     csv.write_text("1e-1,0.5,10,high\n0.3,0.4,20,low\n2.0,0.2,5,low\n")
-    feats, labels = _read_feature_csv(str(csv))
-    assert [f.smoke_flame_ratio for f in feats] == [0.1, 0.3, 2.0]
-    assert labels == ["high", "low", "low"]
+    rows = formats.load_feature_csv(csv)
+    assert [r.features.smoke_flame_ratio for r in rows] == [0.1, 0.3, 2.0]
+    assert [r.label for r in rows] == ["high", "low", "low"]
     csv.write_text("ratio,E,angle,label\n0.5,0.5,10,high\n")
-    feats, labels = _read_feature_csv(str(csv))
-    assert len(feats) == 1 and labels == ["high"]
+    rows = formats.load_feature_csv(csv)
+    assert len(rows) == 1 and rows[0].label == "high"
 
 
 def test_train_review_end_of_input_is_data_error(two_regime_dir, tmp_path,
@@ -409,7 +411,7 @@ def three_stacks_head():
 def table_model(tmp_path_factory):
     model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
     path = tmp_path_factory.mktemp("model") / "model.json"
-    pipeline.save_model(model, path)
+    formats.save_model(model, path)
     return str(path)
 
 
@@ -488,7 +490,7 @@ def fuzz_frames(tmp_path_factory):
     pix[0:2, 1:7] = (90, 90, 90)
     pix[3:6, 1:7] = (250, 90, 40)
     pix[3:6, 1] = (255, 150, 70)
-    pipeline.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(3)),
+    formats.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(3)),
                          out)
     return out
 
@@ -544,7 +546,7 @@ def test_fuzz_stream_reports_records(fuzz_stream, fuzz_frames, table_model,
     log = tmp_path / "monitor.csv"
     assert run("monitor", "--model", table_model, "--input", fuzz_stream,
                "--frames", fuzz_frames, "--log", str(log)) == 0
-    assert len(pipeline.parse_feature_log(log.read_text())) == 1
+    assert len(formats.load_feature_csv(log, log_only=True)) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -580,17 +582,78 @@ def test_eval_and_train_on_fuzzed_csvs_exit_0_or_2(table_model, text):
         with open(csv, "w", encoding="utf-8") as fh:
             fh.write(text)
         try:
-            feats, labels = _read_feature_csv(csv)
+            rows = formats.load_feature_csv(csv)
         except ParseError:
-            feats = labels = None
+            rows = None
         results = [
             run_quietly("eval", "--model", table_model, "--test", csv),
             run_quietly("train", "--features", csv,
                         "--out", os.path.join(tmp, "model.json"))]
     for code, err in results:
         assert code in (0, 2) and "Traceback" not in err, results
-    if feats is None:
+    if rows is None:
         assert [code for code, _ in results] == [2, 2]
     else:
-        assert all(np.isfinite(f.as_array()).all() for f in feats)
-        assert set(labels) <= {"high", "low", None}
+        assert all(np.isfinite(r.features.as_array()).all() for r in rows)
+        assert {r.label for r in rows} <= {"high", "low", None}
+
+
+META = '{"frame_count": 3, "fps": 25.0, "height": 6, "width": 8}'
+FRAME = 8 * 6 * 3
+
+
+@pytest.mark.parametrize("meta, sizes, message", [
+    (META.replace(', "width": 8', ""), [FRAME] * 3, "width None is not"),
+    (META.replace('"width": 8', '"width": 8.0'), [FRAME] * 3, "width 8.0"),
+    (META.replace('"width": 8', '"width": "8"'), [FRAME] * 3, "width '8'"),
+    (META.replace('"height": 6', '"height": true'), [FRAME] * 3,
+     "height True"),
+    (META.replace('"frame_count": 3', '"frame_count": 3.0'), [FRAME] * 3,
+     "frame_count 3.0"),
+    (META.replace('"frame_count": 3', '"frame_count": 1e400'), [FRAME] * 3,
+     "frame_count inf"),
+    (META.replace('"fps": 25.0', '"fps": 0'), [FRAME] * 3, "fps 0 is not"),
+    (META.replace('"fps": 25.0', '"fps": "x"'), [FRAME] * 3, "fps 'x'"),
+    ("[8, 6]", [FRAME] * 3, "meta.json: must hold a JSON object"),
+    ("[" * 100_000 + "]" * 100_000, [FRAME] * 3, "meta.json: invalid JSON"),
+    (META, [FRAME, FRAME - 1, FRAME], "frame_000001.rgb: expected 144 bytes"),
+    (META, [FRAME, 2 * FRAME, FRAME], "frame_000001.rgb: expected 144 bytes"),
+], ids=["no-width", "float-width", "string-width", "bool-height",
+        "float-count", "huge-count", "zero-fps", "string-fps", "list",
+        "nested", "short-frame", "doubled-frame"])
+def test_bad_frame_dir_is_data_error(fuzz_stream, fuzz_frames, table_model,
+                                     tmp_path, meta, sizes, message):
+    with open(os.path.join(fuzz_frames, "frame_000000.rgb"), "rb") as fh:
+        pixels = fh.read()
+    write_frame_dir(tmp_path / "frames", meta, sizes, pixels)
+    code, err = run_quietly("monitor", "--model", table_model, "--input",
+                            fuzz_stream, "--frames", str(tmp_path / "frames"))
+    assert code == 2 and err.startswith("error: "), err
+    assert message in err and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_dirs())
+def test_monitor_on_fuzzed_frame_dirs_exits_0_or_2(fuzz_stream, fuzz_frames,
+                                                   table_model, case):
+    with open(os.path.join(fuzz_frames, "frame_000000.rgb"), "rb") as fh:
+        pixels = fh.read()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_frame_dir(tmp, *case, pixels)
+        code, err = run_quietly("monitor", "--model", table_model, "--input",
+                                fuzz_stream, "--frames", tmp)
+    assert code in (0, 2) and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("body", [
+    b'{"choices": [{"message": {"content": 5}}]}',
+    b'{"choices": [{"message": {"content": null}}]}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["number", "null", "nested"])
+def test_malformed_llm_reply_is_data_error(lines_csv, tmp_path, monkeypatch,
+                                           body):
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen_replying(body))
+    code, err = run_quietly("label", "--features", lines_csv, "--mode", "llm",
+                            "--endpoint", "http://127.0.0.1:9/",
+                            "--out", str(tmp_path / "labels.jsonl"))
+    assert code == 2 and err.startswith("error: "), err

@@ -47,6 +47,55 @@ def test_checker_sees_unused_and_used_names():
     assert unused_imports(source) == [(1, "os"), (3, "Dict")]
 
 
+def imported_modules(source: str):
+    """Top-level names of the modules a source imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def identifiers(source: str):
+    """Every name a module reads, binds, imports or takes as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(n for n in (node.name, node.asname) if n)
+    return out
+
+
+@pytest.mark.parametrize("name", ["pipeline.py", "cli.py"])
+def test_orchestration_reads_and_writes_no_files(name):
+    """Every file format lives in formats.py, so the orchestration and the
+    command line need neither JSON nor paths."""
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert imported_modules(source) & {"json", "os"} == set()
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "formats.py"],
+    ids=lambda p: p.name)
+def test_feature_log_header_only_in_formats(path):
+    assert "FEATURE_LOG_HEADER" not in identifiers(
+        path.read_text(encoding="utf-8"))
+
+
+def test_format_checkers_see_imports_and_names():
+    source = ("import os.path\nfrom json import dumps\nfrom . import x\n"
+              "from .formats import FEATURE_LOG_HEADER as H\n"
+              "y = formats.LOG\n")
+    assert imported_modules(source) == {"os", "json"}
+    assert {"H", "FEATURE_LOG_HEADER", "LOG", "formats", "y"} <= identifiers(
+        source)
+
+
 def to_array_calls(source: str):
     """Lines that call a method named to_array: a full-frame mask decode."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))

@@ -1,14 +1,18 @@
 import json
+import urllib.request
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from flaremon.classify import HIGH, LOW
-from flaremon.errors import (AuthError, EndOfInput, Unavailable,
-                             UnparseableReply)
+from flaremon.errors import (AuthError, EndOfInput, FlaremonError,
+                             Unavailable, UnparseableReply)
 from flaremon.features import FeatureVector
 from flaremon.labeling import (LabeledSample, LlmClientConfig, build_prompt,
                                llm_label, parse_label, review, rule_label)
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
+from tests.file_fuzz import llm_replies, urlopen_replying
 
 
 def fv(ratio, e, angle):
@@ -199,3 +203,16 @@ class TestReview:
         with pytest.raises(EndOfInput, match=r"input ended at sample \[1\] of 3"):
             review([sample(HIGH), sample(LOW), sample(LOW)],
                    input_fn=input_fn, print_fn=lambda _: None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(llm_replies())
+def test_fuzzed_replies_label_or_raise_flaremon_error(body):
+    cfg = LlmClientConfig(endpoint="http://127.0.0.1:9/", max_retries=0)
+    with mock.patch.object(urllib.request, "urlopen", urlopen_replying(body)):
+        try:
+            label, transcript = llm_label(cfg, fv(0.2, 0.6, 50))
+        except FlaremonError:
+            return
+    assert label in (HIGH, LOW)
+    assert transcript == body.decode("utf-8", errors="replace")

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import logging
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,17 +17,19 @@ from flaremon.errors import (FlaremonError, ModelVersionError, ParseError,
                              TrainingDataError)
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
-from flaremon.pipeline import (Alert, AlertState, MonitorConfig, StatusRecord,
-                               derive_alerts_from_log, emit_scatter_plot,
+from flaremon.formats import (StatusRecord, emit_scatter_plot,
+                              format_feature_log, load_frames, load_model,
+                              model_from_json, model_to_json,
+                              parse_feature_csv, save_frames, save_model)
+from flaremon.pipeline import (Alert, AlertState, MonitorConfig,
+                               derive_alerts_from_log,
                                extract_track_features, fit_efficiency_model,
-                               format_feature_log,
-                               load_frames, load_model, model_from_json,
-                               model_to_json, parse_feature_log,
                                rendered_stream, run_monitor, run_training,
-                               save_frames, save_model, stratified_split)
+                               stratified_split)
 from flaremon.simulator import PRESET_NAMES, preset, render
 from tests import classify_oracle
-from tests.file_fuzz import feature_csvs, model_texts
+from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
+                             write_frame_dir)
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -270,24 +273,25 @@ class TestFeatureLog:
 
     def test_roundtrip(self):
         text = format_feature_log(self.rows())
-        assert parse_feature_log(text) == self.rows()
-        assert format_feature_log(parse_feature_log(text)) == text
+        assert parse_feature_csv(text, log_only=True) == self.rows()
+        assert format_feature_log(
+            parse_feature_csv(text, log_only=True)) == text
 
     def test_header_required(self):
         with pytest.raises(ParseError):
-            parse_feature_log("a,b\n1,2\n")
+            parse_feature_csv("a,b\n1,2\n", log_only=True)
 
     def test_bad_column_count(self):
         text = format_feature_log(self.rows()) + "1,2,3\n"
         with pytest.raises(ParseError):
-            parse_feature_log(text)
+            parse_feature_csv(text, log_only=True)
 
 
     @settings(max_examples=300, deadline=None)
     @given(feature_csvs())
     def test_fuzzed_logs_parse_or_raise_flaremon_error(self, text):
         try:
-            rows = parse_feature_log(text)
+            rows = parse_feature_csv(text, log_only=True)
         except FlaremonError:
             return
         for r in rows:
@@ -424,7 +428,8 @@ class TestMonitor:
             if alert is not None:
                 alerts.append(alert)
         text = format_feature_log(recs)
-        assert derive_alerts_from_log(parse_feature_log(text)) == alerts
+        assert derive_alerts_from_log(
+            parse_feature_csv(text, log_only=True)) == alerts
 
 
 class TestScatterPlot:
@@ -462,3 +467,20 @@ class TestFrameFiles:
         for a, b in zip(frames, loaded):
             assert np.array_equal(a.pixels, b.pixels)
             assert a.index == b.index
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame_dirs())
+    def test_fuzzed_frame_dirs_load_or_raise(self, case):
+        meta_text, sizes = case
+        with tempfile.TemporaryDirectory() as tmp:
+            write_frame_dir(tmp, meta_text, sizes, bytes(range(144)))
+            try:
+                frames = list(load_frames(tmp))
+            except (FlaremonError, OSError):
+                return
+        meta = json.loads(meta_text)
+        assert [f.index for f in frames] == list(range(meta["frame_count"]))
+        assert all(f.pixels.shape == (meta["height"], meta["width"], 3)
+                   for f in frames)
+        size = meta["width"] * meta["height"] * 3
+        assert sizes[:len(frames)] == [size] * len(frames)

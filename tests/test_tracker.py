@@ -46,8 +46,7 @@ class TestKalmanPredict:
     def test_degenerate_scale_clamped(self):
         s = state_with([0, 0, 1, 1, 0, 0, -5])
         out = kalman_predict(s, KalmanParams())
-        assert out.degenerate_scale
-        assert out.x[2] > 0
+        assert out.x[2] == 1e-9
 
 
 class TestKalmanUpdate:
@@ -280,7 +279,6 @@ class TestStackedKalman:
         x = np.array([[0, 0, 1, 1, 0, 0, -5], [0, 0, 9, 1, 0, 0, -5]], float)
         out = kalman_predict(KalmanState(x=x, P=np.stack([np.eye(7)] * 2)),
                              KalmanParams())
-        assert out.degenerate_scale.tolist() == [True, False]
         assert out.x[:, 2].tolist() == [1e-9, 4.0]
 
     @staticmethod
