@@ -189,14 +189,8 @@ def predict(model: ClassifierModel, X) -> List[str]:
     raise ValueError(f"unknown classifier kind {model.kind!r}")
 
 
-def evaluate(model: ClassifierModel, X, labels):
-    """Accuracy plus 2x2 confusion counts keyed (true, predicted)."""
-    return score(labels, predict(model, X))
-
-
 def score(labels, predicted):
-    """Accuracy plus 2x2 confusion counts keyed (true, predicted), from
-    labels already predicted."""
+    """Accuracy plus 2x2 confusion counts keyed (true, predicted)."""
     labels = list(labels)
     if not labels:
         raise TrainingDataError("evaluation data is empty")

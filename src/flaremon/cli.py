@@ -11,9 +11,7 @@ import sys
 
 from . import classify, formats, pipeline
 from .errors import AuthError, FlaremonError, ParseError, Unavailable
-from .labeling import LlmClientConfig
 from .pipeline import MonitorConfig
-from .simulator import PRESET_NAMES, preset, render
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -21,10 +19,22 @@ EXIT_DATA = 2
 EXIT_SERVICE = 3
 
 
+def _preset_name(name):
+    """--preset, checked as argparse's `choices` would; the simulator loads
+    only when a command names a preset, not at start-up."""
+    from .simulator import PRESET_NAMES
+    if name not in PRESET_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(map(repr, PRESET_NAMES))})")
+    return name
+
+
 def _input_stream(args):
     if args.input.startswith("preset:"):
+        from .simulator import preset, render, rendered_stream
         name = args.input.split(":", 1)[1]
-        return pipeline.rendered_stream(render(preset(name)))
+        return rendered_stream(render(preset(name)))
     if not args.frames:
         raise ParseError("--frames is required with a file input")
     return formats.load_annotated_frames(args.input, args.frames)
@@ -40,13 +50,15 @@ def _labeled(rows, what):
 
 
 def cmd_simulate(args):
+    from .simulator import preset, render
     count = formats.save_scene(render(preset(args.preset)), args.out)
     print(f"wrote {count} frames to {args.out}")
     return EXIT_OK
 
 
 def cmd_label(args):
-    labeled = pipeline.label_samples(
+    from .labeling import LlmClientConfig, label_samples
+    labeled = label_samples(
         [r.features for r in formats.load_feature_csv(args.features)],
         mode=args.mode, do_review=args.review,
         llm_cfg=LlmClientConfig(endpoint=args.endpoint, model=args.model))
@@ -57,23 +69,27 @@ def cmd_label(args):
 
 def cmd_train(args):
     if args.features:
+        if args.log:
+            print("train --log needs --annotations and --frames: a feature "
+                  "CSV has no frames or tracks to log", file=sys.stderr)
+            return EXIT_USAGE
         X, labels = _labeled(formats.load_feature_csv(args.features),
                              "feature CSV")
         model, report = pipeline.fit_efficiency_model(X, labels,
                                                       seed=args.seed)
-        rows = []
     else:
         if not (args.annotations and args.frames):
             print("train needs --features or both --annotations and --frames",
                   file=sys.stderr)
             return EXIT_USAGE
+        from .labeling import LlmClientConfig
         model, report, rows = pipeline.run_training(
             formats.load_annotated_frames(args.annotations, args.frames),
             labeling_mode=args.labeling,
             llm_cfg=LlmClientConfig(endpoint=args.endpoint, model=args.model),
             do_review=args.review, seed=args.seed)
     formats.save_model(model, args.out)
-    if args.log and rows:
+    if args.log:
         with formats.feature_log_writer(args.log) as write_row:
             for row in rows:
                 write_row(row)
@@ -129,7 +145,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="render a synthetic scene to disk")
-    p.add_argument("--preset", required=True, choices=PRESET_NAMES)
+    p.add_argument("--preset", required=True, type=_preset_name)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

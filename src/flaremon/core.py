@@ -66,9 +66,8 @@ class Mask:
 
     Work on a mask costs O(runs + foreground pixels), not O(frame):
     ``from_array`` can encode a window placed at ``origin`` in a frame of
-    ``size`` without building the frame, and ``indices()`` decodes to the
-    flat foreground indices without building the frame.  ``to_array()``
-    builds the full frame and is meant for tests and tools.
+    ``size`` without building the frame, and ``foreground_indices`` decodes
+    masks to their flat foreground indices without building the frame.
     """
 
     width: int
@@ -127,15 +126,6 @@ class Mask:
             runs = runs[:-1]
         return cls(width=width, height=height, runs=runs.tolist())
 
-    def indices(self):
-        """Sorted flat row-major indices of the foreground pixels."""
-        return foreground_indices([self])[0]
-
-    def to_array(self):
-        flat = np.zeros(self.width * self.height, dtype=bool)
-        flat[self.indices()] = True
-        return flat.reshape(self.height, self.width)
-
     def area(self) -> int:
         """Foreground pixel count."""
         return int(sum(self.runs[1::2]))
@@ -188,13 +178,3 @@ class Frame:
 def box_center(b: BBox):
     """Midpoint of a box."""
     return ((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; disjoint boxes give 0."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)

@@ -20,7 +20,7 @@ class ParseError(FlaremonError):
 
 
 class OrderError(FlaremonError):
-    """Frame indices in a stream went backwards."""
+    """A frame index in a stream repeated or went backwards."""
 
 
 class NumericalError(FlaremonError):

@@ -151,14 +151,3 @@ def angle_from_moments(count: int, mu20: float, mu02: float,
     deg = math.degrees(theta)
     angle = abs(90.0 - abs(deg))
     return min(angle, 90.0)
-
-
-def flame_angle(mask: Mask) -> float:
-    """Tilt of the mask's foreground from vertical; see angle_from_moments."""
-    # Colour plays no part, so a blank frame of the mask's size serves; it
-    # is a broadcast view, not a buffer.
-    blank = np.broadcast_to(np.zeros(3, dtype=np.uint8),
-                            (mask.height, mask.width, 3))
-    counts, _, moments = flame_moments(
-        Frame(0, 0.0, mask.width, mask.height, blank), [mask])
-    return angle_from_moments(int(counts[0]), *moments[0].tolist())

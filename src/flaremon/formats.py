@@ -9,7 +9,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from .errors import ModelVersionError, ParseError
 from .features import N_FEATURES, FeatureVector
 from .ingest import (FrameAnnotation, bbox_json, mask_json,
                      read_annotation_stream, write_annotation_stream)
-from .labeling import LabeledSample
-from .simulator import RenderedFrame
 from .stats import PcaModel, StandardizationParams
+
+if TYPE_CHECKING:  # annotations only: monitoring loads neither module
+    from .labeling import LabeledSample
+    from .simulator import RenderedFrame
 
 MODEL_SCHEMA_VERSION = 1
 FEATURE_LOG_HEADER = "frame,track_id,ratio,E,angle,pc1,pc2,label"
@@ -39,7 +42,8 @@ class EfficiencyModel:
 @dataclass(frozen=True)
 class StatusRecord:
     """One feature-log row.  A bare feature CSV row has no frame, track or
-    pcs (None), and its label may be None."""
+    pcs (None), and its label may be None; a row as features are extracted
+    has neither pcs nor label yet."""
     frame: Optional[int]
     track_id: Optional[int]
     features: FeatureVector
@@ -402,8 +406,9 @@ def load_annotated_frames(annotations_path, frames_dir
                           ) -> Iterator[Tuple[Frame, FrameAnnotation]]:
     """Pair each annotation with its frame, holding one frame at a time.
 
-    Annotation indices never decrease and frames come in index order, so
-    a merge-join of the two streams suffices.
+    Annotation indices strictly increase and frames come in index order,
+    so a merge-join of the two streams suffices; a frame that no line
+    names is read and skipped.
     """
     frames = load_frames(frames_dir)
     frame = next(frames, None)

@@ -10,7 +10,9 @@ One JSON object per line, one frame per line, UTF-8:
 
 "masks" is optional; each entry references a detection by index and carries
 the row-major RLE (first run = background count).  Frames with zero
-detections are legal.  Frame indices must be non-decreasing.
+detections are legal.  Frame indices must be strictly increasing.  A gap
+(frames 0, 10, 20) is three consecutive steps of the tracker and of the
+alert window, which count lines, not indices.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def read_annotation_stream(source) -> Iterator[FrameAnnotation]:
     """Yield annotations from a text-line iterable, validating as it goes.
 
     Raises ParseError (with line number) on schema violations and
-    OrderError if frame_index ever decreases.
+    OrderError (with line number) if a frame_index repeats or decreases.
     """
     last_index = None
     for line_no, line in enumerate(source, start=1):
@@ -121,7 +123,7 @@ def read_annotation_stream(source) -> Iterator[FrameAnnotation]:
         if not line:
             continue
         ann = parse_annotation_line(line, line_no)
-        if last_index is not None and ann.frame_index < last_index:
+        if last_index is not None and ann.frame_index <= last_index:
             raise OrderError(
                 f"line {line_no}: frame_index {ann.frame_index} after {last_index}"
             )

@@ -129,6 +129,23 @@ def rule_label(f: FeatureVector) -> str:
     return LOW
 
 
+def label_samples(features: Sequence[FeatureVector], mode: str = "rule",
+                  llm_cfg=None, do_review: bool = False) -> List[LabeledSample]:
+    """Label by `mode` ("rule" or "llm"), then `review` if `do_review`."""
+    labeled: List[LabeledSample] = []
+    for f in features:
+        if mode == "llm":
+            lbl, transcript = llm_label(llm_cfg, f)
+            labeled.append(LabeledSample(f, lbl, "llm", transcript))
+        elif mode == "rule":
+            labeled.append(LabeledSample(f, rule_label(f), "rule"))
+        else:
+            raise ValueError(f"unknown labeling mode {mode!r}")
+    if do_review:
+        labeled = review(labeled)
+    return labeled
+
+
 def review(samples: Sequence[LabeledSample],
            input_fn: Callable[[str], str] = input,
            print_fn: Callable[[str], None] = print) -> List[LabeledSample]:

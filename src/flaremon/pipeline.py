@@ -20,9 +20,7 @@ from .features import (N_FEATURES, FeatureVector, angle_from_moments,
                        smoke_flame_ratio)
 from .formats import EfficiencyModel, StatusRecord
 from .ingest import FrameAnnotation
-from .labeling import LabeledSample, llm_label, review, rule_label
 from .segment import segment_box
-from .simulator import RenderedFrame
 from .stats import pca_fit, pca_project, standardize_apply, standardize_fit
 from .tracker import SortTracker
 
@@ -56,22 +54,15 @@ class Alert:
     pcs: Tuple[float, float]
 
 
-@dataclass(frozen=True)
-class TrackFeatures:
-    frame: int
-    track_id: int
-    features: FeatureVector
-
-
 # ---------------------------------------------------------------------------
 # feature extraction
 
 
 def extract_track_features(
     stream: Iterable[Tuple[Frame, FrameAnnotation]],
-) -> Iterator[Tuple[List[TrackFeatures], List[int]]]:
-    """Per frame, feature vectors for every reported flame track, and the
-    ids of the tracks that died in that frame.
+) -> Iterator[Tuple[List[StatusRecord], List[int]]]:
+    """Per frame, the records, without pcs or label, of every reported
+    flame track, and the ids of the tracks that died in that frame.
 
     External masks are preferred; box-only detections fall back to the
     region-grow segmenter.  Tracks whose features cannot be computed this
@@ -140,7 +131,7 @@ def extract_track_features(
         tracks = [t for t in reported if t in flame_masks]
         counts, means, moments = flame_moments(
             frame, [flame_masks[t] for t in tracks])
-        out: List[TrackFeatures] = []
+        out: List[StatusRecord] = []
         for track_id, n, rgb, mu in zip(tracks, counts.tolist(),
                                         means.tolist(), moments.tolist()):
             try:
@@ -153,15 +144,10 @@ def extract_track_features(
                 log.warning("frame %d track %d skipped: %s",
                             ann.frame_index, track_id, exc)
                 continue
-            out.append(TrackFeatures(
-                frame=ann.frame_index, track_id=track_id,
-                features=FeatureVector(ratio, index, angle)))
+            out.append(StatusRecord(ann.frame_index, track_id,
+                                    FeatureVector(ratio, index, angle),
+                                    None, None))
         yield out, deaths
-
-
-def rendered_stream(rendered: Iterable[RenderedFrame]):
-    for rf in rendered:
-        yield rf.frame, rf.annotation
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +203,6 @@ def fit_efficiency_model(features, labels, seed: int = 0):
     Returns (model, report) where report maps classifier kind to held-out
     accuracy and lists the split sizes.
     """
-    model, report, _ = _fit_efficiency_model(features, labels, seed)
-    return model, report
-
-
-def _fit_efficiency_model(features, labels, seed):
-    """fit_efficiency_model, also returning the (n, 2) pcs of `features`."""
     features = np.asarray(features, dtype=float)
     labels = list(labels)
     if features.shape[0] < 3:
@@ -243,7 +223,8 @@ def _fit_efficiency_model(features, labels, seed):
 
     models = train_all_classifiers(pcs[train_idx], train_labels, seed=seed)
     eval_labels = [labels[i] for i in eval_idx]
-    accuracies = {kind: classify.evaluate(m, pcs[eval_idx], eval_labels)[0]
+    accuracies = {kind: classify.score(eval_labels,
+                                       classify.predict(m, pcs[eval_idx]))[0]
                   for kind, m in models.items()}
     best = select_classifier(models, accuracies)
 
@@ -261,23 +242,7 @@ def _fit_efficiency_model(features, labels, seed):
         "train_size": len(train_idx),
         "test_size": len(test_idx),
     }
-    return model, report, pcs
-
-
-def label_samples(features: Sequence[FeatureVector], mode: str = "rule",
-                  llm_cfg=None, do_review: bool = False) -> List[LabeledSample]:
-    labeled: List[LabeledSample] = []
-    for f in features:
-        if mode == "llm":
-            lbl, transcript = llm_label(llm_cfg, f)
-            labeled.append(LabeledSample(f, lbl, "llm", transcript))
-        elif mode == "rule":
-            labeled.append(LabeledSample(f, rule_label(f), "rule"))
-        else:
-            raise ValueError(f"unknown labeling mode {mode!r}")
-    if do_review:
-        labeled = review(labeled)
-    return labeled
+    return model, report
 
 
 def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
@@ -287,7 +252,8 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
 
     Returns (model, report, feature_log_rows).
     """
-    samples: List[TrackFeatures] = []
+    from .labeling import label_samples  # so that monitoring never loads it
+    samples: List[StatusRecord] = []
     for per_frame, _ in extract_track_features(stream):
         samples.extend(per_frame)
     if len(samples) < 3:
@@ -296,8 +262,10 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
     labeled = label_samples([s.features for s in samples], labeling_mode,
                             llm_cfg, do_review)
     features = feature_matrix(s.features for s in samples)
-    model, report, pcs = _fit_efficiency_model(
+    model, report = fit_efficiency_model(
         features, [s.label for s in labeled], seed)
+    pcs = pca_project(standardize_apply(features, model.standardization),
+                      model.pca)
     rows = [StatusRecord(s.frame, s.track_id, s.features, tuple(pc),
                          lab.label)
             for s, pc, lab in zip(samples, pcs.tolist(), labeled)]

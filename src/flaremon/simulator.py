@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -220,6 +220,12 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
                                      masks=tuple(masks))
         yield RenderedFrame(frame=frame, truths=tuple(truths),
                             annotation=annotation)
+
+
+def rendered_stream(rendered: Iterable[RenderedFrame]):
+    """The (frame, annotation) stream that monitoring and training take."""
+    for rf in rendered:
+        yield rf.frame, rf.annotation
 
 
 _CLEAN_FLAME = dict(major=45.0, minor=18.0,

@@ -48,12 +48,6 @@ class KalmanParams:
 
 
 @dataclass(frozen=True)
-class KalmanState:
-    x: np.ndarray  # shape (..., 7)
-    P: np.ndarray  # shape (..., 7, 7)
-
-
-@dataclass(frozen=True)
 class SortParams:
     iou_threshold: float = 0.3
     max_age: int = 5
@@ -75,17 +69,17 @@ def _apply(A, v):
     return (A @ v[..., None])[..., 0]
 
 
-def kalman_predict(state: KalmanState, p: KalmanParams) -> KalmanState:
-    x = _apply(p.F, state.x)
-    P = _symmetrize(p.F @ state.P @ p.F.T + p.Q)
+def kalman_predict(x, P, p: KalmanParams):
+    x = _apply(p.F, x)
+    P = _symmetrize(p.F @ P @ p.F.T + p.Q)
     x[..., 2] = np.where(x[..., 2] <= 0.0, _SCALE_EPS, x[..., 2])
-    return KalmanState(x=x, P=P)
+    return x, P
 
 
-def kalman_update(state: KalmanState, z, p: KalmanParams) -> KalmanState:
+def kalman_update(x, P, z, p: KalmanParams):
     z = np.asarray(z, dtype=float)
-    S = _symmetrize(p.H @ state.P @ p.H.T + p.R)
-    innovation = z - _apply(p.H, state.x)
+    S = _symmetrize(p.H @ P @ p.H.T + p.R)
+    innovation = z - _apply(p.H, x)
 
     # Exact-zero innovation modes arise in the perfect-measurement limit
     # (R = 0 collapses already-measured variances to zero).  A zero mode
@@ -104,10 +98,10 @@ def kalman_update(state: KalmanState, z, p: KalmanParams) -> KalmanState:
     positive = np.where(zero, np.inf, vals)  # zero modes invert to 0
     S_pinv = (vecs * (1.0 / positive)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
-    K = state.P @ p.H.T @ S_pinv
-    x = state.x + _apply(K, innovation)
-    P = _symmetrize((np.eye(state.P.shape[-1]) - K @ p.H) @ state.P)
-    return KalmanState(x=x, P=P)
+    K = P @ p.H.T @ S_pinv
+    x = x + _apply(K, innovation)
+    P = _symmetrize((np.eye(P.shape[-1]) - K @ p.H) @ P)
+    return x, P
 
 
 def _measurements(b):
@@ -127,7 +121,7 @@ def _boxes(m):
 
 def _iou_matrix(a, b):
     """IoU of each of the (n, 4) boxes a with each of the (m, 4) boxes b,
-    in the operation order of `core.iou`."""
+    in the operation order of `tests/sort_oracle.iou`."""
     overlap = np.maximum(np.minimum(a[:, None, 2:], b[:, 2:])
                          - np.maximum(a[:, None, :2], b[:, :2]), 0.0)
     inter = overlap[..., 0] * overlap[..., 1]
@@ -228,8 +222,7 @@ class SortTracker:
         detection_index) pairs, and the ids born and died this frame.
         """
         p = self.params
-        predicted = kalman_predict(KalmanState(self.x, self.P), self.kalman)
-        x, P = predicted.x, predicted.P
+        x, P = kalman_predict(self.x, self.P, self.kalman)
         det_boxes = np.array(
             [(d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max)
              for d in detections], dtype=float).reshape(-1, 4)
@@ -248,9 +241,8 @@ class SortTracker:
         keep = iou_mat[rows, cols] >= p.iou_threshold
         rows, cols = rows[keep], cols[keep]
         if rows.size:
-            updated = kalman_update(KalmanState(x[rows], P[rows]), z[cols],
-                                    self.kalman)
-            x[rows], P[rows] = updated.x, updated.P
+            x[rows], P[rows] = kalman_update(x[rows], P[rows], z[cols],
+                                             self.kalman)
 
         self.hits[rows] += 1
         self.time_since_update += 1

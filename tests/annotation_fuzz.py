@@ -3,10 +3,12 @@
 an integer given as a float or a bool, including every mask field, or a
 box coordinate or confidence given as a bool, a numeric string, an
 integer too large for a float or a float of 1e200, which overflows the
-box's area."""
+box's area.  Streams of such lines take frame indices that skip frames
+and now and then repeat one."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from hypothesis import strategies as st
@@ -79,8 +81,37 @@ def annotation_object(draw, width, height):
                          "detections": detections, "masks": masks}))
 
 
-def annotation_lines(width=8, height=6):
-    """One JSON line: mostly an annotation for a width x height frame,
-    now and then any JSON value."""
+def annotation_records(width=8, height=6):
+    """Mostly an annotation object for a width x height frame, now and then
+    any JSON value."""
     return (annotation_object(width, height) | annotation_object(width, height)
-            | annotation_object(width, height) | JSON).map(json.dumps)
+            | annotation_object(width, height) | JSON)
+
+
+def annotation_lines(width=8, height=6):
+    """One JSON line of `annotation_records`."""
+    return annotation_records(width, height).map(json.dumps)
+
+
+def frame_indices(count):
+    """`count` frame indices, each the sum of the steps so far: a step is
+    mostly 1, sometimes 2 or 5 (a gap) and now and then 0 (a repeat)."""
+    steps = st.sampled_from([1] * 6 + [2, 5, 0])
+    return st.lists(steps, min_size=count, max_size=count).map(
+        lambda s: list(itertools.accumulate(s)))
+
+
+@st.composite
+def annotation_streams(draw, width=8, height=6):
+    """The lines of one or two `annotation_records`, each written three
+    times so that the tracker gets to report a flame.  A line whose
+    frame_index is an integer takes the next of `frame_indices` instead."""
+    records = [r for r in draw(st.lists(annotation_records(width, height),
+                                        min_size=1, max_size=2))
+               for _ in range(3)]
+    lines = []
+    for record, index in zip(records, draw(frame_indices(len(records)))):
+        if isinstance(record, dict) and type(record.get("frame_index")) is int:
+            record = {**record, "frame_index": index}
+        lines.append(json.dumps(record))
+    return lines

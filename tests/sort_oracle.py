@@ -4,24 +4,40 @@
 one batched predict, one broadcast IoU matrix and one batched update per
 frame.  This module keeps the plain form: a list of frozen `Track`s, one
 Kalman predict and update per track on a single (7,)/(7, 7) state, and one
-`BBox` and `core.iou` call per (track, detection) pair, so the tests can
-require the same reported ids, matches, births, deaths and states.
+`BBox` and `iou` call per (track, detection) pair, so the tests can require
+the same reported ids, matches, births, deaths and states (SORT: Bewley et
+al., arXiv 1602.00763).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from flaremon.core import BBox, DetClass, Detection, iou
+from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import NumericalError
-from flaremon.tracker import (KalmanParams, KalmanState, SortParams,
-                              hungarian)
+from flaremon.tracker import KalmanParams, SortParams, hungarian
 
 _SCALE_EPS = 1e-9
+
+
+class KalmanState(NamedTuple):
+    """One track's state x (7,) and covariance P (7, 7)."""
+    x: np.ndarray
+    P: np.ndarray
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union; disjoint boxes give 0."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
 
 
 @dataclass(frozen=True)

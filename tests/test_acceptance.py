@@ -13,25 +13,26 @@ import pytest
 
 from flaremon import classify, pipeline
 from flaremon.classify import HIGH, LOW
-from flaremon.core import DetClass, iou
+from flaremon.core import DetClass
 from flaremon.errors import DegenerateOrientation, UnparseableReply
-from flaremon.features import (FeatureVector, channel_means, flame_angle,
-                               rgb_index, smoke_flame_ratio)
+from flaremon.features import (FeatureVector, channel_means, rgb_index,
+                               smoke_flame_ratio)
 from flaremon.ingest import read_annotation_stream, write_annotation_stream
 from flaremon.labeling import LlmClientConfig, llm_label, rule_label
 from flaremon.formats import (format_feature_log, model_from_json,
                               model_to_json, parse_feature_csv)
 from flaremon.pipeline import (MonitorConfig, derive_alerts_from_log,
-                               fit_efficiency_model, rendered_stream,
-                               run_monitor, run_training)
+                               fit_efficiency_model, run_monitor,
+                               run_training)
 from flaremon.simulator import (FlameSpec, SceneSpec, StackSpec, preset,
-                                render)
+                                render, rendered_stream)
 from flaremon.stats import (eigen_symmetric, pca_fit, pca_project,
                             standardize_apply, standardize_fit)
 from flaremon.tracker import (KalmanParams, SortParams, SortTracker,
                               hungarian, kalman_predict, kalman_update)
 from tests.assignment_oracle import brute_force_assignment
-from tests.sort_oracle import measurement_to_bbox
+from tests.features_oracle import flame_angle
+from tests.sort_oracle import iou, measurement_to_bbox
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 
 
@@ -58,11 +59,10 @@ def test_criterion_1_hungarian_oracle():
 def test_criterion_2_kalman_limits():
     # R = 0 update reproduces the measurement
     p = KalmanParams(F=np.eye(7), Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
-    from flaremon.tracker import KalmanState
-    s = KalmanState(x=np.zeros(7), P=np.eye(7) * 5.0)
+    x, P = np.zeros(7), np.eye(7) * 5.0
     z = np.array([3.0, -1.0, 7.0, 2.0])
-    out = kalman_update(s, z, p)
-    assert np.allclose(out.x[:4], z, atol=1e-9)
+    x, _ = kalman_update(x, P, z, p)
+    assert np.allclose(x[:4], z, atol=1e-9)
 
     # zero-noise constant-velocity target within 1e-6 after 3 updates
     kp = KalmanParams(Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
@@ -82,17 +82,16 @@ def test_criterion_2_kalman_limits():
     # P symmetric PSD over a 1000-step randomized run
     rng = np.random.default_rng(2002)
     p = KalmanParams()
-    s = KalmanState(x=np.array([0, 0, 150.0, 1.2, 0, 0, 0]),
-                    P=np.eye(7) * 10.0)
+    x, P = np.array([0, 0, 150.0, 1.2, 0, 0, 0]), np.eye(7) * 10.0
     min_eig = np.inf
     for _ in range(1000):
-        s = kalman_predict(s, p)
-        z = s.x[:4] + rng.normal(scale=[2.0, 2.0, 8.0, 0.05])
+        x, P = kalman_predict(x, P, p)
+        z = x[:4] + rng.normal(scale=[2.0, 2.0, 8.0, 0.05])
         z[2] = max(z[2], 1.0)
         z[3] = max(z[3], 0.05)
-        s = kalman_update(s, z, p)
-        assert np.array_equal(s.P, s.P.T)
-        min_eig = min(min_eig, np.linalg.eigvalsh(s.P).min())
+        x, P = kalman_update(x, P, z, p)
+        assert np.array_equal(P, P.T)
+        min_eig = min(min_eig, np.linalg.eigvalsh(P).min())
     assert min_eig >= -1e-9
     report(2, True, f"R=0 exact, CV error {max(errs):.2e}, "
            f"min eigenvalue {min_eig:.2e} >= -1e-9")
@@ -235,7 +234,8 @@ def test_criterion_7_classifiers():
     models = pipeline.train_all_classifiers(pcs, TRAINING_LABELS)
     accs = {}
     for kind, m in models.items():
-        accs[kind], _ = classify.evaluate(m, pcs, TRAINING_LABELS)
+        accs[kind], _ = classify.score(TRAINING_LABELS,
+                                       classify.predict(m, pcs))
     assert all(a == 1.0 for a in accs.values()), accs
     report(7, True, f"grad err logistic {worst_log:.1e} mlp {worst_mlp:.1e}; "
            f"training acc {accs}")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flaremon import classify
-from flaremon.classify import (HIGH, LOW, evaluate, logistic_loss_grad, mlp_loss_grad, predict,
-                               svm_loss_grad, train_knn, train_logistic,
+from flaremon.classify import (HIGH, LOW, logistic_loss_grad, mlp_loss_grad, predict,
+                               score, svm_loss_grad, train_knn, train_logistic,
                                train_mlp, train_svm)
 from flaremon.errors import InvalidK, TrainingDataError
 
@@ -22,7 +22,7 @@ def rel_err(a, b):
 class TestLogistic:
     def test_separable_perfect(self):
         m = train_logistic(SEP_X, SEP_Y)
-        acc, _ = evaluate(m, SEP_X, SEP_Y)
+        acc, _ = score(SEP_Y, predict(m, SEP_X))
         assert acc == 1.0
 
     def test_single_class_rejected(self):
@@ -73,7 +73,7 @@ class TestSvm:
         b = m.parameters["bias"]
         ypm = np.array([1.0, 1.0, -1.0, -1.0])
         assert (ypm * (SEP_X @ w + b) >= 0).all()
-        acc, _ = evaluate(m, SEP_X, SEP_Y)
+        acc, _ = score(SEP_Y, predict(m, SEP_X))
         assert acc == 1.0
 
     def test_huge_regularization_shrinks_weights(self):
@@ -129,7 +129,7 @@ class TestMlp:
     def test_xor_learned(self):
         m = train_mlp(XOR_X, XOR_Y, hidden_width=4, epochs=5000,
                       learning_rate=0.5, seed=0)
-        acc, _ = evaluate(m, XOR_X, XOR_Y)
+        acc, _ = score(XOR_Y, predict(m, XOR_X))
         assert acc == 1.0
 
     def test_zero_epochs_is_initialization(self):
@@ -166,7 +166,7 @@ class TestMlp:
 class TestEvaluate:
     def test_perfect_model(self):
         m = train_logistic(SEP_X, SEP_Y)
-        acc, conf = evaluate(m, SEP_X, SEP_Y)
+        acc, conf = score(SEP_Y, predict(m, SEP_X))
         assert acc == 1.0
         assert conf[(HIGH, LOW)] == 0 and conf[(LOW, HIGH)] == 0
 
@@ -174,12 +174,12 @@ class TestEvaluate:
         m = classify.ClassifierModel(
             kind="logistic", parameters={"weights": [0.0, 0.0], "bias": 1.0},
             parameter_count=3)
-        acc, _ = evaluate(m, SEP_X, SEP_Y)
+        acc, _ = score(SEP_Y, predict(m, SEP_X))
         assert acc == 0.5
 
     def test_confusion_partitions_data(self):
         m = train_logistic(SEP_X, SEP_Y)
-        _, conf = evaluate(m, SEP_X, SEP_Y)
+        _, conf = score(SEP_Y, predict(m, SEP_X))
         assert sum(conf.values()) == len(SEP_Y)
 
     def test_scaling_invariance_of_linear_decisions(self):

@@ -13,18 +13,18 @@ import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
-from flaremon import formats, pipeline
+from flaremon import formats, labeling, pipeline
 from flaremon.cli import main
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
 from flaremon.errors import ParseError
 from flaremon.ingest import write_annotation_stream
 from flaremon.segment import segment_box
 from flaremon.simulator import preset, render
-from tests.annotation_fuzz import annotation_lines
+from tests.annotation_fuzz import annotation_streams, frame_indices
 from tests.bfs_oracle import segment_box_bfs
+from tests.fullframe_oracle import decode_runs
 from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
                              urlopen_replying, write_frame_dir)
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
@@ -133,6 +133,20 @@ def test_label_rule_mode(tmp_path):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert [l["label"] for l in lines] == ["high", "low"]
     assert all(l["source"] == "rule" for l in lines)
+
+
+def test_train_log_without_annotations_is_usage_error(tmp_path, capsys):
+    """Rows read from a feature CSV have no frame or track, so there is no
+    training log to write."""
+    csv = tmp_path / "features.csv"
+    csv.write_text("".join(f"{r[0]},{r[1]},{r[2]},{lbl}\n" for r, lbl in
+                           zip(TRAINING_ROWS.tolist(), TRAINING_LABELS)))
+    log, model = tmp_path / "train.csv", tmp_path / "model.json"
+    assert run("train", "--features", str(csv), "--log", str(log),
+               "--out", str(model)) == 1
+    assert "train --log needs --annotations and --frames" in \
+        capsys.readouterr().err
+    assert not log.exists() and not model.exists()
 
 
 def test_usage_error_exit_code():
@@ -293,7 +307,7 @@ def blank_frames_dir(tmp_path, count, indices):
 
 
 def test_frame_stream_holds_one_frame(tmp_path, monkeypatch):
-    ann_path, frames_dir = blank_frames_dir(tmp_path, 4, [0, 0, 2])
+    ann_path, frames_dir = blank_frames_dir(tmp_path, 4, [0, 2])
     pulled = []
     load_frames = formats.load_frames
 
@@ -307,9 +321,8 @@ def test_frame_stream_holds_one_frame(tmp_path, monkeypatch):
     first = next(stream)
     assert pulled == [0]
     pairs = [first] + list(stream)
-    assert [(f.index, a.frame_index) for f, a in pairs] == [
-        (0, 0), (0, 0), (2, 2)]
-    assert int(pairs[2][0].pixels[0, 0, 0]) == 2
+    assert [(f.index, a.frame_index) for f, a in pairs] == [(0, 0), (2, 2)]
+    assert int(pairs[1][0].pixels[0, 0, 0]) == 2
     assert pulled == [0, 1, 2]
 
 
@@ -372,7 +385,7 @@ def test_train_review_flag_reaches_review(two_regime_dir, tmp_path,
         calls.append(len(samples))
         return list(samples)
 
-    monkeypatch.setattr(pipeline, "review", spy_review)
+    monkeypatch.setattr(labeling, "review", spy_review)
     ann_path, frames_dir = two_regime_dir
     assert run("train", "--annotations", ann_path, "--frames", frames_dir,
                "--out", str(tmp_path / "model.json"), *flags) == 0
@@ -468,7 +481,7 @@ def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
                                           tmp_path, capsys):
     def widened(ann):
         return dataclasses.replace(ann, masks=tuple(
-            (i, Mask.from_array(np.pad(m.to_array(), ((0, 0), (0, 40)))))
+            (i, Mask.from_array(np.pad(decode_runs(m), ((0, 0), (0, 40)))))
             for i, m in ann.masks))
 
     pairs = [(f, widened(a) if f.index == 8 else a)
@@ -483,25 +496,25 @@ def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
 
 @pytest.fixture(scope="module")
 def fuzz_frames(tmp_path_factory):
-    """Three 8x6 frames: smoke over a flame with an edge on a dark
-    background."""
+    """32 equal 8x6 frames, enough for every index of `frame_indices(6)`:
+    smoke over a flame with an edge on a dark background."""
     out = str(tmp_path_factory.mktemp("fuzz") / "frames")
     pix = np.full((6, 8, 3), (20, 22, 28), dtype=np.uint8)
     pix[0:2, 1:7] = (90, 90, 90)
     pix[3:6, 1:7] = (250, 90, 40)
     pix[3:6, 1] = (255, 150, 70)
-    formats.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(3)),
+    formats.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(32)),
                          out)
     return out
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(annotation_lines(8, 6), min_size=1, max_size=2))
+@given(annotation_streams(8, 6))
 def test_monitor_on_fuzzed_lines_exits_0_or_2(fuzz_frames, table_model, lines):
     with tempfile.TemporaryDirectory() as tmp:
         ann_path = os.path.join(tmp, "annotations.jsonl")
         with open(ann_path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines for _ in range(3)))
+            fh.write("".join(line + "\n" for line in lines))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -510,6 +523,9 @@ def test_monitor_on_fuzzed_lines_exits_0_or_2(fuzz_frames, table_model, lines):
                        "--log", os.path.join(tmp, "monitor.csv"))
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code == 0:  # every line loaded: one line per frame, in order
+        indices = [json.loads(line)["frame_index"] for line in lines]
+        assert all(a < b for a, b in zip(indices, indices[1:])), indices
 
 
 def run_quietly(*argv):
@@ -521,23 +537,28 @@ def run_quietly(*argv):
     return code, err.getvalue()
 
 
-@pytest.fixture(scope="module")
-def fuzz_stream(fuzz_frames):
-    """Annotations for `fuzz_frames`: a 6x3 flame with its mask under a
-    smoke box, in all three frames; the tracker reports it in the last."""
+def fuzz_lines(indices):
+    """Annotation lines for `fuzz_frames` at these frame indices: a 6x3
+    flame with its mask under a smoke box."""
     mask = np.zeros((6, 8), dtype=bool)
     mask[3:6, 1:7] = True
     runs = list(Mask.from_array(mask).runs)
+    return "".join(json.dumps({
+        "frame_index": i,
+        "detections": [
+            {"class": "flame", "bbox": [1, 3, 7, 6], "confidence": 0.9},
+            {"class": "smoke", "bbox": [1, 0, 7, 2], "confidence": 0.8}],
+        "masks": [{"detection": 0, "width": 8, "height": 6,
+                   "runs": runs}]}) + "\n" for i in indices)
+
+
+@pytest.fixture(scope="module")
+def fuzz_stream(fuzz_frames):
+    """`fuzz_lines` for the first three frames; the tracker reports the
+    flame in the last."""
     ann_path = os.path.join(os.path.dirname(fuzz_frames), "annotations.jsonl")
     with open(ann_path, "w", encoding="utf-8") as fh:
-        for i in range(3):
-            fh.write(json.dumps({
-                "frame_index": i,
-                "detections": [
-                    {"class": "flame", "bbox": [1, 3, 7, 6], "confidence": 0.9},
-                    {"class": "smoke", "bbox": [1, 0, 7, 2], "confidence": 0.8}],
-                "masks": [{"detection": 0, "width": 8, "height": 6,
-                           "runs": runs}]}) + "\n")
+        fh.write(fuzz_lines(range(3)))
     return ann_path
 
 
@@ -547,6 +568,46 @@ def test_fuzz_stream_reports_records(fuzz_stream, fuzz_frames, table_model,
     assert run("monitor", "--model", table_model, "--input", fuzz_stream,
                "--frames", fuzz_frames, "--log", str(log)) == 0
     assert len(formats.load_feature_csv(log, log_only=True)) == 1
+
+
+def monitor_log(lines, frames_dir, model):
+    """Exit code, stderr and feature-log rows (None on an error) of
+    `monitor` on these annotation lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ann_path, log = (os.path.join(tmp, name)
+                         for name in ("annotations.jsonl", "monitor.csv"))
+        with open(ann_path, "w", encoding="utf-8") as fh:
+            fh.write(lines)
+        code, err = run_quietly("monitor", "--model", model, "--input",
+                                ann_path, "--frames", frames_dir,
+                                "--log", log)
+        rows = formats.load_feature_csv(log, log_only=True) if code == 0 \
+            else None
+    return code, err, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_indices(6))
+@example([0, 0, 1, 2, 3, 4])
+@example([0, 2, 7, 8, 13, 14])
+def test_monitor_steps_once_per_line(fuzz_frames, table_model, indices):
+    """Tracker and alert window count lines, so a gap in frame_index adds
+    no step: the lines at frames 0-5 log the same rows, bar the frame.  A
+    repeated frame_index is an OrderError naming its line."""
+    code, err, rows = monitor_log(fuzz_lines(indices), fuzz_frames,
+                                  table_model)
+    repeat = next((n for n in range(1, 6) if indices[n] == indices[n - 1]),
+                  None)
+    if repeat is not None:
+        assert (code, err) == (2, f"error: line {repeat + 1}: frame_index "
+                                  f"{indices[repeat]} after {indices[repeat]}\n")
+        return
+    code0, err0, dense = monitor_log(fuzz_lines(range(6)), fuzz_frames,
+                                     table_model)
+    assert (code, err) == (code0, err0) == (0, "")
+    assert len(dense) == 4
+    assert rows == [dataclasses.replace(r, frame=indices[r.frame])
+                    for r in dense]
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flaremon"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def unused_imports(source: str):
@@ -107,8 +108,9 @@ def to_array_calls(source: str):
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_no_full_frame_mask_decodes(path):
-    """Masks are read through Mask.indices(); to_array() builds a whole
-    frame and is for tests and tools only."""
+    """Masks are read through core.foreground_indices, which builds no
+    frame.  Only tests decode a whole frame (fullframe_oracle.decode_runs);
+    no module calls a to_array."""
     assert to_array_calls(path.read_text(encoding="utf-8")) == []
 
 
@@ -118,12 +120,91 @@ def test_decode_checker_sees_calls():
     assert to_array_calls(source) == [2]
 
 
-def test_cli_import_loads_no_http_client():
-    """Only `--labeling llm` talks HTTP; start-up must not pay for it."""
+def loaded_by_cli_import(condition: str) -> str:
+    """The sorted names `m` of sys.modules that meet `condition` after a
+    fresh interpreter imports flaremon.cli."""
     code = ("import sys, flaremon.cli; print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('requests', 'urllib3') or m in "
-            "('ssl', 'http.client', 'urllib.request')))")
+            f"if {condition}))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_http_client():
+    """Only `--labeling llm` talks HTTP; start-up must not pay for it."""
+    assert loaded_by_cli_import(
+        "m.partition('.')[0] in ('requests', 'urllib3') or m in "
+        "('ssl', 'http.client', 'urllib.request')") == "[]"
+
+
+def test_cli_import_loads_no_simulator_or_labeling():
+    """`monitor`, `eval` and `plot` run neither; `simulate`, `preset:`
+    inputs, `label` and `train` import them when they run."""
+    assert loaded_by_cli_import(
+        "m in ('flaremon.simulator', 'flaremon.labeling')") == "[]"
+
+
+def bound_names(source: str):
+    """Names a module binds at its top level."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                out.update(n.id for n in ast.walk(target)
+                           if isinstance(n, ast.Name))
+    return out
+
+
+def test_package_root_exports_nothing():
+    """Each name is imported from the module that defines it, so that
+    importing one module loads no other."""
+    assert bound_names((SRC / "__init__.py").read_text(
+        encoding="utf-8")) == {"__version__"}
+
+
+def test_bound_names_sees_every_binding():
+    source = ("import os.path\nfrom .core import BBox as B, Mask\n"
+              "x, (y, z) = 1, (2, 3)\nw: int = 4\ndef f(): v = 1\n"
+              "class C: pass\n")
+    assert bound_names(source) == {"os", "B", "Mask", "x", "y", "z", "w",
+                                   "f", "C"}
+
+
+def public_definitions(source: str):
+    """The public functions and classes a module defines at its top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+# Public names that nothing in src/ or perfbench/ uses, each with the reason
+# it stays in src/.
+UNUSED_PUBLIC = {
+    "derive_alerts_from_log": "the audit replay the README documents: the "
+                              "feature log alone re-derives every alert",
+}
+
+
+def test_no_test_only_public_api():
+    """A public function or class named nowhere in src/ or perfbench/ but at
+    its own definition serves only the tests, and belongs in tests/."""
+    used = set().union(*(identifiers(p.read_text(encoding="utf-8"))
+                         for p in [*SRC.glob("*.py"),
+                                   *PERFBENCH.rglob("*.py")]))
+    unused = {name for p in MODULES
+              for name in public_definitions(p.read_text(encoding="utf-8"))
+              if name not in used}
+    assert unused == set(UNUSED_PUBLIC)
+
+
+def test_public_definitions_skip_private_and_nested_names():
+    source = ("def f():\n    def g(): pass\nclass C:\n    def m(self): "
+              "pass\ndef _h(): pass\nx = 1\n")
+    assert public_definitions(source) == ["f", "C"]

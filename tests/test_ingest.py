@@ -63,8 +63,10 @@ def test_out_of_order_frames():
         read_all(lines)
 
 
-def test_equal_frame_indices_allowed():
-    assert len(read_all(ONE_FLAME + "\n" + ONE_FLAME + "\n")) == 2
+def test_repeated_frame_index_rejected():
+    """A repeated frame_index is an OrderError naming its line."""
+    with pytest.raises(OrderError, match="^line 2: frame_index 0 after 0$"):
+        read_all(ONE_FLAME + "\n" + ONE_FLAME + "\n")
 
 
 def test_zero_detection_frames_legal():

@@ -24,9 +24,8 @@ from flaremon.formats import (StatusRecord, emit_scatter_plot,
 from flaremon.pipeline import (Alert, AlertState, MonitorConfig,
                                derive_alerts_from_log,
                                extract_track_features, fit_efficiency_model,
-                               rendered_stream, run_monitor, run_training,
-                               stratified_split)
-from flaremon.simulator import PRESET_NAMES, preset, render
+                               run_monitor, run_training, stratified_split)
+from flaremon.simulator import PRESET_NAMES, preset, render, rendered_stream
 from tests import classify_oracle
 from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
                              write_frame_dir)
@@ -107,7 +106,7 @@ class TestTraining:
         from flaremon import classify
         models = pipeline.train_all_classifiers(pcs, TRAINING_LABELS)
         for kind, m in models.items():
-            acc, _ = classify.evaluate(m, pcs, TRAINING_LABELS)
+            acc, _ = classify.score(TRAINING_LABELS, classify.predict(m, pcs))
             assert acc == 1.0, kind
 
     def test_two_regime_training_separates(self, trained):
@@ -399,7 +398,7 @@ class TestMonitor:
                 live = range(max(1, f - 1), min(n, f + 1) + 1)
                 alive.difference_update([f - 2])
                 alive.update(live)
-                yield ([pipeline.TrackFeatures(f, t, FeatureVector(1, 0.4, 9))
+                yield ([StatusRecord(f, t, FeatureVector(1, 0.4, 9), None, None)
                         for t in live],
                        [f - 2] if 1 <= f - 2 <= n else [])
 

@@ -9,6 +9,7 @@ from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import OutOfBounds
 from flaremon.segment import SegmenterConfig, segment_box
 from tests.bfs_oracle import segment_box_bfs
+from tests.fullframe_oracle import decode_runs
 
 
 def make_frame(w=60, h=40, bg=(10, 10, 10)):
@@ -30,7 +31,7 @@ def test_uniform_region_on_contrasting_background():
     assert not res.degenerate
     expect = np.zeros((40, 60), dtype=bool)
     expect[10:30, 20:40] = True
-    assert np.array_equal(res.mask.to_array(), expect)
+    assert np.array_equal(decode_runs(res.mask), expect)
 
 
 def test_tolerance_255_fills_clipped_box():
@@ -38,7 +39,7 @@ def test_tolerance_255_fills_clipped_box():
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
     res = segment_box(frame, box, SegmenterConfig(255, 2.0))
-    arr = res.mask.to_array()
+    arr = decode_runs(res.mask)
     # everything inside the 10%-dilated box is admitted
     assert arr[12, 25] and arr[10, 20]
     assert arr[8, 25]  # inside dilation margin
@@ -50,7 +51,7 @@ def test_seed_always_in_mask():
     pix[19:22, 29:32] = (200, 200, 200)
     frame = frame_of(pix)
     res = segment_box(frame, BBox(25, 15, 35, 25), SegmenterConfig(5, 1.0))
-    assert res.mask.to_array()[20, 30]
+    assert decode_runs(res.mask)[20, 30]
 
 
 def test_degenerate_seed_gives_single_pixel():
@@ -77,7 +78,7 @@ def test_output_connected():
     pix[5:8, 50:55] = (200, 50, 50)  # same color, not 4-connected to seed
     frame = frame_of(pix)
     res = segment_box(frame, BBox(18, 8, 56, 32), SegmenterConfig(30, 2.0))
-    arr = res.mask.to_array()
+    arr = decode_runs(res.mask)
     assert not arr[6, 52]
     # flood-fill recount from any foreground pixel covers the whole mask
     from collections import deque
@@ -173,7 +174,7 @@ def test_cap_keeps_breadth_first_order():
         expect[[5, 4, 6, 5, 5], [5, 5, 5, 4, 6]] = True
         if extra:
             expect[extra] = True
-        assert np.array_equal(res.mask.to_array(), expect)
+        assert np.array_equal(decode_runs(res.mask), expect)
 
 
 def count_calls(monkeypatch, name):
@@ -319,5 +320,5 @@ def test_tolerance_boundary_in_float64(distance):
     box = BBox(5, 5, 15, 15)
     cfg = SegmenterConfig(tol, 2.0)
     got = segment_box(frame, box, cfg)
-    assert got.mask.to_array()[10, 12:16].all()
+    assert decode_runs(got.mask)[10, 12:16].all()
     assert got.mask == segment_box_bfs(frame, box, cfg).mask

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flaremon.core import BBox, DetClass, Detection, iou
+from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import InvalidCost, NumericalError
-from flaremon.tracker import (KalmanParams, KalmanState, SortParams,
-                              SortTracker, _boxes, _iou_matrix, _measurements,
-                              hungarian, kalman_predict, kalman_update)
+from flaremon.tracker import (KalmanParams, SortParams, SortTracker, _boxes,
+                              _iou_matrix, _measurements, hungarian,
+                              kalman_predict, kalman_update)
 from tests import sort_oracle as oracle
+from tests.sort_oracle import KalmanState, iou
 from tests.assignment_oracle import brute_force_assignment
 
 
@@ -24,28 +25,38 @@ def state_with(x, p=1.0):
     return KalmanState(x=np.asarray(x, dtype=float), P=np.eye(7) * p)
 
 
+def predict(s, p):
+    """kalman_predict on an oracle state, as an oracle state."""
+    return KalmanState(*kalman_predict(s.x, s.P, p))
+
+
+def update(s, z, p):
+    """kalman_update on an oracle state, as an oracle state."""
+    return KalmanState(*kalman_update(s.x, s.P, z, p))
+
+
 class TestKalmanPredict:
     def test_identity_no_noise(self):
         s = state_with([1, 2, 3, 4, 5, 6, 7])
-        out = kalman_predict(s, identity_params(q=0.0))
+        out = predict(s, identity_params(q=0.0))
         assert np.allclose(out.x, s.x)
         assert np.allclose(out.P, s.P)
 
     def test_identity_unit_noise(self):
         s = state_with([1, 2, 3, 4, 5, 6, 7])
-        out = kalman_predict(s, identity_params(q=1.0))
+        out = predict(s, identity_params(q=1.0))
         assert np.allclose(out.x, s.x)
         assert np.allclose(out.P, s.P + np.eye(7))
 
     def test_constant_velocity_center(self):
         s = state_with([0, 0, 1, 1, 2, 3, 0])
-        out = kalman_predict(s, KalmanParams())
+        out = predict(s, KalmanParams())
         assert out.x[0] == pytest.approx(2)
         assert out.x[1] == pytest.approx(3)
 
     def test_degenerate_scale_clamped(self):
         s = state_with([0, 0, 1, 1, 0, 0, -5])
-        out = kalman_predict(s, KalmanParams())
+        out = predict(s, KalmanParams())
         assert out.x[2] == 1e-9
 
 
@@ -54,21 +65,21 @@ class TestKalmanUpdate:
         p = identity_params(r=0.0)
         s = state_with([0, 0, 1, 1, 0, 0, 0], p=4.0)
         z = np.array([3.0, 4.0, 5.0, 2.0])
-        out = kalman_update(s, z, p)
+        out = update(s, z, p)
         assert np.allclose(out.x[:4], z, atol=1e-9)
         assert np.allclose(out.P[:4, :4], 0.0, atol=1e-9)
 
     def test_zero_innovation(self):
         p = identity_params(r=1.0)
         s = state_with([1, 2, 3, 4, 0, 0, 0])
-        out = kalman_update(s, s.x[:4], p)
+        out = update(s, s.x[:4], p)
         assert np.allclose(out.x, s.x)
 
     def test_scalar_gain_half(self):
         # P=1, R=1, H selects component -> K=0.5, posterior variance 0.5
         p = identity_params(r=1.0)
         s = state_with([0, 0, 0, 0, 0, 0, 0], p=1.0)
-        out = kalman_update(s, np.array([1.0, 0, 0, 0]), p)
+        out = update(s, np.array([1.0, 0, 0, 0]), p)
         assert out.x[0] == pytest.approx(0.5)
         assert out.P[0, 0] == pytest.approx(0.5)
 
@@ -77,22 +88,22 @@ class TestKalmanUpdate:
         p = KalmanParams(R=np.zeros((4, 4)))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
-            kalman_update(s, np.ones(4), p)
+            update(s, np.ones(4), p)
 
     def test_ill_conditioned_innovation_raises(self):
         p = KalmanParams(R=np.diag([1.0, 1.0, 1.0, 1e-14]))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
-            kalman_update(s, np.ones(4), p)
+            update(s, np.ones(4), p)
 
     def test_covariance_psd_randomized(self):
         rng = np.random.default_rng(0)
         p = KalmanParams()
         s = state_with([0, 0, 100, 1, 0, 0, 0], p=10.0)
         for _ in range(200):
-            s = kalman_predict(s, p)
+            s = predict(s, p)
             z = s.x[:4] + rng.normal(scale=[2, 2, 5, 0.05])
-            s = kalman_update(s, z, p)
+            s = update(s, z, p)
             assert np.allclose(s.P, s.P.T)
             assert np.linalg.eigvalsh(s.P).min() >= -1e-9
 
@@ -262,13 +273,13 @@ class TestStackedKalman:
                   KalmanParams(R=np.diag([0.0, 1e-3, 0.0, 2.0]))):
             for n in (1, 2, 6, 20):
                 s, z = self.random_stack(rng, n)
-                pred, post = kalman_predict(s, p), kalman_update(s, z, p)
+                pred, post = predict(s, p), update(s, z, p)
                 for i in range(n):
                     one = KalmanState(x=s.x[i], P=s.P[i])
                     for stacked, single, ref in (
-                            (pred, kalman_predict(one, p),
+                            (pred, predict(one, p),
                              oracle.kalman_predict(one, p)),
-                            (post, kalman_update(one, z[i], p),
+                            (post, update(one, z[i], p),
                              oracle.kalman_update(one, z[i], p))):
                         assert_states_close(
                             KalmanState(x=stacked.x[i], P=stacked.P[i]),
@@ -277,9 +288,9 @@ class TestStackedKalman:
 
     def test_degenerate_scale_clamped_per_row(self):
         x = np.array([[0, 0, 1, 1, 0, 0, -5], [0, 0, 9, 1, 0, 0, -5]], float)
-        out = kalman_predict(KalmanState(x=x, P=np.stack([np.eye(7)] * 2)),
-                             KalmanParams())
-        assert out.x[:, 2].tolist() == [1e-9, 4.0]
+        out_x, _ = kalman_predict(x, np.stack([np.eye(7)] * 2),
+                                  KalmanParams())
+        assert out_x[:, 2].tolist() == [1e-9, 4.0]
 
     @staticmethod
     def stack_with_bad_row(bad_row, n=4):
@@ -294,9 +305,9 @@ class TestStackedKalman:
     def test_one_singular_row_raises(self, bad_row):
         s, z, p = self.stack_with_bad_row(bad_row)
         with pytest.raises(NumericalError, match="singular"):
-            kalman_update(s, z, p)
+            update(s, z, p)
         z[bad_row] = 0.0
-        out = kalman_update(s, z, p)
+        out = update(s, z, p)
         assert np.array_equal(out.x, s.x)
 
 
