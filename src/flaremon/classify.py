@@ -17,6 +17,10 @@ from .errors import DivergenceError, InvalidK, TrainingDataError
 HIGH = "high"
 LOW = "low"
 KINDS = ("logistic", "svm", "knn", "mlp")  # ties in selection go to the first
+EPOCHS = 2000  # full-batch gradient steps of the logistic, SVM and MLP fits
+LEARNING_RATE = 0.1
+SVM_REGULARIZATION = 1e-2  # weight of the SVM's L2 penalty
+MLP_HIDDEN = 8  # tanh units of the MLP's one hidden layer
 
 
 @dataclass(frozen=True)
@@ -54,28 +58,26 @@ def logistic_loss_grad(w, b, X, y01):
     return loss, X.T @ diff / len(y01), float(diff.mean())
 
 
-def _train_linear(kind, loss_grad, n_features, epochs, learning_rate):
+def _train_linear(kind, loss_grad, n_features):
     """Full-batch gradient descent on (w, b) from zero; loss_grad(w, b)
     returns (loss, grad_w, grad_b)."""
     w = np.zeros(n_features)
     b = 0.0
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         loss, gw, gb = loss_grad(w, b)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became {loss}")
-        w -= learning_rate * gw
-        b -= learning_rate * gb
+        w -= LEARNING_RATE * gw
+        b -= LEARNING_RATE * gb
     return ClassifierModel(kind=kind,
                            parameters={"weights": w.tolist(), "bias": b},
                            parameter_count=w.size + 1)
 
 
-def train_logistic(data, labels, epochs: int = 2000,
-                   learning_rate: float = 0.1) -> ClassifierModel:
+def train_logistic(data, labels) -> ClassifierModel:
     X, y01 = _check_data(data, labels)
     return _train_linear(
-        "logistic", lambda w, b: logistic_loss_grad(w, b, X, y01),
-        X.shape[1], epochs, learning_rate)
+        "logistic", lambda w, b: logistic_loss_grad(w, b, X, y01), X.shape[1])
 
 
 def svm_loss_grad(w, b, X, ypm, reg):
@@ -89,13 +91,12 @@ def svm_loss_grad(w, b, X, ypm, reg):
     return loss, gw, gb
 
 
-def train_svm(data, labels, epochs: int = 2000, learning_rate: float = 0.1,
-              regularization: float = 1e-2) -> ClassifierModel:
+def train_svm(data, labels) -> ClassifierModel:
     X, y01 = _check_data(data, labels)
     ypm = 2.0 * y01 - 1.0
     return _train_linear(
-        "svm", lambda w, b: svm_loss_grad(w, b, X, ypm, regularization),
-        X.shape[1], epochs, learning_rate)
+        "svm", lambda w, b: svm_loss_grad(w, b, X, ypm, SVM_REGULARIZATION),
+        X.shape[1])
 
 
 def train_knn(data, labels, k: int = 3) -> ClassifierModel:
@@ -111,25 +112,25 @@ def train_knn(data, labels, k: int = 3) -> ClassifierModel:
     )
 
 
-def _mlp_init(n_in, hidden_width, seed):
+def _mlp_init(n_in, n_hidden, seed):
     rng = np.random.default_rng(seed)
     return {
-        "W1": rng.uniform(-0.5, 0.5, size=(n_in, hidden_width)),
-        "b1": rng.uniform(-0.5, 0.5, size=hidden_width),
-        "W2": rng.uniform(-0.5, 0.5, size=(hidden_width, 1)),
+        "W1": rng.uniform(-0.5, 0.5, size=(n_in, n_hidden)),
+        "b1": rng.uniform(-0.5, 0.5, size=n_hidden),
+        "W2": rng.uniform(-0.5, 0.5, size=(n_hidden, 1)),
         "b2": rng.uniform(-0.5, 0.5, size=1),
     }
 
 
-def mlp_forward(params, X):
-    h = np.tanh(X @ params["W1"] + params["b1"])
-    p = _sigmoid((h @ params["W2"] + params["b2"]).ravel())
+def mlp_forward(weights, X):
+    h = np.tanh(X @ weights["W1"] + weights["b1"])
+    p = _sigmoid((h @ weights["W2"] + weights["b2"]).ravel())
     return h, p
 
 
-def mlp_loss_grad(params, X, y01):
+def mlp_loss_grad(weights, X, y01):
     """Mean cross-entropy and full-batch backprop gradients."""
-    h, p = mlp_forward(params, X)
+    h, p = mlp_forward(weights, X)
     eps = 1e-12
     loss = -np.mean(y01 * np.log(p + eps) + (1 - y01) * np.log(1 - p + eps))
     n = len(y01)
@@ -138,29 +139,26 @@ def mlp_loss_grad(params, X, y01):
         "W2": h.T @ dz2,
         "b2": dz2.sum(axis=0),
     }
-    dh = dz2 @ params["W2"].T
+    dh = dz2 @ weights["W2"].T
     dz1 = dh * (1.0 - h * h)
     grads["W1"] = X.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     return loss, grads
 
 
-def train_mlp(data, labels, hidden_width: int = 8, epochs: int = 2000,
-              learning_rate: float = 0.1, seed: int = 0) -> ClassifierModel:
-    if hidden_width < 2:
-        raise ValueError("hidden_width must be >= 2")
+def train_mlp(data, labels, seed: int = 0) -> ClassifierModel:
     X, y01 = _check_data(data, labels)
-    params = _mlp_init(X.shape[1], hidden_width, seed)
-    for _ in range(epochs):
-        loss, grads = mlp_loss_grad(params, X, y01)
+    weights = _mlp_init(X.shape[1], MLP_HIDDEN, seed)
+    for _ in range(EPOCHS):
+        loss, grads = mlp_loss_grad(weights, X, y01)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became {loss}")
-        for key in params:
-            params[key] = params[key] - learning_rate * grads[key]
-    count = sum(v.size for v in params.values())
+        for key in weights:
+            weights[key] = weights[key] - LEARNING_RATE * grads[key]
+    count = sum(v.size for v in weights.values())
     return ClassifierModel(
         kind="mlp",
-        parameters={k: v.tolist() for k, v in params.items()},
+        parameters={k: v.tolist() for k, v in weights.items()},
         parameter_count=count,
     )
 
@@ -183,8 +181,8 @@ def predict(model: ClassifierModel, X) -> List[str]:
         votes = (np.asarray(p["labels"]) == HIGH)[nearest].sum(axis=1)
         return [HIGH if v * 2 > p["k"] else LOW for v in votes]
     if model.kind == "mlp":
-        params = {k: np.asarray(v) for k, v in model.parameters.items()}
-        _, prob = mlp_forward(params, X)
+        weights = {k: np.asarray(v) for k, v in model.parameters.items()}
+        _, prob = mlp_forward(weights, X)
         return [HIGH if v >= 0.5 else LOW for v in prob]
     raise ValueError(f"unknown classifier kind {model.kind!r}")
 

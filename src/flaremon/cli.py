@@ -30,6 +30,23 @@ def _preset_name(name):
     return name
 
 
+def _input(value):
+    """--input: a path, or preset:NAME with NAME checked as --preset is."""
+    if value.startswith("preset:"):
+        _preset_name(value.split(":", 1)[1])
+    return value
+
+
+def _positive_int(text):
+    """An int option that must be >= 1, read as argparse reads `int`."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+
+
 def _input_stream(args):
     if args.input.startswith("preset:"):
         from .simulator import preset, render, rendered_stream
@@ -69,6 +86,10 @@ def cmd_label(args):
 
 def cmd_train(args):
     if args.features:
+        if args.annotations or args.frames:
+            print("train takes --features or --annotations and --frames, "
+                  "not both", file=sys.stderr)
+            return EXIT_USAGE
         if args.log:
             print("train --log needs --annotations and --frames: a feature "
                   "CSV has no frames or tracks to log", file=sys.stderr)
@@ -102,12 +123,12 @@ def cmd_train(args):
 
 def cmd_monitor(args):
     model = formats.load_model(args.model)
-    cfg = MonitorConfig(alert_window=args.alert_window,
-                        cooldown=args.cooldown)
+    config = MonitorConfig(alert_window=args.alert_window,
+                           cooldown=args.cooldown)
     n_alerts = 0
     with formats.feature_log_writer(args.log) as write_row:
         for rec, alert in pipeline.run_monitor(model, _input_stream(args),
-                                               cfg):
+                                               config):
             f = rec.features
             print(f"frame {rec.frame} track {rec.track_id} "
                   f"ratio={f.smoke_flame_ratio:.3f} E={f.rgb_index:.3f} "
@@ -173,10 +194,10 @@ def build_parser():
 
     p = sub.add_parser("monitor", help="stream efficiency status and alerts")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True,
+    p.add_argument("--input", required=True, type=_input,
                    help="annotation JSONL path or preset:NAME")
     p.add_argument("--frames", help="frame directory for file inputs")
-    p.add_argument("--alert-window", type=int, default=5)
+    p.add_argument("--alert-window", type=_positive_int, default=5)
     p.add_argument("--cooldown", type=int, default=50)
     p.add_argument("--log", help="write the feature log CSV here")
     p.set_defaults(func=cmd_monitor)

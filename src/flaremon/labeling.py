@@ -68,7 +68,7 @@ def parse_label(text: str) -> str:
     return matches[-1].group(0).lower()
 
 
-def llm_label(cfg: LlmClientConfig, f: FeatureVector,
+def llm_label(config: LlmClientConfig, f: FeatureVector,
               sleep: Callable[[float], None] = time.sleep) -> Tuple[str, str]:
     """Label one sample via a chat-completion-style endpoint.
 
@@ -81,20 +81,20 @@ def llm_label(cfg: LlmClientConfig, f: FeatureVector,
     import urllib.error
     import urllib.request
 
-    request = urllib.request.Request(cfg.endpoint, method="POST", headers={
+    request = urllib.request.Request(config.endpoint, method="POST", headers={
         "Authorization": f"Bearer {os.environ.get(API_KEY_ENV, '')}",
         "Content-Type": "application/json",
     }, data=json.dumps({
-        "model": cfg.model,
+        "model": config.model,
         "messages": [{"role": "user", "content": build_prompt(f)}],
     }).encode("utf-8"))
     last_error = None
-    for attempt in range(cfg.max_retries + 1):
+    for attempt in range(config.max_retries + 1):
         if attempt:
-            sleep(cfg.backoff_base * (2 ** (attempt - 1)))
+            sleep(config.backoff_base * (2 ** (attempt - 1)))
         try:
             try:
-                resp = urllib.request.urlopen(request, timeout=cfg.timeout)
+                resp = urllib.request.urlopen(request, timeout=config.timeout)
             except urllib.error.HTTPError as exc:
                 resp = exc  # a status outside 2xx is a reply like any other
             with resp:
@@ -118,7 +118,8 @@ def llm_label(cfg: LlmClientConfig, f: FeatureVector,
             raise UnparseableReply(f"reply content {content!r:.40} is not "
                                    "text")
         return parse_label(content), transcript
-    raise Unavailable(f"gave up after {cfg.max_retries + 1} attempts: {last_error}")
+    raise Unavailable(f"gave up after {config.max_retries + 1} attempts: "
+                      f"{last_error}")
 
 
 def rule_label(f: FeatureVector) -> str:

@@ -27,6 +27,7 @@ from .tracker import SortTracker
 log = logging.getLogger(__name__)
 
 FEATURE_SCHEMA_VERSION = 1
+TEST_FRACTION = 0.3  # share of each class held out to pick the classifier
 
 # perfbench calls and traces these six as pipeline.*; formats holds them.
 load_frames, save_frames = formats.load_frames, formats.save_frames
@@ -154,8 +155,7 @@ def extract_track_features(
 # training
 
 
-def stratified_split(labels: Sequence[str], test_fraction: float = 0.3,
-                     seed: int = 0):
+def stratified_split(labels: Sequence[str], seed: int = 0):
     """Seeded stratified index split; every class keeps at least one
     training sample, and the test set is non-empty when n allows."""
     rng = np.random.default_rng(seed)
@@ -164,7 +164,7 @@ def stratified_split(labels: Sequence[str], test_fraction: float = 0.3,
     for cls in sorted(set(labels)):
         members = [i for i, lbl in enumerate(labels) if lbl == cls]
         perm = rng.permutation(len(members))
-        n_test = int(round(test_fraction * len(members)))
+        n_test = int(round(TEST_FRACTION * len(members)))
         n_test = min(n_test, len(members) - 1)
         chosen = {members[perm[i]] for i in range(n_test)}
         for i in members:
@@ -282,8 +282,8 @@ class AlertState:
     Track ids are never reused, so forgetting a dead track changes no alert.
     """
 
-    def __init__(self, cfg: MonitorConfig):
-        self.cfg = cfg
+    def __init__(self, config: MonitorConfig):
+        self.config = config
         self._streak: Dict[int, int] = {}
         self._streak_start: Dict[int, int] = {}
         self._cooldown_until: Dict[int, int] = {}
@@ -296,11 +296,11 @@ class AlertState:
         if self._streak.get(tid, 0) == 0:
             self._streak_start[tid] = rec.frame
         self._streak[tid] = self._streak.get(tid, 0) + 1
-        if self._streak[tid] < self.cfg.alert_window:
+        if self._streak[tid] < self.config.alert_window:
             return None
         if rec.frame < self._cooldown_until.get(tid, -1):
             return None
-        self._cooldown_until[tid] = rec.frame + self.cfg.cooldown
+        self._cooldown_until[tid] = rec.frame + self.config.cooldown
         self._streak[tid] = 0
         return Alert(track_id=tid, first_frame=self._streak_start[tid],
                      last_frame=rec.frame, features=rec.features,
@@ -328,10 +328,10 @@ def classify_features(model: EfficiencyModel, X):
 
 def run_monitor(model: EfficiencyModel,
                 stream: Iterable[Tuple[Frame, FrameAnnotation]],
-                cfg: MonitorConfig = None):
+                config: MonitorConfig = None):
     """Stream (StatusRecord, Optional[Alert]) pairs; memory is bounded
     regardless of stream length, since dead tracks' alert state is dropped."""
-    alerts = AlertState(cfg or MonitorConfig())
+    alerts = AlertState(config or MonitorConfig())
     for per_frame, deaths in extract_track_features(stream):
         if per_frame:
             pcs, labels = classify_features(
@@ -344,8 +344,8 @@ def run_monitor(model: EfficiencyModel,
 
 
 def derive_alerts_from_log(rows: Iterable[StatusRecord],
-                           cfg: MonitorConfig = None) -> List[Alert]:
+                           config: MonitorConfig = None) -> List[Alert]:
     """Replay the alert fold over feature-log rows; the log is the audit
     trail, so this reproduces run_monitor's alerts exactly."""
-    state = AlertState(cfg or MonitorConfig())
+    state = AlertState(config or MonitorConfig())
     return [a for a in map(state.observe, rows) if a is not None]

@@ -2,8 +2,8 @@
 
 Grows a 4-connected region from the box midpoint, admitting pixels whose
 per-channel (Chebyshev) distance from the 3x3 seed-neighborhood mean stays
-within a tolerance, inside the box dilated by 10% (the window).  The cap
-keeps the first max(1, int(max_region_fraction * box area)) pixels in
+within COLOR_TOLERANCE, inside the box dilated by 10% (the window).  The cap
+keeps the first max(1, int(MAX_REGION_FRACTION * box area)) pixels in
 breadth-first order: level by level from the seed, within a level by
 parent, and each parent's neighbours in the order up, down, left, right.
 
@@ -28,20 +28,12 @@ import numpy as np
 from .core import BBox, Frame, Mask, box_center
 from .errors import OutOfBounds
 
+# Largest per-channel distance from the seed mean that a pixel may have.
+COLOR_TOLERANCE = 40.0
+# The cap on the region, as a multiple of the box area.
+MAX_REGION_FRACTION = 1.5
 # The walk costs about as much per run as the level search per six pixels.
 MIN_MEAN_RUN = 6
-
-
-@dataclass(frozen=True)
-class SegmenterConfig:
-    color_tolerance: float = 40.0
-    max_region_fraction: float = 1.5
-
-    def __post_init__(self):
-        if self.color_tolerance < 0:
-            raise ValueError("color_tolerance must be >= 0")
-        if not (0.0 < self.max_region_fraction <= 2.0):
-            raise ValueError("max_region_fraction must lie in (0, 2]")
 
 
 @dataclass(frozen=True)
@@ -50,9 +42,8 @@ class SegmentResult:
     degenerate: bool = False
 
 
-def segment_box(frame: Frame, box: BBox, cfg: SegmenterConfig = None) -> SegmentResult:
+def segment_box(frame: Frame, box: BBox) -> SegmentResult:
     """Flood fill from the box midpoint, clipped to the box dilated by 10%."""
-    cfg = cfg or SegmenterConfig()
     cx, cy = box_center(box)
     sx, sy = int(round(cx)), int(round(cy))
     if not (0 <= sx < frame.width and 0 <= sy < frame.height):
@@ -69,7 +60,7 @@ def segment_box(frame: Frame, box: BBox, cfg: SegmenterConfig = None) -> Segment
         .reshape(-1, 3).mean(axis=0)
     # Whether each 8-bit value of each channel lies within the tolerance,
     # in the same float arithmetic as comparing the pixels themselves.
-    fits = np.abs(np.arange(256) - seed_mean[:, None]) <= cfg.color_tolerance
+    fits = np.abs(np.arange(256) - seed_mean[:, None]) <= COLOR_TOLERANCE
     # Admissible pixels of the window, padded with an inadmissible border,
     # so that runs never wrap a row and neighbours never leave the array.
     window = frame.pixels[y_lo:y_hi + 1, x_lo:x_hi + 1]
@@ -80,7 +71,7 @@ def segment_box(frame: Frame, box: BBox, cfg: SegmenterConfig = None) -> Segment
     ok = ok.ravel()
     stride = w + 2
 
-    max_pixels = max(1, int(cfg.max_region_fraction * box.area))
+    max_pixels = max(1, int(MAX_REGION_FRACTION * box.area))
     seed = (sy - y_lo + 1) * stride + (sx - x_lo + 1)
     size = (frame.width, frame.height)
     if not ok[seed]:

@@ -14,7 +14,7 @@ any leading batch axes, a single (7,)/(7, 7) state included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -25,39 +25,22 @@ from .errors import InvalidCost, NumericalError
 _SCALE_EPS = 1e-9
 
 
-def _constant_velocity_F():
-    F = np.eye(7)
-    F[0, 4] = F[1, 5] = F[2, 6] = 1.0
-    return F
-
-
-def _observation_H():
-    H = np.zeros((4, 7))
-    H[0, 0] = H[1, 1] = H[2, 2] = H[3, 3] = 1.0
-    return H
-
-
 @dataclass(frozen=True)
 class KalmanParams:
-    F: np.ndarray = field(default_factory=_constant_velocity_F)
-    Q: np.ndarray = field(
-        default_factory=lambda: np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4])
-    )
-    H: np.ndarray = field(default_factory=_observation_H)
-    R: np.ndarray = field(default_factory=lambda: np.diag([1.0, 1.0, 10.0, 10.0]))
+    """Transition F, process noise Q, observation H, measurement noise R."""
+    F: np.ndarray
+    Q: np.ndarray
+    H: np.ndarray
+    R: np.ndarray
 
 
-@dataclass(frozen=True)
-class SortParams:
-    iou_threshold: float = 0.3
-    max_age: int = 5
-    min_hits: int = 3
-
-    def __post_init__(self):
-        if not (0.0 < self.iou_threshold < 1.0):
-            raise ValueError("iou_threshold must lie in (0, 1)")
-        if self.max_age < 1 or self.min_hits < 1:
-            raise ValueError("max_age and min_hits must be >= 1")
+# Constant velocity; only the box (u, v, s, r) is observed.
+KALMAN = KalmanParams(F=np.eye(7) + np.eye(7, k=4),
+                      Q=np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4]),
+                      H=np.eye(4, 7), R=np.diag([1.0, 1.0, 10.0, 10.0]))
+IOU_THRESHOLD = 0.3  # least IoU of a track and the detection it matches
+MAX_AGE = 5  # frames a track lives on without a match
+MIN_HITS = 3  # matches before a track is reported
 
 
 def _symmetrize(P):
@@ -199,9 +182,7 @@ def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
 class SortTracker:
     """Per-class SORT instance.  Single writer, frames strictly in order."""
 
-    def __init__(self, params: SortParams = None, kalman: KalmanParams = None):
-        self.params = params or SortParams()
-        self.kalman = kalman or KalmanParams()
+    def __init__(self):
         self.x = np.zeros((0, 7))
         self.P = np.zeros((0, 7, 7))
         self.hits = np.zeros(0, dtype=np.int64)
@@ -210,7 +191,7 @@ class SortTracker:
         self._next_id = 1
         # A newborn's covariance: measurement-noise variances (floored so the
         # first update stays well-posed even with R = 0), velocities x1000.
-        meas_var = np.maximum(np.diag(self.kalman.R), 1.0)
+        meas_var = np.maximum(np.diag(KALMAN.R), 1.0)
         self._birth_P = np.diag(np.concatenate(
             [meas_var, meas_var[:3] * 1000.0]))[None]
 
@@ -218,11 +199,10 @@ class SortTracker:
         """Advance one frame.
 
         Returns (reported, matches, births, deaths): the ids of the tracks
-        with hits >= min_hits matched or born this frame, (track_id,
+        with hits >= MIN_HITS matched or born this frame, (track_id,
         detection_index) pairs, and the ids born and died this frame.
         """
-        p = self.params
-        x, P = kalman_predict(self.x, self.P, self.kalman)
+        x, P = kalman_predict(self.x, self.P, KALMAN)
         det_boxes = np.array(
             [(d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max)
              for d in detections], dtype=float).reshape(-1, 4)
@@ -238,16 +218,16 @@ class SortTracker:
 
         pairs, _ = hungarian(-iou_mat)
         rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        keep = iou_mat[rows, cols] >= p.iou_threshold
+        keep = iou_mat[rows, cols] >= IOU_THRESHOLD
         rows, cols = rows[keep], cols[keep]
         if rows.size:
             x[rows], P[rows] = kalman_update(x[rows], P[rows], z[cols],
-                                             self.kalman)
+                                             KALMAN)
 
         self.hits[rows] += 1
         self.time_since_update += 1
         self.time_since_update[rows] = 0
-        alive = self.time_since_update <= p.max_age
+        alive = self.time_since_update <= MAX_AGE
         unmatched = np.ones(len(z), dtype=bool)
         unmatched[cols] = False
         born = self._next_id + np.arange(np.count_nonzero(unmatched))
@@ -268,6 +248,6 @@ class SortTracker:
                                           np.zeros_like(born))
             self.id = grow(self.id, born)
         self.x, self.P = x, P
-        reported = self.id[(self.hits >= p.min_hits)
+        reported = self.id[(self.hits >= MIN_HITS)
                            & (self.time_since_update == 0)]
         return reported.tolist(), match_ids, born.tolist(), deaths

@@ -13,6 +13,10 @@ import json
 
 from hypothesis import strategies as st
 
+from flaremon.core import DetClass
+from flaremon.errors import FlaremonError
+from flaremon.ingest import parse_annotation_line
+
 JUNK = (st.none() | st.booleans() | st.integers(-3, 40)
         | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3))
 JSON = st.recursive(JUNK, lambda kids: st.lists(kids, max_size=3)
@@ -101,16 +105,32 @@ def frame_indices(count):
         lambda s: list(itertools.accumulate(s)))
 
 
+def _rank(record):
+    """0 for a record that parses and holds a flame, 1 for one that parses,
+    2 for one that does not."""
+    try:
+        ann = parse_annotation_line(json.dumps(record))
+    except FlaremonError:
+        return 2
+    return 0 if any(d.cls is DetClass.FLAME for d in ann.detections) else 1
+
+
 @st.composite
 def annotation_streams(draw, width=8, height=6):
-    """The lines of one or two `annotation_records`, each written three
-    times so that the tracker gets to report a flame.  A line whose
-    frame_index is an integer takes the next of `frame_indices` instead."""
-    records = [r for r in draw(st.lists(annotation_records(width, height),
-                                        min_size=1, max_size=2))
-               for _ in range(3)]
+    """The lines of one to three `annotation_records`, each written three
+    times so that the tracker gets to report a flame.  Records that parse
+    and hold a flame come first and records that do not parse last, so
+    that a defect ends the stream after the tracker has reported, not
+    before.  A line whose frame_index is an integer takes the next of
+    `frame_indices` instead, repeats last."""
+    records = sorted(draw(st.lists(annotation_records(width, height),
+                                   min_size=1, max_size=3)), key=_rank)
+    records = [r for r in records for _ in range(3)]
+    indices = draw(frame_indices(len(records)))
+    steps = sorted((b - a for a, b in zip([0, *indices], indices)),
+                   key=lambda step: step == 0)
     lines = []
-    for record, index in zip(records, draw(frame_indices(len(records)))):
+    for record, index in zip(records, itertools.accumulate(steps)):
         if isinstance(record, dict) and type(record.get("frame_index")) is int:
             record = {**record, "frame_index": index}
         lines.append(json.dumps(record))

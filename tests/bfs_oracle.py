@@ -15,13 +15,14 @@ import numpy as np
 
 from flaremon.core import BBox, Frame, Mask, box_center
 from flaremon.errors import OutOfBounds
-from flaremon.segment import SegmenterConfig, SegmentResult
+from flaremon.segment import SegmentResult
 
 
-def segment_box_bfs(frame: Frame, box: BBox,
-                    cfg: SegmenterConfig = None) -> SegmentResult:
-    """Flood fill from the box midpoint, clipped to the box dilated by 10%."""
-    cfg = cfg or SegmenterConfig()
+def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
+                    max_region_fraction=1.5) -> SegmentResult:
+    """Flood fill from the box midpoint, clipped to the box dilated by 10%;
+    the defaults are the values of `segment.COLOR_TOLERANCE` and
+    `segment.MAX_REGION_FRACTION`."""
     cx, cy = box_center(box)
     sx, sy = int(round(cx)), int(round(cy))
     if not (0 <= sx < frame.width and 0 <= sy < frame.height):
@@ -37,11 +38,11 @@ def segment_box_bfs(frame: Frame, box: BBox,
     seed_patch = pix[max(0, sy - 1):sy + 2, max(0, sx - 1):sx + 2]
     seed_mean = seed_patch.reshape(-1, 3).mean(axis=0)
 
-    max_pixels = max(1, int(cfg.max_region_fraction * box.area))
+    max_pixels = max(1, int(max_region_fraction * box.area))
     admitted = np.zeros((frame.height, frame.width), dtype=bool)
 
     def fits(x, y):
-        return np.max(np.abs(pix[y, x] - seed_mean)) <= cfg.color_tolerance
+        return np.max(np.abs(pix[y, x] - seed_mean)) <= color_tolerance
 
     degenerate = not fits(sx, sy)
     admitted[sy, sx] = True

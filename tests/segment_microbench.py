@@ -25,7 +25,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from flaremon.core import BBox, DetClass, Frame  # noqa: E402
-from flaremon.segment import SegmenterConfig, segment_box  # noqa: E402
+from flaremon.segment import segment_box  # noqa: E402
 from flaremon.simulator import render  # noqa: E402
 from perfbench.scenes import MONITOR, scene  # noqa: E402
 
@@ -55,8 +55,8 @@ def scene_cases():
     # The largest smoke box: the smoke of a low stack.
     smoke = max((d for d in dets if d.cls is DetClass.SMOKE),
                 key=lambda d: d.bbox.area)
-    yield "scene flame", rendered.frame, flame.bbox, SegmenterConfig()
-    yield "scene smoke", rendered.frame, smoke.bbox, SegmenterConfig()
+    yield "scene flame", rendered.frame, flame.bbox
+    yield "scene smoke", rendered.frame, smoke.bbox
 
 
 def square_frame(pixels):
@@ -70,24 +70,24 @@ BOX = BBox(50.0, 50.0, 350.0, 350.0)
 def synthetic_cases():
     rng = np.random.default_rng(0)
     yield ("solid 300x300", square_frame(np.full((400, 400, 3), 128, np.uint8)),
-           BOX, SegmenterConfig(40.0))
+           BOX)
     for amp in (40, 45, 48, 52, 60):
         pix = (128 + rng.integers(-amp, amp + 1, size=(400, 400, 3))) \
             .astype(np.uint8)
         pix[199:202, 199:202] = 128  # the seed patch: its mean is exactly 128
-        yield f"noise +/-{amp}", square_frame(pix), BOX, SegmenterConfig(40.0)
+        yield f"noise +/-{amp}", square_frame(pix), BOX
     # Its own draw, in which the seed lies in the spanning cluster.
     on = np.random.default_rng(0).random((400, 400)) < 0.62
     on[199:202, 199:202] = True  # the seed patch, so its mean is the on colour
     pix = np.where(on[..., None], 100, 200).astype(np.uint8).repeat(3, axis=2)
-    yield "percolation 62%", square_frame(pix), BOX, SegmenterConfig(40.0)
+    yield "percolation 62%", square_frame(pix), BOX
 
 
 def main():
     print(f"{'case':<18}{'pixels':>9}{'ms':>10}")
-    for name, frame, box, cfg in (*scene_cases(), *synthetic_cases()):
-        area = segment_box(frame, box, cfg).mask.area()
-        ms = 1e3 * best_of_7(lambda: segment_box(frame, box, cfg))
+    for name, frame, box in (*scene_cases(), *synthetic_cases()):
+        area = segment_box(frame, box).mask.area()
+        ms = 1e3 * best_of_7(lambda: segment_box(frame, box))
         print(f"{name:<18}{area:>9}{ms:>10.3f}")
 
 

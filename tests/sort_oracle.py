@@ -19,7 +19,7 @@ import numpy as np
 
 from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import NumericalError
-from flaremon.tracker import KalmanParams, SortParams, hungarian
+from flaremon.tracker import KalmanParams, hungarian
 
 _SCALE_EPS = 1e-9
 
@@ -121,10 +121,12 @@ def predicted_bbox(track: Track) -> BBox:
 class SortTracker:
     """Per-track SORT: one frozen `Track` per live track, rebuilt per step."""
 
-    def __init__(self, params: SortParams = None, kalman: KalmanParams = None,
-                 cls: DetClass = DetClass.FLAME):
-        self.params = params or SortParams()
-        self.kalman = kalman or KalmanParams()
+    def __init__(self, iou_threshold: float, max_age: int, min_hits: int,
+                 kalman: KalmanParams, cls: DetClass = DetClass.FLAME):
+        self.iou_threshold = iou_threshold
+        self.max_age = max_age
+        self.min_hits = min_hits
+        self.kalman = kalman
         self.cls = cls
         self.tracks: List[Track] = []
         self._next_id = 1
@@ -136,7 +138,6 @@ class SortTracker:
         a list of (track_id, detection_index), births/deaths are track ids,
         and reported_tracks have hits >= min_hits.
         """
-        p = self.params
         predicted = [
             replace(t, state=kalman_predict(t.state, self.kalman),
                     age=t.age + 1)
@@ -152,7 +153,7 @@ class SortTracker:
             )
             pairs, _ = hungarian(-iou_mat)
             for row, col in pairs:
-                if iou_mat[row, col] >= p.iou_threshold:
+                if iou_mat[row, col] >= self.iou_threshold:
                     matches.append((row, col))
                     matched_rows.add(row)
                     matched_cols.add(col)
@@ -172,7 +173,7 @@ class SortTracker:
             else:
                 track = replace(track,
                                 time_since_update=track.time_since_update + 1)
-                if track.time_since_update > p.max_age:
+                if track.time_since_update > self.max_age:
                     deaths.append(track.id)
                 else:
                     next_tracks.append(track)
@@ -196,5 +197,5 @@ class SortTracker:
 
         self.tracks = next_tracks
         reported = [t for t in next_tracks
-                    if t.hits >= p.min_hits and t.time_since_update == 0]
+                    if t.hits >= self.min_hits and t.time_since_update == 0]
         return reported, match_ids, births, deaths

@@ -28,8 +28,8 @@ from flaremon.simulator import (FlameSpec, SceneSpec, StackSpec, preset,
                                 render, rendered_stream)
 from flaremon.stats import (eigen_symmetric, pca_fit, pca_project,
                             standardize_apply, standardize_fit)
-from flaremon.tracker import (KalmanParams, SortParams, SortTracker,
-                              hungarian, kalman_predict, kalman_update)
+from flaremon.tracker import (KALMAN, SortTracker, hungarian, kalman_predict,
+                              kalman_update)
 from tests.assignment_oracle import brute_force_assignment
 from tests.features_oracle import flame_angle
 from tests.sort_oracle import iou, measurement_to_bbox
@@ -56,17 +56,20 @@ def test_criterion_1_hungarian_oracle():
            f"1000 matrices match brute force, {elapsed:.2f}s < 5s")
 
 
-def test_criterion_2_kalman_limits():
+def test_criterion_2_kalman_limits(monkeypatch):
     # R = 0 update reproduces the measurement
-    p = KalmanParams(F=np.eye(7), Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
+    p = dataclasses.replace(KALMAN, F=np.eye(7), Q=np.zeros((7, 7)),
+                            R=np.zeros((4, 4)))
     x, P = np.zeros(7), np.eye(7) * 5.0
     z = np.array([3.0, -1.0, 7.0, 2.0])
     x, _ = kalman_update(x, P, z, p)
     assert np.allclose(x[:4], z, atol=1e-9)
 
     # zero-noise constant-velocity target within 1e-6 after 3 updates
-    kp = KalmanParams(Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
-    tracker = SortTracker(params=SortParams(min_hits=1), kalman=kp)
+    monkeypatch.setattr("flaremon.tracker.KALMAN", dataclasses.replace(
+        KALMAN, Q=np.zeros((7, 7)), R=np.zeros((4, 4))))
+    monkeypatch.setattr("flaremon.tracker.MIN_HITS", 1)
+    tracker = SortTracker()
     errs = []
     from flaremon.core import BBox, Detection
     for k in range(6):
@@ -81,7 +84,7 @@ def test_criterion_2_kalman_limits():
 
     # P symmetric PSD over a 1000-step randomized run
     rng = np.random.default_rng(2002)
-    p = KalmanParams()
+    p = KALMAN
     x, P = np.array([0, 0, 150.0, 1.2, 0, 0, 0]), np.eye(7) * 10.0
     min_eig = np.inf
     for _ in range(1000):

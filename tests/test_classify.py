@@ -76,9 +76,11 @@ class TestSvm:
         acc, _ = score(SEP_Y, predict(m, SEP_X))
         assert acc == 1.0
 
-    def test_huge_regularization_shrinks_weights(self):
-        m = train_svm(SEP_X, SEP_Y, regularization=1e3, epochs=2000,
-                      learning_rate=1e-4)
+    def test_huge_regularization_shrinks_weights(self, monkeypatch):
+        monkeypatch.setattr(classify, "SVM_REGULARIZATION", 1e3)
+        monkeypatch.setattr(classify, "EPOCHS", 2000)
+        monkeypatch.setattr(classify, "LEARNING_RATE", 1e-4)
+        m = train_svm(SEP_X, SEP_Y)
         assert np.abs(np.array(m.parameters["weights"])).max() < 1e-2
 
     def test_gradient_matches_finite_differences(self):
@@ -126,15 +128,18 @@ class TestKnn:
 
 
 class TestMlp:
-    def test_xor_learned(self):
-        m = train_mlp(XOR_X, XOR_Y, hidden_width=4, epochs=5000,
-                      learning_rate=0.5, seed=0)
+    def test_xor_learned(self, monkeypatch):
+        monkeypatch.setattr(classify, "MLP_HIDDEN", 4)
+        monkeypatch.setattr(classify, "EPOCHS", 5000)
+        monkeypatch.setattr(classify, "LEARNING_RATE", 0.5)
+        m = train_mlp(XOR_X, XOR_Y, seed=0)
         acc, _ = score(XOR_Y, predict(m, XOR_X))
         assert acc == 1.0
 
-    def test_zero_epochs_is_initialization(self):
-        a = train_mlp(XOR_X, XOR_Y, epochs=0, seed=3)
-        b = train_mlp(XOR_X, XOR_Y, epochs=0, seed=3)
+    def test_zero_epochs_is_initialization(self, monkeypatch):
+        monkeypatch.setattr(classify, "EPOCHS", 0)
+        a = train_mlp(XOR_X, XOR_Y, seed=3)
+        b = train_mlp(XOR_X, XOR_Y, seed=3)
         assert a == b
 
     def test_gradients_match_finite_differences(self):
@@ -157,9 +162,10 @@ class TestMlp:
                 flat[i] = orig
                 assert rel_err(gflat[i], (lp - lm) / (2 * h)) < 1e-4
 
-    def test_seed_reproducible(self):
-        a = train_mlp(XOR_X, XOR_Y, epochs=50, seed=11)
-        b = train_mlp(XOR_X, XOR_Y, epochs=50, seed=11)
+    def test_seed_reproducible(self, monkeypatch):
+        monkeypatch.setattr(classify, "EPOCHS", 50)
+        a = train_mlp(XOR_X, XOR_Y, seed=11)
+        b = train_mlp(XOR_X, XOR_Y, seed=11)
         assert a == b
 
 

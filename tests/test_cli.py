@@ -149,6 +149,38 @@ def test_train_log_without_annotations_is_usage_error(tmp_path, capsys):
     assert not log.exists() and not model.exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ("--annotations", "missing.jsonl", "--frames", "missing"),
+    ("--annotations", "missing.jsonl"), ("--frames", "missing")])
+def test_train_features_with_annotations_is_usage_error(tmp_path, capsys,
+                                                        extra):
+    """A feature CSV is the whole training input: annotations or frames
+    given beside it would be ignored."""
+    csv = tmp_path / "features.csv"
+    csv.write_text("".join(f"{r[0]},{r[1]},{r[2]},{lbl}\n" for r, lbl in
+                           zip(TRAINING_ROWS.tolist(), TRAINING_LABELS)))
+    model = tmp_path / "model.json"
+    assert run("train", "--features", str(csv), *extra,
+               "--out", str(model)) == 1
+    assert "train takes --features or --annotations and --frames, not both" \
+        in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--input", "preset:bogus"),
+     "argument --input: invalid choice: 'bogus' (choose from 'clean_high', "),
+    (("--input", "preset:clean_high", "--alert-window", "0"),
+     "argument --alert-window: invalid positive int value: '0'"),
+    (("--input", "preset:clean_high", "--alert-window", "x"),
+     "argument --alert-window: invalid positive int value: 'x'")])
+def test_monitor_bad_option_is_usage_error(tmp_path, capsys, argv, message):
+    assert run("monitor", "--model", str(tmp_path / "nope.json"),
+               *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flaremon monitor") and message in err
+
+
 def test_usage_error_exit_code():
     assert run("train") in (1, 2)  # missing required --out
     assert run() == 1
@@ -496,14 +528,14 @@ def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
 
 @pytest.fixture(scope="module")
 def fuzz_frames(tmp_path_factory):
-    """32 equal 8x6 frames, enough for every index of `frame_indices(6)`:
+    """48 equal 8x6 frames, enough for every index of `frame_indices(9)`:
     smoke over a flame with an edge on a dark background."""
     out = str(tmp_path_factory.mktemp("fuzz") / "frames")
     pix = np.full((6, 8, 3), (20, 22, 28), dtype=np.uint8)
     pix[0:2, 1:7] = (90, 90, 90)
     pix[3:6, 1:7] = (250, 90, 40)
     pix[3:6, 1] = (255, 150, 70)
-    formats.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(32)),
+    formats.save_frames((Frame(i, i / 25.0, 8, 6, pix) for i in range(48)),
                          out)
     return out
 

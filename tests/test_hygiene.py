@@ -208,3 +208,103 @@ def test_public_definitions_skip_private_and_nested_names():
     source = ("def f():\n    def g(): pass\nclass C:\n    def m(self): "
               "pass\ndef _h(): pass\nx = 1\n")
     assert public_definitions(source) == ["f", "C"]
+
+
+def _is_dataclass(node):
+    return any(ast.unparse(d).startswith(("dataclass", "dataclasses."))
+               for d in node.decorator_list)
+
+
+def defaulted_parameters(source: str):
+    """(callee, parameter, position) of each defaulted parameter of a public
+    function or method and of each defaulted field of a public dataclass.
+    The callee is the name a call uses: the class for `__init__` and for
+    fields.  Positions skip `self`; keyword-only parameters have None."""
+    out = []
+
+    def visit(fn, callee, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out.extend((callee, a.arg, i - skip)
+                   for i, a in enumerate(positional[first:], first))
+        out.extend((callee, a.arg, None)
+                   for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            visit(node, node.name, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if _is_dataclass(node):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            out.extend((node.name, f.target.id, i)
+                       for i, f in enumerate(fields) if f.value is not None)
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and (
+                    fn.name == "__init__" or not fn.name.startswith("_")):
+                static = "staticmethod" in map(ast.unparse,
+                                               fn.decorator_list)
+                visit(fn, node.name if fn.name == "__init__" else fn.name,
+                      0 if static else 1)
+    return out
+
+
+def passed_arguments(source: str):
+    """(callee, key) of each argument a call passes, keyed by position or
+    keyword; a `*` or `**` spread is keyed "*" or "**"."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        out.update((name, "*" if isinstance(a, ast.Starred) else i)
+                   for i, a in enumerate(node.args))
+        out.update((name, k.arg or "**") for k in node.keywords)
+    return out
+
+
+# Defaulted parameters and fields that nothing in src/ or perfbench/ passes,
+# each with the reason it stays settable.
+UNPASSED_DEFAULTS = {
+    "llm_label.sleep": "test seam: the retry tests record the backoff",
+    "review.input_fn": "test seam: the review tests script the answers",
+    "review.print_fn": "test seam: the review tests capture the prompts",
+    "LlmClientConfig.timeout": "deployment setting of the LLM endpoint",
+    "LlmClientConfig.max_retries": "deployment setting of the LLM endpoint",
+    "LlmClientConfig.backoff_base": "deployment setting of the LLM endpoint",
+    "SmokeSpec.gap": "simulator scene spec: a scene may set any field",
+    "SceneSpec.noise_amplitude": "simulator scene spec: a scene may set any "
+                                 "field",
+    "derive_alerts_from_log.config": "the audit replay takes the monitor's "
+                                     "alert settings, as run_monitor does",
+}
+
+
+def test_every_default_is_passed_somewhere():
+    """A default that no caller in src/ or perfbench/ overrides is a
+    setting only the tests change; it belongs in a module constant."""
+    passed = set().union(*(passed_arguments(p.read_text(encoding="utf-8"))
+                           for p in [*SRC.glob("*.py"),
+                                     *PERFBENCH.rglob("*.py")]))
+    unpassed = {f"{callee}.{name}" for p in MODULES
+                for callee, name, at in defaulted_parameters(
+                    p.read_text(encoding="utf-8"))
+                if not {(callee, name), (callee, at), (callee, "*"),
+                        (callee, "**")} & passed}
+    assert unpassed == set(UNPASSED_DEFAULTS)
+
+
+def test_default_checkers_see_parameters_fields_and_calls():
+    source = ("@dataclass(frozen=True)\nclass C:\n    a: int\n"
+              "    b: int = 1\n    def m(self, x, y=2, *, z=3): pass\n"
+              "    @staticmethod\n    def s(u=4): pass\n"
+              "class D:\n    def __init__(self, v=5): pass\n"
+              "def f(p, q=6): pass\ndef _g(r=7): pass\n")
+    assert defaulted_parameters(source) == [
+        ("C", "b", 1), ("m", "y", 1), ("m", "z", None), ("s", "u", 0),
+        ("D", "v", 0), ("f", "q", 1)]
+    assert passed_arguments("f(1, *a, q=2)\no.m(**kw)\n") == {
+        ("f", 0), ("f", "*"), ("f", "q"), ("m", "**")}

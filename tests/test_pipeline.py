@@ -125,12 +125,12 @@ class TestTraining:
 
     def test_stratified_split_properties(self):
         labels = [HIGH] * 7 + [LOW] * 3
-        train, test = stratified_split(labels, 0.3, seed=1)
+        train, test = stratified_split(labels, seed=1)
         assert sorted(train + test) == list(range(10))
         assert any(labels[i] == LOW for i in train)
         assert any(labels[i] == HIGH for i in train)
         # deterministic
-        assert stratified_split(labels, 0.3, seed=1) == (train, test)
+        assert stratified_split(labels, seed=1) == (train, test)
 
 
 class TestClassifyFeatures:

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from flaremon import segment
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import OutOfBounds
-from flaremon.segment import SegmenterConfig, segment_box
+from flaremon.segment import segment_box
 from tests.bfs_oracle import segment_box_bfs
 from tests.fullframe_oracle import decode_runs
 
@@ -23,11 +23,19 @@ def frame_of(pix):
     return Frame(0, 0.0, w, h, pix)
 
 
+def grow(frame, box, tolerance, fraction=segment.MAX_REGION_FRACTION):
+    """segment_box with its colour tolerance and region cap set to these."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "COLOR_TOLERANCE", tolerance)
+        mp.setattr(segment, "MAX_REGION_FRACTION", fraction)
+        return segment_box(frame, box)
+
+
 def test_uniform_region_on_contrasting_background():
     pix = make_frame()
     pix[10:30, 20:40] = (200, 50, 50)
     frame = frame_of(pix)
-    res = segment_box(frame, BBox(20, 10, 40, 30), SegmenterConfig(30, 2.0))
+    res = grow(frame, BBox(20, 10, 40, 30), 30, 2.0)
     assert not res.degenerate
     expect = np.zeros((40, 60), dtype=bool)
     expect[10:30, 20:40] = True
@@ -38,7 +46,7 @@ def test_tolerance_255_fills_clipped_box():
     pix = make_frame()
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
-    res = segment_box(frame, box, SegmenterConfig(255, 2.0))
+    res = grow(frame, box, 255, 2.0)
     arr = decode_runs(res.mask)
     # everything inside the 10%-dilated box is admitted
     assert arr[12, 25] and arr[10, 20]
@@ -50,7 +58,7 @@ def test_seed_always_in_mask():
     pix = make_frame()
     pix[19:22, 29:32] = (200, 200, 200)
     frame = frame_of(pix)
-    res = segment_box(frame, BBox(25, 15, 35, 25), SegmenterConfig(5, 1.0))
+    res = grow(frame, BBox(25, 15, 35, 25), 5, 1.0)
     assert decode_runs(res.mask)[20, 30]
 
 
@@ -61,7 +69,7 @@ def test_degenerate_seed_gives_single_pixel():
     pix[patch == 0] = (255, 255, 255)
     pix[patch == 1] = (0, 0, 0)
     frame = frame_of(pix)
-    res = segment_box(frame, BBox(20, 10, 40, 30), SegmenterConfig(10, 1.0))
+    res = grow(frame, BBox(20, 10, 40, 30), 10, 1.0)
     assert res.degenerate
     assert res.mask.area() == 1
 
@@ -69,7 +77,7 @@ def test_degenerate_seed_gives_single_pixel():
 def test_out_of_bounds_seed():
     frame = frame_of(make_frame())
     with pytest.raises(OutOfBounds):
-        segment_box(frame, BBox(100, 100, 120, 120), SegmenterConfig())
+        segment_box(frame, BBox(100, 100, 120, 120))
 
 
 def test_output_connected():
@@ -77,7 +85,7 @@ def test_output_connected():
     pix[10:30, 20:40] = (200, 50, 50)
     pix[5:8, 50:55] = (200, 50, 50)  # same color, not 4-connected to seed
     frame = frame_of(pix)
-    res = segment_box(frame, BBox(18, 8, 56, 32), SegmenterConfig(30, 2.0))
+    res = grow(frame, BBox(18, 8, 56, 32), 30, 2.0)
     arr = decode_runs(res.mask)
     assert not arr[6, 52]
     # flood-fill recount from any foreground pixel covers the whole mask
@@ -102,8 +110,8 @@ def test_deterministic():
     pix += rng.integers(0, 40, pix.shape).astype(np.uint8)
     frame = frame_of(pix)
     box = BBox(15, 8, 45, 32)
-    a = segment_box(frame, box, SegmenterConfig(25, 1.5))
-    b = segment_box(frame, box, SegmenterConfig(25, 1.5))
+    a = grow(frame, box, 25, 1.5)
+    b = grow(frame, box, 25, 1.5)
     assert a.mask == b.mask and a.degenerate == b.degenerate
 
 
@@ -111,22 +119,15 @@ def test_region_capped_by_fraction():
     pix = make_frame(bg=(100, 100, 100))
     frame = frame_of(pix)
     box = BBox(20, 10, 30, 20)
-    res = segment_box(frame, box, SegmenterConfig(255, 0.5))
+    res = grow(frame, box, 255, 0.5)
     assert res.mask.area() <= int(0.5 * box.area) + 1
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SegmenterConfig(color_tolerance=-1)
-    with pytest.raises(ValueError):
-        SegmenterConfig(max_region_fraction=3.0)
 
 
 @st.composite
 def frame_box_config(draw):
     """A blocky frame of four colours, two of them close, a box around a
-    seed that may lie off the frame, and a config whose tolerance and cap
-    reach their extremes."""
+    seed that may lie off the frame, and a (tolerance, cap) pair that
+    reaches their extremes."""
     block = draw(st.integers(1, 4))
     cells = draw(arrays(np.uint8, (draw(st.integers(1, 16)),
                                    draw(st.integers(1, 16))),
@@ -141,9 +142,8 @@ def frame_box_config(draw):
     hw = draw(st.floats(0.05, w + 2))
     hh = draw(st.floats(0.05, h + 2))
     box = BBox(cx - hw, cy - hh, cx + hw, cy + hh)
-    cfg = SegmenterConfig(
-        draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0)),
-        draw(st.floats(0.05, 2.0)))
+    cfg = (draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0)),
+           draw(st.floats(0.05, 2.0)))
     return Frame(0, 0.0, w, h, pix), box, cfg
 
 
@@ -152,12 +152,12 @@ def frame_box_config(draw):
 def test_matches_pixel_bfs(case):
     frame, box, cfg = case
     try:
-        expect = segment_box_bfs(frame, box, cfg)
+        expect = segment_box_bfs(frame, box, *cfg)
     except OutOfBounds:
         with pytest.raises(OutOfBounds):
-            segment_box(frame, box, cfg)
+            grow(frame, box, *cfg)
         return
-    got = segment_box(frame, box, cfg)
+    got = grow(frame, box, *cfg)
     assert got.degenerate == expect.degenerate
     assert got.mask == expect.mask
 
@@ -169,7 +169,7 @@ def test_cap_keeps_breadth_first_order():
     frame = frame_of(make_frame(w=11, h=11))
     box = BBox(0, 0, 10, 10)
     for n, extra in ((5, None), (6, (3, 5))):
-        res = segment_box(frame, box, SegmenterConfig(0, n / box.area))
+        res = grow(frame, box, 0, n / box.area)
         expect = np.zeros((11, 11), dtype=bool)
         expect[[5, 4, 6, 5, 5], [5, 5, 5, 4, 6]] = True
         if extra:
@@ -196,28 +196,28 @@ def uncapped_case(draw):
     around an on-frame seed.  Its window, the box dilated by 10% and
     rounded outwards, is at most 1.2 * side + 3 px on a side, so it holds
     fewer pixels than twice the box area and the cap of
-    max_region_fraction=2.0 never binds."""
-    frame, _, cfg = draw(frame_box_config())
+    MAX_REGION_FRACTION=2.0 never binds."""
+    frame, _, (tolerance, _) = draw(frame_box_config())
     cx = draw(st.integers(0, frame.width - 1)) + draw(st.floats(-0.45, 0.45))
     cy = draw(st.integers(0, frame.height - 1)) + draw(st.floats(-0.45, 0.45))
     hw = draw(st.floats(8.0, max(8.0, frame.width + 2.0)))
     hh = draw(st.floats(8.0, max(8.0, frame.height + 2.0)))
     box = BBox(cx - hw, cy - hh, cx + hw, cy + hh)
-    return frame, box, SegmenterConfig(cfg.color_tolerance, 2.0)
+    return frame, box, (tolerance, 2.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(uncapped_case())
 def test_run_walk_matches_pixel_bfs(case):
     frame, box, cfg = case
-    expect = segment_box_bfs(frame, box, cfg)
+    expect = segment_box_bfs(frame, box, *cfg)
     # With the short-run guard lifted, every grow that is not degenerate
     # takes the run walk, and the level search never runs.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segment, "MIN_MEAN_RUN", 0)
         walks = count_calls(mp, "_component_runs")
         searches = count_calls(mp, "_level_bfs")
-        got = segment_box(frame, box, cfg)
+        got = grow(frame, box, *cfg)
     assert got.degenerate == expect.degenerate
     assert got.mask == expect.mask
     assert len(walks) == (not expect.degenerate) and not searches
@@ -228,13 +228,13 @@ def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
     # guard, and a component of the whole window, far above the cap.
     frame = frame_of(make_frame(w=400, h=400, bg=(128, 128, 128)))
     box = BBox(50, 50, 350, 350)
-    cfg = SegmenterConfig(40, 0.5)
+    cfg = (40, 0.5)
     walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
-    got = segment_box(frame, box, cfg)
+    got = grow(frame, box, *cfg)
     assert len(walks) == 1 and len(searches) == 1
     assert got.mask.area() == int(0.5 * box.area)
-    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
 
 
 def noisy_frame(amplitude, seed):
@@ -264,11 +264,11 @@ def test_short_runs_take_level_bfs(frame, monkeypatch):
     # Fragmented windows whose runs average under MIN_MEAN_RUN pixels skip
     # the run walk; the level search then grows the same region.
     box = BBox(5, 5, 55, 55)
-    cfg = SegmenterConfig(40)
+    cfg = (40,)
     walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
-    got = segment_box(frame, box, cfg)
-    expect = segment_box_bfs(frame, box, cfg)
+    got = grow(frame, box, *cfg)
+    expect = segment_box_bfs(frame, box, *cfg)
     assert not walks and len(searches) == 1
     assert not got.degenerate and got.mask == expect.mask
     assert got.mask.area() > 1
@@ -284,10 +284,10 @@ def test_diagonal_runs_do_not_touch():
         pix[rows, cols] = (200, 50, 50)
     frame = frame_of(pix)
     box = BBox(0, 0, 24, 9)
-    cfg = SegmenterConfig(30, 2.0)
-    got = segment_box(frame, box, cfg)
+    cfg = (30, 2.0)
+    got = grow(frame, box, *cfg)
     assert got.mask.area() == 24
-    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
 
 
 def test_component_of_exactly_the_cap_takes_the_walk(monkeypatch):
@@ -295,11 +295,11 @@ def test_component_of_exactly_the_cap_takes_the_walk(monkeypatch):
     pix[10:30, 20:40] = (200, 50, 50)
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
-    cfg = SegmenterConfig(30, 1.0)  # the cap is the region's 400 pixels
+    cfg = (30, 1.0)  # the cap is the region's 400 pixels
     searches = count_calls(monkeypatch, "_level_bfs")
-    got = segment_box(frame, box, cfg)
+    got = grow(frame, box, *cfg)
     assert not searches and got.mask.area() == 400
-    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
 
 
 @pytest.mark.parametrize("distance", [20, 40])
@@ -318,7 +318,7 @@ def test_tolerance_boundary_in_float64(distance):
     pix[10, 12:16] = value
     frame = frame_of(pix)
     box = BBox(5, 5, 15, 15)
-    cfg = SegmenterConfig(tol, 2.0)
-    got = segment_box(frame, box, cfg)
+    cfg = (tol, 2.0)
+    got = grow(frame, box, *cfg)
     assert decode_runs(got.mask)[10, 12:16].all()
-    assert got.mask == segment_box_bfs(frame, box, cfg).mask
+    assert got.mask == segment_box_bfs(frame, box, *cfg).mask

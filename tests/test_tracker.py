@@ -1,24 +1,28 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flaremon import tracker
 from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import InvalidCost, NumericalError
-from flaremon.tracker import (KalmanParams, SortParams, SortTracker, _boxes,
-                              _iou_matrix, _measurements, hungarian,
-                              kalman_predict, kalman_update)
+from flaremon.tracker import (KALMAN, SortTracker, _boxes, _iou_matrix,
+                              _measurements, hungarian, kalman_predict,
+                              kalman_update)
 from tests import sort_oracle as oracle
 from tests.sort_oracle import KalmanState, iou
 from tests.assignment_oracle import brute_force_assignment
 
 
+NOISELESS = replace(KALMAN, Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
+
+
 def identity_params(q=0.0, r=1.0):
-    return KalmanParams(F=np.eye(7), Q=np.eye(7) * q,
-                        R=np.eye(4) * r)
+    return replace(KALMAN, F=np.eye(7), Q=np.eye(7) * q, R=np.eye(4) * r)
 
 
 def state_with(x, p=1.0):
@@ -50,13 +54,13 @@ class TestKalmanPredict:
 
     def test_constant_velocity_center(self):
         s = state_with([0, 0, 1, 1, 2, 3, 0])
-        out = predict(s, KalmanParams())
+        out = predict(s, KALMAN)
         assert out.x[0] == pytest.approx(2)
         assert out.x[1] == pytest.approx(3)
 
     def test_degenerate_scale_clamped(self):
         s = state_with([0, 0, 1, 1, 0, 0, -5])
-        out = predict(s, KalmanParams())
+        out = predict(s, KALMAN)
         assert out.x[2] == 1e-9
 
 
@@ -85,20 +89,20 @@ class TestKalmanUpdate:
 
     def test_singular_inconsistent_innovation_raises(self):
         # zero innovation covariance cannot explain a non-zero innovation
-        p = KalmanParams(R=np.zeros((4, 4)))
+        p = replace(KALMAN, R=np.zeros((4, 4)))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
             update(s, np.ones(4), p)
 
     def test_ill_conditioned_innovation_raises(self):
-        p = KalmanParams(R=np.diag([1.0, 1.0, 1.0, 1e-14]))
+        p = replace(KALMAN, R=np.diag([1.0, 1.0, 1.0, 1e-14]))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
             update(s, np.ones(4), p)
 
     def test_covariance_psd_randomized(self):
         rng = np.random.default_rng(0)
-        p = KalmanParams()
+        p = KALMAN
         s = state_with([0, 0, 100, 1, 0, 0, 0], p=10.0)
         for _ in range(200):
             s = predict(s, p)
@@ -197,8 +201,9 @@ class TestSortStep:
         assert matches == [] and len(births) == 1
         assert t.time_since_update[t.id == 1].tolist() == [1]
 
-    def test_track_dies_after_max_age(self):
-        t = SortTracker(params=SortParams(max_age=2))
+    def test_track_dies_after_max_age(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MAX_AGE", 2)
+        t = SortTracker()
         t.step([det(0, 0, 10, 10)])
         deaths = []
         for _ in range(4):
@@ -207,8 +212,9 @@ class TestSortStep:
         assert deaths == [1]
         assert t.id.size == 0 and t.x.shape == (0, 7)
 
-    def test_ids_never_reused(self):
-        t = SortTracker(params=SortParams(max_age=1))
+    def test_ids_never_reused(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MAX_AGE", 1)
+        t = SortTracker()
         seen = set()
         rng = np.random.default_rng(3)
         for i in range(30):
@@ -219,8 +225,9 @@ class TestSortStep:
                 assert b not in seen
                 seen.add(b)
 
-    def test_reported_requires_min_hits(self):
-        t = SortTracker(params=SortParams(min_hits=3))
+    def test_reported_requires_min_hits(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MIN_HITS", 3)
+        t = SortTracker()
         reported, _, _, _ = t.step([det(0, 0, 10, 10)])
         assert reported == []
         reported, _, _, _ = t.step([det(0.5, 0, 10.5, 10)])
@@ -228,10 +235,11 @@ class TestSortStep:
         reported, _, _, _ = t.step([det(1, 0, 11, 10)])
         assert len(reported) == 1
 
-    def test_noiseless_constant_velocity_tracked(self):
+    def test_noiseless_constant_velocity_tracked(self, monkeypatch):
         # Q=0, R=0: tracked center equals ground truth within 1e-6 after 3 updates
-        kp = KalmanParams(Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
-        t = SortTracker(params=SortParams(min_hits=1), kalman=kp)
+        monkeypatch.setattr(tracker, "KALMAN", NOISELESS)
+        monkeypatch.setattr(tracker, "MIN_HITS", 1)
+        t = SortTracker()
         for k in range(5):
             x = 10.0 + 3.0 * k
             reported, _, _, _ = t.step([det(x, 20, x + 10, 30)])
@@ -269,8 +277,8 @@ class TestStackedKalman:
 
     def test_stacked_equals_single_row_by_row(self):
         rng = np.random.default_rng(5)
-        for p in (KalmanParams(),
-                  KalmanParams(R=np.diag([0.0, 1e-3, 0.0, 2.0]))):
+        for p in (KALMAN,
+                  replace(KALMAN, R=np.diag([0.0, 1e-3, 0.0, 2.0]))):
             for n in (1, 2, 6, 20):
                 s, z = self.random_stack(rng, n)
                 pred, post = predict(s, p), update(s, z, p)
@@ -289,13 +297,13 @@ class TestStackedKalman:
     def test_degenerate_scale_clamped_per_row(self):
         x = np.array([[0, 0, 1, 1, 0, 0, -5], [0, 0, 9, 1, 0, 0, -5]], float)
         out_x, _ = kalman_predict(x, np.stack([np.eye(7)] * 2),
-                                  KalmanParams())
+                                  KALMAN)
         assert out_x[:, 2].tolist() == [1e-9, 4.0]
 
     @staticmethod
     def stack_with_bad_row(bad_row, n=4):
         # R = 0 and zero covariance: only a zero innovation is consistent.
-        p = KalmanParams(R=np.zeros((4, 4)))
+        p = replace(KALMAN, R=np.zeros((4, 4)))
         s = KalmanState(x=np.zeros((n, 7)), P=np.zeros((n, 7, 7)))
         z = np.zeros((n, 4))
         z[bad_row] = 1.0
@@ -311,39 +319,45 @@ class TestStackedKalman:
         assert np.array_equal(out.x, s.x)
 
 
-def run_both(frames, params=None, kalman=None):
-    """Step the stacked tracker and the per-track oracle through the same
-    frames; both must report, match, give birth, die and raise alike."""
-    new, ref = SortTracker(params, kalman), oracle.SortTracker(params, kalman)
-    for dets in frames:
-        outcome = []
-        for t in (new, ref):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    outcome.append(("ok", t.step(dets)))
-                except (ValueError, NumericalError, InvalidCost) as exc:
-                    outcome.append((type(exc), str(exc)))
-            outcome.append([str(w.message) for w in caught])
-        (kind, got), new_warnings, (ref_kind, want), ref_warnings = outcome
-        assert new_warnings == ref_warnings
-        if kind != "ok" or ref_kind != "ok":
-            assert (kind, got) == (ref_kind, want)
-            return
-        reported, matches, births, deaths = want
-        assert got == ([t.id for t in reported], matches, births, deaths)
-        tracks = ref.tracks
-        assert new.id.tolist() == [t.id for t in tracks]
-        assert new.hits.tolist() == [t.hits for t in tracks]
-        assert new.time_since_update.tolist() == [t.time_since_update
-                                                  for t in tracks]
-        if tracks:
-            assert_states_close(new, KalmanState(
-                x=np.array([t.state.x for t in tracks]),
-                P=np.array([t.state.P for t in tracks])))
-
-
-NOISELESS = KalmanParams(Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
+def run_both(frames, iou_threshold=tracker.IOU_THRESHOLD,
+             max_age=tracker.MAX_AGE, min_hits=tracker.MIN_HITS,
+             kalman=KALMAN):
+    """Step the stacked tracker, its constants set to these values, and the
+    per-track oracle through the same frames; both must report, match,
+    give birth, die and raise alike."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("IOU_THRESHOLD", iou_threshold),
+                            ("MAX_AGE", max_age), ("MIN_HITS", min_hits),
+                            ("KALMAN", kalman)):
+            mp.setattr(tracker, name, value)
+        new = SortTracker()
+        ref = oracle.SortTracker(iou_threshold, max_age, min_hits, kalman)
+        for dets in frames:
+            outcome = []
+            for t in (new, ref):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        outcome.append(("ok", t.step(dets)))
+                    except (ValueError, NumericalError, InvalidCost) as exc:
+                        outcome.append((type(exc), str(exc)))
+                outcome.append([str(w.message) for w in caught])
+            (kind, got), new_warnings, (ref_kind, want), ref_warnings = outcome
+            assert new_warnings == ref_warnings
+            if kind != "ok" or ref_kind != "ok":
+                assert (kind, got) == (ref_kind, want)
+                return
+            reported, matches, births, deaths = want
+            assert got == ([t.id for t in reported], matches, births, deaths)
+            tracks = ref.tracks
+            assert new.id.tolist() == [t.id for t in tracks]
+            assert new.hits.tolist() == [t.hits for t in tracks]
+            assert new.time_since_update.tolist() == [t.time_since_update
+                                                      for t in tracks]
+            if tracks:
+                assert_states_close(new, KalmanState(
+                    x=np.array([t.state.x for t in tracks]),
+                    P=np.array([t.state.P for t in tracks])))
 
 
 @st.composite
@@ -377,10 +391,10 @@ class TestAgainstPerTrackOracle:
     @settings(max_examples=300, deadline=None)
     @given(detection_streams(), st.integers(1, 4), st.integers(1, 4),
            st.sampled_from([0.1, 0.3, 0.6]),
-           st.sampled_from([None, NOISELESS]))
+           st.sampled_from([KALMAN, NOISELESS]))
     def test_streams_match(self, frames, min_hits, max_age, threshold,
                            kalman):
-        run_both(frames, SortParams(threshold, max_age, min_hits), kalman)
+        run_both(frames, threshold, max_age, min_hits, kalman)
 
     def test_three_stacks_scene_matches(self):
         from flaremon.simulator import preset, render
@@ -401,5 +415,4 @@ class TestAgainstPerTrackOracle:
             t.step(frames[1])
 
     def test_non_finite_state_without_detections_lives_on(self):
-        run_both([[det(0.0, 0.0, 1e200, 1e200)], [], [], []],
-                 SortParams(max_age=2))
+        run_both([[det(0.0, 0.0, 1e200, 1e200)], [], [], []], max_age=2)
