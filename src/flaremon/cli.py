@@ -22,11 +22,11 @@ EXIT_SERVICE = 3
 def _preset_name(name):
     """--preset, checked as argparse's `choices` would; the simulator loads
     only when a command names a preset, not at start-up."""
-    from .simulator import PRESET_NAMES
-    if name not in PRESET_NAMES:
+    from .simulator import PRESETS
+    if name not in PRESETS:
         raise argparse.ArgumentTypeError(
             f"invalid choice: {name!r} (choose from "
-            f"{', '.join(map(repr, PRESET_NAMES))})")
+            f"{', '.join(map(repr, PRESETS))})")
     return name
 
 
@@ -37,14 +37,16 @@ def _input(value):
     return value
 
 
-def _positive_int(text):
-    """An int option that must be >= 1, read as argparse reads `int`."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+def _int_at_least(least, what):
+    """An int option of at least `least`, read as argparse reads `int`."""
+    def convert(text):
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid {what} int value: {text!r}")
+    return convert
 
 
 def _input_stream(args):
@@ -143,8 +145,8 @@ def cmd_monitor(args):
 
 
 def cmd_plot(args):
-    formats.save_scatter_plot(
-        formats.load_feature_csv(args.samples, log_only=True), args.out)
+    formats.save_scatter_plot(formats.load_feature_csv(args.samples),
+                              args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -197,8 +199,10 @@ def build_parser():
     p.add_argument("--input", required=True, type=_input,
                    help="annotation JSONL path or preset:NAME")
     p.add_argument("--frames", help="frame directory for file inputs")
-    p.add_argument("--alert-window", type=_positive_int, default=5)
-    p.add_argument("--cooldown", type=int, default=50)
+    p.add_argument("--alert-window", type=_int_at_least(1, "positive"),
+                   default=5)
+    p.add_argument("--cooldown", type=_int_at_least(0, "non-negative"),
+                   default=50)
     p.add_argument("--log", help="write the feature log CSV here")
     p.set_defaults(func=cmd_monitor)
 

@@ -183,11 +183,6 @@ def format_feature_row(r: StatusRecord) -> str:
             f"{r.label}")
 
 
-def format_feature_log(rows: Iterable[StatusRecord]) -> str:
-    lines = [FEATURE_LOG_HEADER, *map(format_feature_row, rows)]
-    return "\n".join(lines) + "\n"
-
-
 @contextlib.contextmanager
 def feature_log_writer(path):
     """A function that appends one StatusRecord to a new feature log at
@@ -209,15 +204,13 @@ def _number(field: str) -> Optional[float]:
         return None
 
 
-def parse_feature_csv(text: str, log_only: bool = False) -> List[StatusRecord]:
-    """The rows of a feature log or, unless `log_only`, of a bare
-    ratio,E,angle[,label] CSV, whose first line is a header when none of
-    its feature fields is a number.  Every number must be finite and every
-    label HIGH or LOW; anything else is a ParseError naming its line."""
+def parse_feature_csv(text: str) -> List[StatusRecord]:
+    """The rows of a feature log or of a bare ratio,E,angle[,label] CSV,
+    whose first line is a header when none of its feature fields is a
+    number.  Every number must be finite and every label HIGH or LOW;
+    anything else is a ParseError naming its line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     is_log = bool(lines) and lines[0] == FEATURE_LOG_HEADER
-    if log_only and not is_log:
-        raise ParseError("missing feature-log header")
     if is_log:
         widths, start = (8,), 1
     else:
@@ -254,9 +247,9 @@ def parse_feature_csv(text: str, log_only: bool = False) -> List[StatusRecord]:
     return rows
 
 
-def load_feature_csv(path, log_only: bool = False) -> List[StatusRecord]:
+def load_feature_csv(path) -> List[StatusRecord]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_feature_csv(fh.read(), log_only)
+        return parse_feature_csv(fh.read())
 
 
 def save_labels(samples: Iterable[LabeledSample], path) -> None:
@@ -335,8 +328,11 @@ def emit_scatter_plot(samples: Sequence[Tuple[float, float, str]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def save_scatter_plot(rows: Iterable[StatusRecord], path) -> None:
-    """The scatter plot of feature-log rows, written to `path`."""
+def save_scatter_plot(rows: Sequence[StatusRecord], path) -> None:
+    """The scatter plot of feature-log rows, written to `path`; rows of a
+    bare feature CSV carry no pcs and are a ParseError."""
+    if any(r.pcs is None for r in rows):
+        raise ParseError("missing feature-log header")
     svg = emit_scatter_plot([(r.pcs[0], r.pcs[1], r.label) for r in rows])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -9,10 +9,11 @@ One JSON object per line, one frame per line, UTF-8:
                 "runs": [b0, f0, b1, ...]}, ...]}
 
 "masks" is optional; each entry references a detection by index and carries
-the row-major RLE (first run = background count).  Frames with zero
-detections are legal.  Frame indices must be strictly increasing.  A gap
-(frames 0, 10, 20) is three consecutive steps of the tracker and of the
-alert window, which count lines, not indices.
+the row-major RLE (first run = background count).  A detection has at most
+one mask: a second entry for the same index is a ParseError.  Frames with
+zero detections are legal.  Frame indices must be strictly increasing.  A
+gap (frames 0, 10, 20) is three consecutive steps of the tracker and of
+the alert window, which count lines, not indices.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ class FrameAnnotation:
     frame_index: int
     detections: Tuple[Detection, ...]
     masks: Optional[Tuple[Tuple[int, Mask], ...]] = None
-
-    def mask_for(self, detection_index: int) -> Optional[Mask]:
-        if self.masks is None:
-            return None
-        for idx, mask in self.masks:
-            if idx == detection_index:
-                return mask
-        return None
 
 
 def _parse_detection(obj, line_no) -> Detection:
@@ -80,45 +73,43 @@ def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
         raise ParseError("detections and masks must be lists", line_no)
     detections = tuple(_parse_detection(d, line_no) for d in records)
 
-    masks = None
-    if mask_records is not None:
-        entries = []
-        for m in mask_records:
-            try:
-                det_idx, width, height, runs = (m["detection"], m["width"],
-                                                m["height"], m["runs"])
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"bad mask record: {exc}", line_no) from exc
-            # Exact types, so that floats and bools are not truncated.
-            if not (type(det_idx) is type(width) is type(height) is int
-                    and type(runs) is list and set(map(type, runs)) <= {int}):
-                raise ParseError("bad mask record: detection, width, height "
-                                 "and runs must be integers", line_no)
-            try:
-                mask = Mask(width, height, runs)
-            except DecodeError as exc:
-                raise ParseError(f"bad mask: {exc}", line_no) from exc
-            if not (0 <= det_idx < len(detections)):
-                raise ParseError(
-                    f"mask references detection {det_idx} of {len(detections)}",
-                    line_no,
-                )
-            entries.append((det_idx, mask))
-        masks = tuple(entries)
+    masks = {}
+    for m in mask_records or ():
+        try:
+            det_idx, width, height, runs = (m["detection"], m["width"],
+                                            m["height"], m["runs"])
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad mask record: {exc}", line_no) from exc
+        # Exact types, so that floats and bools are not truncated.
+        if not (type(det_idx) is type(width) is type(height) is int
+                and type(runs) is list and set(map(type, runs)) <= {int}):
+            raise ParseError("bad mask record: detection, width, height "
+                             "and runs must be integers", line_no)
+        try:
+            mask = Mask(width, height, runs)
+        except DecodeError as exc:
+            raise ParseError(f"bad mask: {exc}", line_no) from exc
+        if not (0 <= det_idx < len(detections)):
+            raise ParseError(f"mask references detection {det_idx} of "
+                             f"{len(detections)}", line_no)
+        if det_idx in masks:
+            raise ParseError(f"second mask for detection {det_idx}", line_no)
+        masks[det_idx] = mask
 
-    return FrameAnnotation(frame_index, detections, masks)
+    if mask_records is None:
+        return FrameAnnotation(frame_index, detections)
+    return FrameAnnotation(frame_index, detections, tuple(masks.items()))
 
 
 def read_annotation_stream(source) -> Iterator[FrameAnnotation]:
-    """Yield annotations from a text-line iterable, validating as it goes.
+    """Yield annotations from an iterable of text lines (an open text file,
+    say), validating as it goes.
 
     Raises ParseError (with line number) on schema violations and
     OrderError (with line number) if a frame_index repeats or decreases.
     """
     last_index = None
     for line_no, line in enumerate(source, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.strip()
         if not line:
             continue

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, formats
 from .classify import LOW, ClassifierModel
-from .core import BBox, DetClass, Frame, Mask
+from .core import DetClass, Frame, Mask
 from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
                      InsufficientSignal, OutOfBounds, TrainingDataError)
 from .features import (N_FEATURES, FeatureVector, angle_from_moments,
@@ -29,10 +29,9 @@ log = logging.getLogger(__name__)
 FEATURE_SCHEMA_VERSION = 1
 TEST_FRACTION = 0.3  # share of each class held out to pick the classifier
 
-# perfbench calls and traces these six as pipeline.*; formats holds them.
+# perfbench calls and traces these five as pipeline.*; formats holds them.
 load_frames, save_frames = formats.load_frames, formats.save_frames
 format_ground_truth = formats.format_ground_truth
-format_feature_log = formats.format_feature_log
 load_model, model_to_json = formats.load_model, formats.model_to_json
 
 
@@ -44,6 +43,8 @@ class MonitorConfig:
     def __post_init__(self):
         if self.alert_window < 1:
             raise ValueError("alert_window must be >= 1")
+        if self.cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,65 +77,61 @@ def extract_track_features(
     for frame, ann in stream:
         flame_idx = [i for i, d in enumerate(ann.detections)
                      if d.cls is DetClass.FLAME]
-        smoke_idx = [i for i, d in enumerate(ann.detections)
-                     if d.cls is DetClass.SMOKE]
         flame_dets = [ann.detections[i] for i in flame_idx]
-
-        def mask_of(orig_idx):
-            mask = ann.mask_for(orig_idx)
-            if mask is None:
-                return segment_box(frame, ann.detections[orig_idx].bbox).mask
-            if (mask.width, mask.height) != (frame.width, frame.height):
-                raise DecodeError(
-                    f"frame {ann.frame_index} detection {orig_idx}: mask is "
-                    f"{mask.width}x{mask.height}, frame is "
-                    f"{frame.width}x{frame.height}")
-            return mask
-
         reported, matches, _, deaths = tracker.step(flame_dets)
         det_of_track = dict(matches)
 
-        flame_boxes: Dict[int, BBox] = {}
-        flame_masks: Dict[int, Mask] = {}
-        for track_id in reported:
-            col = det_of_track.get(track_id)
-            if col is None:
-                continue
-            orig = flame_idx[col]
-            flame_boxes[track_id] = ann.detections[orig].bbox
-            try:
-                flame_masks[track_id] = mask_of(orig)
-            except OutOfBounds as exc:
-                # Its box stays, so smoke above it is not given to another.
-                log.warning("frame %d track %d skipped: %s",
-                            ann.frame_index, track_id, exc)
-
+        matched = [(t, flame_idx[det_of_track[t]]) for t in reported
+                   if t in det_of_track]
+        # A flame keeps its box even if its region is skipped below, so
+        # that smoke above it is not given to another flame.
+        flame_boxes = {t: ann.detections[i].bbox for t, i in matched}
+        # Flames in reported order, then smokes (track None) in detection
+        # order: the order of warnings and errors.
+        regions = matched + [(None, i) for i, d in enumerate(ann.detections)
+                             if d.cls is DetClass.SMOKE]
+        external = dict(ann.masks or ())
+        flames: List[Tuple[int, Mask]] = []
         smoke_regions = []
-        for i in smoke_idx:
-            try:
-                smoke_regions.append((ann.detections[i].bbox, mask_of(i)))
-            except OutOfBounds as exc:
-                log.warning("frame %d smoke detection %d skipped: %s",
-                            ann.frame_index, i, exc)
-        smoke_areas, dropped = associate_smoke(flame_boxes, smoke_regions)
-        if dropped:
-            # Smoke over a flame the tracker does not report yet (warm-up)
-            # is expected; only smoke with no flame detection below is not.
-            _, orphans = associate_smoke(
-                {i: d.bbox for i, d in enumerate(flame_dets)}, smoke_regions)
-            if orphans:
-                log.warning("frame %d: %d unassignable smoke region(s)",
-                            ann.frame_index, orphans)
-            if dropped > orphans:
-                log.debug("frame %d: %d smoke region(s) over unreported "
-                          "flames", ann.frame_index, dropped - orphans)
+        for track_id, i in regions:
+            box = ann.detections[i].bbox
+            mask = external.get(i)
+            if mask is None:
+                try:
+                    mask = segment_box(frame, box).mask
+                except OutOfBounds as exc:
+                    what = (f"smoke detection {i}" if track_id is None
+                            else f"track {track_id}")
+                    log.warning("frame %d %s skipped: %s", ann.frame_index,
+                                what, exc)
+                    continue
+            elif (mask.width, mask.height) != (frame.width, frame.height):
+                raise DecodeError(
+                    f"frame {ann.frame_index} detection {i}: mask is "
+                    f"{mask.width}x{mask.height}, frame is "
+                    f"{frame.width}x{frame.height}")
+            if track_id is None:
+                smoke_regions.append((box, mask))
+            else:
+                flames.append((track_id, mask))
 
-        tracks = [t for t in reported if t in flame_masks]
-        counts, means, moments = flame_moments(
-            frame, [flame_masks[t] for t in tracks])
+        smoke_areas, dropped = associate_smoke(flame_boxes, smoke_regions)
+        # Smoke over a flame the tracker does not report yet (warm-up) is
+        # expected; only smoke with no flame detection below is not.
+        orphans = sum(not any(d.bbox.y_min >= box.y_max for d in flame_dets)
+                      for box, _ in smoke_regions)
+        if orphans:
+            log.warning("frame %d: %d unassignable smoke region(s)",
+                        ann.frame_index, orphans)
+        if dropped > orphans:
+            log.debug("frame %d: %d smoke region(s) over unreported "
+                      "flames", ann.frame_index, dropped - orphans)
+
+        counts, means, moments = flame_moments(frame,
+                                               [m for _, m in flames])
         out: List[StatusRecord] = []
-        for track_id, n, rgb, mu in zip(tracks, counts.tolist(),
-                                        means.tolist(), moments.tolist()):
+        for (track_id, _), n, rgb, mu in zip(flames, counts.tolist(),
+                                             means.tolist(), moments.tolist()):
             try:
                 # An empty mask fails here, so its NaN means go unread.
                 ratio = smoke_flame_ratio(smoke_areas[track_id], n)

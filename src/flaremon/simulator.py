@@ -228,60 +228,38 @@ def rendered_stream(rendered: Iterable[RenderedFrame]):
         yield rf.frame, rf.annotation
 
 
-_CLEAN_FLAME = dict(major=45.0, minor=18.0,
-                    core_color=(90, 110, 245), edge_color=(130, 150, 250))
-_SMOKY_FLAME = dict(major=45.0, minor=18.0,
-                    core_color=(250, 90, 40), edge_color=(255, 150, 70))
+# regime -> (core color, edge color, smoke gray)
+_REGIME_LOOK = {"high": ((90, 110, 245), (130, 150, 250), 120),
+                "low": ((250, 90, 40), (255, 150, 70), 90)}
+
+
+def _stack(x, tilt, regime, smoke, drift=0.0, axes=(45.0, 18.0)):
+    """A stack based at (x, 150) that drifts `drift` px per frame along x;
+    `regime` sets its colors and smoke gray, and its smoke covers `smoke`
+    times the flame's area."""
+    core, edge, gray = _REGIME_LOOK[regime]
+    return StackSpec(FlameSpec(x, 150, *axes, tilt_deg=tilt,
+                               drift=(drift, 0.0), core_color=core,
+                               edge_color=edge),
+                     SmokeSpec(area_multiplier=smoke, gray=gray), regime)
+
+
+# Canned scenarios with known regimes and geometry: name -> stacks.
+PRESETS = {
+    "clean_high": (_stack(160, 8.0, "high", 0.2, drift=0.05),),
+    "smoky_low": (_stack(160, 8.0, "low", 2.0, drift=0.05),),
+    "windy": (_stack(160, 30.0, "high", 0.2),),
+    "three_stacks": (_stack(60, 5.0, "high", 0.25, 0.08, (40.0, 16.0)),
+                     _stack(160, 12.0, "low", 1.8, 0.0, (40.0, 16.0)),
+                     _stack(260, 20.0, "high", 0.25, -0.08, (40.0, 16.0))),
+    "crossing_near_miss": (
+        _stack(90, 6.0, "high", 0.2, 0.25, (35.0, 14.0)),
+        _stack(230, 10.0, "high", 0.2, -0.25, (35.0, 14.0))),
+}
 
 
 def preset(name: str) -> SceneSpec:
-    """Canned scenarios with known regimes and geometry."""
-    if name == "clean_high":
-        return SceneSpec(stacks=(
-            StackSpec(FlameSpec(160, 150, tilt_deg=8.0, drift=(0.05, 0.0),
-                                **_CLEAN_FLAME),
-                      SmokeSpec(area_multiplier=0.2, gray=120), "high"),
-        ))
-    if name == "smoky_low":
-        return SceneSpec(stacks=(
-            StackSpec(FlameSpec(160, 150, tilt_deg=8.0, drift=(0.05, 0.0),
-                                **_SMOKY_FLAME),
-                      SmokeSpec(area_multiplier=2.0, gray=90), "low"),
-        ))
-    if name == "windy":
-        return SceneSpec(stacks=(
-            StackSpec(FlameSpec(160, 150, tilt_deg=30.0, **_CLEAN_FLAME),
-                      SmokeSpec(area_multiplier=0.2, gray=120), "high"),
-        ))
-    if name == "three_stacks":
-        clean = dict(major=40.0, minor=16.0,
-                     core_color=(90, 110, 245), edge_color=(130, 150, 250))
-        smoky = dict(major=40.0, minor=16.0,
-                     core_color=(250, 90, 40), edge_color=(255, 150, 70))
-        return SceneSpec(stacks=(
-            StackSpec(FlameSpec(60, 150, tilt_deg=5.0, drift=(0.08, 0.0),
-                                **clean),
-                      SmokeSpec(area_multiplier=0.25, gray=120), "high"),
-            StackSpec(FlameSpec(160, 150, tilt_deg=12.0, drift=(0.0, 0.0),
-                                **smoky),
-                      SmokeSpec(area_multiplier=1.8, gray=90), "low"),
-            StackSpec(FlameSpec(260, 150, tilt_deg=20.0, drift=(-0.08, 0.0),
-                                **clean),
-                      SmokeSpec(area_multiplier=0.25, gray=120), "high"),
-        ))
-    if name == "crossing_near_miss":
-        spec = dict(major=35.0, minor=14.0,
-                    core_color=(90, 110, 245), edge_color=(130, 150, 250))
-        return SceneSpec(stacks=(
-            StackSpec(FlameSpec(90, 150, tilt_deg=6.0, drift=(0.25, 0.0),
-                                **spec),
-                      SmokeSpec(area_multiplier=0.2, gray=120), "high"),
-            StackSpec(FlameSpec(230, 150, tilt_deg=10.0, drift=(-0.25, 0.0),
-                                **spec),
-                      SmokeSpec(area_multiplier=0.2, gray=120), "high"),
-        ))
-    raise InvalidPreset(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("clean_high", "smoky_low", "windy", "three_stacks",
-                "crossing_near_miss")
+    """The scene of a canned scenario in PRESETS."""
+    if name not in PRESETS:
+        raise InvalidPreset(f"unknown preset {name!r}")
+    return SceneSpec(stacks=PRESETS[name])

@@ -1,10 +1,14 @@
 """Hypothesis strategies for annotation lines near the schema of
-`flaremon.ingest`: records with a field left out, of the wrong JSON type,
-an integer given as a float or a bool, including every mask field, or a
-box coordinate or confidence given as a bool, a numeric string, an
-integer too large for a float or a float of 1e200, which overflows the
-box's area.  Streams of such lines take frame indices that skip frames
-and now and then repeat one."""
+`flaremon.ingest`.  Two annotation objects in three are sound; the others
+have one defect, in the record itself, in one detection or in one mask: a
+field left out or of the wrong JSON type, an integer given as a float or
+a bool, including every mask field, a box coordinate or confidence given
+as a bool, a numeric string, an integer too large for a float or a float
+of 1e200, a box whose area overflows, an unknown class, a mask record
+given twice, or a mask of another size than the frame's, whose runs do
+not sum to its size or that names a detection out of range.  Now and then
+a record is any JSON value instead.  Streams of such lines take frame
+indices that skip frames and now and then repeat one."""
 
 from __future__ import annotations
 
@@ -32,64 +36,87 @@ def near_miss(n):
 
 
 @st.composite
-def spoiled(draw, record):
-    """The record as it is half the time, else with one defect: a field
-    left out or swapped for junk, an integer field (or one run) given as a
-    float, as n + 0.5 or as a bool, or a float field (or one coordinate)
-    given as a bool, a string, a huge integer or +-1e200."""
-    key = draw(st.sampled_from(sorted(record)))
-    action = draw(st.integers(0, 5))
-    if action == 3:
-        del record[key]
-    elif action == 4:
-        record[key] = draw(JSON)
-    elif action == 5:
-        value = record[key]
+def spoil(draw, part, swaps=()):
+    """Give `part` (a dict) one defect in place: a field left out or
+    swapped for junk, an integer field (or one run) given as a float, as
+    n + 0.5 or as a bool, a float field (or one coordinate) given as a
+    bool, a string, a huge integer or +-1e200, or else the fields of one
+    of `swaps`, strategies of dicts of bad fields for this kind of part."""
+    key = draw(st.sampled_from(sorted(part)))
+    action = draw(st.integers(0, 5 if swaps else 2))
+    if action == 0:
+        del part[key]
+    elif action == 1:
+        part[key] = draw(JSON)
+    elif action == 2:
+        value = part[key]
         if type(value) in (int, float):
-            record[key] = draw(near_miss(value))
+            part[key] = draw(near_miss(value))
         elif type(value) is list and value and type(value[0]) in (int, float):
             i = draw(st.integers(0, len(value) - 1))  # a run or coordinate
             value[i] = draw(near_miss(value[i]))
-    return record
+    else:
+        part.update(draw(st.one_of(swaps)))
 
 
 @st.composite
-def mask_record(draw, width, height, detections):
-    """Mostly a mask of the frame's size whose runs sum right."""
-    if draw(st.integers(0, 3)) == 0:
-        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+def mask_fields(draw, width, height):
+    """The size and runs of a mask of width x height whose runs sum
+    right."""
     cuts = sorted(draw(st.lists(st.integers(0, width * height), max_size=4)))
     runs = [b - a for a, b in zip([0, *cuts], [*cuts, width * height])]
-    return draw(spoiled({"detection": draw(st.integers(-1, detections)),
-                         "width": width, "height": height, "runs": runs}))
+    return {"width": width, "height": height, "runs": runs}
 
 
 @st.composite
 def detection_record(draw, width, height):
-    """Mostly a box around a point of the frame."""
-    x, y = draw(st.floats(-2, width + 2)), draw(st.floats(-2, height + 2))
+    """A box around a point of the frame, some of it off the frame."""
+    x, y = draw(st.floats(-1, width + 1)), draw(st.floats(-1, height + 1))
     w, h = draw(st.floats(0.5, width)), draw(st.floats(0.5, height))
-    return draw(spoiled({
-        "class": draw(st.sampled_from(["flame"] * 3 + ["smoke"] * 2
-                                      + ["steam"])),
-        "bbox": [x - w / 2, y - h / 2, x + w / 2, y + h / 2],
-        "confidence": draw(st.floats(0, 1))}))
+    return {"class": draw(st.sampled_from(["flame"] * 3 + ["smoke"] * 2)),
+            "bbox": [x - w / 2, y - h / 2, x + w / 2, y + h / 2],
+            "confidence": draw(st.floats(0, 1))}
 
 
 @st.composite
 def annotation_object(draw, width, height):
-    detections = draw(st.lists(detection_record(width, height), max_size=3))
-    masks = draw(st.none() | st.lists(
-        mask_record(width, height, len(detections)), max_size=3))
-    return draw(spoiled({"frame_index": draw(st.integers(0, 2)),
-                         "detections": detections, "masks": masks}))
+    """An annotation object for a width x height frame with one to three
+    detections, and with or without masks, each of the frame's size and
+    for a detection of its own.  A third of the time one part of it, the
+    record, a detection or a mask, is spoiled; leaving out the record's
+    detections gives a frame with none."""
+    detections = draw(st.lists(detection_record(width, height), min_size=1,
+                               max_size=3))
+    owners = draw(st.lists(st.integers(0, len(detections) - 1),
+                           unique=True, max_size=3) | st.none())
+    masks = None if owners is None else [
+        {"detection": i, **draw(mask_fields(width, height))} for i in owners]
+    record = {"frame_index": draw(st.integers(0, 2)),
+              "detections": detections, "masks": masks}
+    # The parts of each kind, each part with the defects of its own kind.
+    record_swaps = [st.just({"masks": [*masks, masks[-1]]})] if masks else []
+    detection_swaps = [st.just({"class": "steam"}),
+                       st.just({"bbox": [0.0, 0.0, 1e200, 1.0]})]
+    other_size = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda size: mask_fields(*size))
+    out_of_range = st.sampled_from([-1, len(detections)]).map(
+        lambda i: {"detection": i})
+    mask_parts = [(m, [other_size, out_of_range,
+                       st.just({"runs": [*m["runs"], 1]})])
+                  for m in masks or []]
+    kinds = [[(record, record_swaps)],
+             [(d, detection_swaps) for d in detections], mask_parts]
+    if draw(st.integers(0, 2)) == 2:
+        kind = draw(st.sampled_from([k for k in kinds if k]))
+        draw(spoil(*draw(st.sampled_from(kind))))
+    return record
 
 
 def annotation_records(width=8, height=6):
     """Mostly an annotation object for a width x height frame, now and then
     any JSON value."""
-    return (annotation_object(width, height) | annotation_object(width, height)
-            | annotation_object(width, height) | JSON)
+    return st.one_of(*[annotation_object(width, height) for _ in range(7)],
+                     JSON)
 
 
 def annotation_lines(width=8, height=6):
@@ -117,14 +144,14 @@ def _rank(record):
 
 @st.composite
 def annotation_streams(draw, width=8, height=6):
-    """The lines of one to three `annotation_records`, each written three
+    """The lines of two or three `annotation_records`, each written three
     times so that the tracker gets to report a flame.  Records that parse
     and hold a flame come first and records that do not parse last, so
     that a defect ends the stream after the tracker has reported, not
     before.  A line whose frame_index is an integer takes the next of
     `frame_indices` instead, repeats last."""
     records = sorted(draw(st.lists(annotation_records(width, height),
-                                   min_size=1, max_size=3)), key=_rank)
+                                   min_size=2, max_size=3)), key=_rank)
     records = [r for r in records for _ in range(3)]
     indices = draw(frame_indices(len(records)))
     steps = sorted((b - a for a, b in zip([0, *indices], indices)),

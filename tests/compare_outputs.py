@@ -11,8 +11,11 @@ with its own ``src`` and ``perfbench`` on the path) on the same inputs:
 - ``train`` on the seed-41 benchmark training scene: the model file (all
   but ``metadata.created``), the ``--log`` CSV, stdout and stderr;
 - ``monitor --log`` with that model on every preset and on the seed-41
-  benchmark monitor scene, with its masks and box-only: the CSV, stdout
-  and stderr.
+  benchmark monitor scene, with its masks, box-only, and box-only with
+  stray boxes: from frame 5 on a flame and a smoke box right of the frame,
+  and on every frame a smoke box with no flame below it.  The stray boxes
+  make ``monitor`` warn on stderr, so that the text and the order of its
+  warnings are compared too.  For each: the CSV, stdout and stderr.
 
 Prints one line per output and exits 1 if any differs.  pytest does not
 collect this file.
@@ -66,12 +69,23 @@ def outputs(tree, work):
 
     for role, name in ((1, "train_scene"), (0, "monitor_scene")):
         run(tree, work, "-c", WRITE_SCENE, name, str(role))
-    with open(work / "monitor_scene" / "annotations.jsonl") as src, \
-            open(work / "monitor_scene" / "box_only.jsonl", "w") as dst:
+    scene_dir = work / "monitor_scene"
+    meta = json.loads((scene_dir / "frames" / "meta.json").read_text())
+    w, h = meta["width"], meta["height"]
+    off_frame = [{"class": cls, "bbox": [w + 10, 10, w + 40, 30],
+                  "confidence": 0.9} for cls in ("flame", "smoke")]
+    orphan = {"class": "smoke", "bbox": [0, h - 10, 10, h], "confidence": 0.9}
+    with open(scene_dir / "annotations.jsonl") as src, \
+            open(scene_dir / "box_only.jsonl", "w") as plain, \
+            open(scene_dir / "box_only_stray.jsonl", "w") as stray:
         for line in src:
             record = json.loads(line)
             record.pop("masks", None)
-            dst.write(json.dumps(record) + "\n")
+            plain.write(json.dumps(record) + "\n")
+            if record["frame_index"] >= 5:
+                record["detections"] += off_frame
+            record["detections"].append(orphan)
+            stray.write(json.dumps(record) + "\n")
 
     train = cli(tree, work, "train", "--annotations",
                 "train_scene/annotations.jsonl", "--frames",
@@ -86,7 +100,8 @@ def outputs(tree, work):
     frames = ["--frames", "monitor_scene/frames"]
     inputs = [(f"preset:{p}", []) for p in PRESETS] + [
         ("monitor_scene/annotations.jsonl", frames),
-        ("monitor_scene/box_only.jsonl", frames)]
+        ("monitor_scene/box_only.jsonl", frames),
+        ("monitor_scene/box_only_stray.jsonl", frames)]
     for i, (source, extra) in enumerate(inputs):
         csv = f"monitor{i}.csv"
         result = cli(tree, work, "monitor", "--model", "model.json",

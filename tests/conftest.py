@@ -6,6 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from flaremon.formats import feature_log_writer
+
 # The nine published training rows: (ratio, E, angle) -> label.
 TRAINING_ROWS = np.array([
     [0.22, 0.62, 52.0],
@@ -20,6 +22,16 @@ TRAINING_ROWS = np.array([
 ])
 TRAINING_LABELS = ["high", "high", "high", "low", "high",
                    "low", "low", "low", "low"]
+
+
+def feature_log_text(rows, path):
+    """The feature log of `rows`, as `feature_log_writer` writes it to
+    `path`."""
+    with feature_log_writer(path) as write_row:
+        for row in rows:
+            write_row(row)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -19,8 +19,8 @@ from flaremon.features import (FeatureVector, channel_means, rgb_index,
                                smoke_flame_ratio)
 from flaremon.ingest import read_annotation_stream, write_annotation_stream
 from flaremon.labeling import LlmClientConfig, llm_label, rule_label
-from flaremon.formats import (format_feature_log, model_from_json,
-                              model_to_json, parse_feature_csv)
+from flaremon.formats import (model_from_json, model_to_json,
+                              parse_feature_csv)
 from flaremon.pipeline import (MonitorConfig, derive_alerts_from_log,
                                fit_efficiency_model, run_monitor,
                                run_training)
@@ -33,7 +33,7 @@ from flaremon.tracker import (KALMAN, SortTracker, hungarian, kalman_predict,
 from tests.assignment_oracle import brute_force_assignment
 from tests.features_oracle import flame_angle
 from tests.sort_oracle import iou, measurement_to_bbox
-from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
+from tests.conftest import TRAINING_LABELS, TRAINING_ROWS, feature_log_text
 
 
 def report(criterion, ok, detail=""):
@@ -278,7 +278,7 @@ def _two_regime_stream(frames=60):
                                ann.masks))
 
 
-def test_criterion_9_end_to_end():
+def test_criterion_9_end_to_end(tmp_path):
     model, _, _ = run_training(_two_regime_stream(), labeling_mode="rule")
     k = 5
     cfg = MonitorConfig(alert_window=k)
@@ -293,19 +293,19 @@ def test_criterion_9_end_to_end():
         if a is not None]
     assert smoky_alerts and smoky_alerts[0].last_frame >= k
 
-    def full_run():
+    def full_run(log_path):
         recs, alerts = [], []
         for rec, alert in run_monitor(
                 model, rendered_stream(render(preset("three_stacks"))), cfg):
             recs.append(rec)
             if alert is not None:
                 alerts.append(alert)
-        return format_feature_log(recs), alerts
+        return feature_log_text(recs, log_path), alerts
 
     t0 = time.time()
-    log_a, alerts_a = full_run()
+    log_a, alerts_a = full_run(tmp_path / "a.csv")
     elapsed = time.time() - t0
-    log_b, alerts_b = full_run()
+    log_b, alerts_b = full_run(tmp_path / "b.csv")
     assert log_a == log_b and alerts_a == alerts_b
     assert elapsed < 10.0
     report(9, True, f"clean: 0 alerts; smoky: first at frame "
@@ -313,7 +313,7 @@ def test_criterion_9_end_to_end():
            f"{elapsed:.1f}s < 10s, byte-identical repeat")
 
 
-def test_criterion_10_persistence():
+def test_criterion_10_persistence(tmp_path):
     # annotation JSONL round-trip
     spec = dataclasses.replace(preset("three_stacks"), frame_count=10)
     anns = [rf.annotation for rf in render(spec)]
@@ -341,7 +341,7 @@ def test_criterion_10_persistence():
         if alert is not None:
             alerts.append(alert)
     rederived = derive_alerts_from_log(
-        parse_feature_csv(format_feature_log(recs), log_only=True), cfg)
+        parse_feature_csv(feature_log_text(recs, tmp_path / "log.csv")), cfg)
     assert rederived == alerts and alerts
     report(10, True, f"annotation+model byte round-trips; "
            f"{len(alerts)} alert(s) re-derived from the log alone")

@@ -27,7 +27,7 @@ from tests.bfs_oracle import segment_box_bfs
 from tests.fullframe_oracle import decode_runs
 from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
                              urlopen_replying, write_frame_dir)
-from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
+from tests.conftest import TRAINING_LABELS, TRAINING_ROWS, feature_log_text
 
 
 def run(*argv):
@@ -105,7 +105,7 @@ def test_train_monitor_flow(sim_dir, tmp_path, capsys):
                "--alert-window", "5", "--log", str(log_path)) == 0
     out = capsys.readouterr().out
     assert "ALERT" in out
-    recs = formats.load_feature_csv(log_path, log_only=True)
+    recs = formats.load_feature_csv(log_path)
     assert recs and all(r.label == "low" for r in recs[5:])
 
     svg_path = tmp_path / "fig.svg"
@@ -173,7 +173,11 @@ def test_train_features_with_annotations_is_usage_error(tmp_path, capsys,
     (("--input", "preset:clean_high", "--alert-window", "0"),
      "argument --alert-window: invalid positive int value: '0'"),
     (("--input", "preset:clean_high", "--alert-window", "x"),
-     "argument --alert-window: invalid positive int value: 'x'")])
+     "argument --alert-window: invalid positive int value: 'x'"),
+    (("--input", "preset:clean_high", "--cooldown", "-1000"),
+     "argument --cooldown: invalid non-negative int value: '-1000'"),
+    (("--input", "preset:clean_high", "--cooldown", "1.5"),
+     "argument --cooldown: invalid non-negative int value: '1.5'")])
 def test_monitor_bad_option_is_usage_error(tmp_path, capsys, argv, message):
     assert run("monitor", "--model", str(tmp_path / "nope.json"),
                *argv) == 1
@@ -297,7 +301,7 @@ def test_bad_feature_log_row_is_data_error(tmp_path, table_model, capsys,
                                   lbl)
             for i, (r, lbl) in enumerate(zip(TRAINING_ROWS.tolist(),
                                              TRAINING_LABELS))]
-    lines = formats.format_feature_log(rows).splitlines()
+    lines = feature_log_text(rows, tmp_path / "rows.csv").splitlines()
     parts = lines[2].split(",")
     parts[field] = value
     lines[2] = ",".join(parts)
@@ -503,10 +507,37 @@ def test_off_frame_box_only_detections_skip_their_records(
     assert got == expect
     oob = "seed (345, 20) outside 320x240"
     warnings = [r.getMessage() for r in caplog.records]
-    smoke = [f"frame {i} smoke detection 7 skipped: {oob}"
-             for i in range(5, 40)]
-    flame = [f"frame {i} track 4 skipped: {oob}" for i in range(7, 40)]
-    assert sorted(warnings) == sorted(smoke + flame)
+    # Per frame, the reported flame's region comes before the smoke's.
+    expect = []
+    for i in range(5, 40):
+        if i >= 7:
+            expect.append(f"frame {i} track 4 skipped: {oob}")
+        expect.append(f"frame {i} smoke detection 7 skipped: {oob}")
+    assert warnings == expect
+
+
+def test_second_mask_for_a_detection_is_data_error(three_stacks_head,
+                                                   table_model, tmp_path,
+                                                   capsys):
+    def doubled(ann):
+        return dataclasses.replace(ann, masks=ann.masks + ann.masks[:1])
+
+    pairs = [(f, doubled(a) if f.index == 3 else a)
+             for f, a in three_stacks_head[:6]]
+    ann_path, frames_dir = write_stream(pairs, str(tmp_path))
+    assert run("monitor", "--model", table_model, "--input", ann_path,
+               "--frames", frames_dir) == 2
+    assert capsys.readouterr().err == \
+        "error: line 4: second mask for detection 0\n"
+
+
+def test_plot_of_bare_feature_csv_is_data_error(tmp_path, capsys):
+    csv = tmp_path / "features.csv"
+    csv.write_text("ratio,E,angle,label\n0.22,0.62,52.0,high\n")
+    assert run("plot", "--samples", str(csv),
+               "--out", str(tmp_path / "fig.svg")) == 2
+    assert capsys.readouterr().err == "error: missing feature-log header\n"
+    assert not (tmp_path / "fig.svg").exists()
 
 
 def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
@@ -599,7 +630,7 @@ def test_fuzz_stream_reports_records(fuzz_stream, fuzz_frames, table_model,
     log = tmp_path / "monitor.csv"
     assert run("monitor", "--model", table_model, "--input", fuzz_stream,
                "--frames", fuzz_frames, "--log", str(log)) == 0
-    assert len(formats.load_feature_csv(log, log_only=True)) == 1
+    assert len(formats.load_feature_csv(log)) == 1
 
 
 def monitor_log(lines, frames_dir, model):
@@ -613,8 +644,7 @@ def monitor_log(lines, frames_dir, model):
         code, err = run_quietly("monitor", "--model", model, "--input",
                                 ann_path, "--frames", frames_dir,
                                 "--log", log)
-        rows = formats.load_feature_csv(log, log_only=True) if code == 0 \
-            else None
+        rows = formats.load_feature_csv(log) if code == 0 else None
     return code, err, rows
 
 

@@ -10,7 +10,7 @@ from flaremon.errors import (DegenerateOrientation, EmptyRegion,
 from flaremon.features import (FeatureVector, angle_from_moments,
                                associate_smoke, channel_means, flame_moments,
                                rgb_index, smoke_flame_ratio)
-from flaremon.simulator import PRESET_NAMES, preset, render
+from flaremon.simulator import PRESETS, preset, render
 from tests import features_oracle
 from tests import fullframe_oracle as oracle
 
@@ -309,7 +309,7 @@ class TestBatchedAgainstPerMaskOracle:
 
     def test_every_preset_frame(self):
         seen = 0
-        for name in PRESET_NAMES:
+        for name in PRESETS:
             for rf in render(preset(name)):
                 masks = [m for _, m in rf.annotation.masks or ()]
                 self.assert_same(rf.frame, masks)

@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flaremon.core import BBox, DetClass, Detection, Mask
@@ -190,3 +190,47 @@ def test_fuzzed_lines_parse_or_raise_flaremon_error(line):
         assert {type(d["confidence"]), *map(type, d["bbox"])} <= {int, float}
     for idx, mask in ann.masks or ():
         assert 0 <= idx < len(ann.detections)
+    # No mask record was dropped, so no two named the same detection.
+    assert len(ann.masks or ()) == len(obj.get("masks") or ())
+
+
+def test_second_mask_for_a_detection_rejected():
+    # The second record used to be parsed and then never read.
+    mask = '{"detection":0,"width":2,"height":2,"runs":[1,3]}'
+    line = ('{"frame_index":0,"detections":[{"class":"flame",'
+            '"bbox":[0,0,2,2],"confidence":1.0}],"masks":['
+            + mask + "," + mask.replace("[1,3]", "[0,4]") + "]}")
+    with pytest.raises(ParseError, match="^line 2: second mask for "
+                       "detection 0$") as err:
+        read_all(ONE_FLAME + "\n" + line.replace('"frame_index":0',
+                                                 '"frame_index":1'))
+    assert err.value.line_number == 2
+
+
+DEFECTS = ("record must be an object with frame_index", "bad frame_index",
+           "detections and masks must be lists", "is not a valid DetClass",
+           "'steam' is not a valid DetClass", "bad detection record: 'bbox'",
+           "bbox and confidence must be numbers", "non-finite area",
+           "bad mask record", "must be integers", "bad mask: ",
+           "mask references detection", "second mask for detection")
+
+
+def test_fuzzed_lines_draw_every_defect():
+    """Every kind of defect is still drawn, and so are masks of another
+    size than the frame's, which parse."""
+    seen = set()
+
+    @settings(max_examples=2000, derandomize=True, database=None,
+              phases=[Phase.generate])
+    @given(annotation_lines(8, 6))
+    def sample(line):
+        try:
+            ann = parse_annotation_line(line)
+        except FlaremonError as exc:
+            seen.update(d for d in DEFECTS if d in str(exc))
+            return
+        if any((m.width, m.height) != (8, 6) for _, m in ann.masks or ()):
+            seen.add("wrong size")
+
+    sample()
+    assert seen == {*DEFECTS, "wrong size"}

@@ -17,19 +17,19 @@ from flaremon.errors import (FlaremonError, ModelVersionError, ParseError,
                              TrainingDataError)
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
-from flaremon.formats import (StatusRecord, emit_scatter_plot,
-                              format_feature_log, load_frames, load_model,
-                              model_from_json, model_to_json,
-                              parse_feature_csv, save_frames, save_model)
+from flaremon.formats import (StatusRecord, emit_scatter_plot, load_frames,
+                              load_model, model_from_json, model_to_json,
+                              parse_feature_csv, save_frames, save_model,
+                              save_scatter_plot)
 from flaremon.pipeline import (Alert, AlertState, MonitorConfig,
                                derive_alerts_from_log,
                                extract_track_features, fit_efficiency_model,
                                run_monitor, run_training, stratified_split)
-from flaremon.simulator import PRESET_NAMES, preset, render, rendered_stream
+from flaremon.simulator import PRESETS, preset, render, rendered_stream
 from tests import classify_oracle
 from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
                              write_frame_dir)
-from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
+from tests.conftest import TRAINING_LABELS, TRAINING_ROWS, feature_log_text
 
 
 def shifted(stream, offset):
@@ -149,13 +149,13 @@ class TestClassifyFeatures:
 
     def test_every_frame_of_each_preset(self, kind_models):
         frames = 0
-        for name in PRESET_NAMES:
+        for name in PRESETS:
             head = itertools.islice(render(preset(name)), 40)
             for per_frame, _ in extract_track_features(rendered_stream(head)):
                 self.assert_matches_oracle(
                     kind_models, [tf.features for tf in per_frame])
                 frames += 1
-        assert frames == 40 * len(PRESET_NAMES)
+        assert frames == 40 * len(PRESETS)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-5, 20), st.floats(0, 1),
@@ -270,32 +270,39 @@ class TestFeatureLog:
                          (-1.89, 0.21), LOW),
         ]
 
-    def test_roundtrip(self):
-        text = format_feature_log(self.rows())
-        assert parse_feature_csv(text, log_only=True) == self.rows()
-        assert format_feature_log(
-            parse_feature_csv(text, log_only=True)) == text
+    def test_roundtrip(self, tmp_path):
+        text = feature_log_text(self.rows(), tmp_path / "a.csv")
+        assert parse_feature_csv(text) == self.rows()
+        assert feature_log_text(parse_feature_csv(text),
+                                tmp_path / "b.csv") == text
 
-    def test_header_required(self):
-        with pytest.raises(ParseError):
-            parse_feature_csv("a,b\n1,2\n", log_only=True)
+    def test_header_required(self, tmp_path):
+        # Bare CSV rows carry no pcs, so only a feature log can be plotted.
+        rows = parse_feature_csv("ratio,E,angle,label\n0.5,0.45,12.25,high\n")
+        with pytest.raises(ParseError, match="^missing feature-log header$"):
+            save_scatter_plot(rows, tmp_path / "fig.svg")
+        assert not (tmp_path / "fig.svg").exists()
 
-    def test_bad_column_count(self):
-        text = format_feature_log(self.rows()) + "1,2,3\n"
+    def test_bad_column_count(self, tmp_path):
+        text = feature_log_text(self.rows(), tmp_path / "a.csv") + "1,2,3\n"
         with pytest.raises(ParseError):
-            parse_feature_csv(text, log_only=True)
+            parse_feature_csv(text)
 
 
     @settings(max_examples=300, deadline=None)
     @given(feature_csvs())
     def test_fuzzed_logs_parse_or_raise_flaremon_error(self, text):
         try:
-            rows = parse_feature_csv(text, log_only=True)
+            rows = parse_feature_csv(text)
         except FlaremonError:
             return
         for r in rows:
-            assert np.isfinite([*r.features.as_array(), *r.pcs]).all()
-            assert r.label in (HIGH, LOW)
+            assert np.isfinite(r.features.as_array()).all()
+            if r.pcs is None:  # a bare ratio,E,angle[,label] row
+                assert (r.frame, r.track_id) == (None, None)
+                assert r.label in (HIGH, LOW, None)
+            else:
+                assert np.isfinite(r.pcs).all() and r.label in (HIGH, LOW)
 
 
 class TestAlerts:
@@ -324,6 +331,18 @@ class TestAlerts:
         for fr in range(2, 11):
             assert state.observe(self.rec(fr, LOW)) is None
         assert state.observe(self.rec(12, LOW)) is not None
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"alert_window": 0}, "alert_window must be >= 1"),
+        ({"cooldown": -1}, "cooldown must be >= 0")])
+    def test_bad_config_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MonitorConfig(**kwargs)
+
+    def test_zero_cooldown_alerts_every_window(self):
+        state = AlertState(MonitorConfig(alert_window=2, cooldown=0))
+        alerts = [state.observe(self.rec(fr, LOW)) for fr in range(6)]
+        assert [a is not None for a in alerts] == [False, True] * 3
 
     def test_forget_drops_only_named_tracks(self):
         state = AlertState(MonitorConfig(alert_window=2))
@@ -418,7 +437,7 @@ class TestMonitor:
         assert derive_alerts_from_log(recs,
                                       MonitorConfig(alert_window=2)) == alerts
 
-    def test_alerts_rederivable_from_log_text(self, trained):
+    def test_alerts_rederivable_from_log_text(self, trained, tmp_path):
         model = trained[0]
         spec = dataclasses.replace(preset("smoky_low"), frame_count=60)
         recs, alerts = [], []
@@ -426,9 +445,8 @@ class TestMonitor:
             recs.append(rec)
             if alert is not None:
                 alerts.append(alert)
-        text = format_feature_log(recs)
-        assert derive_alerts_from_log(
-            parse_feature_csv(text, log_only=True)) == alerts
+        text = feature_log_text(recs, tmp_path / "monitor.csv")
+        assert derive_alerts_from_log(parse_feature_csv(text)) == alerts
 
 
 class TestScatterPlot:

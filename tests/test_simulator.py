@@ -67,7 +67,7 @@ class TestRenderBasics:
         rf = next(render(preset("clean_high")))
         flame_det = [i for i, d in enumerate(rf.annotation.detections)
                      if d.cls is DetClass.FLAME][0]
-        assert rf.annotation.mask_for(flame_det) == rf.truths[0].flame_mask
+        assert dict(rf.annotation.masks)[flame_det] == rf.truths[0].flame_mask
 
     def test_box_is_tight_bound_of_mask(self):
         rf = next(render(preset("smoky_low")))
