@@ -31,10 +31,6 @@ class InvalidCost(FlaremonError):
     """Assignment cost matrix contains NaN."""
 
 
-class OutOfBounds(FlaremonError):
-    """A coordinate lies outside the frame."""
-
-
 class EmptyRegion(FlaremonError):
     """An operation needs foreground pixels but got none."""
 

@@ -98,10 +98,11 @@ def smoke_flame_ratio(smoke_area: float, flame_area: float) -> float:
 
 
 def associate_smoke(flame_boxes: Dict[int, BBox],
-                    smoke_regions: Sequence[Tuple[BBox, Mask]]):
-    """Attribute smoke regions to flames; smoke rises, so a region goes to
-    the nearest flame (horizontal center distance) among flames lying
-    entirely at or below the region's bottom edge.
+                    smoke_regions: Sequence[Tuple[BBox, int]]):
+    """Attribute smoke regions, (box, pixel count) pairs, to flames; smoke
+    rises, so a region goes to the nearest flame (horizontal center
+    distance) among flames lying entirely at or below the region's bottom
+    edge.
 
     Returns (areas, dropped) where areas maps flame id -> total smoke pixel
     area (every id present, possibly 0) and dropped counts unassignable
@@ -109,7 +110,7 @@ def associate_smoke(flame_boxes: Dict[int, BBox],
     """
     areas = {fid: 0 for fid in flame_boxes}
     dropped = 0
-    for smoke_box, smoke_mask in smoke_regions:
+    for smoke_box, smoke_area in smoke_regions:
         sx = box_center(smoke_box)[0]
         candidates = [
             (abs(box_center(fb)[0] - sx), fid)
@@ -120,7 +121,7 @@ def associate_smoke(flame_boxes: Dict[int, BBox],
             dropped += 1
             continue
         _, fid = min(candidates)
-        areas[fid] += smoke_mask.area()
+        areas[fid] += smoke_area
     return areas, dropped
 
 

@@ -14,13 +14,13 @@ from . import classify, formats
 from .classify import LOW, ClassifierModel
 from .core import DetClass, Frame, Mask
 from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
-                     InsufficientSignal, OutOfBounds, TrainingDataError)
+                     InsufficientSignal, TrainingDataError)
 from .features import (N_FEATURES, FeatureVector, angle_from_moments,
                        associate_smoke, flame_moments, rgb_index,
                        smoke_flame_ratio)
 from .formats import EfficiencyModel, StatusRecord
 from .ingest import FrameAnnotation
-from .segment import segment_box
+from .segment import seed_pixel, segment_frame
 from .stats import pca_fit, pca_project, standardize_apply, standardize_fit
 from .tracker import SortTracker
 
@@ -91,29 +91,39 @@ def extract_track_features(
         regions = matched + [(None, i) for i, d in enumerate(ann.detections)
                              if d.cls is DetClass.SMOKE]
         external = dict(ann.masks or ())
+        # The box-only regions, flames first so that they get masks: one
+        # segment_frame call per frame, and none when every mask came in.
+        grow = [(t, i) for t, i in regions if i not in external]
+        grown = dict(zip([i for _, i in grow], segment_frame(
+            frame, [ann.detections[i].bbox for _, i in grow],
+            sum(t is not None for t, _ in grow)))) if grow else {}
         flames: List[Tuple[int, Mask]] = []
         smoke_regions = []
         for track_id, i in regions:
             box = ann.detections[i].bbox
-            mask = external.get(i)
-            if mask is None:
-                try:
-                    mask = segment_box(frame, box).mask
-                except OutOfBounds as exc:
+            if i in grown:
+                region = grown[i]
+                if region is None:
                     what = (f"smoke detection {i}" if track_id is None
                             else f"track {track_id}")
-                    log.warning("frame %d %s skipped: %s", ann.frame_index,
-                                what, exc)
+                    log.warning("frame %d %s skipped: seed %s outside %dx%d",
+                                ann.frame_index, what, seed_pixel(box),
+                                frame.width, frame.height)
                     continue
-            elif (mask.width, mask.height) != (frame.width, frame.height):
-                raise DecodeError(
-                    f"frame {ann.frame_index} detection {i}: mask is "
-                    f"{mask.width}x{mask.height}, frame is "
-                    f"{frame.width}x{frame.height}")
-            if track_id is None:
-                smoke_regions.append((box, mask))
             else:
-                flames.append((track_id, mask))
+                region = external[i]
+                if (region.width, region.height) != (frame.width,
+                                                     frame.height):
+                    raise DecodeError(
+                        f"frame {ann.frame_index} detection {i}: mask is "
+                        f"{region.width}x{region.height}, frame is "
+                        f"{frame.width}x{frame.height}")
+                if track_id is None:
+                    region = region.area()
+            if track_id is None:
+                smoke_regions.append((box, region))
+            else:
+                flames.append((track_id, region))
 
         smoke_areas, dropped = associate_smoke(flame_boxes, smoke_regions)
         # Smoke over a flame the tracker does not report yet (warm-up) is

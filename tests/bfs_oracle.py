@@ -1,10 +1,11 @@
-"""Reference region grow: the per-pixel deque BFS that `segment_box` must match.
+"""Reference region grow: the per-pixel deque BFS that `segment_frame` must match.
 
-`flaremon.segment.segment_box` walks the graph of the window's row runs,
-and grows a whole breadth-first level per numpy step only where the cap
-binds or the runs are short.  This module keeps the plain pixel-at-a-time
-breadth-first search, so the tests can require identical masks, cap and
-degenerate flag included, whichever path `segment_box` takes.
+`flaremon.segment.segment_frame` stacks a frame's windows, walks the graph
+of their row runs, and grows a whole breadth-first level per numpy step
+only where the cap binds or the runs are short.  This module keeps the
+plain pixel-at-a-time breadth-first search, one box at a time, so the
+tests can require identical masks and smoke areas, the cap and degenerate
+seeds included, whichever path `segment_frame` takes.
 """
 
 from __future__ import annotations
@@ -14,19 +15,18 @@ from collections import deque
 import numpy as np
 
 from flaremon.core import BBox, Frame, Mask, box_center
-from flaremon.errors import OutOfBounds
-from flaremon.segment import SegmentResult
 
 
 def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
-                    max_region_fraction=1.5) -> SegmentResult:
-    """Flood fill from the box midpoint, clipped to the box dilated by 10%;
-    the defaults are the values of `segment.COLOR_TOLERANCE` and
-    `segment.MAX_REGION_FRACTION`."""
+                    max_region_fraction=1.5):
+    """Flood fill from the box midpoint, clipped to the box dilated by 10%:
+    (mask, whether the seed itself is inadmissible), or None when the seed
+    lies off the frame.  The defaults are the values of
+    `segment.COLOR_TOLERANCE` and `segment.MAX_REGION_FRACTION`."""
     cx, cy = box_center(box)
     sx, sy = int(round(cx)), int(round(cy))
     if not (0 <= sx < frame.width and 0 <= sy < frame.height):
-        raise OutOfBounds(f"seed ({sx}, {sy}) outside {frame.width}x{frame.height}")
+        return None
 
     dx, dy = 0.1 * box.width, 0.1 * box.height
     x_lo = max(0, int(np.floor(box.x_min - dx)))
@@ -62,4 +62,17 @@ def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
                 if count >= max_pixels:
                     break
 
-    return SegmentResult(mask=Mask.from_array(admitted), degenerate=degenerate)
+    return Mask.from_array(admitted), degenerate
+
+
+def segment_frame_bfs(frame: Frame, boxes, n_masks, color_tolerance=40.0,
+                      max_region_fraction=1.5):
+    """`segment_frame` one box at a time through `segment_box_bfs`: a mask
+    for each of the first n_masks boxes, the pixel count for each later
+    one, None for a box seeded off the frame."""
+    out = []
+    for k, box in enumerate(boxes):
+        res = segment_box_bfs(frame, box, color_tolerance, max_region_fraction)
+        out.append(None if res is None
+                   else res[0] if k < n_masks else res[0].area())
+    return out

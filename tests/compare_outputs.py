@@ -15,7 +15,10 @@ with its own ``src`` and ``perfbench`` on the path) on the same inputs:
   stray boxes: from frame 5 on a flame and a smoke box right of the frame,
   and on every frame a smoke box with no flame below it.  The stray boxes
   make ``monitor`` warn on stderr, so that the text and the order of its
-  warnings are compared too.  For each: the CSV, stdout and stderr.
+  warnings are compared too.  Also box-only with overlapping boxes: on
+  every frame a smoke box over the top half of the first flame box, and a
+  10x10 flame box in the plain sky, whose window holds more pixels than
+  the region cap allows.  For each: the CSV, stdout and stderr.
 
 Prints one line per output and exits 1 if any differs.  pytest does not
 collect this file.
@@ -75,13 +78,22 @@ def outputs(tree, work):
     off_frame = [{"class": cls, "bbox": [w + 10, 10, w + 40, 30],
                   "confidence": 0.9} for cls in ("flame", "smoke")]
     orphan = {"class": "smoke", "bbox": [0, h - 10, 10, h], "confidence": 0.9}
+    sky = {"class": "flame", "bbox": [20, 20, 30, 30], "confidence": 0.9}
     with open(scene_dir / "annotations.jsonl") as src, \
             open(scene_dir / "box_only.jsonl", "w") as plain, \
+            open(scene_dir / "box_only_overlap.jsonl", "w") as overlap, \
             open(scene_dir / "box_only_stray.jsonl", "w") as stray:
         for line in src:
             record = json.loads(line)
             record.pop("masks", None)
             plain.write(json.dumps(record) + "\n")
+            x0, y0, x1, y1 = next(d["bbox"] for d in record["detections"]
+                                  if d["class"] == "flame")
+            over = {"class": "smoke", "confidence": 0.9,
+                    "bbox": [x0, y0 - (y1 - y0) / 2, x1, (y0 + y1) / 2]}
+            overlap.write(json.dumps(dict(
+                record, detections=record["detections"] + [over, sky]))
+                + "\n")
             if record["frame_index"] >= 5:
                 record["detections"] += off_frame
             record["detections"].append(orphan)
@@ -101,6 +113,7 @@ def outputs(tree, work):
     inputs = [(f"preset:{p}", []) for p in PRESETS] + [
         ("monitor_scene/annotations.jsonl", frames),
         ("monitor_scene/box_only.jsonl", frames),
+        ("monitor_scene/box_only_overlap.jsonl", frames),
         ("monitor_scene/box_only_stray.jsonl", frames)]
     for i, (source, extra) in enumerate(inputs):
         csv = f"monitor{i}.csv"

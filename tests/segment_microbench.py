@@ -1,15 +1,20 @@
-"""Region-grow microbenchmark: best-of-7 wall time of `segment_box` per case.
+"""Region-grow microbenchmark: best-of-7 wall time of `segment_frame` per case.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/segment_microbench.py
 
-Cases: one flame and one smoke region of the benchmark monitor scene
-(640x360, six stacks, seed 41), a solid 300x300 box, a 300x300 box on a
-400x400 frame of base colour 128 plus uniform integer noise of +/-40 to
-+/-60 per channel at tolerance 40 (a pixel is admissible with probability
+Single-box cases, one `segment_frame` call each: one flame (a mask) and one
+smoke region (a pixel count) of the benchmark monitor scene (640x360, six
+stacks, seed 41), a solid 300x300 box, a 300x300 box on a 400x400 frame of
+base colour 128 plus uniform integer noise of +/-40 to +/-60 per channel at
+tolerance 40 (a pixel is admissible with probability
 (81 / (2 * noise + 1)) ** 3: 1.0, 0.70, 0.56, 0.46 and 0.30), and a
-site-percolation frame where 62% of the pixels are admissible.  Each figure is the best of 7 timings of a batch of calls,
+site-percolation frame where 62% of the pixels are admissible; the
+synthetic boxes are read as flames.  Per-frame cases: all 12 boxes of the
+first monitor frame (6 flames, 6 smokes), grown by one `segment_frame` call
+per box and by one call for the whole frame; "pixels" there is the
+admitted total.  Each figure is the best of 7 timings of a batch of calls,
 divided by the batch size; the batch grows until it takes about 20 ms.
 pytest does not collect this file.
 """
@@ -25,7 +30,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from flaremon.core import BBox, DetClass, Frame  # noqa: E402
-from flaremon.segment import segment_box  # noqa: E402
+from flaremon.segment import segment_frame  # noqa: E402
 from flaremon.simulator import render  # noqa: E402
 from perfbench.scenes import MONITOR, scene  # noqa: E402
 
@@ -48,15 +53,29 @@ def best_of_7(call):
     return min(times)
 
 
+def area(region):
+    return region if isinstance(region, int) else region.area()
+
+
+def grow_one(frame, box, as_mask):
+    return lambda: area(segment_frame(frame, [box], int(as_mask))[0])
+
+
 def scene_cases():
     rendered = next(render(scene(41, MONITOR)))
-    dets = rendered.annotation.detections
-    flame = next(d for d in dets if d.cls is DetClass.FLAME)
+    frame, dets = rendered.frame, rendered.annotation.detections
+    flames = [d.bbox for d in dets if d.cls is DetClass.FLAME]
+    smokes = [d.bbox for d in dets if d.cls is DetClass.SMOKE]
+    yield "scene flame", grow_one(frame, flames[0], True)
     # The largest smoke box: the smoke of a low stack.
-    smoke = max((d for d in dets if d.cls is DetClass.SMOKE),
-                key=lambda d: d.bbox.area)
-    yield "scene flame", rendered.frame, flame.bbox
-    yield "scene smoke", rendered.frame, smoke.bbox
+    yield "scene smoke", grow_one(frame, max(smokes, key=lambda b: b.area),
+                                  False)
+    boxes = flames + smokes
+    yield (f"frame, {len(boxes)} calls",
+           lambda: sum(area(segment_frame(frame, [b], int(k < len(flames)))[0])
+                       for k, b in enumerate(boxes)))
+    yield ("frame, 1 call",
+           lambda: sum(map(area, segment_frame(frame, boxes, len(flames)))))
 
 
 def square_frame(pixels):
@@ -69,26 +88,25 @@ BOX = BBox(50.0, 50.0, 350.0, 350.0)
 
 def synthetic_cases():
     rng = np.random.default_rng(0)
-    yield ("solid 300x300", square_frame(np.full((400, 400, 3), 128, np.uint8)),
-           BOX)
+    yield ("solid 300x300", grow_one(square_frame(
+        np.full((400, 400, 3), 128, np.uint8)), BOX, True))
     for amp in (40, 45, 48, 52, 60):
         pix = (128 + rng.integers(-amp, amp + 1, size=(400, 400, 3))) \
             .astype(np.uint8)
         pix[199:202, 199:202] = 128  # the seed patch: its mean is exactly 128
-        yield f"noise +/-{amp}", square_frame(pix), BOX
+        yield f"noise +/-{amp}", grow_one(square_frame(pix), BOX, True)
     # Its own draw, in which the seed lies in the spanning cluster.
     on = np.random.default_rng(0).random((400, 400)) < 0.62
     on[199:202, 199:202] = True  # the seed patch, so its mean is the on colour
     pix = np.where(on[..., None], 100, 200).astype(np.uint8).repeat(3, axis=2)
-    yield "percolation 62%", square_frame(pix), BOX
+    yield "percolation 62%", grow_one(square_frame(pix), BOX, True)
 
 
 def main():
-    print(f"{'case':<18}{'pixels':>9}{'ms':>10}")
-    for name, frame, box in (*scene_cases(), *synthetic_cases()):
-        area = segment_box(frame, box).mask.area()
-        ms = 1e3 * best_of_7(lambda: segment_box(frame, box))
-        print(f"{name:<18}{area:>9}{ms:>10.3f}")
+    print(f"{'case':<20}{'pixels':>9}{'ms':>10}")
+    for name, call in (*scene_cases(), *synthetic_cases()):
+        ms = 1e3 * best_of_7(call)
+        print(f"{name:<20}{call():>9}{ms:>10.3f}")
 
 
 if __name__ == "__main__":

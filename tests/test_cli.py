@@ -20,10 +20,10 @@ from flaremon.cli import main
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
 from flaremon.errors import ParseError
 from flaremon.ingest import write_annotation_stream
-from flaremon.segment import segment_box
+from flaremon.segment import segment_frame
 from flaremon.simulator import preset, render
 from tests.annotation_fuzz import annotation_streams, frame_indices
-from tests.bfs_oracle import segment_box_bfs
+from tests.bfs_oracle import segment_frame_bfs
 from tests.fullframe_oracle import decode_runs
 from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
                              urlopen_replying, write_frame_dir)
@@ -481,8 +481,8 @@ def monitor_outputs(model, pairs, out_dir, capsys):
 def test_box_only_monitor_matches_pixel_bfs(three_stacks_head, table_model,
                                             tmp_path, monkeypatch, capsys):
     outputs = []
-    for grow in (segment_box_bfs, segment_box):
-        monkeypatch.setattr(pipeline, "segment_box", grow)
+    for grow in (segment_frame_bfs, segment_frame):
+        monkeypatch.setattr(pipeline, "segment_frame", grow)
         outputs.append(monitor_outputs(
             table_model, box_only(three_stacks_head),
             str(tmp_path / grow.__name__), capsys))

@@ -97,33 +97,28 @@ class TestSmokeFlameRatio:
 
 
 class TestAssociateSmoke:
-    def small_mask(self, n=10):
-        arr = np.zeros((6, 6), dtype=bool)
-        arr.ravel()[:n] = True
-        return Mask.from_array(arr)
-
     def test_single_flame_takes_all(self):
         flames = {7: BBox(100, 100, 120, 140)}
-        smoke = [(BBox(95, 40, 125, 80), self.small_mask(12))]
+        smoke = [(BBox(95, 40, 125, 80), 12)]
         areas, dropped = associate_smoke(flames, smoke)
         assert areas == {7: 12} and dropped == 0
 
     def test_nearest_center_wins(self):
         flames = {1: BBox(90, 100, 110, 140), 2: BBox(290, 100, 310, 140)}
-        smoke = [(BBox(95, 40, 125, 80), self.small_mask(9))]
+        smoke = [(BBox(95, 40, 125, 80), 9)]
         areas, _ = associate_smoke(flames, smoke)
         assert areas == {1: 9, 2: 0}
 
     def test_smoke_below_all_flames_dropped(self):
         flames = {1: BBox(90, 100, 110, 140)}
-        smoke = [(BBox(80, 200, 120, 240), self.small_mask(5))]
+        smoke = [(BBox(80, 200, 120, 240), 5)]
         areas, dropped = associate_smoke(flames, smoke)
         assert areas == {1: 0} and dropped == 1
 
     def test_multiple_regions_sum(self):
         flames = {1: BBox(90, 100, 110, 140)}
-        smoke = [(BBox(80, 40, 120, 70), self.small_mask(5)),
-                 (BBox(85, 10, 115, 35), self.small_mask(7))]
+        smoke = [(BBox(80, 40, 120, 70), 5),
+                 (BBox(85, 10, 115, 35), 7)]
         areas, _ = associate_smoke(flames, smoke)
         assert areas[1] == 12
 

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flaremon import segment
-from flaremon.core import BBox, Frame, Mask
-from flaremon.errors import OutOfBounds
-from flaremon.segment import segment_box
-from tests.bfs_oracle import segment_box_bfs
+from flaremon.core import BBox, Frame
+from flaremon.segment import segment_frame
+from tests.bfs_oracle import segment_box_bfs, segment_frame_bfs
 from tests.fullframe_oracle import decode_runs
 
 
@@ -23,31 +22,39 @@ def frame_of(pix):
     return Frame(0, 0.0, w, h, pix)
 
 
-def grow(frame, box, tolerance, fraction=segment.MAX_REGION_FRACTION):
-    """segment_box with its colour tolerance and region cap set to these."""
+def grow_all(frame, boxes, n_masks, tolerance,
+             fraction=segment.MAX_REGION_FRACTION):
+    """segment_frame with its colour tolerance and region cap set to these."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segment, "COLOR_TOLERANCE", tolerance)
         mp.setattr(segment, "MAX_REGION_FRACTION", fraction)
-        return segment_box(frame, box)
+        return segment_frame(frame, boxes, n_masks)
+
+
+def grow(frame, box, tolerance, fraction=segment.MAX_REGION_FRACTION):
+    """The mask of one box, grown by one segment_frame call that reads the
+    box twice: once as a flame, for the mask, and once as a smoke, whose
+    pixel count must be the mask's area.  None for an off-frame seed."""
+    mask, area = grow_all(frame, [box, box], 1, tolerance, fraction)
+    assert area == (None if mask is None else mask.area())
+    return mask
 
 
 def test_uniform_region_on_contrasting_background():
     pix = make_frame()
     pix[10:30, 20:40] = (200, 50, 50)
     frame = frame_of(pix)
-    res = grow(frame, BBox(20, 10, 40, 30), 30, 2.0)
-    assert not res.degenerate
+    mask = grow(frame, BBox(20, 10, 40, 30), 30, 2.0)
     expect = np.zeros((40, 60), dtype=bool)
     expect[10:30, 20:40] = True
-    assert np.array_equal(decode_runs(res.mask), expect)
+    assert np.array_equal(decode_runs(mask), expect)
 
 
 def test_tolerance_255_fills_clipped_box():
     pix = make_frame()
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
-    res = grow(frame, box, 255, 2.0)
-    arr = decode_runs(res.mask)
+    arr = decode_runs(grow(frame, box, 255, 2.0))
     # everything inside the 10%-dilated box is admitted
     assert arr[12, 25] and arr[10, 20]
     assert arr[8, 25]  # inside dilation margin
@@ -58,8 +65,7 @@ def test_seed_always_in_mask():
     pix = make_frame()
     pix[19:22, 29:32] = (200, 200, 200)
     frame = frame_of(pix)
-    res = grow(frame, BBox(25, 15, 35, 25), 5, 1.0)
-    assert decode_runs(res.mask)[20, 30]
+    assert decode_runs(grow(frame, BBox(25, 15, 35, 25), 5, 1.0))[20, 30]
 
 
 def test_degenerate_seed_gives_single_pixel():
@@ -69,15 +75,16 @@ def test_degenerate_seed_gives_single_pixel():
     pix[patch == 0] = (255, 255, 255)
     pix[patch == 1] = (0, 0, 0)
     frame = frame_of(pix)
-    res = grow(frame, BBox(20, 10, 40, 30), 10, 1.0)
-    assert res.degenerate
-    assert res.mask.area() == 1
+    box = BBox(20, 10, 40, 30)
+    assert segment_box_bfs(frame, box, 10, 1.0)[1]  # the oracle's flag
+    mask = grow(frame, box, 10, 1.0)
+    assert mask.area() == 1 and decode_runs(mask)[20, 30]
 
 
 def test_out_of_bounds_seed():
     frame = frame_of(make_frame())
-    with pytest.raises(OutOfBounds):
-        segment_box(frame, BBox(100, 100, 120, 120))
+    assert segment_frame(frame, [BBox(100, 100, 120, 120)] * 2, 1) == \
+        [None, None]
 
 
 def test_output_connected():
@@ -85,8 +92,7 @@ def test_output_connected():
     pix[10:30, 20:40] = (200, 50, 50)
     pix[5:8, 50:55] = (200, 50, 50)  # same color, not 4-connected to seed
     frame = frame_of(pix)
-    res = grow(frame, BBox(18, 8, 56, 32), 30, 2.0)
-    arr = decode_runs(res.mask)
+    arr = decode_runs(grow(frame, BBox(18, 8, 56, 32), 30, 2.0))
     assert not arr[6, 52]
     # flood-fill recount from any foreground pixel covers the whole mask
     from collections import deque
@@ -110,17 +116,14 @@ def test_deterministic():
     pix += rng.integers(0, 40, pix.shape).astype(np.uint8)
     frame = frame_of(pix)
     box = BBox(15, 8, 45, 32)
-    a = grow(frame, box, 25, 1.5)
-    b = grow(frame, box, 25, 1.5)
-    assert a.mask == b.mask and a.degenerate == b.degenerate
+    assert grow(frame, box, 25, 1.5) == grow(frame, box, 25, 1.5)
 
 
 def test_region_capped_by_fraction():
     pix = make_frame(bg=(100, 100, 100))
     frame = frame_of(pix)
     box = BBox(20, 10, 30, 20)
-    res = grow(frame, box, 255, 0.5)
-    assert res.mask.area() <= int(0.5 * box.area) + 1
+    assert grow(frame, box, 255, 0.5).area() <= int(0.5 * box.area) + 1
 
 
 @st.composite
@@ -151,15 +154,8 @@ def frame_box_config(draw):
 @given(frame_box_config())
 def test_matches_pixel_bfs(case):
     frame, box, cfg = case
-    try:
-        expect = segment_box_bfs(frame, box, *cfg)
-    except OutOfBounds:
-        with pytest.raises(OutOfBounds):
-            grow(frame, box, *cfg)
-        return
-    got = grow(frame, box, *cfg)
-    assert got.degenerate == expect.degenerate
-    assert got.mask == expect.mask
+    expect = segment_box_bfs(frame, box, *cfg)
+    assert grow(frame, box, *cfg) == (None if expect is None else expect[0])
 
 
 def test_cap_keeps_breadth_first_order():
@@ -169,12 +165,12 @@ def test_cap_keeps_breadth_first_order():
     frame = frame_of(make_frame(w=11, h=11))
     box = BBox(0, 0, 10, 10)
     for n, extra in ((5, None), (6, (3, 5))):
-        res = grow(frame, box, 0, n / box.area)
+        mask = grow(frame, box, 0, n / box.area)
         expect = np.zeros((11, 11), dtype=bool)
         expect[[5, 4, 6, 5, 5], [5, 5, 5, 4, 6]] = True
         if extra:
             expect[extra] = True
-        assert np.array_equal(decode_runs(res.mask), expect)
+        assert np.array_equal(decode_runs(mask), expect)
 
 
 def count_calls(monkeypatch, name):
@@ -210,7 +206,7 @@ def uncapped_case(draw):
 @given(uncapped_case())
 def test_run_walk_matches_pixel_bfs(case):
     frame, box, cfg = case
-    expect = segment_box_bfs(frame, box, *cfg)
+    expect, degenerate = segment_box_bfs(frame, box, *cfg)
     # With the short-run guard lifted, every grow that is not degenerate
     # takes the run walk, and the level search never runs.
     with pytest.MonkeyPatch.context() as mp:
@@ -218,9 +214,9 @@ def test_run_walk_matches_pixel_bfs(case):
         walks = count_calls(mp, "_component_runs")
         searches = count_calls(mp, "_level_bfs")
         got = grow(frame, box, *cfg)
-    assert got.degenerate == expect.degenerate
-    assert got.mask == expect.mask
-    assert len(walks) == (not expect.degenerate) and not searches
+    assert got == expect
+    # grow reads the box twice, so each path runs once per reading.
+    assert len(walks) == 2 * (not degenerate) and not searches
 
 
 def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
@@ -232,9 +228,9 @@ def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
     walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
-    assert len(walks) == 1 and len(searches) == 1
-    assert got.mask.area() == int(0.5 * box.area)
-    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
+    assert len(walks) == 2 and len(searches) == 2  # once per reading
+    assert got.area() == int(0.5 * box.area)
+    assert got == segment_box_bfs(frame, box, *cfg)[0]
 
 
 def noisy_frame(amplitude, seed):
@@ -268,10 +264,10 @@ def test_short_runs_take_level_bfs(frame, monkeypatch):
     walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
-    expect = segment_box_bfs(frame, box, *cfg)
-    assert not walks and len(searches) == 1
-    assert not got.degenerate and got.mask == expect.mask
-    assert got.mask.area() > 1
+    expect, degenerate = segment_box_bfs(frame, box, *cfg)
+    assert not walks and len(searches) == 2  # once per reading
+    assert not degenerate and got == expect
+    assert got.area() > 1
 
 
 def test_diagonal_runs_do_not_touch():
@@ -286,8 +282,8 @@ def test_diagonal_runs_do_not_touch():
     box = BBox(0, 0, 24, 9)
     cfg = (30, 2.0)
     got = grow(frame, box, *cfg)
-    assert got.mask.area() == 24
-    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
+    assert got.area() == 24
+    assert got == segment_box_bfs(frame, box, *cfg)[0]
 
 
 def test_component_of_exactly_the_cap_takes_the_walk(monkeypatch):
@@ -298,8 +294,8 @@ def test_component_of_exactly_the_cap_takes_the_walk(monkeypatch):
     cfg = (30, 1.0)  # the cap is the region's 400 pixels
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
-    assert not searches and got.mask.area() == 400
-    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
+    assert not searches and got.area() == 400
+    assert got == segment_box_bfs(frame, box, *cfg)[0]
 
 
 @pytest.mark.parametrize("distance", [20, 40])
@@ -320,5 +316,115 @@ def test_tolerance_boundary_in_float64(distance):
     box = BBox(5, 5, 15, 15)
     cfg = (tol, 2.0)
     got = grow(frame, box, *cfg)
-    assert decode_runs(got.mask)[10, 12:16].all()
-    assert got.mask == segment_box_bfs(frame, box, *cfg).mask
+    assert decode_runs(got)[10, 12:16].all()
+    assert got == segment_box_bfs(frame, box, *cfg)[0]
+
+
+@st.composite
+def frame_boxes_config(draw):
+    """A frame of two blocky halves side by side, each from the four-colour
+    palette of frame_box_config with its own block size, so that one frame
+    can hold short-run and long-run windows; 0 to 8 boxes, each new or a
+    shifted copy of an earlier one (overlapping flame and smoke boxes), with
+    seeds that may lie off the frame, sides from under 3 px to past every
+    edge, and whole-frame boxes that fill a batch; the number of boxes read
+    as flames; and a (tolerance, cap) pair."""
+    palette = np.array([[200, 60, 40], [220, 80, 30], [30, 40, 200],
+                        [0, 0, 0]], dtype=np.uint8)
+    h = draw(st.integers(1, 12))
+    halves = []
+    for _ in range(2):
+        block = draw(st.integers(1, 4))
+        cells = draw(arrays(np.uint8, (h, draw(st.integers(1, 8))),
+                            elements=st.integers(0, 3)))
+        halves.append(palette[cells].repeat(block, axis=0)
+                      .repeat(block, axis=1)[:h])
+    cut = min(half.shape[0] for half in halves)
+    pix = np.ascontiguousarray(np.concatenate([half[:cut] for half in halves],
+                                              axis=1))
+    h, w, _ = pix.shape
+    boxes = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "copy", "whole"]))
+        if kind == "whole":
+            boxes.append(BBox(-1.0, -1.0, w + 1.0, h + 1.0))
+            continue
+        if kind == "copy" and boxes:
+            b = draw(st.sampled_from(boxes))
+            sx, sy = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+            boxes.append(BBox(b.x_min + sx, b.y_min + sy, b.x_max + sx,
+                              b.y_max + sy))
+            continue
+        cx = draw(st.integers(-2, w + 1)) + draw(st.floats(-0.45, 0.45))
+        cy = draw(st.integers(-2, h + 1)) + draw(st.floats(-0.45, 0.45))
+        hw = draw(st.floats(0.05, w + 2))
+        hh = draw(st.floats(0.05, h + 2))
+        boxes.append(BBox(cx - hw, cy - hh, cx + hw, cy + hh))
+    n_masks = draw(st.integers(0, len(boxes)))
+    cfg = (draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0)),
+           draw(st.floats(0.05, 2.0)))
+    return Frame(0, 0.0, w, h, pix), boxes, n_masks, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_boxes_config())
+def test_frame_matches_pixel_bfs_per_box(case):
+    frame, boxes, n_masks, cfg = case
+    got = grow_all(frame, boxes, n_masks, *cfg)
+    assert got == segment_frame_bfs(frame, boxes, n_masks, *cfg)
+
+
+def test_mixed_frame_matches_pixel_bfs(monkeypatch):
+    # One frame holding: a flame box and an overlapping smoke box, boxes
+    # clipped by each edge, a seed off the frame, a degenerate seed, a
+    # cap-bound window on the uniform left half and a short-run window on
+    # the percolation right half.
+    pix = make_frame(w=80, h=40, bg=(128, 128, 128))
+    on = np.random.default_rng(0).random((40, 40)) < 0.62
+    on[19:22, 59:62] = True  # the short-run box's seed patch
+    pix[:, 40:] = np.where(on[..., None], 100, 200)
+    pix[5:8, 20:23] = (0, 0, 0)
+    pix[6, 22] = (255, 255, 255)  # a seed unlike its 3x3 mean
+    frame = frame_of(pix)
+    boxes = [BBox(10, 10, 20, 20),   # flame, cap-bound: 13x13 window > 150
+             BBox(45, 5, 75, 35),    # flame, short runs
+             BBox(15, 15, 30, 30),   # smoke overlapping the first flame
+             BBox(-5, 2, 6, 12), BBox(70, -3, 90, 8),  # left, top, right
+             BBox(30, 30, 50, 45),   # bottom
+             BBox(81, 10, 95, 20),   # seed off the frame
+             BBox(19, 4, 24, 9)]     # degenerate seed
+    walks = count_calls(monkeypatch, "_component_runs")
+    searches = count_calls(monkeypatch, "_level_bfs")
+    got = segment_frame(frame, boxes, 2)
+    assert got == segment_frame_bfs(frame, boxes, 2)
+    assert got[6] is None and got[7] == 1
+    assert got[0].area() == int(segment.MAX_REGION_FRACTION * 100)
+    # Each path's last argument is the cap, distinct for each box here: the
+    # cap-bound flame (150) walks and falls back to the level search, the
+    # short-run flame (1350) goes straight to it.
+    walked = [args[-1] for args in walks]
+    searched = [args[-1] for args in searches]
+    assert 150 in walked and 150 in searched
+    assert 1350 not in walked and 1350 in searched
+
+
+def test_full_frame_boxes_flush_the_batch(monkeypatch):
+    # Each whole-frame window alone exceeds the frame's pixel count, so
+    # each is grown in a batch of its own; the small boxes after them share
+    # the last batch.
+    pix = make_frame()
+    pix[10:30, 20:40] = (200, 50, 50)
+    frame = frame_of(pix)
+    whole = BBox(0, 0, 60, 40)
+    boxes = [whole, BBox(20, 10, 40, 30), whole, BBox(22, 12, 38, 28),
+             BBox(25, 15, 35, 25)]
+    batches = count_calls(monkeypatch, "_grow_batch")
+    got = segment_frame(frame, boxes, 2)
+    assert [len(args[1]) for args in batches] == [1, 2, 2]
+    assert got == segment_frame_bfs(frame, boxes, 2)
+
+
+def test_no_boxes_no_work(monkeypatch):
+    batches = count_calls(monkeypatch, "_grow_batch")
+    assert segment_frame(frame_of(make_frame()), [], 0) == []
+    assert not batches
