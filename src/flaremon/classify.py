@@ -7,6 +7,7 @@ hyperparameters, and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -35,38 +36,29 @@ def _check_data(X, y):
     y = list(y)
     if X.shape[0] != len(y) or X.shape[0] < 2:
         raise TrainingDataError("need at least 2 samples")
+    for lbl in y:
+        if lbl not in (HIGH, LOW):
+            raise TrainingDataError(
+                f"label {lbl!r} is neither {HIGH!r} nor {LOW!r}")
     if len(set(y)) < 2:
         raise TrainingDataError("training data must contain both classes")
     return X, np.array([1.0 if lbl == HIGH else 0.0 for lbl in y])
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so
+    that no exp overflows; NaN stays the NaN it was."""
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
-def logistic_loss_grad(w, b, X, y01):
-    """Mean binary cross-entropy and its gradient."""
-    p = _sigmoid(X @ w + b)
-    eps = 1e-12
-    loss = -np.mean(y01 * np.log(p + eps) + (1 - y01) * np.log(1 - p + eps))
-    diff = p - y01
-    return loss, X.T @ diff / len(y01), float(diff.mean())
-
-
-def _train_linear(kind, loss_grad, n_features):
-    """Full-batch gradient descent on (w, b) from zero; loss_grad(w, b)
-    returns (loss, grad_w, grad_b)."""
-    w = np.zeros(n_features)
+def _train_linear(kind, X, step):
+    """Full-batch gradient descent on (w, b) from zero.  `step(z, w)` takes
+    the scores X @ w + b and returns (X.T @ g / n, mean of g) for the
+    per-sample loss gradient g; it raises DivergenceError itself."""
+    w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(EPOCHS):
-        loss, gw, gb = loss_grad(w, b)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"loss became {loss}")
+        gw, gb = step(X @ w + b, w)
         w -= LEARNING_RATE * gw
         b -= LEARNING_RATE * gb
     return ClassifierModel(kind=kind,
@@ -75,28 +67,39 @@ def _train_linear(kind, loss_grad, n_features):
 
 
 def train_logistic(data, labels) -> ClassifierModel:
+    """Mean binary cross-entropy.  Its loss is NaN exactly when the mean
+    gradient of the bias is, so that is what is checked."""
     X, y01 = _check_data(data, labels)
-    return _train_linear(
-        "logistic", lambda w, b: logistic_loss_grad(w, b, X, y01), X.shape[1])
+    XT, n = X.T, len(y01)
 
+    def step(z, w):
+        diff = _sigmoid(z) - y01
+        gb = np.add.reduce(diff) / n
+        if math.isnan(gb):
+            raise DivergenceError("loss became nan")
+        return XT @ diff / n, float(gb)
 
-def svm_loss_grad(w, b, X, ypm, reg):
-    """L2-regularized mean hinge loss and a subgradient."""
-    margins = ypm * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    loss = 0.5 * reg * float(w @ w) + float(hinge.mean())
-    active = (margins < 1.0).astype(float)
-    gw = reg * w - X.T @ (ypm * active) / len(ypm)
-    gb = -float((ypm * active).mean())
-    return loss, gw, gb
+    return _train_linear("logistic", X, step)
 
 
 def train_svm(data, labels) -> ClassifierModel:
+    """L2-regularized mean hinge loss, with a subgradient.  The loss is
+    checked itself: it can overflow while the gradients stay finite."""
     X, y01 = _check_data(data, labels)
+    XT, n = X.T, len(y01)
     ypm = 2.0 * y01 - 1.0
-    return _train_linear(
-        "svm", lambda w, b: svm_loss_grad(w, b, X, ypm, SVM_REGULARIZATION),
-        X.shape[1])
+    reg = SVM_REGULARIZATION
+
+    def step(z, w):
+        margins = ypm * z
+        loss = (0.5 * reg * float(w @ w)
+                + float(np.add.reduce(np.maximum(0.0, 1.0 - margins)) / n))
+        if not math.isfinite(loss):
+            raise DivergenceError(f"loss became {loss}")
+        g = ypm * (margins < 1.0)
+        return reg * w - XT @ g / n, -float(np.add.reduce(g) / n)
+
+    return _train_linear("svm", X, step)
 
 
 def train_knn(data, labels, k: int = 3) -> ClassifierModel:
@@ -128,38 +131,39 @@ def mlp_forward(weights, X):
     return h, p
 
 
-def mlp_loss_grad(weights, X, y01):
-    """Mean cross-entropy and full-batch backprop gradients."""
-    h, p = mlp_forward(weights, X)
-    eps = 1e-12
-    loss = -np.mean(y01 * np.log(p + eps) + (1 - y01) * np.log(1 - p + eps))
-    n = len(y01)
-    dz2 = (p - y01)[:, None] / n
-    grads = {
-        "W2": h.T @ dz2,
-        "b2": dz2.sum(axis=0),
-    }
-    dh = dz2 @ weights["W2"].T
-    dz1 = dh * (1.0 - h * h)
-    grads["W1"] = X.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
-
-
 def train_mlp(data, labels, seed: int = 0) -> ClassifierModel:
+    """Mean cross-entropy through one tanh layer, by full-batch backprop.
+    As for the logistic fit, the bias gradient of the output is checked
+    in place of the loss."""
     X, y01 = _check_data(data, labels)
-    weights = _mlp_init(X.shape[1], MLP_HIDDEN, seed)
+    XT, n, y = X.T, len(y01), y01[:, None]
+    init = _mlp_init(X.shape[1], MLP_HIDDEN, seed)
+    # the parameters and their gradients as views of one flat array each,
+    # so that one subtraction updates them all
+    theta = np.concatenate([v.ravel() for v in init.values()])
+    grad = np.empty_like(theta)
+    ends = np.cumsum([0] + [v.size for v in init.values()]).tolist()
+
+    def split(flat):
+        return [flat[a:b].reshape(v.shape)
+                for a, b, v in zip(ends, ends[1:], init.values())]
+
+    (W1, b1, W2, b2), (gW1, gb1, gW2, gb2) = split(theta), split(grad)
     for _ in range(EPOCHS):
-        loss, grads = mlp_loss_grad(weights, X, y01)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"loss became {loss}")
-        for key in weights:
-            weights[key] = weights[key] - LEARNING_RATE * grads[key]
-    count = sum(v.size for v in weights.values())
+        h = np.tanh(X @ W1 + b1)
+        dz2 = (_sigmoid(h @ W2 + b2) - y) / n
+        np.add.reduce(dz2, axis=0, out=gb2)
+        if math.isnan(gb2[0]):
+            raise DivergenceError("loss became nan")
+        np.matmul(h.T, dz2, out=gW2)
+        dz1 = dz2 * W2.T * (1.0 - h * h)
+        np.matmul(XT, dz1, out=gW1)
+        np.add.reduce(dz1, axis=0, out=gb1)
+        theta -= LEARNING_RATE * grad
     return ClassifierModel(
         kind="mlp",
-        parameters={k: v.tolist() for k, v in weights.items()},
-        parameter_count=count,
+        parameters={k: v.tolist() for k, v in zip(init, split(theta))},
+        parameter_count=theta.size,
     )
 
 

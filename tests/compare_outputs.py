@@ -10,6 +10,9 @@ with its own ``src`` and ``perfbench`` on the path) on the same inputs:
 - ``simulate`` of every preset: every file it writes;
 - ``train`` on the seed-41 benchmark training scene: the model file (all
   but ``metadata.created``), the ``--log`` CSV, stdout and stderr;
+- the same training run with ``pipeline.train_all_classifiers`` recorded:
+  each of the four classifiers it fits, as JSON, whose floats round-trip
+  exactly.  The model file keeps only the selected one;
 - ``monitor --log`` with that model on every preset and on the seed-41
   benchmark monitor scene, with its masks, box-only, and box-only with
   stray boxes: from frame 5 on a flame and a smoke box right of the frame,
@@ -41,6 +44,17 @@ WRITE_SCENE = ("import sys\n"
                "from perfbench.scenes import scene\n"
                "formats.save_scene(render(scene(41, int(sys.argv[2]))), "
                "sys.argv[1])\n")
+FIT_CLASSIFIERS = ("import json, sys\n"
+                   "from flaremon import cli, pipeline\n"
+                   "fitted, fit = [], pipeline.train_all_classifiers\n"
+                   "def record(*args, **kwargs):\n"
+                   "    fitted.append(fit(*args, **kwargs))\n"
+                   "    return fitted[-1]\n"
+                   "pipeline.train_all_classifiers = record\n"
+                   "cli.main(sys.argv[2:])\n"
+                   "with open(sys.argv[1], 'w') as out:\n"
+                   "    json.dump({kind: [m.parameter_count, m.parameters]\n"
+                   "               for kind, m in fitted[0].items()}, out)\n")
 
 
 def run(tree, work, *argv):
@@ -108,6 +122,12 @@ def outputs(tree, work):
     doc = json.loads((work / "model.json").read_text())
     doc["metadata"].pop("created")
     got["train model (no metadata.created)"] = json.dumps(doc).encode()
+    run(tree, work, "-c", FIT_CLASSIFIERS, "classifiers.json", "train",
+        "--annotations", "train_scene/annotations.jsonl", "--frames",
+        "train_scene/frames", "--out", "model_all.json")
+    fitted = json.loads((work / "classifiers.json").read_text())
+    got.update({f"train_all_classifiers {kind}": json.dumps(m).encode()
+                for kind, m in fitted.items()})
 
     frames = ["--frames", "monitor_scene/frames"]
     inputs = [(f"preset:{p}", []) for p in PRESETS] + [

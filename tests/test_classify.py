@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flaremon import classify
-from flaremon.classify import (HIGH, LOW, logistic_loss_grad, mlp_loss_grad, predict,
-                               score, svm_loss_grad, train_knn, train_logistic,
-                               train_mlp, train_svm)
-from flaremon.errors import InvalidK, TrainingDataError
+from flaremon.classify import (HIGH, LOW, predict, score, train_knn,
+                               train_logistic, train_mlp, train_svm)
+from flaremon.errors import DivergenceError, InvalidK, TrainingDataError
+from tests import classify_oracle
+from tests.classify_oracle import (logistic_loss_grad, mlp_loss_grad,
+                                   svm_loss_grad)
 
 # separable by the line x0 = 0
 SEP_X = np.array([[-2.0, 0.5], [-1.0, -0.5], [1.0, 0.3], [2.0, -0.2]])
@@ -146,8 +151,7 @@ class TestMlp:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(8, 2))
         y01 = (rng.random(8) < 0.5).astype(float)
-        from flaremon.classify import _mlp_init
-        params = _mlp_init(2, 4, seed=5)
+        params = classify._mlp_init(2, 4, seed=5)
         _, grads = mlp_loss_grad(params, X, y01)
         h = 1e-5
         for key in params:
@@ -200,3 +204,129 @@ class TestEvaluate:
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(50, 2)) * 3
         assert predict(m, pts) == predict(scaled, pts)
+
+
+@pytest.mark.parametrize("train", [train_logistic, train_svm, train_knn,
+                                   train_mlp])
+@pytest.mark.parametrize("labels, named", [([HIGH, "hgih"], "'hgih'"),
+                                           ([HIGH, LOW, None, "x"], "None")])
+def test_unknown_label_rejected(train, labels, named):
+    """Two distinct labels are not both classes: a misspelt label must not
+    train as low.  The first unknown label is named."""
+    with pytest.raises(TrainingDataError,
+                       match=f"label {named} is neither 'high' nor 'low'"):
+        train(SEP_X[:len(labels)], labels)
+
+
+# Bit identity with the trainers as they were (tests/classify_oracle.py).
+
+TRAINERS = ("train_logistic", "train_svm", "train_mlp")
+
+
+def bits(value):
+    """`value` with every float replaced by its float.hex."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def outcome(train, X, labels):
+    """A model's kind, parameter count and parameter bits, or the type and
+    text of the error it raised."""
+    try:
+        m = train(X, labels)
+    except DivergenceError as exc:
+        return type(exc), str(exc)
+    return m.kind, m.parameter_count, bits(m.parameters)
+
+
+def same_as_oracle(X, labels):
+    for name in TRAINERS:
+        got = outcome(getattr(classify, name), X, labels)
+        assert got == outcome(getattr(classify_oracle, name), X, labels), name
+
+
+@st.composite
+def training_sets(draw):
+    """(X, labels): 2-300 samples of two features at scales from 1e-3 to
+    1e3 or 1e300, with imbalanced classes, duplicate rows and, sometimes,
+    one inf or NaN entry."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.one_of(
+        st.tuples(*[st.floats(-3, 3).map(lambda e: 10.0 ** e)] * 2),
+        st.just((1e300, 1e300))))
+    X = rng.normal(size=(n, 2)) * scales
+    high = rng.random(n) < draw(st.sampled_from([0.02, 0.2, 0.5, 0.9]))
+    high[rng.choice(n, 2, replace=False)] = [True, False]
+    duplicates = draw(st.integers(0, n // 2))
+    if duplicates:
+        X[rng.choice(n, duplicates)] = X[rng.choice(n, duplicates)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        X.flat[rng.integers(X.size)] = draw(st.sampled_from(
+            [np.inf, -np.inf, np.nan]))
+    return X, [HIGH if h else LOW for h in high]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=training_sets(), epochs=st.integers(0, 300))
+def test_trainers_match_oracle(data, epochs):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "EPOCHS", epochs)
+        with np.errstate(all="ignore"):
+            same_as_oracle(*data)
+
+
+@pytest.mark.parametrize("X, labels", [
+    (SEP_X, SEP_Y), (XOR_X, XOR_Y),
+    (np.random.default_rng(8).normal(size=(121, 2)) * [1.5, 0.4],
+     [HIGH if v else LOW for v in np.random.default_rng(9).random(121) < .4])],
+    ids=["separable", "xor", "121x2"])
+def test_full_fits_match_oracle(X, labels):
+    same_as_oracle(X, labels)
+
+
+def test_divergence_text_matches_oracle():
+    X = np.random.default_rng(3).normal(size=(20, 2))
+    y = [HIGH, LOW] * 10
+    with np.errstate(all="ignore"):
+        assert outcome(train_svm, X * 1e300, y) == (DivergenceError,
+                                                    "loss became inf")
+        same_as_oracle(X * 1e300, y)
+        for bad in (np.inf, np.nan):
+            X[4, 1] = bad
+            for name in TRAINERS:
+                assert outcome(getattr(classify, name), X, y) == (
+                    DivergenceError, "loss became nan")
+            same_as_oracle(X, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(0, 300),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_sigmoid_matches_oracle(z):
+    with np.errstate(all="ignore"):
+        assert (classify._sigmoid(z).tobytes()
+                == classify_oracle.sigmoid(z).tobytes())
+        assert (classify._sigmoid(z[:, None]).tobytes()
+                == classify_oracle.sigmoid(z).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3, 3).map(lambda e: 10.0 ** e))
+def test_mlp_forward_matches_oracle(seed, scale):
+    """Prediction goes through the current sigmoid, the oracle's through
+    its own."""
+    rng = np.random.default_rng(seed)
+    weights = classify._mlp_init(2, classify.MLP_HIDDEN, seed)
+    weights = {k: v * scale for k, v in weights.items()}
+    X = rng.normal(size=(50, 2)) * scale
+    for a, b in zip(classify.mlp_forward(weights, X),
+                    classify_oracle.mlp_forward(weights, X)):
+        assert a.tobytes() == b.tobytes()
+    model = classify.ClassifierModel(
+        "mlp", {k: v.tolist() for k, v in weights.items()}, 33)
+    assert predict(model, X) == classify_oracle.predict(model, X)
