@@ -11,7 +11,6 @@ import sys
 
 from . import classify, formats, pipeline
 from .errors import AuthError, FlaremonError, ParseError, Unavailable
-from .pipeline import MonitorConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,12 +124,10 @@ def cmd_train(args):
 
 def cmd_monitor(args):
     model = formats.load_model(args.model)
-    config = MonitorConfig(alert_window=args.alert_window,
-                           cooldown=args.cooldown)
     n_alerts = 0
     with formats.feature_log_writer(args.log) as write_row:
-        for rec, alert in pipeline.run_monitor(model, _input_stream(args),
-                                               config):
+        for rec, alert in pipeline.run_monitor(
+                model, _input_stream(args), args.alert_window, args.cooldown):
             f = rec.features
             print(f"frame {rec.frame} track {rec.track_id} "
                   f"ratio={f.smoke_flame_ratio:.3f} E={f.rgb_index:.3f} "

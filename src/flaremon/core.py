@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import DecodeError
 
+FPS = 25.0  # of rendered scenes, and of frame directories that give none
+
 
 class DetClass(enum.Enum):
     FLAME = "flame"

@@ -101,12 +101,12 @@ def associate_smoke(flame_boxes: Dict[int, BBox],
                     smoke_regions: Sequence[Tuple[BBox, int]]):
     """Attribute smoke regions, (box, pixel count) pairs, to flames; smoke
     rises, so a region goes to the nearest flame (horizontal center
-    distance) among flames lying entirely at or below the region's bottom
-    edge.
+    distance, ties to the smaller key) among the flames lying entirely at
+    or below the region's bottom edge.
 
-    Returns (areas, dropped) where areas maps flame id -> total smoke pixel
-    area (every id present, possibly 0) and dropped counts unassignable
-    regions.
+    Returns (areas, dropped) where areas maps each key of `flame_boxes`
+    (the pipeline's keys are detection indices) -> total smoke pixel area,
+    every key present, possibly 0, and dropped counts unassignable regions.
     """
     areas = {fid: 0 for fid in flame_boxes}
     dropped = 0

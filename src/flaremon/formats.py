@@ -15,7 +15,7 @@ from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from .classify import HIGH, KINDS, LOW, ClassifierModel
-from .core import Frame
+from .core import FPS, Frame
 from .errors import ModelVersionError, ParseError
 from .features import N_FEATURES, FeatureVector
 from .ingest import (FrameAnnotation, bbox_json, mask_json,
@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # annotations only: monitoring loads neither module
 
 MODEL_SCHEMA_VERSION = 1
 FEATURE_LOG_HEADER = "frame,track_id,ratio,E,angle,pc1,pc2,label"
-DEFAULT_FPS = 25.0
 
 
 @dataclass(frozen=True)
@@ -350,12 +349,12 @@ def save_frames(frames: Iterable[Frame], out_dir) -> int:
     for frame in frames:
         if meta is None:
             meta = {"width": frame.width, "height": frame.height,
-                    "fps": DEFAULT_FPS}
+                    "fps": FPS}
         path = os.path.join(out_dir, f"frame_{frame.index:06d}.rgb")
         with open(path, "wb") as fh:
             fh.write(frame.pixels.tobytes())
         count += 1
-    meta = meta or {"width": 0, "height": 0, "fps": DEFAULT_FPS}
+    meta = meta or {"width": 0, "height": 0, "fps": FPS}
     meta["frame_count"] = count
     with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True)
@@ -383,7 +382,7 @@ def load_frames(in_dir) -> Iterator[Frame]:
         if type(meta.get(key)) is not int or meta[key] < least:
             raise ParseError(f"{meta_path}: {key} {meta.get(key)!r} is not "
                              f"an integer >= {least}")
-    w, h, fps = meta["width"], meta["height"], meta.get("fps", DEFAULT_FPS)
+    w, h, fps = meta["width"], meta["height"], meta.get("fps", FPS)
     if type(fps) not in (int, float) or not 0 < fps < math.inf:
         raise ParseError(f"{meta_path}: fps {fps!r} is not a finite "
                          "positive number")

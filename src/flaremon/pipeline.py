@@ -36,18 +36,6 @@ load_model, model_to_json = formats.load_model, formats.model_to_json
 
 
 @dataclass(frozen=True)
-class MonitorConfig:
-    alert_window: int = 5  # consecutive low frames before an alert
-    cooldown: int = 50  # frames before the same track may alert again
-
-    def __post_init__(self):
-        if self.alert_window < 1:
-            raise ValueError("alert_window must be >= 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
-
-
-@dataclass(frozen=True)
 class Alert:
     track_id: int
     first_frame: int
@@ -71,21 +59,19 @@ def extract_track_features(
     frame (degenerate orientation, empty region, box-only detection centred
     off the frame) are skipped with a log line, not fatal; an off-frame
     box-only smoke detection is left out of smoke attribution the same way.
-    A mask whose size differs from its frame raises DecodeError.
+    A mask whose size differs from its frame raises DecodeError.  Smoke
+    counts for the nearest flame detection at or below it, reported or not
+    (features.associate_smoke), so smoke over a warming-up flame counts for
+    no flame.
     """
     tracker = SortTracker()
     for frame, ann in stream:
         flame_idx = [i for i, d in enumerate(ann.detections)
                      if d.cls is DetClass.FLAME]
-        flame_dets = [ann.detections[i] for i in flame_idx]
-        reported, matches, _, deaths = tracker.step(flame_dets)
-        det_of_track = dict(matches)
-
-        matched = [(t, flame_idx[det_of_track[t]]) for t in reported
-                   if t in det_of_track]
-        # A flame keeps its box even if its region is skipped below, so
-        # that smoke above it is not given to another flame.
-        flame_boxes = {t: ann.detections[i].bbox for t, i in matched}
+        reported, matches, _, deaths = tracker.step(
+            [ann.detections[i] for i in flame_idx])
+        det_of_track = {t: flame_idx[j] for t, j in matches}
+        matched = [(t, det_of_track[t]) for t in reported if t in det_of_track]
         # Flames in reported order, then smokes (track None) in detection
         # order: the order of warnings and errors.
         regions = matched + [(None, i) for i, d in enumerate(ann.detections)
@@ -125,17 +111,16 @@ def extract_track_features(
             else:
                 flames.append((track_id, region))
 
-        smoke_areas, dropped = associate_smoke(flame_boxes, smoke_regions)
-        # Smoke over a flame the tracker does not report yet (warm-up) is
-        # expected; only smoke with no flame detection below is not.
-        orphans = sum(not any(d.bbox.y_min >= box.y_max for d in flame_dets)
-                      for box, _ in smoke_regions)
+        smoke, orphans = associate_smoke(  # pixels per flame detection
+            {i: ann.detections[i].bbox for i in flame_idx}, smoke_regions)
         if orphans:
             log.warning("frame %d: %d unassignable smoke region(s)",
                         ann.frame_index, orphans)
-        if dropped > orphans:
-            log.debug("frame %d: %d smoke region(s) over unreported "
-                      "flames", ann.frame_index, dropped - orphans)
+        unreported = set(flame_idx).difference(i for _, i in matched)
+        warming_up = sum(smoke[i] for i in unreported)
+        if warming_up:
+            log.debug("frame %d: %d smoke pixel(s) over unreported flames",
+                      ann.frame_index, warming_up)
 
         counts, means, moments = flame_moments(frame,
                                                [m for _, m in flames])
@@ -144,7 +129,7 @@ def extract_track_features(
                                              means.tolist(), moments.tolist()):
             try:
                 # An empty mask fails here, so its NaN means go unread.
-                ratio = smoke_flame_ratio(smoke_areas[track_id], n)
+                ratio = smoke_flame_ratio(smoke[det_of_track[track_id]], n)
                 index = rgb_index(rgb)
                 angle = angle_from_moments(n, *mu)
             except (DegenerateOrientation, EmptyRegion,
@@ -286,38 +271,41 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
 class AlertState:
     """Debounced per-track alerting; the exact fold the feature log replays.
 
-    Track ids are never reused, so forgetting a dead track changes no alert.
+    A track alerts after `alert_window` consecutive low frames, and then not
+    again for `cooldown` frames.  Track ids are never reused, so forgetting a
+    dead track changes no alert.
     """
 
-    def __init__(self, config: MonitorConfig):
-        self.config = config
-        self._streak: Dict[int, int] = {}
-        self._streak_start: Dict[int, int] = {}
-        self._cooldown_until: Dict[int, int] = {}
+    def __init__(self, alert_window: int, cooldown: int):
+        if alert_window < 1:
+            raise ValueError("alert_window must be >= 1")
+        if cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
+        self.alert_window = alert_window
+        self.cooldown = cooldown
+        # track id -> (low streak length, the streak's first frame, the
+        # first frame the track may alert again)
+        self._tracks: Dict[int, Tuple[int, int, int]] = {}
 
     def observe(self, rec: StatusRecord) -> Optional[Alert]:
         tid = rec.track_id
+        streak, start, until = self._tracks.get(tid, (0, rec.frame, -1))
         if rec.label != LOW:
-            self._streak[tid] = 0
+            self._tracks[tid] = (0, start, until)
             return None
-        if self._streak.get(tid, 0) == 0:
-            self._streak_start[tid] = rec.frame
-        self._streak[tid] = self._streak.get(tid, 0) + 1
-        if self._streak[tid] < self.config.alert_window:
+        if streak == 0:
+            start = rec.frame
+        streak += 1
+        if streak < self.alert_window or rec.frame < until:
+            self._tracks[tid] = (streak, start, until)
             return None
-        if rec.frame < self._cooldown_until.get(tid, -1):
-            return None
-        self._cooldown_until[tid] = rec.frame + self.config.cooldown
-        self._streak[tid] = 0
-        return Alert(track_id=tid, first_frame=self._streak_start[tid],
-                     last_frame=rec.frame, features=rec.features,
-                     pcs=rec.pcs)
+        self._tracks[tid] = (0, start, rec.frame + self.cooldown)
+        return Alert(track_id=tid, first_frame=start, last_frame=rec.frame,
+                     features=rec.features, pcs=rec.pcs)
 
     def forget(self, track_ids: Iterable[int]) -> None:
         for tid in track_ids:
-            self._streak.pop(tid, None)
-            self._streak_start.pop(tid, None)
-            self._cooldown_until.pop(tid, None)
+            self._tracks.pop(tid, None)
 
 
 def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
@@ -335,10 +323,10 @@ def classify_features(model: EfficiencyModel, X):
 
 def run_monitor(model: EfficiencyModel,
                 stream: Iterable[Tuple[Frame, FrameAnnotation]],
-                config: MonitorConfig = None):
+                alert_window: int, cooldown: int):
     """Stream (StatusRecord, Optional[Alert]) pairs; memory is bounded
     regardless of stream length, since dead tracks' alert state is dropped."""
-    alerts = AlertState(config or MonitorConfig())
+    alerts = AlertState(alert_window, cooldown)
     for per_frame, deaths in extract_track_features(stream):
         if per_frame:
             pcs, labels = classify_features(
@@ -350,9 +338,9 @@ def run_monitor(model: EfficiencyModel,
         alerts.forget(deaths)
 
 
-def derive_alerts_from_log(rows: Iterable[StatusRecord],
-                           config: MonitorConfig = None) -> List[Alert]:
+def derive_alerts_from_log(rows: Iterable[StatusRecord], alert_window: int,
+                           cooldown: int) -> List[Alert]:
     """Replay the alert fold over feature-log rows; the log is the audit
     trail, so this reproduces run_monitor's alerts exactly."""
-    state = AlertState(config or MonitorConfig())
+    state = AlertState(alert_window, cooldown)
     return [a for a in map(state.observe, rows) if a is not None]

@@ -15,12 +15,11 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import BBox, DetClass, Detection, Frame, Mask
+from .core import FPS, BBox, DetClass, Detection, Frame, Mask
 from .errors import InvalidPreset
 from .ingest import FrameAnnotation
 
 BACKGROUND = (20, 22, 28)
-FPS = 25.0
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ with its own ``src`` and ``perfbench`` on the path) on the same inputs:
   every frame a smoke box over the top half of the first flame box, and a
   10x10 flame box in the plain sky, whose window holds more pixels than
   the region cap allows.  For each: the CSV, stdout and stderr.
+- the same ``monitor --log`` outputs on ``three_stacks`` with a staggered
+  birth, with masks and box-only: the right flame's detection is left out
+  before frame 10, so its track warms up in frames 10 and 11 while its
+  smoke also lies over the middle flame.  This compares which flame owns
+  a smoke region.
 
 Prints one line per output and exits 1 if any differs.  pytest does not
 collect this file.
@@ -113,6 +118,21 @@ def outputs(tree, work):
             record["detections"].append(orphan)
             stray.write(json.dumps(record) + "\n")
 
+    os.mkdir(work / "staggered")
+    with open(work / "sim" / "three_stacks" / "annotations.jsonl") as src, \
+            open(work / "staggered" / "masks.jsonl", "w") as masked, \
+            open(work / "staggered" / "box_only.jsonl", "w") as plain:
+        for line in src:
+            record = json.loads(line)
+            if record["frame_index"] < 10:  # right flame: detection 2
+                del record["detections"][2]
+                record["masks"] = [
+                    dict(m, detection=m["detection"] - (m["detection"] > 2))
+                    for m in record["masks"] if m["detection"] != 2]
+            masked.write(json.dumps(record) + "\n")
+            record.pop("masks")
+            plain.write(json.dumps(record) + "\n")
+
     train = cli(tree, work, "train", "--annotations",
                 "train_scene/annotations.jsonl", "--frames",
                 "train_scene/frames", "--out", "model.json",
@@ -134,7 +154,9 @@ def outputs(tree, work):
         ("monitor_scene/annotations.jsonl", frames),
         ("monitor_scene/box_only.jsonl", frames),
         ("monitor_scene/box_only_overlap.jsonl", frames),
-        ("monitor_scene/box_only_stray.jsonl", frames)]
+        ("monitor_scene/box_only_stray.jsonl", frames)] + [
+        (f"staggered/{name}.jsonl", ["--frames", "sim/three_stacks/frames"])
+        for name in ("masks", "box_only")]
     for i, (source, extra) in enumerate(inputs):
         csv = f"monitor{i}.csv"
         result = cli(tree, work, "monitor", "--model", "model.json",

@@ -21,9 +21,8 @@ from flaremon.ingest import read_annotation_stream, write_annotation_stream
 from flaremon.labeling import LlmClientConfig, llm_label, rule_label
 from flaremon.formats import (model_from_json, model_to_json,
                               parse_feature_csv)
-from flaremon.pipeline import (MonitorConfig, derive_alerts_from_log,
-                               fit_efficiency_model, run_monitor,
-                               run_training)
+from flaremon.pipeline import (derive_alerts_from_log, fit_efficiency_model,
+                               run_monitor, run_training)
 from flaremon.simulator import (FlameSpec, SceneSpec, StackSpec, preset,
                                 render, rendered_stream)
 from flaremon.stats import (eigen_symmetric, pca_fit, pca_project,
@@ -282,22 +281,22 @@ def _two_regime_stream(frames=60):
 def test_criterion_9_end_to_end(tmp_path):
     model, _, _ = run_training(_two_regime_stream(), labeling_mode="rule")
     k = 5
-    cfg = MonitorConfig(alert_window=k)
 
     clean_alerts = [a for _, a in run_monitor(
-        model, rendered_stream(render(preset("clean_high"))), cfg)
+        model, rendered_stream(render(preset("clean_high"))), k, 50)
         if a is not None]
     assert clean_alerts == []
 
     smoky_alerts = [a for _, a in run_monitor(
-        model, rendered_stream(render(preset("smoky_low"))), cfg)
+        model, rendered_stream(render(preset("smoky_low"))), k, 50)
         if a is not None]
     assert smoky_alerts and smoky_alerts[0].last_frame >= k
 
     def full_run(log_path):
         recs, alerts = [], []
         for rec, alert in run_monitor(
-                model, rendered_stream(render(preset("three_stacks"))), cfg):
+                model, rendered_stream(render(preset("three_stacks"))), k,
+                50):
             recs.append(rec)
             if alert is not None:
                 alerts.append(alert)
@@ -334,15 +333,16 @@ def test_criterion_10_persistence(tmp_path):
     # feature log suffices to re-derive alerts
     train_model, _, _ = run_training(_two_regime_stream(),
                                      labeling_mode="rule")
-    cfg = MonitorConfig(alert_window=5)
     recs, alerts = [], []
     for rec, alert in run_monitor(
-            train_model, rendered_stream(render(preset("smoky_low"))), cfg):
+            train_model, rendered_stream(render(preset("smoky_low"))), 5,
+            50):
         recs.append(rec)
         if alert is not None:
             alerts.append(alert)
     rederived = derive_alerts_from_log(
-        parse_feature_csv(feature_log_text(recs, tmp_path / "log.csv")), cfg)
+        parse_feature_csv(feature_log_text(recs, tmp_path / "log.csv")),
+        5, 50)
     assert rederived == alerts and alerts
     report(10, True, f"annotation+model byte round-trips; "
            f"{len(alerts)} alert(s) re-derived from the log alone")

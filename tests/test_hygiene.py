@@ -278,8 +278,6 @@ UNPASSED_DEFAULTS = {
     "SmokeSpec.gap": "simulator scene spec: a scene may set any field",
     "SceneSpec.noise_amplitude": "simulator scene spec: a scene may set any "
                                  "field",
-    "derive_alerts_from_log.config": "the audit replay takes the monitor's "
-                                     "alert settings, as run_monitor does",
 }
 
 

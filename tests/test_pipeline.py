@@ -21,8 +21,7 @@ from flaremon.formats import (StatusRecord, emit_scatter_plot, load_frames,
                               load_model, model_from_json, model_to_json,
                               parse_feature_csv, save_frames, save_model,
                               save_scatter_plot)
-from flaremon.pipeline import (Alert, AlertState, MonitorConfig,
-                               derive_alerts_from_log,
+from flaremon.pipeline import (Alert, AlertState, derive_alerts_from_log,
                                extract_track_features, fit_efficiency_model,
                                run_monitor, run_training, stratified_split)
 from flaremon.simulator import PRESETS, preset, render, rendered_stream
@@ -96,6 +95,40 @@ class TestSmokeAttributionLogging:
             list(extract_track_features([(frame, ann)]))
         assert warnings_of(caplog) == [
             "frame 0: 1 unassignable smoke region(s)"]
+
+
+def held_back(stream, det, until):
+    """The stream without detection `det` (and its mask) before frame
+    `until`, as if the detector had missed that flame."""
+    for frame, ann in stream:
+        if ann.frame_index < until:
+            kept = ann.detections[:det] + ann.detections[det + 1:]
+            ann = FrameAnnotation(ann.frame_index, kept, tuple(
+                (i - (i > det), m) for i, m in ann.masks if i != det))
+        yield frame, ann
+
+
+class TestSmokeOwnership:
+    def test_warming_up_flame_keeps_its_smoke(self, caplog):
+        """three_stacks with the right flame (detection 2) first detected at
+        frame 10: its track is born then and first reported at frame 12.
+        Its smoke lies over the middle flame too, yet in frames 10 and 11
+        it counts for no flame, so the middle track's ratio is the one it
+        has once its neighbour is reported."""
+        spec = dataclasses.replace(preset("three_stacks"), frame_count=14)
+        ratios = {}
+        with caplog.at_level(logging.DEBUG, logger="flaremon.pipeline"):
+            for recs, _ in extract_track_features(
+                    held_back(rendered_stream(render(spec)), 2, 10)):
+                ratios.update(((r.frame, r.track_id),
+                               r.features.smoke_flame_ratio) for r in recs)
+        assert (11, 3) not in ratios and (12, 3) in ratios
+        assert ratios[10, 2] == ratios[11, 2] == ratios[12, 2]
+        # Before frame 10 no flame lies below that smoke but the middle one.
+        assert ratios[9, 2] > ratios[12, 2]
+        assert [r.getMessage().split(":")[0] for r in caplog.records
+                if "unreported flames" in r.getMessage()] == [
+            "frame 0", "frame 1", "frame 10", "frame 11"]
 
 
 class TestTraining:
@@ -311,41 +344,41 @@ class TestAlerts:
                             (0.0, 0.0), label)
 
     def test_streak_shorter_than_window_no_alert(self):
-        state = AlertState(MonitorConfig(alert_window=3))
+        state = AlertState(3, 50)
         assert state.observe(self.rec(0, LOW)) is None
         assert state.observe(self.rec(1, LOW)) is None
         assert state.observe(self.rec(2, HIGH)) is None
         assert state.observe(self.rec(3, LOW)) is None
 
     def test_alert_after_window(self):
-        state = AlertState(MonitorConfig(alert_window=3))
+        state = AlertState(3, 50)
         assert state.observe(self.rec(0, LOW)) is None
         assert state.observe(self.rec(1, LOW)) is None
         alert = state.observe(self.rec(2, LOW))
         assert alert == Alert(1, 0, 2, self.rec(2, LOW).features, (0.0, 0.0))
 
     def test_cooldown_suppresses(self):
-        state = AlertState(MonitorConfig(alert_window=2, cooldown=10))
+        state = AlertState(2, 10)
         state.observe(self.rec(0, LOW))
         assert state.observe(self.rec(1, LOW)) is not None
         for fr in range(2, 11):
             assert state.observe(self.rec(fr, LOW)) is None
         assert state.observe(self.rec(12, LOW)) is not None
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"alert_window": 0}, "alert_window must be >= 1"),
-        ({"cooldown": -1}, "cooldown must be >= 0")])
-    def test_bad_config_rejected(self, kwargs, message):
+    @pytest.mark.parametrize("settings, message", [
+        ((0, 50), "alert_window must be >= 1"),
+        ((5, -1), "cooldown must be >= 0")])
+    def test_bad_settings_rejected(self, settings, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            MonitorConfig(**kwargs)
+            AlertState(*settings)
 
     def test_zero_cooldown_alerts_every_window(self):
-        state = AlertState(MonitorConfig(alert_window=2, cooldown=0))
+        state = AlertState(2, 0)
         alerts = [state.observe(self.rec(fr, LOW)) for fr in range(6)]
         assert [a is not None for a in alerts] == [False, True] * 3
 
     def test_forget_drops_only_named_tracks(self):
-        state = AlertState(MonitorConfig(alert_window=2))
+        state = AlertState(2, 50)
         state.observe(self.rec(0, LOW, tid=1))
         state.observe(self.rec(0, LOW, tid=2))
         state.forget([1, 99])
@@ -353,7 +386,7 @@ class TestAlerts:
         assert state.observe(self.rec(1, LOW, tid=1)) is None
 
     def test_per_track_independent(self):
-        state = AlertState(MonitorConfig(alert_window=2))
+        state = AlertState(2, 50)
         state.observe(self.rec(0, LOW, tid=1))
         state.observe(self.rec(0, LOW, tid=2))
         a1 = state.observe(self.rec(1, LOW, tid=1))
@@ -366,7 +399,7 @@ class TestMonitor:
         model = trained[0]
         spec = dataclasses.replace(preset("clean_high"), frame_count=80)
         alerts = [a for _, a in run_monitor(model, rendered_stream(
-            render(spec))) if a is not None]
+            render(spec)), 5, 50) if a is not None]
         assert alerts == []
 
     def test_smoky_low_alerts_after_window(self, trained):
@@ -374,8 +407,7 @@ class TestMonitor:
         spec = dataclasses.replace(preset("smoky_low"), frame_count=80)
         k = 5
         alerts = [a for _, a in run_monitor(
-            model, rendered_stream(render(spec)),
-            MonitorConfig(alert_window=k)) if a is not None]
+            model, rendered_stream(render(spec)), k, 50) if a is not None]
         assert alerts
         assert alerts[0].last_frame >= k
         assert alerts[0].last_frame - alerts[0].first_frame == k - 1
@@ -385,14 +417,15 @@ class TestMonitor:
         spec = dataclasses.replace(preset("three_stacks"), frame_count=80)
         recs = []
         alerts = []
-        for rec, alert in run_monitor(model, rendered_stream(render(spec))):
+        for rec, alert in run_monitor(model, rendered_stream(render(spec)),
+                                      5, 50):
             recs.append(rec)
             if alert is not None:
                 alerts.append(alert)
         assert alerts
         # the middle stack (smoky) was born second -> track id 2
         assert {a.track_id for a in alerts} == {2}
-        assert derive_alerts_from_log(recs) == alerts
+        assert derive_alerts_from_log(recs, 5, 50) == alerts
 
     def test_dead_tracks_leave_no_alert_state(self, monkeypatch):
         """10,000 tracks, each reported in 3 frames and dead in the next:
@@ -402,17 +435,14 @@ class TestMonitor:
         states, alive = [], set()
 
         class SpyState(AlertState):
-            def __init__(self, cfg):
-                super().__init__(cfg)
+            def __init__(self, alert_window, cooldown):
+                super().__init__(alert_window, cooldown)
                 states.append(self)
 
         def short_lived(stream):
             for f in range(n + 2):
                 if states:  # state after frame f-1 against its live tracks
-                    held = states[0]._streak.keys() | \
-                        states[0]._streak_start.keys() | \
-                        states[0]._cooldown_until.keys()
-                    assert held <= alive
+                    assert states[0]._tracks.keys() <= alive
                 # frame f reports tracks f-1..f+1; track f-2 dies
                 live = range(max(1, f - 1), min(n, f + 1) + 1)
                 alive.difference_update([f - 2])
@@ -427,26 +457,26 @@ class TestMonitor:
                             lambda model, X: (np.zeros((len(X), 2)),
                                               [LOW] * len(X)))
         recs, alerts = [], []
-        for rec, alert in run_monitor(None, iter([]),
-                                      MonitorConfig(alert_window=2)):
+        for rec, alert in run_monitor(None, iter([]), 2, 50):
             recs.append(rec)
             if alert is not None:
                 alerts.append(alert)
         assert len(recs) == 3 * n and len(alerts) == n
-        assert len(states[0]._streak) <= len(alive) == 1
-        assert derive_alerts_from_log(recs,
-                                      MonitorConfig(alert_window=2)) == alerts
+        assert len(states[0]._tracks) <= len(alive) == 1
+        assert derive_alerts_from_log(recs, 2, 50) == alerts
 
     def test_alerts_rederivable_from_log_text(self, trained, tmp_path):
         model = trained[0]
         spec = dataclasses.replace(preset("smoky_low"), frame_count=60)
         recs, alerts = [], []
-        for rec, alert in run_monitor(model, rendered_stream(render(spec))):
+        for rec, alert in run_monitor(model, rendered_stream(render(spec)),
+                                      5, 50):
             recs.append(rec)
             if alert is not None:
                 alerts.append(alert)
         text = feature_log_text(recs, tmp_path / "monitor.csv")
-        assert derive_alerts_from_log(parse_feature_csv(text)) == alerts
+        assert derive_alerts_from_log(parse_feature_csv(text),
+                                      5, 50) == alerts
 
 
 class TestScatterPlot:
