@@ -67,6 +67,14 @@ def _labeled(rows, what):
     return pipeline.feature_matrix(r.features for r in rows), labels
 
 
+def _llm_cfg(args, labeling):
+    """The LLM client of --endpoint and --model, or None to label by rule."""
+    if labeling == "rule":
+        return None
+    from .labeling import LlmClientConfig
+    return LlmClientConfig(args.endpoint, args.model)
+
+
 def cmd_simulate(args):
     from .simulator import preset, render
     count = formats.save_scene(render(preset(args.preset)), args.out)
@@ -75,11 +83,10 @@ def cmd_simulate(args):
 
 
 def cmd_label(args):
-    from .labeling import LlmClientConfig, label_samples
+    from .labeling import label_samples
     labeled = label_samples(
         [r.features for r in formats.load_feature_csv(args.features)],
-        mode=args.mode, do_review=args.review,
-        llm_cfg=LlmClientConfig(endpoint=args.endpoint, model=args.model))
+        llm_cfg=_llm_cfg(args, args.mode), do_review=args.review)
     formats.save_labels(labeled, args.out)
     print(f"labeled {len(labeled)} samples -> {args.out}")
     return EXIT_OK
@@ -95,6 +102,10 @@ def cmd_train(args):
             print("train --log needs --annotations and --frames: a feature "
                   "CSV has no frames or tracks to log", file=sys.stderr)
             return EXIT_USAGE
+        if args.review or args.labeling == "llm":
+            print("train --features takes the CSV's labels: no --review or "
+                  "--labeling llm", file=sys.stderr)
+            return EXIT_USAGE
         X, labels = _labeled(formats.load_feature_csv(args.features),
                              "feature CSV")
         model, report = pipeline.fit_efficiency_model(X, labels,
@@ -104,11 +115,9 @@ def cmd_train(args):
             print("train needs --features or both --annotations and --frames",
                   file=sys.stderr)
             return EXIT_USAGE
-        from .labeling import LlmClientConfig
         model, report, rows = pipeline.run_training(
             formats.load_annotated_frames(args.annotations, args.frames),
-            labeling_mode=args.labeling,
-            llm_cfg=LlmClientConfig(endpoint=args.endpoint, model=args.model),
+            llm_cfg=_llm_cfg(args, args.labeling),
             do_review=args.review, seed=args.seed)
     formats.save_model(model, args.out)
     if args.log:
@@ -169,23 +178,22 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("label", help="label a feature CSV")
+    llm = argparse.ArgumentParser(add_help=False)  # label's and train's
+    llm.add_argument("--review", action="store_true")
+    llm.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
+    llm.add_argument("--model", default="gpt-4")
+
+    p = sub.add_parser("label", parents=[llm], help="label a feature CSV")
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=("llm", "rule"), default="rule")
-    p.add_argument("--review", action="store_true")
-    p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
-    p.add_argument("--model", default="gpt-4")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("train", help="train an efficiency model")
+    p = sub.add_parser("train", parents=[llm], help="train an efficiency model")
     p.add_argument("--annotations")
     p.add_argument("--frames")
     p.add_argument("--features", help="pre-extracted labeled feature CSV")
     p.add_argument("--labeling", choices=("llm", "rule"), default="rule")
-    p.add_argument("--review", action="store_true")
-    p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
-    p.add_argument("--model", default="gpt-4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", help="write the training feature log CSV here")
     p.add_argument("--out", required=True)

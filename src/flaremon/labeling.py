@@ -14,6 +14,9 @@ from .errors import AuthError, EndOfInput, Unavailable, UnparseableReply
 from .features import FeatureVector
 
 API_KEY_ENV = "FLAREMON_LLM_API_KEY"
+TIMEOUT = 30.0  # seconds per request
+MAX_RETRIES = 3  # retries after the first attempt
+BACKOFF_BASE = 0.5  # seconds before the first retry, doubled for each next
 
 # Midpoints of the gaps between the closest high/low training rows.
 RULE_RATIO_MAX = 0.36
@@ -23,16 +26,7 @@ RULE_INDEX_MIN = 0.40
 @dataclass(frozen=True)
 class LlmClientConfig:
     endpoint: str
-    model: str = "gpt-4"
-    timeout: float = 30.0
-    max_retries: int = 3
-    backoff_base: float = 0.5
-
-    def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+    model: str
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ def llm_label(config: LlmClientConfig, f: FeatureVector,
 
     Returns (label, raw response transcript).  Transient failures retry
     with exponential backoff; total wait never exceeds
-    timeout * (max_retries + 1) plus backoff.
+    TIMEOUT * (MAX_RETRIES + 1) plus backoff.
     """
     # Imported here: only LLM labelling talks HTTP.
     import http.client
@@ -89,12 +83,12 @@ def llm_label(config: LlmClientConfig, f: FeatureVector,
         "messages": [{"role": "user", "content": build_prompt(f)}],
     }).encode("utf-8"))
     last_error = None
-    for attempt in range(config.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if attempt:
-            sleep(config.backoff_base * (2 ** (attempt - 1)))
+            sleep(BACKOFF_BASE * (2 ** (attempt - 1)))
         try:
             try:
-                resp = urllib.request.urlopen(request, timeout=config.timeout)
+                resp = urllib.request.urlopen(request, timeout=TIMEOUT)
             except urllib.error.HTTPError as exc:
                 resp = exc  # a status outside 2xx is a reply like any other
             with resp:
@@ -118,7 +112,7 @@ def llm_label(config: LlmClientConfig, f: FeatureVector,
             raise UnparseableReply(f"reply content {content!r:.40} is not "
                                    "text")
         return parse_label(content), transcript
-    raise Unavailable(f"gave up after {config.max_retries + 1} attempts: "
+    raise Unavailable(f"gave up after {MAX_RETRIES + 1} attempts: "
                       f"{last_error}")
 
 
@@ -130,18 +124,16 @@ def rule_label(f: FeatureVector) -> str:
     return LOW
 
 
-def label_samples(features: Sequence[FeatureVector], mode: str = "rule",
-                  llm_cfg=None, do_review: bool = False) -> List[LabeledSample]:
-    """Label by `mode` ("rule" or "llm"), then `review` if `do_review`."""
+def label_samples(features: Sequence[FeatureVector], llm_cfg=None,
+                  do_review: bool = False) -> List[LabeledSample]:
+    """Label by rule, or by the LLM at `llm_cfg`; `review` if `do_review`."""
     labeled: List[LabeledSample] = []
     for f in features:
-        if mode == "llm":
+        if llm_cfg is not None:
             lbl, transcript = llm_label(llm_cfg, f)
             labeled.append(LabeledSample(f, lbl, "llm", transcript))
-        elif mode == "rule":
-            labeled.append(LabeledSample(f, rule_label(f), "rule"))
         else:
-            raise ValueError(f"unknown labeling mode {mode!r}")
+            labeled.append(LabeledSample(f, rule_label(f), "rule"))
     if do_review:
         labeled = review(labeled)
     return labeled

@@ -210,9 +210,6 @@ def fit_efficiency_model(features, labels, seed: int = 0):
     train_idx, test_idx = stratified_split(labels, seed=seed)
     eval_idx = test_idx if test_idx else train_idx
     train_labels = [labels[i] for i in train_idx]
-    if len(set(train_labels)) < 2:
-        raise TrainingDataError("training split lost a class")
-
     models = train_all_classifiers(pcs[train_idx], train_labels, seed=seed)
     eval_labels = [labels[i] for i in eval_idx]
     accuracies = {kind: classify.score(eval_labels,
@@ -238,8 +235,7 @@ def fit_efficiency_model(features, labels, seed: int = 0):
 
 
 def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
-                 labeling_mode: str = "rule", llm_cfg=None,
-                 do_review: bool = False, seed: int = 0):
+                 llm_cfg=None, do_review: bool = False, seed: int = 0):
     """Full training pass over a frame/annotation stream.
 
     Returns (model, report, feature_log_rows).
@@ -251,8 +247,7 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
     if len(samples) < 3:
         raise TrainingDataError(
             f"only {len(samples)} feature samples extracted")
-    labeled = label_samples([s.features for s in samples], labeling_mode,
-                            llm_cfg, do_review)
+    labeled = label_samples([s.features for s in samples], llm_cfg, do_review)
     features = feature_matrix(s.features for s in samples)
     model, report = fit_efficiency_model(
         features, [s.label for s in labeled], seed)

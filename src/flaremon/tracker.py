@@ -112,7 +112,7 @@ def _iou_matrix(a, b):
     return inter / ((wa * ha)[:, None] + wb * hb - inter)
 
 
-def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
+def hungarian(cost) -> List[Tuple[int, int]]:
     """Minimum-cost assignment of min(n, m) pairs on an n x m matrix.
 
     Rectangular matrices are padded square internally; padded pairs are
@@ -121,7 +121,7 @@ def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
     """
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
-        return [], 0.0
+        return []
     if np.isnan(cost).any():
         raise InvalidCost("cost matrix contains NaN")
     n_rows, n_cols = cost.shape
@@ -175,8 +175,7 @@ def hungarian(cost) -> Tuple[List[Tuple[int, int]], float]:
         if 1 <= i <= n_rows and j <= n_cols:
             pairs.append((i - 1, j - 1))
     pairs.sort()
-    total = float(sum(cost[i, j] for i, j in pairs))
-    return pairs, total
+    return pairs
 
 
 class SortTracker:
@@ -216,7 +215,7 @@ class SortTracker:
             for box in boxes.tolist():
                 BBox(*box)  # raises the ValueError of the first bad box
 
-        pairs, _ = hungarian(-iou_mat)
+        pairs = hungarian(-iou_mat)
         rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         keep = iou_mat[rows, cols] >= IOU_THRESHOLD
         rows, cols = rows[keep], cols[keep]

@@ -27,6 +27,16 @@ with its own ``src`` and ``perfbench`` on the path) on the same inputs:
   before frame 10, so its track warms up in frames 10 and 11 while its
   smoke also lies over the middle flame.  This compares which flame owns
   a smoke region.
+- ``label --mode rule`` on the ``train --log`` CSV, and ``label --mode
+  llm`` on its first six rows against a local stub chat endpoint, whose
+  first reply is a 500, so that one retry is compared too: the labels
+  file, stdout and stderr;
+- ``train --features`` on the labeled ``train --log`` rows: the model file
+  (all but ``metadata.created``), stdout and stderr;
+- ``eval`` of the trained model on the ``train --log`` CSV and of the
+  ``--features`` model on the monitor scene's log: stdout and stderr;
+- ``plot`` of the ``train --log`` CSV and of that monitor log: the SVG,
+  stdout and stderr.
 
 Prints one line per output and exits 1 if any differs.  pytest does not
 collect this file.
@@ -60,6 +70,9 @@ FIT_CLASSIFIERS = ("import json, sys\n"
                    "with open(sys.argv[1], 'w') as out:\n"
                    "    json.dump({kind: [m.parameter_count, m.parameters]\n"
                    "               for kind, m in fitted[0].items()}, out)\n")
+# The stub endpoint's replies to `label --mode llm`, the last repeating.
+LLM_SCRIPT = [(500, None), (200, "high"), (200, "It looks LOW to me."),
+              (200, "not low: high")]
 
 
 def run(tree, work, *argv):
@@ -75,14 +88,26 @@ def cli(tree, work, *argv):
     return {"stdout": out, "stderr": err}
 
 
+def read(path):
+    return path.read_bytes() if path.exists() else b""
+
+
+def model_doc(path):
+    """A model file without its `metadata.created` time."""
+    doc = json.loads(path.read_text())
+    doc["metadata"].pop("created")
+    return json.dumps(doc).encode()
+
+
 def files(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
-def outputs(tree, work):
-    """{name: bytes} of every compared output of one checkout.  Paths are
-    relative to `work`, so that no output names the directory."""
+def outputs(tree, work, llm):
+    """{name: bytes} of every compared output of one checkout, labeling by
+    LLM through the stub server `llm`.  Paths are relative to `work`, so
+    that no output names the directory."""
     got = {}
     for name in PRESETS:
         cli(tree, work, "simulate", "--preset", name, "--out", f"sim/{name}")
@@ -139,9 +164,7 @@ def outputs(tree, work):
                 "--log", "train.csv")
     got.update({f"train {k}": v for k, v in train.items()})
     got["train --log"] = (work / "train.csv").read_bytes()
-    doc = json.loads((work / "model.json").read_text())
-    doc["metadata"].pop("created")
-    got["train model (no metadata.created)"] = json.dumps(doc).encode()
+    got["train model (no metadata.created)"] = model_doc(work / "model.json")
     run(tree, work, "-c", FIT_CLASSIFIERS, "classifiers.json", "train",
         "--annotations", "train_scene/annotations.jsonl", "--frames",
         "train_scene/frames", "--out", "model_all.json")
@@ -163,8 +186,37 @@ def outputs(tree, work):
                      "--input", source, *extra, "--log", csv)
         label = f"monitor {source}"
         got.update({f"{label} {k}": v for k, v in result.items()})
-        got[f"{label} --log"] = (work / csv).read_bytes() \
-            if (work / csv).exists() else b""
+        got[f"{label} --log"] = read(work / csv)
+
+    with open(work / "train.csv") as log, \
+            open(work / "train_head.csv", "w") as head:
+        head.writelines(log.readlines()[:7])  # the header and six rows
+    llm.set_script(LLM_SCRIPT)
+    for mode, source, extra in (
+            ("rule", "train.csv", []),
+            ("llm", "train_head.csv", ["--endpoint", llm.endpoint])):
+        out = f"labels_{mode}.jsonl"
+        result = cli(tree, work, "label", "--features", source, "--mode",
+                     mode, *extra, "--out", out)
+        got.update({f"label --mode {mode} {k}": v for k, v in result.items()})
+        got[f"label --mode {mode} --out"] = read(work / out)
+
+    result = cli(tree, work, "train", "--features", "train.csv", "--out",
+                 "model_features.json")
+    got.update({f"train --features {k}": v for k, v in result.items()})
+    got["train --features model (no metadata.created)"] = model_doc(
+        work / "model_features.json")
+
+    monitor_log = f"monitor{len(PRESETS)}.csv"  # the monitor scene's masks
+    for model, test in (("model.json", "train.csv"),
+                        ("model_features.json", monitor_log)):
+        result = cli(tree, work, "eval", "--model", model, "--test", test)
+        got.update({f"eval {model} {test} {k}": v for k, v in result.items()})
+    for samples in ("train.csv", monitor_log):
+        out = f"plot_{samples}.svg"
+        result = cli(tree, work, "plot", "--samples", samples, "--out", out)
+        got.update({f"plot {samples} {k}": v for k, v in result.items()})
+        got[f"plot {samples} --out"] = read(work / out)
     return got
 
 
@@ -173,12 +225,18 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     trees = [Path(__file__).resolve().parents[1], Path(argv[0]).resolve()]
-    with tempfile.TemporaryDirectory() as tmp:
-        results = []
-        for i, tree in enumerate(trees):
-            work = Path(tmp) / str(i)
-            work.mkdir()
-            results.append(outputs(tree, work))
+    sys.path[:0] = [str(trees[0]), str(trees[0] / "src")]
+    from tests.conftest import StubLlmServer
+    llm = StubLlmServer()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            results = []
+            for i, tree in enumerate(trees):
+                work = Path(tmp) / str(i)
+                work.mkdir()
+                results.append(outputs(tree, work, llm))
+    finally:
+        llm.close()
     this, other = results
     differ = 0
     for name in sorted(set(this) | set(other)):

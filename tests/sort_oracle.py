@@ -151,7 +151,7 @@ class SortTracker:
                 [[iou(predicted_bbox(t), d.bbox) for d in detections]
                  for t in predicted]
             )
-            pairs, _ = hungarian(-iou_mat)
+            pairs = hungarian(-iou_mat)
             for row, col in pairs:
                 if iou_mat[row, col] >= self.iou_threshold:
                     matches.append((row, col))

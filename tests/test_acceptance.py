@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from flaremon import classify, pipeline
+from flaremon import classify, labeling, pipeline
 from flaremon.classify import HIGH, LOW
 from flaremon.core import DetClass
 from flaremon.errors import DegenerateOrientation, UnparseableReply
@@ -48,7 +48,7 @@ def test_criterion_1_hungarian_oracle():
     for _ in range(1000):
         n, m = rng.integers(1, 7, 2)
         cost = rng.normal(scale=rng.choice([0.5, 1.0, 10.0]), size=(n, m))
-        _, total = hungarian(cost)
+        total = sum(cost[i, j] for i, j in hungarian(cost))
         oracle = brute_force_assignment(cost)
         assert abs(total - oracle) < 1e-9, (cost, total, oracle)
     elapsed = time.time() - t0
@@ -244,12 +244,14 @@ def test_criterion_7_classifiers():
            f"training acc {accs}")
 
 
-def test_criterion_8_labeling(stub_llm):
+def test_criterion_8_labeling(stub_llm, monkeypatch):
     for row, label in zip(TRAINING_ROWS, TRAINING_LABELS):
         assert rule_label(FeatureVector(*row)) == label
 
-    cfg = LlmClientConfig(endpoint=stub_llm.endpoint, timeout=5.0,
-                          max_retries=1, backoff_base=0.0)
+    monkeypatch.setattr(labeling, "TIMEOUT", 5.0)
+    monkeypatch.setattr(labeling, "MAX_RETRIES", 1)
+    monkeypatch.setattr(labeling, "BACKOFF_BASE", 0.0)
+    cfg = LlmClientConfig(stub_llm.endpoint, "gpt-4")
     f = FeatureVector(0.22, 0.62, 52)
     stub_llm.set_script([(200, "high")])
     assert llm_label(cfg, f)[0] == HIGH
@@ -262,7 +264,7 @@ def test_criterion_8_labeling(stub_llm):
     stub_llm.set_script([(200, "high")])
     llm_label(cfg, f)
     latency = time.time() - t0
-    assert latency < cfg.timeout * (cfg.max_retries + 1)
+    assert latency < labeling.TIMEOUT * (labeling.MAX_RETRIES + 1)
     report(8, True, f"9/9 published labels, stub parse ok, "
            f"latency {latency:.3f}s bounded")
 
@@ -279,7 +281,7 @@ def _two_regime_stream(frames=60):
 
 
 def test_criterion_9_end_to_end(tmp_path):
-    model, _, _ = run_training(_two_regime_stream(), labeling_mode="rule")
+    model, _, _ = run_training(_two_regime_stream())
     k = 5
 
     clean_alerts = [a for _, a in run_monitor(
@@ -331,8 +333,7 @@ def test_criterion_10_persistence(tmp_path):
     assert model_to_json(model_from_json(blob)) == blob
 
     # feature log suffices to re-derive alerts
-    train_model, _, _ = run_training(_two_regime_stream(),
-                                     labeling_mode="rule")
+    train_model, _, _ = run_training(_two_regime_stream())
     recs, alerts = [], []
     for rec, alert in run_monitor(
             train_model, rendered_stream(render(preset("smoky_low"))), 5,

@@ -149,6 +149,23 @@ def test_train_log_without_annotations_is_usage_error(tmp_path, capsys):
     assert not log.exists() and not model.exists()
 
 
+@pytest.mark.parametrize("extra", [("--review",), ("--labeling", "llm"),
+                                   ("--labeling", "llm", "--review")])
+def test_train_features_with_labeling_options_is_usage_error(tmp_path, capsys,
+                                                             extra):
+    """A feature CSV brings its own labels, which neither a review nor an
+    LLM would see."""
+    csv = tmp_path / "features.csv"
+    csv.write_text("".join(f"{r[0]},{r[1]},{r[2]},{lbl}\n" for r, lbl in
+                           zip(TRAINING_ROWS.tolist(), TRAINING_LABELS)))
+    model = tmp_path / "model.json"
+    assert run("train", "--features", str(csv), *extra,
+               "--out", str(model)) == 1
+    assert "train --features takes the CSV's labels: no --review or " \
+        "--labeling llm" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("extra", [
     ("--annotations", "missing.jsonl", "--frames", "missing"),
     ("--annotations", "missing.jsonl"), ("--frames", "missing")])

@@ -272,9 +272,6 @@ UNPASSED_DEFAULTS = {
     "llm_label.sleep": "test seam: the retry tests record the backoff",
     "review.input_fn": "test seam: the review tests script the answers",
     "review.print_fn": "test seam: the review tests capture the prompts",
-    "LlmClientConfig.timeout": "deployment setting of the LLM endpoint",
-    "LlmClientConfig.max_retries": "deployment setting of the LLM endpoint",
-    "LlmClientConfig.backoff_base": "deployment setting of the LLM endpoint",
     "SmokeSpec.gap": "simulator scene spec: a scene may set any field",
     "SceneSpec.noise_amplitude": "simulator scene spec: a scene may set any "
                                  "field",

@@ -5,12 +5,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+from flaremon import labeling
 from flaremon.classify import HIGH, LOW
 from flaremon.errors import (AuthError, EndOfInput, FlaremonError,
                              Unavailable, UnparseableReply)
 from flaremon.features import FeatureVector
 from flaremon.labeling import (LabeledSample, LlmClientConfig, build_prompt,
-                               llm_label, parse_label, review, rule_label)
+                               label_samples, llm_label, parse_label, review,
+                               rule_label)
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS
 from tests.file_fuzz import llm_replies, urlopen_replying
 
@@ -68,11 +70,17 @@ class TestRuleLabel:
 
 
 class TestLlmLabel:
-    def cfg(self, server, **kw):
-        kw.setdefault("timeout", 5.0)
-        kw.setdefault("max_retries", 2)
-        kw.setdefault("backoff_base", 0.0)
-        return LlmClientConfig(endpoint=server.endpoint, **kw)
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def cfg(self, server, timeout=5.0, max_retries=2, backoff_base=0.0):
+        """The stub's client, with the retry constants patched for one
+        test."""
+        self.monkeypatch.setattr(labeling, "TIMEOUT", timeout)
+        self.monkeypatch.setattr(labeling, "MAX_RETRIES", max_retries)
+        self.monkeypatch.setattr(labeling, "BACKOFF_BASE", backoff_base)
+        return LlmClientConfig(server.endpoint, "gpt-4")
 
     def test_simple_high(self, stub_llm):
         stub_llm.set_script([(200, "high")])
@@ -161,11 +169,12 @@ class TestLlmLabel:
                       fv(0.5, 0.5, 20), sleep=waits.append)
         assert waits == [0.25, 0.5, 1.0]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LlmClientConfig(endpoint="http://x", timeout=0)
-        with pytest.raises(ValueError):
-            LlmClientConfig(endpoint="http://x", max_retries=-1)
+    def test_label_samples_asks_the_llm_given_a_client(self, stub_llm):
+        stub_llm.set_script([(200, "low")])
+        out = label_samples([fv(0.2, 0.6, 50)], self.cfg(stub_llm))
+        assert [(s.label, s.source) for s in out] == [(LOW, "llm")]
+        assert json.loads(out[0].transcript)["choices"]
+        assert stub_llm.call_count == 1
 
 
 def sample(label):
@@ -208,8 +217,10 @@ class TestReview:
 @settings(max_examples=300, deadline=None)
 @given(llm_replies())
 def test_fuzzed_replies_label_or_raise_flaremon_error(body):
-    cfg = LlmClientConfig(endpoint="http://127.0.0.1:9/", max_retries=0)
-    with mock.patch.object(urllib.request, "urlopen", urlopen_replying(body)):
+    cfg = LlmClientConfig("http://127.0.0.1:9/", "gpt-4")
+    with mock.patch.object(labeling, "MAX_RETRIES", 0), \
+            mock.patch.object(urllib.request, "urlopen",
+                              urlopen_replying(body)):
         try:
             label, transcript = llm_label(cfg, fv(0.2, 0.6, 50))
         except FlaremonError:

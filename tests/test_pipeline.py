@@ -37,6 +37,14 @@ def shifted(stream, offset):
                FrameAnnotation(a.frame_index + offset, a.detections, a.masks))
 
 
+@st.composite
+def class_labels(draw):
+    """A label list of 2-3 classes with 1-50 members each, in any order."""
+    counts = draw(st.lists(st.integers(1, 50), min_size=2, max_size=3))
+    return draw(st.permutations([f"class{k}" for k, n in enumerate(counts)
+                                 for _ in range(n)]))
+
+
 def two_regime_stream(frames=60):
     a = dataclasses.replace(preset("clean_high"), frame_count=frames)
     b = dataclasses.replace(preset("smoky_low"), frame_count=frames)
@@ -46,8 +54,7 @@ def two_regime_stream(frames=60):
 
 @pytest.fixture(scope="module")
 def trained():
-    model, report, rows = run_training(two_regime_stream(),
-                                       labeling_mode="rule")
+    model, report, rows = run_training(two_regime_stream())
     return model, report, rows
 
 
@@ -150,20 +157,21 @@ class TestTraining:
     def test_single_regime_fails(self):
         spec = dataclasses.replace(preset("clean_high"), frame_count=30)
         with pytest.raises(TrainingDataError):
-            run_training(rendered_stream(render(spec)), labeling_mode="rule")
+            run_training(rendered_stream(render(spec)))
 
     def test_empty_stream_fails(self):
         with pytest.raises(TrainingDataError):
-            run_training(iter([]), labeling_mode="rule")
+            run_training(iter([]))
 
-    def test_stratified_split_properties(self):
-        labels = [HIGH] * 7 + [LOW] * 3
-        train, test = stratified_split(labels, seed=1)
-        assert sorted(train + test) == list(range(10))
-        assert any(labels[i] == LOW for i in train)
-        assert any(labels[i] == HIGH for i in train)
-        # deterministic
-        assert stratified_split(labels, seed=1) == (train, test)
+    @settings(max_examples=200, deadline=None)
+    @given(class_labels(), st.integers(min_value=0))
+    def test_stratified_split_properties(self, labels, seed):
+        train, test = stratified_split(labels, seed=seed)
+        assert sorted(train + test) == list(range(len(labels)))
+        # every class keeps a training sample, so fit_efficiency_model's
+        # two classes reach the classifiers
+        assert {labels[i] for i in train} == set(labels)
+        assert stratified_split(labels, seed=seed) == (train, test)
 
 
 class TestClassifyFeatures:
