@@ -8,8 +8,7 @@ hyperparameters, and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,7 @@ SVM_REGULARIZATION = 1e-2  # weight of the SVM's L2 penalty
 MLP_HIDDEN = 8  # tanh units of the MLP's one hidden layer
 
 
-@dataclass(frozen=True)
-class ClassifierModel:
+class ClassifierModel(NamedTuple):
     kind: str  # one of KINDS
     parameters: dict
     parameter_count: int

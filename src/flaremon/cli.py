@@ -17,6 +17,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SERVICE = 3
 
+# --endpoint and --model when labeling by LLM; rule labeling takes neither.
+LLM_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+LLM_MODEL = "gpt-4"
+
 
 def _preset_name(name):
     """--preset, checked as argparse's `choices` would; the simulator loads
@@ -72,7 +76,18 @@ def _llm_cfg(args, labeling):
     if labeling == "rule":
         return None
     from .labeling import LlmClientConfig
-    return LlmClientConfig(args.endpoint, args.model)
+    return LlmClientConfig(
+        LLM_ENDPOINT if args.endpoint is None else args.endpoint,
+        LLM_MODEL if args.model is None else args.model)
+
+
+def _unused_llm_options(args, what):
+    """Print a usage error and return True if --endpoint or --model is
+    given to `what`, which labels without the LLM."""
+    if args.endpoint is None and args.model is None:
+        return False
+    print(f"{what} takes no --endpoint or --model", file=sys.stderr)
+    return True
 
 
 def cmd_simulate(args):
@@ -83,6 +98,8 @@ def cmd_simulate(args):
 
 
 def cmd_label(args):
+    if args.mode == "rule" and _unused_llm_options(args, "label --mode rule"):
+        return EXIT_USAGE
     from .labeling import label_samples
     labeled = label_samples(
         [r.features for r in formats.load_feature_csv(args.features)],
@@ -106,6 +123,8 @@ def cmd_train(args):
             print("train --features takes the CSV's labels: no --review or "
                   "--labeling llm", file=sys.stderr)
             return EXIT_USAGE
+        if _unused_llm_options(args, "train --features"):
+            return EXIT_USAGE
         X, labels = _labeled(formats.load_feature_csv(args.features),
                              "feature CSV")
         model, report = pipeline.fit_efficiency_model(X, labels,
@@ -114,6 +133,9 @@ def cmd_train(args):
         if not (args.annotations and args.frames):
             print("train needs --features or both --annotations and --frames",
                   file=sys.stderr)
+            return EXIT_USAGE
+        if args.labeling == "rule" and _unused_llm_options(
+                args, "train --labeling rule"):
             return EXIT_USAGE
         model, report, rows = pipeline.run_training(
             formats.load_annotated_frames(args.annotations, args.frames),
@@ -180,8 +202,9 @@ def build_parser():
 
     llm = argparse.ArgumentParser(add_help=False)  # label's and train's
     llm.add_argument("--review", action="store_true")
-    llm.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
-    llm.add_argument("--model", default="gpt-4")
+    llm.add_argument("--endpoint", help="LLM labeling only; default "
+                     + LLM_ENDPOINT)
+    llm.add_argument("--model", help=f"LLM labeling only; default {LLM_MODEL}")
 
     p = sub.add_parser("label", parents=[llm], help="label a feature CSV")
     p.add_argument("--features", required=True)

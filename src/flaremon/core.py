@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,21 +19,36 @@ class DetClass(enum.Enum):
     SMOKE = "smoke"
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in continuous pixel coordinates, origin top-left, y down."""
+class _Checked:
+    """Mixin of a record whose ``__new__`` checks its fields: ``_make``, and
+    so ``_replace``, build through ``__new__`` too."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _BBox(NamedTuple):
     x_min: float
     y_min: float
     x_max: float
     y_max: float
 
-    def __post_init__(self):
-        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in vals):
+
+class BBox(_Checked, _BBox):
+    """Axis-aligned box in continuous pixel coordinates, origin top-left, y down."""
+
+    __slots__ = ()
+
+    def __new__(_cls, x_min, y_min, x_max, y_max):
+        vals = (x_min, y_min, x_max, y_max)
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"non-finite box {vals}")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        if not (x_min < x_max and y_min < y_max):
             raise ValueError(f"degenerate box {vals}")
+        return tuple.__new__(_cls, vals)
 
     @property
     def width(self):
@@ -48,19 +63,40 @@ class BBox:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class Detection:
+class _Detection(NamedTuple):
     bbox: BBox
     cls: DetClass
     confidence: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+
+class Detection(_Checked, _Detection):
+    __slots__ = ()
+
+    def __new__(_cls, bbox, cls, confidence):
+        if not (0.0 <= confidence <= 1.0):
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        return tuple.__new__(_cls, (bbox, cls, confidence))
 
 
-@dataclass(frozen=True)
-class Mask:
+def check_runs(width, height, runs):
+    """Raise DecodeError unless the int sizes are positive and the int runs
+    are non-negative and sum to width * height."""
+    if width <= 0 or height <= 0:
+        raise DecodeError(f"bad mask size {width}x{height}")
+    if runs and min(runs) < 0:
+        raise DecodeError("negative run length")
+    total = sum(runs)
+    if total != width * height:
+        raise DecodeError(f"runs sum to {total}, expected {width * height}")
+
+
+class _Mask(NamedTuple):
+    width: int
+    height: int
+    runs: tuple
+
+
+class Mask(_Checked, _Mask):
     """Binary mask as row-major run-length encoding.
 
     Runs alternate background/foreground, first run counting background
@@ -72,29 +108,23 @@ class Mask:
     masks to their flat foreground indices without building the frame.
     """
 
-    width: int
-    height: int
-    runs: tuple = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(_cls, width, height, runs):
         try:
-            size = operator.index(self.width), operator.index(self.height)
-            runs = tuple(map(operator.index, self.runs))
+            width, height = operator.index(width), operator.index(height)
+            runs = tuple(map(operator.index, runs))
         except TypeError as exc:  # a float or a string, say
             raise DecodeError(f"mask sizes and runs must be integers: {exc}") \
                 from exc
-        object.__setattr__(self, "width", size[0])
-        object.__setattr__(self, "height", size[1])
-        object.__setattr__(self, "runs", runs)
-        if self.width <= 0 or self.height <= 0:
-            raise DecodeError(f"bad mask size {self.width}x{self.height}")
-        if runs and min(runs) < 0:
-            raise DecodeError("negative run length")
-        total = sum(runs)
-        if total != self.width * self.height:
-            raise DecodeError(
-                f"runs sum to {total}, expected {self.width * self.height}"
-            )
+        check_runs(width, height, runs)
+        return tuple.__new__(_cls, (width, height, runs))
+
+    @classmethod
+    def _unchecked(cls, width, height, runs):
+        """The mask of int sizes and a tuple of int runs that are known to
+        pass `check_runs`, built without checking them again."""
+        return tuple.__new__(cls, (width, height, runs))
 
     @classmethod
     def from_array(cls, arr, origin=(0, 0), size=None) -> "Mask":
@@ -126,7 +156,7 @@ class Mask:
         runs = np.diff(np.concatenate(([0], bounds, [width * height])))
         if runs.size > 1 and runs[-1] == 0:
             runs = runs[:-1]
-        return cls(width=width, height=height, runs=runs.tolist())
+        return cls._unchecked(int(width), int(height), tuple(runs.tolist()))
 
     def area(self) -> int:
         """Foreground pixel count."""
@@ -159,22 +189,26 @@ def foreground_indices(masks):
     return idx, np.add.reduceat(lengths, np.cumsum(fg_runs) - fg_runs)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Raw RGB frame; pixels is a (height, width, 3) uint8 array."""
-
+class _Frame(NamedTuple):
     index: int
     timestamp: float
     width: int
     height: int
     pixels: np.ndarray
 
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width, 3):
+
+class Frame(_Checked, _Frame):
+    """Raw RGB frame; pixels is a (height, width, 3) uint8 array."""
+
+    __slots__ = ()
+
+    def __new__(_cls, index, timestamp, width, height, pixels):
+        if pixels.shape != (height, width, 3):
             raise ValueError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}x3"
+                f"pixel buffer shape {pixels.shape} does not match "
+                f"{height}x{width}x3"
             )
+        return tuple.__new__(_cls, (index, timestamp, width, height, pixels))
 
 
 def box_center(b: BBox):

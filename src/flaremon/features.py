@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +21,7 @@ MIN_AXIS_RATIO = 1.05
 N_FEATURES = 3  # ratio, E, angle
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     smoke_flame_ratio: float
     rgb_index: float
     flame_angle: float  # degrees from vertical, in [0, 90]

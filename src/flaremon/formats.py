@@ -8,9 +8,8 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -30,16 +29,14 @@ MODEL_SCHEMA_VERSION = 1
 FEATURE_LOG_HEADER = "frame,track_id,ratio,E,angle,pc1,pc2,label"
 
 
-@dataclass(frozen=True)
-class EfficiencyModel:
+class EfficiencyModel(NamedTuple):
     standardization: StandardizationParams
     pca: PcaModel
     classifier: ClassifierModel
     metadata: dict
 
 
-@dataclass(frozen=True)
-class StatusRecord:
+class StatusRecord(NamedTuple):
     """One feature-log row.  A bare feature CSV row has no frame, track or
     pcs (None), and its label may be None; a row as features are extracted
     has neither pcs nor label yet."""

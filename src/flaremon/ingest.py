@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .core import BBox, DetClass, Detection, Mask
+from .core import BBox, DetClass, Detection, Mask, check_runs
 from .errors import DecodeError, OrderError, ParseError
 
 
-@dataclass(frozen=True)
-class FrameAnnotation:
+class FrameAnnotation(NamedTuple):
     frame_index: int
     detections: Tuple[Detection, ...]
     masks: Optional[Tuple[Tuple[int, Mask], ...]] = None
@@ -86,7 +84,7 @@ def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
             raise ParseError("bad mask record: detection, width, height "
                              "and runs must be integers", line_no)
         try:
-            mask = Mask(width, height, runs)
+            check_runs(width, height, runs)
         except DecodeError as exc:
             raise ParseError(f"bad mask: {exc}", line_no) from exc
         if not (0 <= det_idx < len(detections)):
@@ -94,7 +92,7 @@ def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
                              f"{len(detections)}", line_no)
         if det_idx in masks:
             raise ParseError(f"second mask for detection {det_idx}", line_no)
-        masks[det_idx] = mask
+        masks[det_idx] = Mask._unchecked(width, height, tuple(runs))
 
     if mask_records is None:
         return FrameAnnotation(frame_index, detections)

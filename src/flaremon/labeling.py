@@ -6,8 +6,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import HIGH, LOW
 from .errors import AuthError, EndOfInput, Unavailable, UnparseableReply
@@ -23,14 +22,12 @@ RULE_RATIO_MAX = 0.36
 RULE_INDEX_MIN = 0.40
 
 
-@dataclass(frozen=True)
-class LlmClientConfig:
+class LlmClientConfig(NamedTuple):
     endpoint: str
     model: str
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(NamedTuple):
     features: FeatureVector
     label: str
     source: str  # llm | rule | human

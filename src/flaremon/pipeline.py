@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import datetime
 import logging
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .features import (N_FEATURES, FeatureVector, angle_from_moments,
                        smoke_flame_ratio)
 from .formats import EfficiencyModel, StatusRecord
 from .ingest import FrameAnnotation
-from .segment import seed_pixel, segment_frame
 from .stats import pca_fit, pca_project, standardize_apply, standardize_fit
 from .tracker import SortTracker
 
@@ -35,8 +34,7 @@ format_ground_truth = formats.format_ground_truth
 load_model, model_to_json = formats.load_model, formats.model_to_json
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     track_id: int
     first_frame: int
     last_frame: int
@@ -80,9 +78,12 @@ def extract_track_features(
         # The box-only regions, flames first so that they get masks: one
         # segment_frame call per frame, and none when every mask came in.
         grow = [(t, i) for t, i in regions if i not in external]
-        grown = dict(zip([i for _, i in grow], segment_frame(
-            frame, [ann.detections[i].bbox for _, i in grow],
-            sum(t is not None for t, _ in grow)))) if grow else {}
+        grown = {}
+        if grow:  # so that a masked stream never loads the segmenter
+            from .segment import seed_pixel, segment_frame
+            grown = dict(zip([i for _, i in grow], segment_frame(
+                frame, [ann.detections[i].bbox for _, i in grow],
+                sum(t is not None for t, _ in grow))))
         flames: List[Tuple[int, Mask]] = []
         smoke_regions = []
         for track_id, i in regions:

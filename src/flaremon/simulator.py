@@ -10,67 +10,76 @@ deterministic per (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import FPS, BBox, DetClass, Detection, Frame, Mask
+from .core import FPS, BBox, DetClass, Detection, Frame, Mask, _Checked
 from .errors import InvalidPreset
 from .ingest import FrameAnnotation
 
 BACKGROUND = (20, 22, 28)
 
 
-@dataclass(frozen=True)
-class FlameSpec:
+class _FlameSpec(NamedTuple):
     base_x: float
     base_y: float
     major: float  # semi-axis, pixels
     minor: float
     tilt_deg: float  # from vertical, [0, 90)
-    drift: Tuple[float, float] = (0.0, 0.0)  # px / frame
-    core_color: Tuple[int, int, int] = (90, 110, 245)
-    edge_color: Tuple[int, int, int] = (130, 150, 250)
+    drift: Tuple[float, float]  # px / frame
+    core_color: Tuple[int, int, int]
+    edge_color: Tuple[int, int, int]
 
-    def __post_init__(self):
-        if self.major <= 0 or self.minor <= 0:
+
+class FlameSpec(_Checked, _FlameSpec):
+    __slots__ = ()
+
+    def __new__(_cls, base_x, base_y, major, minor, tilt_deg,
+                drift=(0.0, 0.0), core_color=(90, 110, 245),
+                edge_color=(130, 150, 250)):
+        if major <= 0 or minor <= 0:
             raise ValueError("axes must be positive")
-        if not (0.0 <= self.tilt_deg < 90.0):
+        if not (0.0 <= tilt_deg < 90.0):
             raise ValueError("tilt must lie in [0, 90)")
+        return tuple.__new__(_cls, (base_x, base_y, major, minor, tilt_deg,
+                                    drift, core_color, edge_color))
 
 
-@dataclass(frozen=True)
-class SmokeSpec:
+class SmokeSpec(NamedTuple):
     area_multiplier: float  # smoke area relative to flame area
     gray: int = 110
     gap: float = 8.0  # px between flame top and smoke bottom; must exceed
     # the +/-2 px annotation box jitter so smoke stays attributable
 
 
-@dataclass(frozen=True)
-class StackSpec:
+class StackSpec(NamedTuple):
     flame: FlameSpec
     smoke: Optional[SmokeSpec]
     regime: str  # high | low, by construction
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    width: int = 320
-    height: int = 240
-    frame_count: int = 200
-    rng_seed: int = 7
-    stacks: Tuple[StackSpec, ...] = ()
-    noise_amplitude: int = 6
+class _SceneSpec(NamedTuple):
+    width: int
+    height: int
+    frame_count: int
+    rng_seed: int
+    stacks: Tuple[StackSpec, ...]
+    noise_amplitude: int
 
-    def __post_init__(self):
-        if self.frame_count < 1:
+
+class SceneSpec(_Checked, _SceneSpec):
+    __slots__ = ()
+
+    def __new__(_cls, width=320, height=240, frame_count=200, rng_seed=7,
+                stacks=(), noise_amplitude=6):
+        if frame_count < 1:
             raise ValueError("frame_count must be >= 1")
+        return tuple.__new__(_cls, (width, height, frame_count, rng_seed,
+                                    stacks, noise_amplitude))
 
 
-@dataclass(frozen=True)
-class StackTruth:
+class StackTruth(NamedTuple):
     stack_id: int
     regime: str
     tilt_deg: float
@@ -81,8 +90,7 @@ class StackTruth:
     smoke_mask: Optional[Mask]
 
 
-@dataclass(frozen=True)
-class RenderedFrame:
+class RenderedFrame(NamedTuple):
     frame: Frame
     truths: Tuple[StackTruth, ...]
     annotation: FrameAnnotation

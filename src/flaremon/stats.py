@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,14 +11,12 @@ from .errors import DegenerateFeature, InvalidInput
 _OFF_TOL = 1e-12  # Jacobi stops when every off-diagonal entry is below it
 
 
-@dataclass(frozen=True)
-class StandardizationParams:
+class StandardizationParams(NamedTuple):
     means: np.ndarray
     stds: np.ndarray
 
 
-@dataclass(frozen=True)
-class PcaModel:
+class PcaModel(NamedTuple):
     components: np.ndarray  # (2, d) rows, descending eigenvalue
     eigenvalues: np.ndarray  # (2,)
     explained_variance_fraction: np.ndarray  # (2,), eigenvalue / trace

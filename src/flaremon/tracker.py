@@ -14,8 +14,7 @@ any leading batch axes, a single (7,)/(7, 7) state included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .errors import InvalidCost, NumericalError
 _SCALE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class KalmanParams:
+class KalmanParams(NamedTuple):
     """Transition F, process noise Q, observation H, measurement noise R."""
     F: np.ndarray
     Q: np.ndarray
@@ -202,9 +200,8 @@ class SortTracker:
         detection_index) pairs, and the ids born and died this frame.
         """
         x, P = kalman_predict(self.x, self.P, KALMAN)
-        det_boxes = np.array(
-            [(d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max)
-             for d in detections], dtype=float).reshape(-1, 4)
+        det_boxes = np.array([d.bbox for d in detections],
+                             dtype=float).reshape(-1, 4)
         # Huge boxes overflow here silently, as they do in Python floats.
         with np.errstate(all="ignore"):
             z = _measurements(det_boxes)

@@ -6,8 +6,9 @@ a bool, including every mask field, a box coordinate or confidence given
 as a bool, a numeric string, an integer too large for a float or a float
 of 1e200, a box whose area overflows, an unknown class, a mask record
 given twice, or a mask of another size than the frame's, whose runs do
-not sum to its size or that names a detection out of range.  Now and then
-a record is any JSON value instead.  Streams of such lines take frame
+not sum to its size, that has a negative run though its runs sum right,
+or that names a detection out of range.  Now and then a record is any
+JSON value instead.  Streams of such lines take frame
 indices that skip frames and now and then repeat one."""
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ def annotation_object(draw, width, height):
     out_of_range = st.sampled_from([-1, len(detections)]).map(
         lambda i: {"detection": i})
     mask_parts = [(m, [other_size, out_of_range,
-                       st.just({"runs": [*m["runs"], 1]})])
+                       st.just({"runs": [*m["runs"], 1]}),
+                       st.just({"runs": [-1, m["runs"][0] + 1,
+                                         *m["runs"][1:]]})])
                   for m in masks or []]
     kinds = [[(record, record_swaps)],
              [(d, detection_swaps) for d in detections], mask_parts]

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.
 """
 
-import dataclasses
 import io
 import time
 
@@ -58,16 +57,15 @@ def test_criterion_1_hungarian_oracle():
 
 def test_criterion_2_kalman_limits(monkeypatch):
     # R = 0 update reproduces the measurement
-    p = dataclasses.replace(KALMAN, F=np.eye(7), Q=np.zeros((7, 7)),
-                            R=np.zeros((4, 4)))
+    p = KALMAN._replace(F=np.eye(7), Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
     x, P = np.zeros(7), np.eye(7) * 5.0
     z = np.array([3.0, -1.0, 7.0, 2.0])
     x, _ = kalman_update(x, P, z, p)
     assert np.allclose(x[:4], z, atol=1e-9)
 
     # zero-noise constant-velocity target within 1e-6 after 3 updates
-    monkeypatch.setattr("flaremon.tracker.KALMAN", dataclasses.replace(
-        KALMAN, Q=np.zeros((7, 7)), R=np.zeros((4, 4))))
+    monkeypatch.setattr("flaremon.tracker.KALMAN", KALMAN._replace(
+        Q=np.zeros((7, 7)), R=np.zeros((4, 4))))
     monkeypatch.setattr("flaremon.tracker.MIN_HITS", 1)
     tracker = SortTracker()
     errs = []
@@ -270,12 +268,12 @@ def test_criterion_8_labeling(stub_llm, monkeypatch):
 
 
 def _two_regime_stream(frames=60):
-    a = dataclasses.replace(preset("clean_high"), frame_count=frames)
-    b = dataclasses.replace(preset("smoky_low"), frame_count=frames)
+    a = preset("clean_high")._replace(frame_count=frames)
+    b = preset("smoky_low")._replace(frame_count=frames)
     yield from rendered_stream(render(a))
     from flaremon.ingest import FrameAnnotation
     for f, ann in rendered_stream(render(b)):
-        yield (dataclasses.replace(f, index=f.index + frames),
+        yield (f._replace(index=f.index + frames),
                FrameAnnotation(ann.frame_index + frames, ann.detections,
                                ann.masks))
 
@@ -317,7 +315,7 @@ def test_criterion_9_end_to_end(tmp_path):
 
 def test_criterion_10_persistence(tmp_path):
     # annotation JSONL round-trip
-    spec = dataclasses.replace(preset("three_stacks"), frame_count=10)
+    spec = preset("three_stacks")._replace(frame_count=10)
     anns = [rf.annotation for rf in render(spec)]
     buf = io.StringIO()
     write_annotation_stream(anns, buf)

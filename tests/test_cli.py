@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import io
@@ -7,6 +6,7 @@ import itertools
 import json
 import logging
 import os
+import subprocess
 import sys
 import tempfile
 import urllib.request
@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from flaremon import formats, labeling, pipeline
+from flaremon import formats, labeling, pipeline, segment
 from flaremon.cli import main
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
 from flaremon.errors import ParseError
 from flaremon.ingest import write_annotation_stream
-from flaremon.segment import segment_frame
 from flaremon.simulator import preset, render
 from tests.annotation_fuzz import annotation_streams, frame_indices
 from tests.bfs_oracle import segment_frame_bfs
@@ -91,7 +90,6 @@ def test_train_monitor_flow(sim_dir, tmp_path, capsys):
                "--out", str(model_path)) == 2  # single-class data error
 
     # build a combined feature CSV from rule labels on both scenes
-    import dataclasses
     import numpy as np
     from flaremon.pipeline import run_training
     from tests.test_pipeline import two_regime_stream
@@ -164,6 +162,31 @@ def test_train_features_with_labeling_options_is_usage_error(tmp_path, capsys,
     assert "train --features takes the CSV's labels: no --review or " \
         "--labeling llm" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("args, what", [
+    (("label", "--mode", "rule", "--endpoint", "http://nowhere.invalid/"),
+     "label --mode rule"),
+    (("label", "--model", "none"), "label --mode rule"),
+    (("train", "--annotations", "missing.jsonl", "--frames", "missing",
+      "--model", "none"), "train --labeling rule"),
+    (("train", "--features", "CSV", "--endpoint", "http://nowhere.invalid/",
+      "--model", "none"), "train --features")])
+def test_llm_options_without_llm_labeling_are_usage_errors(tmp_path, capsys,
+                                                          args, what):
+    """Rule labels and a feature CSV's labels ask no LLM, so an endpoint or
+    model given to them would go unused."""
+    csv = tmp_path / "features.csv"
+    csv.write_text("".join(f"{r[0]},{r[1]},{r[2]},{lbl}\n" for r, lbl in
+                           zip(TRAINING_ROWS.tolist(), TRAINING_LABELS)))
+    out = tmp_path / "out"
+    args = [str(csv) if a == "CSV" else a for a in args]
+    if args[0] == "label":
+        args[1:1] = ["--features", str(csv)]
+    assert run(*args, "--out", str(out)) == 1
+    assert capsys.readouterr().err == \
+        f"{what} takes no --endpoint or --model\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [
@@ -482,7 +505,7 @@ def table_model(tmp_path_factory):
 
 
 def box_only(pairs):
-    return [(f, dataclasses.replace(a, masks=None)) for f, a in pairs]
+    return [(f, a._replace(masks=None)) for f, a in pairs]
 
 
 def monitor_outputs(model, pairs, out_dir, capsys):
@@ -498,8 +521,8 @@ def monitor_outputs(model, pairs, out_dir, capsys):
 def test_box_only_monitor_matches_pixel_bfs(three_stacks_head, table_model,
                                             tmp_path, monkeypatch, capsys):
     outputs = []
-    for grow in (segment_frame_bfs, segment_frame):
-        monkeypatch.setattr(pipeline, "segment_frame", grow)
+    for grow in (segment_frame_bfs, segment.segment_frame):
+        monkeypatch.setattr(segment, "segment_frame", grow)
         outputs.append(monitor_outputs(
             table_model, box_only(three_stacks_head),
             str(tmp_path / grow.__name__), capsys))
@@ -508,13 +531,35 @@ def test_box_only_monitor_matches_pixel_bfs(three_stacks_head, table_model,
     assert code == 0 and log_bytes.count(b"\n") > 90
 
 
+def segmenter_loaded_by(*argv):
+    """Whether `flaremon` on argv, run to its end in a fresh interpreter,
+    loaded the region-grow segmenter."""
+    code = ("import sys\nfrom flaremon.cli import main\n"
+            f"assert main({list(argv)!r}) == 0\n"
+            "print('flaremon.segment' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(segment.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()[-1]
+
+
+def test_segmenter_loads_only_for_box_only_regions(three_stacks_head,
+                                                  table_model, tmp_path):
+    assert segmenter_loaded_by("monitor", "--model", table_model, "--input",
+                               "preset:clean_high") == "False"
+    ann_path, frames_dir = write_stream(box_only(three_stacks_head[:3]),
+                                        str(tmp_path))
+    assert segmenter_loaded_by("monitor", "--model", table_model, "--input",
+                               ann_path, "--frames", frames_dir) == "True"
+
+
 def test_off_frame_box_only_detections_skip_their_records(
         three_stacks_head, table_model, tmp_path, capsys, caplog):
     # Flame and smoke boxes centred at (345, 20), right of the 320 px frame.
     extra = (Detection(BBox(330, 10, 360, 30), DetClass.FLAME, 0.9),
              Detection(BBox(330, 10, 360, 30), DetClass.SMOKE, 0.9))
     plain = box_only(three_stacks_head)
-    stray = [(f, dataclasses.replace(a, detections=a.detections + extra))
+    stray = [(f, a._replace(detections=a.detections + extra))
              if f.index >= 5 else (f, a) for f, a in plain]
     expect = monitor_outputs(table_model, plain, str(tmp_path / "plain"),
                              capsys)
@@ -537,7 +582,7 @@ def test_second_mask_for_a_detection_is_data_error(three_stacks_head,
                                                    table_model, tmp_path,
                                                    capsys):
     def doubled(ann):
-        return dataclasses.replace(ann, masks=ann.masks + ann.masks[:1])
+        return ann._replace(masks=ann.masks + ann.masks[:1])
 
     pairs = [(f, doubled(a) if f.index == 3 else a)
              for f, a in three_stacks_head[:6]]
@@ -560,7 +605,7 @@ def test_plot_of_bare_feature_csv_is_data_error(tmp_path, capsys):
 def test_mask_of_wrong_size_is_data_error(three_stacks_head, table_model,
                                           tmp_path, capsys):
     def widened(ann):
-        return dataclasses.replace(ann, masks=tuple(
+        return ann._replace(masks=tuple(
             (i, Mask.from_array(np.pad(decode_runs(m), ((0, 0), (0, 40)))))
             for i, m in ann.masks))
 
@@ -685,8 +730,7 @@ def test_monitor_steps_once_per_line(fuzz_frames, table_model, indices):
                                      table_model)
     assert (code, err) == (code0, err0) == (0, "")
     assert len(dense) == 4
-    assert rows == [dataclasses.replace(r, frame=indices[r.frame])
-                    for r in dense]
+    assert rows == [r._replace(frame=indices[r.frame]) for r in dense]
 
 
 @settings(max_examples=150, deadline=None)

@@ -138,6 +138,13 @@ def test_cli_import_loads_no_http_client():
         "('ssl', 'http.client', 'urllib.request')") == "[]"
 
 
+def test_cli_import_loads_no_dataclasses_or_segmenter():
+    """Records are named tuples, and only box-only regions need the region
+    grow, so start-up defines no dataclass and compiles no segmenter."""
+    assert loaded_by_cli_import(
+        "m in ('dataclasses', 'flaremon.segment')") == "[]"
+
+
 def test_cli_import_loads_no_simulator_or_labeling():
     """`monitor`, `eval` and `plot` run neither; `simulate`, `preset:`
     inputs, `label` and `train` import them when they run."""
@@ -210,16 +217,19 @@ def test_public_definitions_skip_private_and_nested_names():
     assert public_definitions(source) == ["f", "C"]
 
 
-def _is_dataclass(node):
+def _is_record(node):
+    """A dataclass, or a class based on NamedTuple."""
     return any(ast.unparse(d).startswith(("dataclass", "dataclasses."))
-               for d in node.decorator_list)
+               for d in node.decorator_list) or any(
+        ast.unparse(b).endswith("NamedTuple") for b in node.bases)
 
 
 def defaulted_parameters(source: str):
     """(callee, parameter, position) of each defaulted parameter of a public
-    function or method and of each defaulted field of a public dataclass.
-    The callee is the name a call uses: the class for `__init__` and for
-    fields.  Positions skip `self`; keyword-only parameters have None."""
+    function or method and of each defaulted field of a public dataclass
+    or NamedTuple.  The callee is the name a call uses: the class for
+    `__init__`, `__new__` and fields.  Positions skip `self` and `cls`;
+    keyword-only parameters have None."""
     out = []
 
     def visit(fn, callee, skip):
@@ -237,16 +247,17 @@ def defaulted_parameters(source: str):
             visit(node, node.name, 0)
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
-        if _is_dataclass(node):
+        if _is_record(node):
             fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
             out.extend((node.name, f.target.id, i)
                        for i, f in enumerate(fields) if f.value is not None)
         for fn in node.body:
             if isinstance(fn, ast.FunctionDef) and (
-                    fn.name == "__init__" or not fn.name.startswith("_")):
+                    fn.name in ("__init__", "__new__")
+                    or not fn.name.startswith("_")):
                 static = "staticmethod" in map(ast.unparse,
                                                fn.decorator_list)
-                visit(fn, node.name if fn.name == "__init__" else fn.name,
+                visit(fn, node.name if fn.name.startswith("_") else fn.name,
                       0 if static else 1)
     return out
 
@@ -297,9 +308,12 @@ def test_default_checkers_see_parameters_fields_and_calls():
               "    b: int = 1\n    def m(self, x, y=2, *, z=3): pass\n"
               "    @staticmethod\n    def s(u=4): pass\n"
               "class D:\n    def __init__(self, v=5): pass\n"
-              "def f(p, q=6): pass\ndef _g(r=7): pass\n")
+              "def f(p, q=6): pass\ndef _g(r=7): pass\n"
+              "class N(typing.NamedTuple):\n    c: int\n    d: int = 8\n"
+              "class _B(NamedTuple):\n    e: int = 9\n"
+              "class K(_B):\n    def __new__(_cls, e, g=10): pass\n")
     assert defaulted_parameters(source) == [
         ("C", "b", 1), ("m", "y", 1), ("m", "z", None), ("s", "u", 0),
-        ("D", "v", 0), ("f", "q", 1)]
+        ("D", "v", 0), ("f", "q", 1), ("N", "d", 1), ("K", "g", 1)]
     assert passed_arguments("f(1, *a, q=2)\no.m(**kw)\n") == {
         ("f", 0), ("f", "*"), ("f", "q"), ("m", "**")}

@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from flaremon.core import BBox, DetClass, Detection, Mask
@@ -10,6 +10,7 @@ from flaremon.errors import FlaremonError, OrderError, ParseError
 from flaremon.ingest import (FrameAnnotation, format_annotation,
                              parse_annotation_line, read_annotation_stream,
                              write_annotation_stream)
+from tests import ingest_oracle
 from tests.annotation_fuzz import annotation_lines
 
 ONE_FLAME = ('{"frame_index":0,"detections":[{"class":"flame",'
@@ -194,6 +195,41 @@ def test_fuzzed_lines_parse_or_raise_flaremon_error(line):
     assert len(ann.masks or ()) == len(obj.get("masks") or ())
 
 
+def _parsed(parse, line):
+    """What `parse` makes of a line: the annotation, or the ParseError's
+    text."""
+    try:
+        return parse(line, 3)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _mask_line(width, height, runs):
+    return ('{"frame_index":0,"detections":[{"class":"flame",'
+            '"bbox":[0,0,2,2],"confidence":1.0}],"masks":[{"detection":0,'
+            f'"width":{width},"height":{height},"runs":{runs}}}]}}')
+
+
+@settings(max_examples=1000, deadline=None)
+@given(annotation_lines(8, 6) | annotation_lines(3, 2))
+@example(_mask_line(2, 3, "[-1, 7]"))  # a negative run, the right sum
+@example(_mask_line(2, 3, "[1, 2, 2]"))
+@example(_mask_line(0, 3, "[]"))
+@example(_mask_line(2, -3, "[-6]"))
+@example(_mask_line(2, 3, "[]"))
+@example(_mask_line(2, 3, "[6.0]"))
+def test_parser_matches_the_oracle(line):
+    """Each mask checked once gives what the parser that checked it in
+    four passes gave: an equal annotation, or the same error text."""
+    got = _parsed(parse_annotation_line, line)
+    assert got == _parsed(ingest_oracle.parse_annotation_line, line)
+    if not isinstance(got, str):
+        for _, mask in got.masks or ():
+            assert type(mask) is Mask and type(mask.runs) is tuple
+            assert all(type(v) is int for v in (mask.width, mask.height,
+                                                 *mask.runs))
+
+
 def test_second_mask_for_a_detection_rejected():
     # The second record used to be parsed and then never read.
     mask = '{"detection":0,"width":2,"height":2,"runs":[1,3]}'
@@ -212,6 +248,7 @@ DEFECTS = ("record must be an object with frame_index", "bad frame_index",
            "'steam' is not a valid DetClass", "bad detection record: 'bbox'",
            "bbox and confidence must be numbers", "non-finite area",
            "bad mask record", "must be integers", "bad mask: ",
+           "negative run length",
            "mask references detection", "second mask for detection")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import json
@@ -33,7 +32,7 @@ from tests.conftest import TRAINING_LABELS, TRAINING_ROWS, feature_log_text
 
 def shifted(stream, offset):
     for f, a in stream:
-        yield (dataclasses.replace(f, index=f.index + offset),
+        yield (f._replace(index=f.index + offset),
                FrameAnnotation(a.frame_index + offset, a.detections, a.masks))
 
 
@@ -46,8 +45,8 @@ def class_labels(draw):
 
 
 def two_regime_stream(frames=60):
-    a = dataclasses.replace(preset("clean_high"), frame_count=frames)
-    b = dataclasses.replace(preset("smoky_low"), frame_count=frames)
+    a = preset("clean_high")._replace(frame_count=frames)
+    b = preset("smoky_low")._replace(frame_count=frames)
     yield from rendered_stream(render(a))
     yield from shifted(rendered_stream(render(b)), frames)
 
@@ -64,7 +63,7 @@ def kind_models(trained):
     model, _, rows = trained
     fitted = pipeline.train_all_classifiers(np.array([r.pcs for r in rows]),
                                             [r.label for r in rows])
-    return {kind: dataclasses.replace(model, classifier=clf)
+    return {kind: model._replace(classifier=clf)
             for kind, clf in fitted.items()}
 
 
@@ -81,7 +80,7 @@ class TestSmokeAttributionLogging:
                 Mask.from_array(arr))
 
     def test_track_warm_up_is_not_a_warning(self, caplog):
-        spec = dataclasses.replace(preset("clean_high"), frame_count=5)
+        spec = preset("clean_high")._replace(frame_count=5)
         with caplog.at_level(logging.DEBUG, logger="flaremon.pipeline"):
             list(extract_track_features(rendered_stream(render(spec))))
         assert warnings_of(caplog) == []
@@ -122,7 +121,7 @@ class TestSmokeOwnership:
         Its smoke lies over the middle flame too, yet in frames 10 and 11
         it counts for no flame, so the middle track's ratio is the one it
         has once its neighbour is reported."""
-        spec = dataclasses.replace(preset("three_stacks"), frame_count=14)
+        spec = preset("three_stacks")._replace(frame_count=14)
         ratios = {}
         with caplog.at_level(logging.DEBUG, logger="flaremon.pipeline"):
             for recs, _ in extract_track_features(
@@ -155,7 +154,7 @@ class TestTraining:
         assert {r.label for r in rows} == {HIGH, LOW}
 
     def test_single_regime_fails(self):
-        spec = dataclasses.replace(preset("clean_high"), frame_count=30)
+        spec = preset("clean_high")._replace(frame_count=30)
         with pytest.raises(TrainingDataError):
             run_training(rendered_stream(render(spec)))
 
@@ -405,14 +404,14 @@ class TestAlerts:
 class TestMonitor:
     def test_clean_high_no_alerts(self, trained):
         model = trained[0]
-        spec = dataclasses.replace(preset("clean_high"), frame_count=80)
+        spec = preset("clean_high")._replace(frame_count=80)
         alerts = [a for _, a in run_monitor(model, rendered_stream(
             render(spec)), 5, 50) if a is not None]
         assert alerts == []
 
     def test_smoky_low_alerts_after_window(self, trained):
         model = trained[0]
-        spec = dataclasses.replace(preset("smoky_low"), frame_count=80)
+        spec = preset("smoky_low")._replace(frame_count=80)
         k = 5
         alerts = [a for _, a in run_monitor(
             model, rendered_stream(render(spec)), k, 50) if a is not None]
@@ -422,7 +421,7 @@ class TestMonitor:
 
     def test_three_stacks_alerts_name_smoky_track(self, trained):
         model = trained[0]
-        spec = dataclasses.replace(preset("three_stacks"), frame_count=80)
+        spec = preset("three_stacks")._replace(frame_count=80)
         recs = []
         alerts = []
         for rec, alert in run_monitor(model, rendered_stream(render(spec)),
@@ -475,7 +474,7 @@ class TestMonitor:
 
     def test_alerts_rederivable_from_log_text(self, trained, tmp_path):
         model = trained[0]
-        spec = dataclasses.replace(preset("smoky_low"), frame_count=60)
+        spec = preset("smoky_low")._replace(frame_count=60)
         recs, alerts = [], []
         for rec, alert in run_monitor(model, rendered_stream(render(spec)),
                                       5, 50):
@@ -514,7 +513,7 @@ class TestScatterPlot:
 
 class TestFrameFiles:
     def test_roundtrip(self, tmp_path):
-        spec = dataclasses.replace(preset("clean_high"), frame_count=3)
+        spec = preset("clean_high")._replace(frame_count=3)
         frames = [rf.frame for rf in render(spec)]
         save_frames(frames, tmp_path / "frames")
         loaded = list(load_frames(tmp_path / "frames"))

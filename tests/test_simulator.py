@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 
@@ -78,8 +77,7 @@ class TestRenderBasics:
         assert t.flame_box.y_max == ys.max() + 1
 
     def test_annotations_roundtrip_through_ingest(self):
-        spec = dataclasses.replace(preset("crossing_near_miss"),
-                                   frame_count=10)
+        spec = preset("crossing_near_miss")._replace(frame_count=10)
         anns = [rf.annotation for rf in render(spec)]
         buf = io.StringIO()
         write_annotation_stream(anns, buf)
@@ -128,7 +126,7 @@ class TestPresets:
 
     def test_clean_high_rule_labels(self):
         from flaremon.features import FeatureVector, smoke_flame_ratio
-        spec = dataclasses.replace(preset("clean_high"), frame_count=20)
+        spec = preset("clean_high")._replace(frame_count=20)
         for rf in render(spec):
             t = rf.truths[0]
             ratio = smoke_flame_ratio(t.smoke_mask.area(),
@@ -139,7 +137,7 @@ class TestPresets:
 
     def test_smoky_low_rule_labels(self):
         from flaremon.features import FeatureVector, smoke_flame_ratio
-        spec = dataclasses.replace(preset("smoky_low"), frame_count=20)
+        spec = preset("smoky_low")._replace(frame_count=20)
         for rf in render(spec):
             t = rf.truths[0]
             ratio = smoke_flame_ratio(t.smoke_mask.area(),

@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +17,11 @@ from tests.sort_oracle import KalmanState, iou
 from tests.assignment_oracle import brute_force_assignment
 
 
-NOISELESS = replace(KALMAN, Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
+NOISELESS = KALMAN._replace(Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
 
 
 def identity_params(q=0.0, r=1.0):
-    return replace(KALMAN, F=np.eye(7), Q=np.eye(7) * q, R=np.eye(4) * r)
+    return KALMAN._replace(F=np.eye(7), Q=np.eye(7) * q, R=np.eye(4) * r)
 
 
 def state_with(x, p=1.0):
@@ -89,13 +88,13 @@ class TestKalmanUpdate:
 
     def test_singular_inconsistent_innovation_raises(self):
         # zero innovation covariance cannot explain a non-zero innovation
-        p = replace(KALMAN, R=np.zeros((4, 4)))
+        p = KALMAN._replace(R=np.zeros((4, 4)))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
             update(s, np.ones(4), p)
 
     def test_ill_conditioned_innovation_raises(self):
-        p = replace(KALMAN, R=np.diag([1.0, 1.0, 1.0, 1e-14]))
+        p = KALMAN._replace(R=np.diag([1.0, 1.0, 1.0, 1e-14]))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
             update(s, np.ones(4), p)
@@ -276,7 +275,7 @@ class TestStackedKalman:
     def test_stacked_equals_single_row_by_row(self):
         rng = np.random.default_rng(5)
         for p in (KALMAN,
-                  replace(KALMAN, R=np.diag([0.0, 1e-3, 0.0, 2.0]))):
+                  KALMAN._replace(R=np.diag([0.0, 1e-3, 0.0, 2.0]))):
             for n in (1, 2, 6, 20):
                 s, z = self.random_stack(rng, n)
                 pred, post = predict(s, p), update(s, z, p)
@@ -301,7 +300,7 @@ class TestStackedKalman:
     @staticmethod
     def stack_with_bad_row(bad_row, n=4):
         # R = 0 and zero covariance: only a zero innovation is consistent.
-        p = replace(KALMAN, R=np.zeros((4, 4)))
+        p = KALMAN._replace(R=np.zeros((4, 4)))
         s = KalmanState(x=np.zeros((n, 7)), P=np.zeros((n, 7, 7)))
         z = np.zeros((n, 4))
         z[bad_row] = 1.0
