@@ -12,7 +12,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidK, TrainingDataError
+from .errors import NumericalError, TrainingDataError
 
 HIGH = "high"
 LOW = "low"
@@ -52,7 +52,7 @@ def _sigmoid(z):
 def _train_linear(kind, X, step):
     """Full-batch gradient descent on (w, b) from zero.  `step(z, w)` takes
     the scores X @ w + b and returns (X.T @ g / n, mean of g) for the
-    per-sample loss gradient g; it raises DivergenceError itself."""
+    per-sample loss gradient g; it raises NumericalError itself."""
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(EPOCHS):
@@ -74,7 +74,7 @@ def train_logistic(data, labels) -> ClassifierModel:
         diff = _sigmoid(z) - y01
         gb = np.add.reduce(diff) / n
         if math.isnan(gb):
-            raise DivergenceError("loss became nan")
+            raise NumericalError("loss became nan")
         return XT @ diff / n, float(gb)
 
     return _train_linear("logistic", X, step)
@@ -93,7 +93,7 @@ def train_svm(data, labels) -> ClassifierModel:
         loss = (0.5 * reg * float(w @ w)
                 + float(np.add.reduce(np.maximum(0.0, 1.0 - margins)) / n))
         if not math.isfinite(loss):
-            raise DivergenceError(f"loss became {loss}")
+            raise NumericalError(f"loss became {loss}")
         g = ypm * (margins < 1.0)
         return reg * w - XT @ g / n, -float(np.add.reduce(g) / n)
 
@@ -103,9 +103,9 @@ def train_svm(data, labels) -> ClassifierModel:
 def train_knn(data, labels, k: int = 3) -> ClassifierModel:
     X, _ = _check_data(data, labels)
     if k % 2 == 0:
-        raise InvalidK("k must be odd")
+        raise TrainingDataError("k must be odd")
     if k > X.shape[0]:
-        raise InvalidK(f"k={k} exceeds sample count {X.shape[0]}")
+        raise TrainingDataError(f"k={k} exceeds sample count {X.shape[0]}")
     return ClassifierModel(
         kind="knn",
         parameters={"samples": X.tolist(), "labels": list(labels), "k": k},
@@ -152,7 +152,7 @@ def train_mlp(data, labels, seed: int = 0) -> ClassifierModel:
         dz2 = (_sigmoid(h @ W2 + b2) - y) / n
         np.add.reduce(dz2, axis=0, out=gb2)
         if math.isnan(gb2[0]):
-            raise DivergenceError("loss became nan")
+            raise NumericalError("loss became nan")
         np.matmul(h.T, dz2, out=gW2)
         dz1 = dz2 * W2.T * (1.0 - h * h)
         np.matmul(XT, dz1, out=gW1)

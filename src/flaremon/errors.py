@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, one class per thing a
+caller decides: bad input, data a fit cannot use, a numerical failure, a
+bad LLM reply, a record to skip, or an LLM endpoint to retry later."""
 
 
 class FlaremonError(Exception):
@@ -10,7 +12,9 @@ class DecodeError(FlaremonError):
 
 
 class ParseError(FlaremonError):
-    """A serialized record violates the schema."""
+    """Input flaremon cannot read: a record that violates its schema or
+    comes out of order, a model file of another schema version, an unknown
+    preset name, or interactive input that ended early."""
 
     def __init__(self, message, line_number=None):
         if line_number is not None:
@@ -19,16 +23,10 @@ class ParseError(FlaremonError):
         self.line_number = line_number
 
 
-class OrderError(FlaremonError):
-    """A frame index in a stream repeated or went backwards."""
-
-
 class NumericalError(FlaremonError):
-    """A linear-algebra step became ill-conditioned."""
-
-
-class InvalidCost(FlaremonError):
-    """Assignment cost matrix contains NaN."""
+    """A numerical step failed: an ill-conditioned linear-algebra step, a
+    NaN in an assignment cost matrix, or a training loss that became
+    non-finite."""
 
 
 class EmptyRegion(FlaremonError):
@@ -43,40 +41,10 @@ class DegenerateOrientation(FlaremonError):
     """Region is too close to circular for an orientation to exist."""
 
 
-class DegenerateFeature(FlaremonError):
-    """A feature column is constant and cannot be standardized."""
-
-    def __init__(self, column):
-        super().__init__(f"feature column {column} is constant")
-        self.column = column
-
-
-class InvalidInput(FlaremonError):
-    """Matrix input violates a structural precondition."""
-
-
-class InvalidK(FlaremonError):
-    """KNN neighbor count must be odd and no larger than the data."""
-
-
-class DivergenceError(FlaremonError):
-    """Training loss became non-finite."""
-
-
 class TrainingDataError(FlaremonError):
-    """Training data is missing or single-class."""
-
-
-class ModelVersionError(FlaremonError):
-    """Serialized model schema version does not match this reader."""
-
-
-class EndOfInput(FlaremonError):
-    """Interactive input ended before every sample was answered."""
-
-
-class InvalidPreset(FlaremonError):
-    """Unknown simulator preset name."""
+    """Data a fit cannot use: missing or single-class training data, a
+    constant feature column, a matrix of the wrong shape, or a KNN
+    neighbor count that is even or larger than the data."""
 
 
 class UnparseableReply(FlaremonError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import HIGH, KINDS, LOW, ClassifierModel
 from .core import FPS, Frame
-from .errors import ModelVersionError, ParseError
+from .errors import ParseError
 from .features import N_FEATURES, FeatureVector
 from .ingest import (FrameAnnotation, bbox_json, mask_json,
                      read_annotation_stream, write_annotation_stream)
@@ -126,7 +126,7 @@ def model_from_json(text: str) -> EfficiencyModel:
         raise ParseError("model file must hold a JSON object")
     version = obj.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise ModelVersionError(
+        raise ParseError(
             f"schema version {version}, reader supports {MODEL_SCHEMA_VERSION}")
     std = StandardizationParams(
         means=_field(obj, "standardization.means", (N_FEATURES,)),

@@ -23,7 +23,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .core import BBox, DetClass, Detection, Mask, check_runs
-from .errors import DecodeError, OrderError, ParseError
+from .errors import DecodeError, ParseError
 
 
 class FrameAnnotation(NamedTuple):
@@ -103,8 +103,8 @@ def read_annotation_stream(source) -> Iterator[FrameAnnotation]:
     """Yield annotations from an iterable of text lines (an open text file,
     say), validating as it goes.
 
-    Raises ParseError (with line number) on schema violations and
-    OrderError (with line number) if a frame_index repeats or decreases.
+    Raises ParseError (with line number) on schema violations and if a
+    frame_index repeats or decreases.
     """
     last_index = None
     for line_no, line in enumerate(source, start=1):
@@ -113,9 +113,8 @@ def read_annotation_stream(source) -> Iterator[FrameAnnotation]:
             continue
         ann = parse_annotation_line(line, line_no)
         if last_index is not None and ann.frame_index <= last_index:
-            raise OrderError(
-                f"line {line_no}: frame_index {ann.frame_index} after {last_index}"
-            )
+            raise ParseError(f"frame_index {ann.frame_index} after "
+                             f"{last_index}", line_no)
         last_index = ann.frame_index
         yield ann
 

@@ -9,7 +9,7 @@ import time
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import HIGH, LOW
-from .errors import AuthError, EndOfInput, Unavailable, UnparseableReply
+from .errors import AuthError, ParseError, Unavailable, UnparseableReply
 from .features import FeatureVector
 
 API_KEY_ENV = "FLAREMON_LLM_API_KEY"
@@ -142,7 +142,7 @@ def review(samples: Sequence[LabeledSample],
     """Interactive confirm/flip/skip pass over preliminary labels.
 
     Confirmed and flipped samples are re-sourced as human; skipped samples
-    keep their original label and source.  End of input raises EndOfInput.
+    keep their original label and source.  End of input raises ParseError.
     """
     out = []
     for i, s in enumerate(samples):
@@ -156,7 +156,7 @@ def review(samples: Sequence[LabeledSample],
             try:
                 key = input_fn("confirm [c] / flip [f] / skip [s]: ")
             except EOFError:
-                raise EndOfInput(f"input ended at sample [{i}] of "
+                raise ParseError(f"input ended at sample [{i}] of "
                                  f"{len(samples)}") from None
             key = key.strip().lower()
             if key in ("c", "f", "s"):

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import FPS, BBox, DetClass, Detection, Frame, Mask, _Checked
-from .errors import InvalidPreset
+from .errors import ParseError
 from .ingest import FrameAnnotation
 
 BACKGROUND = (20, 22, 28)
@@ -268,5 +268,5 @@ PRESETS = {
 def preset(name: str) -> SceneSpec:
     """The scene of a canned scenario in PRESETS."""
     if name not in PRESETS:
-        raise InvalidPreset(f"unknown preset {name!r}")
+        raise ParseError(f"unknown preset {name!r}")
     return SceneSpec(stacks=PRESETS[name])

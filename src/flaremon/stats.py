@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFeature, InvalidInput
+from .errors import TrainingDataError
 
 _OFF_TOL = 1e-12  # Jacobi stops when every off-diagonal entry is below it
 
@@ -26,12 +26,12 @@ def standardize_fit(data) -> StandardizationParams:
     """Column means and sample standard deviations (n-1 divisor)."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
-        raise InvalidInput("need a 2-D matrix with at least 2 rows")
+        raise TrainingDataError("need a 2-D matrix with at least 2 rows")
     means = data.mean(axis=0)
     stds = data.std(axis=0, ddof=1)
     for col, s in enumerate(stds):
         if s == 0.0:
-            raise DegenerateFeature(col)
+            raise TrainingDataError(f"feature column {col} is constant")
     return StandardizationParams(means=means, stds=stds)
 
 
@@ -43,7 +43,7 @@ def covariance(data):
     """Sample covariance matrix, n-1 divisor, symmetric by construction."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
-        raise InvalidInput("need a 2-D matrix with at least 2 rows")
+        raise TrainingDataError("need a 2-D matrix with at least 2 rows")
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered / (data.shape[0] - 1)
     return (cov + cov.T) / 2.0
@@ -58,9 +58,9 @@ def eigen_symmetric(M):
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInput("matrix must be square")
+        raise TrainingDataError("matrix must be square")
     if np.max(np.abs(M - M.T)) > 1e-9:
-        raise InvalidInput("matrix is not symmetric")
+        raise TrainingDataError("matrix is not symmetric")
     n = M.shape[0]
     A = (M + M.T) / 2.0
     V = np.eye(n)
@@ -103,7 +103,7 @@ def pca_fit(data) -> PcaModel:
     """Top-2 principal directions of (already standardized) data."""
     data = np.asarray(data, dtype=float)
     if data.shape[0] < 3:
-        raise InvalidInput("need at least 3 rows to fit")
+        raise TrainingDataError("need at least 3 rows to fit")
     cov = covariance(data)
     values, vectors = eigen_symmetric(cov)
     trace = float(values.sum())

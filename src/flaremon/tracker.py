@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .core import BBox, Detection
-from .errors import InvalidCost, NumericalError
+from .errors import NumericalError
 
 _SCALE_EPS = 1e-9
 
@@ -121,7 +121,7 @@ def hungarian(cost) -> List[Tuple[int, int]]:
     if cost.size == 0:
         return []
     if np.isnan(cost).any():
-        raise InvalidCost("cost matrix contains NaN")
+        raise NumericalError("cost matrix contains NaN")
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
     a = np.zeros((n, n))

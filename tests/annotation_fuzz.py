@@ -7,9 +7,12 @@ as a bool, a numeric string, an integer too large for a float or a float
 of 1e200, a box whose area overflows, an unknown class, a mask record
 given twice, or a mask of another size than the frame's, whose runs do
 not sum to its size, that has a negative run though its runs sum right,
-or that names a detection out of range.  Now and then a record is any
-JSON value instead.  Streams of such lines take frame
-indices that skip frames and now and then repeat one."""
+or that names a detection out of range.  A share of the defective
+objects is drawn for their masks alone: one mask, added if the object has
+none, gets a negative run, runs one off their sum, a run that is not an
+int, a second mask for its detection, or a detection out of range.  Now
+and then a record is any JSON value instead.  Streams of such lines take
+frame indices that skip frames and now and then repeat one."""
 
 from __future__ import annotations
 
@@ -70,6 +73,32 @@ def mask_fields(draw, width, height):
 
 
 @st.composite
+def mask_defect(draw, record, width, height):
+    """Give one mask of `record`, added for detection 0 if it has none, one
+    defect: a negative run though its runs sum right, runs that sum one
+    too high or too low, a run given as a float, as n + 0.5 or as a bool,
+    a second mask for its detection, or a detection out of range."""
+    masks = record["masks"] = record["masks"] or [
+        {"detection": 0, **draw(mask_fields(width, height))}]
+    mask = draw(st.sampled_from(masks))
+    runs = mask["runs"]
+    i = draw(st.integers(0, len(runs) - 1))
+    defect = draw(st.integers(0, 4))
+    if defect == 0:
+        mask["runs"] = [-1, runs[0] + 1, *runs[1:]]
+    elif defect == 1:
+        runs[i] += draw(st.sampled_from([-1, 1])) if runs[i] else 1
+    elif defect == 2:
+        runs[i] = draw(near_miss(runs[i]))
+    elif defect == 3:
+        masks.append({"detection": mask["detection"],
+                      **draw(mask_fields(width, height))})
+    else:
+        mask["detection"] = draw(st.sampled_from(
+            [-1, len(record["detections"])]))
+
+
+@st.composite
 def detection_record(draw, width, height):
     """A box around a point of the frame, some of it off the frame."""
     x, y = draw(st.floats(-1, width + 1)), draw(st.floats(-1, height + 1))
@@ -84,8 +113,9 @@ def annotation_object(draw, width, height):
     """An annotation object for a width x height frame with one to three
     detections, and with or without masks, each of the frame's size and
     for a detection of its own.  A third of the time one part of it, the
-    record, a detection or a mask, is spoiled; leaving out the record's
-    detections gives a frame with none."""
+    record, a detection or a mask, is spoiled, or else a mask is given a
+    `mask_defect`; leaving out the record's detections gives a frame with
+    none."""
     detections = draw(st.lists(detection_record(width, height), min_size=1,
                                max_size=3))
     owners = draw(st.lists(st.integers(0, len(detections) - 1),
@@ -110,8 +140,11 @@ def annotation_object(draw, width, height):
     kinds = [[(record, record_swaps)],
              [(d, detection_swaps) for d in detections], mask_parts]
     if draw(st.integers(0, 2)) == 2:
-        kind = draw(st.sampled_from([k for k in kinds if k]))
-        draw(spoil(*draw(st.sampled_from(kind))))
+        kind = draw(st.sampled_from([k for k in kinds if k] + [None]))
+        if kind is None:
+            draw(mask_defect(record, width, height))
+        else:
+            draw(spoil(*draw(st.sampled_from(kind))))
     return record
 
 

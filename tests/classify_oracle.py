@@ -4,7 +4,7 @@
   and every gradient through the `*_loss_grad` functions each epoch, with
   the masked two-exp sigmoid.  `flaremon.classify` now makes fewer numpy
   calls per epoch; its models must match these bit for bit, and it must
-  raise the same `DivergenceError` text on the same inputs.  The
+  raise the same `NumericalError` text on the same inputs.  The
   `*_loss_grad` functions also serve the finite-difference gradient
   checks.
 - The decision stage one record at a time: standardize, project and
@@ -23,7 +23,7 @@ import numpy as np
 
 from flaremon import classify
 from flaremon.classify import HIGH, LOW, ClassifierModel, _mlp_init
-from flaremon.errors import DivergenceError, InvalidK, TrainingDataError
+from flaremon.errors import NumericalError, TrainingDataError
 
 
 def check_data(X, y):
@@ -62,7 +62,7 @@ def train_linear(kind, loss_grad, n_features):
     for _ in range(classify.EPOCHS):
         loss, gw, gb = loss_grad(w, b)
         if not np.isfinite(loss):
-            raise DivergenceError(f"loss became {loss}")
+            raise NumericalError(f"loss became {loss}")
         w -= classify.LEARNING_RATE * gw
         b -= classify.LEARNING_RATE * gb
     return ClassifierModel(kind=kind,
@@ -126,7 +126,7 @@ def train_mlp(data, labels, seed=0):
     for _ in range(classify.EPOCHS):
         loss, grads = mlp_loss_grad(weights, X, y01)
         if not np.isfinite(loss):
-            raise DivergenceError(f"loss became {loss}")
+            raise NumericalError(f"loss became {loss}")
         for key in weights:
             weights[key] = weights[key] - classify.LEARNING_RATE * grads[key]
     count = sum(v.size for v in weights.values())
@@ -144,9 +144,9 @@ def pca_project(x, m):
 def knn_predict(stored_X, stored_labels, k: int, x) -> str:
     stored_X = np.asarray(stored_X, dtype=float)
     if k % 2 == 0:
-        raise InvalidK("k must be odd")
+        raise TrainingDataError("k must be odd")
     if k > stored_X.shape[0]:
-        raise InvalidK(f"k={k} exceeds sample count {stored_X.shape[0]}")
+        raise TrainingDataError(f"k={k} exceeds sample count {stored_X.shape[0]}")
     d = np.linalg.norm(stored_X - np.asarray(x, dtype=float), axis=1)
     # stable sort: distance ties resolve to the lower sample index
     nearest = np.argsort(d, kind="stable")[:k]

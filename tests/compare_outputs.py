@@ -5,7 +5,8 @@ Run from the repository root, naming the other checkout's root:
     python tests/compare_outputs.py ../flaremon-before
 
 Each checkout runs its own ``flaremon.cli`` (``python -m flaremon.cli``
-with its own ``src`` and ``perfbench`` on the path) on the same inputs:
+with its own ``src`` and ``perfbench`` on the path, nothing on stdin) on
+the same inputs.  Every command's exit code is compared too:
 
 - ``simulate`` of every preset: every file it writes;
 - ``train`` on the seed-41 benchmark training scene: the model file (all
@@ -36,7 +37,17 @@ with its own ``src`` and ``perfbench`` on the path) on the same inputs:
 - ``eval`` of the trained model on the ``train --log`` CSV and of the
   ``--features`` model on the monitor scene's log: stdout and stderr;
 - ``plot`` of the ``train --log`` CSV and of that monitor log: the SVG,
-  stdout and stderr.
+  stdout and stderr;
+- six commands that fail, for their exit code, stdout and stderr:
+  ``monitor`` on monitor-scene lines whose third line repeats the second's
+  ``frame_index`` (exit 2, ``line 3: frame_index 1 after 1``) and on lines
+  whose second line has a mask one run longer than its size (exit 2,
+  ``line 2: bad mask: runs sum to ...``); ``eval`` of the model file with
+  ``schema_version`` 2 (exit 2); ``train --features`` on the ``train
+  --log`` rows with a constant ``E`` column (exit 2, ``feature column 1 is
+  constant``); ``label --mode rule --review`` on the six-row log with an
+  empty stdin (exit 2, ``input ended at sample [0] of 6``); and ``label
+  --mode llm`` against a stub whose reply names neither label (exit 2).
 
 Prints one line per output and exits 1 if any differs.  pytest does not
 collect this file.
@@ -76,16 +87,17 @@ LLM_SCRIPT = [(500, None), (200, "high"), (200, "It looks LOW to me."),
 
 
 def run(tree, work, *argv):
-    """(stdout, stderr) of one command in `tree`'s code, run in `work`."""
+    """(stdout, stderr, exit code) of one command in `tree`'s code, run in
+    `work` with an empty stdin."""
     env = dict(os.environ, PYTHONPATH=f"{tree / 'src'}{os.pathsep}{tree}")
     done = subprocess.run([sys.executable, *argv], cwd=work, env=env,
-                          capture_output=True)
-    return done.stdout, done.stderr
+                          stdin=subprocess.DEVNULL, capture_output=True)
+    return done.stdout, done.stderr, done.returncode
 
 
 def cli(tree, work, *argv):
-    out, err = run(tree, work, "-m", "flaremon.cli", *argv)
-    return {"stdout": out, "stderr": err}
+    out, err, code = run(tree, work, "-m", "flaremon.cli", *argv)
+    return {"stdout": out, "stderr": err, "exit": str(code).encode()}
 
 
 def read(path):
@@ -217,6 +229,49 @@ def outputs(tree, work, llm):
         result = cli(tree, work, "plot", "--samples", samples, "--out", out)
         got.update({f"plot {samples} {k}": v for k, v in result.items()})
         got[f"plot {samples} --out"] = read(work / out)
+
+    os.mkdir(work / "bad")
+    with open(scene_dir / "annotations.jsonl") as src:
+        first, second, third = map(json.loads, src.readlines()[:3])
+    mask = second["masks"][0]
+    long_mask = dict(second, masks=[dict(mask, runs=mask["runs"] + [1]),
+                                    *second["masks"][1:]])
+    for name, records in (
+            ("repeat", [first, second,
+                        dict(third, frame_index=second["frame_index"])]),
+            ("mask_sum", [first, long_mask])):
+        with open(work / "bad" / f"{name}.jsonl", "w") as out:
+            out.writelines(json.dumps(r) + "\n" for r in records)
+    model = json.loads((work / "model.json").read_text())
+    (work / "bad" / "model_v2.json").write_text(
+        json.dumps(dict(model, schema_version=2)))
+    with open(work / "train.csv") as log, \
+            open(work / "bad" / "constant.csv", "w") as constant:
+        for row in log.readlines()[1:]:  # ratio, E 0.5, angle, label
+            f = row.rstrip("\n").split(",")
+            constant.write(f"{f[2]},0.5,{f[4]},{f[7]}\n")
+    llm.set_script([(200, "I cannot tell.")])
+    for name, argv in (
+            ("monitor repeated frame_index",
+             ["monitor", "--model", "model.json", "--input",
+              "bad/repeat.jsonl", *frames]),
+            ("monitor mask runs off its size",
+             ["monitor", "--model", "model.json", "--input",
+              "bad/mask_sum.jsonl", *frames]),
+            ("eval schema_version 2",
+             ["eval", "--model", "bad/model_v2.json", "--test",
+              "train.csv"]),
+            ("train --features constant E",
+             ["train", "--features", "bad/constant.csv", "--out",
+              "bad/model.json"]),
+            ("label --review empty stdin",
+             ["label", "--features", "train_head.csv", "--mode", "rule",
+              "--review", "--out", "bad/review.jsonl"]),
+            ("label --mode llm reply names no label",
+             ["label", "--features", "train_head.csv", "--mode", "llm",
+              "--endpoint", llm.endpoint, "--out", "bad/llm.jsonl"])):
+        got.update({f"fails: {name} {k}": v
+                    for k, v in cli(tree, work, *argv).items()})
     return got
 
 

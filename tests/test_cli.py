@@ -717,7 +717,7 @@ def monitor_log(lines, frames_dir, model):
 def test_monitor_steps_once_per_line(fuzz_frames, table_model, indices):
     """Tracker and alert window count lines, so a gap in frame_index adds
     no step: the lines at frames 0-5 log the same rows, bar the frame.  A
-    repeated frame_index is an OrderError naming its line."""
+    repeated frame_index is a ParseError naming its line."""
     code, err, rows = monitor_log(fuzz_lines(indices), fuzz_frames,
                                   table_model)
     repeat = next((n for n in range(1, 6) if indices[n] == indices[n - 1]),

@@ -217,6 +217,59 @@ def test_public_definitions_skip_private_and_nested_names():
     assert public_definitions(source) == ["f", "C"]
 
 
+def error_subclasses(source: str):
+    """The classes a module defines on FlaremonError, directly or through
+    another of its classes."""
+    found = {"FlaremonError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(b, "id", None) in found for b in node.bases):
+            found.add(node.name)
+    return found - {"FlaremonError"}
+
+
+def caught_names(source: str):
+    """The names of the exception types `except` clauses catch."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            out.update(getattr(t, "id", None) or t.attr for t in types)
+    return out
+
+
+# FlaremonError subclasses that no `except` clause in src/ names, each with
+# the reason it stays a class of its own.
+UNCAUGHT_ERRORS = {
+    "ParseError": "what a caller decides: input flaremon cannot read",
+    "TrainingDataError": "what a caller decides: data a fit cannot use",
+    "NumericalError": "what a caller decides: a numerical failure",
+    "UnparseableReply": "what a caller decides: a bad LLM reply",
+}
+
+
+def test_every_error_class_is_caught_or_decides_something():
+    """An error class that src/ never catches and no caller tells apart
+    from its neighbours is a name without a use; its raise sites belong to
+    the class whose handling they share."""
+    caught = set().union(*(caught_names(p.read_text(encoding="utf-8"))
+                           for p in MODULES))
+    errors = error_subclasses((SRC / "errors.py").read_text(encoding="utf-8"))
+    assert errors - caught == set(UNCAUGHT_ERRORS)
+
+
+def test_error_checkers_see_subclasses_and_except_clauses():
+    source = ("class FlaremonError(Exception): pass\n"
+              "class A(FlaremonError): pass\nclass B(A): pass\n"
+              "class C(ValueError): pass\n"
+              "try:\n    pass\nexcept A:\n    pass\n"
+              "except (errors.B, KeyError) as e:\n    pass\n"
+              "except:\n    pass\n")
+    assert error_subclasses(source) == {"A", "B"}
+    assert caught_names(source) == {"A", "B", "KeyError"}
+
+
 def _is_record(node):
     """A dataclass, or a class based on NamedTuple."""
     return any(ast.unparse(d).startswith(("dataclass", "dataclasses."))

@@ -6,7 +6,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from flaremon.core import BBox, DetClass, Detection, Mask
-from flaremon.errors import FlaremonError, OrderError, ParseError
+from flaremon.errors import FlaremonError, ParseError
 from flaremon.ingest import (FrameAnnotation, format_annotation,
                              parse_annotation_line, read_annotation_stream,
                              write_annotation_stream)
@@ -60,14 +60,18 @@ def test_invalid_json_reports_line():
 def test_out_of_order_frames():
     lines = (ONE_FLAME.replace('"frame_index":0', '"frame_index":5') + "\n"
              + ONE_FLAME + "\n")
-    with pytest.raises(OrderError):
+    with pytest.raises(ParseError,
+                       match="^line 2: frame_index 0 after 5$") as err:
         read_all(lines)
+    assert err.value.line_number == 2
 
 
 def test_repeated_frame_index_rejected():
-    """A repeated frame_index is an OrderError naming its line."""
-    with pytest.raises(OrderError, match="^line 2: frame_index 0 after 0$"):
+    """A repeated frame_index is a ParseError naming its line."""
+    with pytest.raises(ParseError,
+                       match="^line 2: frame_index 0 after 0$") as err:
         read_all(ONE_FLAME + "\n" + ONE_FLAME + "\n")
+    assert err.value.line_number == 2
 
 
 def test_zero_detection_frames_legal():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from flaremon import labeling
 from flaremon.classify import HIGH, LOW
-from flaremon.errors import (AuthError, EndOfInput, FlaremonError,
+from flaremon.errors import (AuthError, FlaremonError, ParseError,
                              Unavailable, UnparseableReply)
 from flaremon.features import FeatureVector
 from flaremon.labeling import (LabeledSample, LlmClientConfig, build_prompt,
@@ -209,7 +209,8 @@ class TestReview:
             except StopIteration:
                 raise EOFError from None
 
-        with pytest.raises(EndOfInput, match=r"input ended at sample \[1\] of 3"):
+        with pytest.raises(ParseError,
+                           match=r"^input ended at sample \[1\] of 3$"):
             review([sample(HIGH), sample(LOW), sample(LOW)],
                    input_fn=input_fn, print_fn=lambda _: None)
 

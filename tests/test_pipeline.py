@@ -1,8 +1,10 @@
+import gc
 import io
 import itertools
 import json
 import logging
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,7 @@ from hypothesis import strategies as st
 from flaremon import pipeline
 from flaremon.classify import HIGH, LOW
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
-from flaremon.errors import (FlaremonError, ModelVersionError, ParseError,
-                             TrainingDataError)
+from flaremon.errors import FlaremonError, ParseError, TrainingDataError
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
 from flaremon.formats import (StatusRecord, emit_scatter_plot, load_frames,
@@ -24,6 +25,7 @@ from flaremon.pipeline import (Alert, AlertState, derive_alerts_from_log,
                                extract_track_features, fit_efficiency_model,
                                run_monitor, run_training, stratified_split)
 from flaremon.simulator import PRESETS, preset, render, rendered_stream
+from flaremon.tracker import MAX_AGE, SortTracker
 from tests import classify_oracle
 from tests.file_fuzz import (feature_csvs, frame_dirs, model_texts,
                              write_frame_dir)
@@ -232,7 +234,8 @@ class TestModelPersistence:
     def test_version_mismatch(self, trained):
         text = model_to_json(trained[0]).replace(
             '"schema_version":1', '"schema_version":2')
-        with pytest.raises(ModelVersionError):
+        with pytest.raises(ParseError,
+                           match="^schema version 2, reader supports 1$"):
             model_from_json(text)
 
     @pytest.mark.parametrize("section,key,value,field", [
@@ -471,6 +474,106 @@ class TestMonitor:
         assert len(recs) == 3 * n and len(alerts) == n
         assert len(states[0]._tracks) <= len(alive) == 1
         assert derive_alerts_from_log(recs, 2, 50) == alerts
+
+    # Flames in SLOTS columns of a small frame, each shown for LIFE frames
+    # and then hidden for GAP > MAX_AGE frames, so that its track dies; the
+    # columns are out of phase, so that tracks are born and die throughout.
+    SLOTS, LIFE, GAP = 6, 4, 6
+    WIDTH, HEIGHT = 12 * SLOTS, 20
+
+    def turnover_stream(self, frames, collect_every=None):
+        """`frames` (Frame, FrameAnnotation) pairs of masked flames, which
+        never skip a record.  With `collect_every`, a full collection runs
+        every that many frames: it empties CPython's free lists, whose
+        slowly filling tuples tracemalloc would otherwise count."""
+        assert self.GAP > MAX_AGE
+        w, h = self.WIDTH, self.HEIGHT
+        pixels = np.full((h, w, 3), (200, 120, 40), dtype=np.uint8)
+        flames = [(Detection(BBox(x, 10, x + 3, 18), DetClass.FLAME, 0.9),
+                   Mask.from_array(np.ones((8, 3)), (x, 10), (w, h)))
+                  for x in range(2, w, 12)]
+        for f in range(frames):
+            if collect_every and f % collect_every == 0:
+                gc.collect()
+            shown = [flame for k, flame in enumerate(flames)
+                     if (f + 3 * k) % (self.LIFE + self.GAP) < self.LIFE]
+            yield (Frame(f, f / 30, w, h, pixels),
+                   FrameAnnotation(f, tuple(d for d, _ in shown),
+                                   tuple(enumerate(m for _, m in shown))))
+
+    def test_tracker_and_alert_state_hold_only_live_tracks(self,
+                                                           monkeypatch):
+        """After every frame of a real monitor run, the tracker's arrays
+        hold exactly the tracks born and not yet dead, and the alert state
+        holds none but those."""
+        trackers, states, live, slots = [], [], set(), self.SLOTS
+        counts = {"died": 0, "alert states": 0}
+
+        class SpyTracker(SortTracker):
+            def __init__(self):
+                super().__init__()
+                trackers.append(self)
+
+            def step(self, detections):
+                out = super().step(detections)
+                _, _, births, deaths = out
+                live.update(births)
+                live.difference_update(deaths)
+                counts["died"] += len(deaths)
+                assert sorted(self.id.tolist()) == sorted(live)
+                assert {len(a) for a in (self.x, self.P, self.hits,
+                                         self.time_since_update)} == {
+                    len(live)}
+                assert len(live) <= slots
+                return out
+
+        class SpyState(AlertState):
+            def __init__(self, alert_window, cooldown):
+                super().__init__(alert_window, cooldown)
+                states.append(self)
+
+        def checked(stream):
+            for pair in stream:
+                if states:  # the state after the last frame, deaths gone
+                    assert states[0]._tracks.keys() <= live
+                    counts["alert states"] += len(states[0]._tracks)
+                yield pair
+
+        monkeypatch.setattr(pipeline, "SortTracker", SpyTracker)
+        monkeypatch.setattr(pipeline, "AlertState", SpyState)
+        model = fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)[0]
+        frames = 1_500
+        recs = list(run_monitor(model, checked(self.turnover_stream(frames)),
+                                5, 50))
+        assert len(trackers) == len(states) == 1
+        assert recs and counts["alert states"] > 0
+        assert counts["died"] >= frames * self.SLOTS // (
+            self.LIFE + self.GAP) - self.SLOTS
+
+    def test_memory_is_bounded(self):
+        """The tracemalloc peak of a monitor run over 10 * N frames is at
+        most 1.2 times its peak over N frames; it read 0.90-1.03 times.
+        Had the alert state kept dead tracks, the ratio read 3.0; had the
+        tracker kept a list of dead track ids, 1.28-1.46."""
+        model = fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)[0]
+        n = 150
+        for _ in run_monitor(model, self.turnover_stream(n), 5, 50):
+            pass  # warm-up: first-call allocations are not the stream's
+        peaks = []
+        gc.freeze()  # so that each collection walks only the run's objects
+        try:
+            for frames in (n, 10 * n):
+                tracemalloc.start()
+                try:
+                    for _ in run_monitor(
+                            model, self.turnover_stream(frames, 50), 5, 50):
+                        pass
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.unfreeze()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_alerts_rederivable_from_log_text(self, trained, tmp_path):
         model = trained[0]

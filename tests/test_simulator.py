@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flaremon.core import DetClass
-from flaremon.errors import InvalidPreset
+from flaremon.errors import ParseError
 from flaremon.features import channel_means, rgb_index
 from flaremon.ingest import read_annotation_stream, write_annotation_stream
 from flaremon.labeling import rule_label
@@ -117,7 +117,7 @@ class TestColorGroundTruth:
 
 class TestPresets:
     def test_unknown_name(self):
-        with pytest.raises(InvalidPreset):
+        with pytest.raises(ParseError, match="^unknown preset 'nope'$"):
             preset("nope")
 
     def test_three_stacks_has_three_ids(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flaremon import tracker
 from flaremon.core import BBox, DetClass, Detection
-from flaremon.errors import InvalidCost, NumericalError
+from flaremon.errors import NumericalError
 from flaremon.tracker import (KALMAN, SortTracker, _boxes, _iou_matrix,
                               _measurements, hungarian, kalman_predict,
                               kalman_update)
@@ -163,7 +163,8 @@ class TestHungarian:
         assert hungarian([[4.0, 1.0], [2.0, 0.0]]) == [(0, 1), (1, 0)]
 
     def test_nan_rejected(self):
-        with pytest.raises(InvalidCost):
+        with pytest.raises(NumericalError,
+                           match="^cost matrix contains NaN$"):
             hungarian([[float("nan")]])
 
     def test_rectangular(self):
@@ -336,7 +337,7 @@ def run_both(frames, iou_threshold=tracker.IOU_THRESHOLD,
                     warnings.simplefilter("always")
                     try:
                         outcome.append(("ok", t.step(dets)))
-                    except (ValueError, NumericalError, InvalidCost) as exc:
+                    except (ValueError, NumericalError) as exc:
                         outcome.append((type(exc), str(exc)))
                 outcome.append([str(w.message) for w in caught])
             (kind, got), new_warnings, (ref_kind, want), ref_warnings = outcome
