@@ -13,18 +13,20 @@ pixel count, the only thing smoke attribution reads.  Each box keeps its
 own seed mean and lookup table, and its admissible pixels fill a window
 padded with an inadmissible border.  The padded windows lie end to end in
 one flat array, each with its own stride, so that runs never join across
-windows and one set of numpy calls finds the runs of every window and the
-runs that touch each run.
+windows and one set of numpy calls labels the runs of every window.
 
-The seed's component is found over row runs, as in Heckbert's scanline
-seed fill: the window's admissible pixels split into maximal runs per row,
-two runs touch when they overlap in adjacent rows, and a walk of that run
-graph from the seed's run yields the component's runs.  When the component
-fits under the cap, no order matters and that is the result.  Only when it
-does not, or when the window's runs average under six pixels so that a
-walk per run would cost more than a numpy step per pixel, the region is
-grown by a breadth-first search that expands a whole level per numpy step.
-External masks, when present, always take precedence over this fallback.
+The seed's component is found over row runs, as in He, Chao and Suzuki's
+run-based labelling (IEEE TIP, 2008): the admissible pixels split into
+maximal runs per row, and two runs touch when they overlap in adjacent
+rows.  Every run of a batch is labelled at once, in rounds: each hooks
+every root to the least root beside it, then jumps pointers until each
+run points at its root (Shiloach and Vishkin, 1982).  The rounds end when
+no two touching runs differ in label.  A window's component is the label
+of its seed's run, and its area that label's total run length.  When the
+area fits under the cap, no order matters and that is the result.  Only
+when it does not, the region is grown by a breadth-first search that
+expands a whole level per numpy step.  External masks, when present,
+always take precedence over this fallback.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .core import BBox, Frame, Mask, box_center
 COLOR_TOLERANCE = 40.0
 # The cap on the region, as a multiple of the box area.
 MAX_REGION_FRACTION = 1.5
-# The walk costs about as much per run as the level search per six pixels.
-MIN_MEAN_RUN = 6
 
 # Offsets (dx, dy) of the 3x3 seed neighbourhood.
 _PATCH_DX = np.tile([-1, 0, 1], 3)
@@ -136,51 +136,33 @@ def _grow_batch(frame, batch, n_masks, out):
     # row-major order.
     edges = np.flatnonzero(ok[1:] != ok[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
-    # Every window holds a run, its seed's, so the windows' first runs lo
-    # rise strictly and split the runs for reduceat.
+    # Every window holds a run, its seed's, so window j holds the runs
+    # lo[j] to lo[j + 1].
     lo = np.searchsorted(starts, offsets)
     per_run = np.diff(np.append(lo, len(starts)))
-    walk = per_run * MIN_MEAN_RUN <= (np.add.reduceat(ends, lo)
-                                      - np.add.reduceat(starts, lo))
-    if not walk.all():
-        # Only the windows that take the walk need their runs linked; a
-        # short-run window can hold many times more runs than the others.
-        keep = np.repeat(walk, per_run)
-        starts, ends = starts[keep], ends[keep]
-        per_run = per_run * walk
-        lo = np.cumsum(per_run) - per_run
-    hi = lo + per_run  # window j holds runs lo[j] to hi[j]
     stride = np.repeat(strides, per_run)
     run_length = ends - starts
-    # The runs of the row below run i that overlap it are the index range
-    # [below[i], below_end[i]); likewise for the row above.
-    links = (np.searchsorted(ends, starts + stride, side="right").tolist(),
-             np.searchsorted(starts, ends + stride).tolist(),
-             np.searchsorted(ends, starts - stride, side="right").tolist(),
-             np.searchsorted(starts, ends - stride).tolist(),
-             run_length.tolist())
-    first = (np.searchsorted(starts, seeds, side="right") - 1).tolist()
+    label = _label_runs(starts, ends, stride)
+    roots = label[np.searchsorted(starts, seeds, side="right") - 1]
+    areas = np.bincount(label, weights=run_length)[roots].astype(int)
     # Each run's first pixel as a flat index of the frame.
     row, col = np.divmod(starts - np.repeat(offsets, per_run), stride)
     at = (row + np.repeat(y_lo - 1, per_run)) * frame.width \
         + col + np.repeat(x_lo - 1, per_run)
-    walk = walk.tolist()
-    seen = bytearray(len(starts))
 
-    for j, (k, x0, y0, w, h, cap) in enumerate(zip(ks, x_los, y_los, ws, hs,
-                                                   caps)):
-        if walk[j]:
-            area = _component_runs(links, seen, first[j], cap)
-            if area is not None:
-                if k < n_masks:
-                    comp = lo[j] + np.flatnonzero(
-                        np.frombuffer(seen, dtype=np.uint8)[lo[j]:hi[j]])
-                    out[k] = Mask.from_runs(at[comp],
-                                            at[comp] + run_length[comp],
-                                            size=size)
-                else:
-                    out[k] = area
-                continue
+    for j, (k, x0, y0, w, h, cap, area) in enumerate(
+            zip(ks, x_los, y_los, ws, hs, caps, areas.tolist())):
+        if area <= cap:
+            if k < n_masks:
+                comp = lo[j] + np.flatnonzero(
+                    label[lo[j]:lo[j] + per_run[j]] == roots[j])
+                out[k] = Mask.from_runs(at[comp],
+                                        at[comp] + run_length[comp],
+                                        size=size)
+            else:
+                out[k] = area
+            continue
+        # The cap binds, so breadth-first order decides what is kept.
         off = int(offsets[j])
         admitted = _level_bfs(ok[off:off + (w + 2) * (h + 2)],
                               int(seeds[j]) - off, w + 2, cap)
@@ -192,28 +174,31 @@ def _grow_batch(frame, batch, n_masks, out):
             out[k] = int(np.count_nonzero(admitted))
 
 
-def _component_runs(links, seen, first, max_pixels):
-    """Mark in `seen` the runs 4-connected to run `first`, and return their
-    pixel count, or None as soon as it exceeds max_pixels."""
-    below, below_end, above, above_end, length = links
-    seen[first] = 1
-    todo = [first]
-    total = length[first]
-    while todo:
-        i = todo.pop()
-        for j in range(below[i], below_end[i]):
-            if not seen[j]:
-                seen[j] = 1
-                todo.append(j)
-                total += length[j]
-        for j in range(above[i], above_end[i]):
-            if not seen[j]:
-                seen[j] = 1
-                todo.append(j)
-                total += length[j]
-        if total > max_pixels:
-            return None
-    return total
+def _label_runs(starts, ends, stride):
+    """Each run's label: the least index among the runs 4-connected to it.
+    Run i touches the runs of the row below that overlap it, the index
+    range [below[i], below[i] + count[i])."""
+    below = np.searchsorted(ends, starts + stride, side="right")
+    count = np.searchsorted(starts, ends + stride) - below
+    # Each pair of touching runs (a, b) once, b in the row below a.
+    a = np.repeat(np.arange(len(starts)), count)
+    b = np.arange(len(a)) + np.repeat(below - np.cumsum(count) + count, count)
+    label = np.arange(len(starts))
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            return label
+        a, b = a[apart], b[apart]
+        la, lb = la[apart], lb[apart]
+        # Hook each root to the least root beside it, then jump pointers
+        # until every run points at its root.
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _level_bfs(ok, seed, stride, max_pixels):

@@ -1,11 +1,12 @@
 """Reference region grow: the per-pixel deque BFS that `segment_frame` must match.
 
-`flaremon.segment.segment_frame` stacks a frame's windows, walks the graph
-of their row runs, and grows a whole breadth-first level per numpy step
-only where the cap binds or the runs are short.  This module keeps the
-plain pixel-at-a-time breadth-first search, one box at a time, so the
-tests can require identical masks and smoke areas, the cap and degenerate
-seeds included, whichever path `segment_frame` takes.
+`flaremon.segment.segment_frame` stacks a frame's windows, labels their
+row runs, and grows a whole breadth-first level per numpy step only where
+the cap binds.  This module keeps the plain pixel-at-a-time breadth-first
+search, one box at a time, so the tests can require identical masks and
+smoke areas, the cap and degenerate seeds included, whichever path
+`segment_frame` takes.  It also draws the corridors, a spiral and a
+serpentine, that take a breadth-first search thousands of levels.
 """
 
 from __future__ import annotations
@@ -76,3 +77,32 @@ def segment_frame_bfs(frame: Frame, boxes, n_masks, color_tolerance=40.0,
         out.append(None if res is None
                    else res[0] if k < n_masks else res[0].area())
     return out
+
+
+def spiral(n):
+    """An n x n square spiral: a one-pixel corridor from the top left
+    corner inwards, clockwise, one pixel of wall between its turns."""
+    on = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    on[y, x] = True
+    turns = 0
+    while turns < 2:
+        ny, nx, ay, ax = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+        if 0 <= ny < n and 0 <= nx < n and not on[ny, nx] and not (
+                0 <= ay < n and 0 <= ax < n and on[ay, ax]):
+            y, x, turns = ny, nx, 0
+            on[y, x] = True
+        else:  # turn right
+            dy, dx, turns = dx, -dy, turns + 1
+    return on
+
+
+def serpentine(n):
+    """One-pixel columns joined alternately at the bottom and the top: a
+    single corridor whose rows, but the first and the last, hold only
+    one-pixel runs."""
+    on = np.zeros((n, n), dtype=bool)
+    on[:, ::2] = True
+    on[n - 1, 1::4] = True
+    on[0, 3::4] = True
+    return on

@@ -10,8 +10,10 @@ stacks, seed 41), a solid 300x300 box, a 300x300 box on a 400x400 frame of
 base colour 128 plus uniform integer noise of +/-40 to +/-60 per channel at
 tolerance 40 (a pixel is admissible with probability
 (81 / (2 * noise + 1)) ** 3: 1.0, 0.70, 0.56, 0.46 and 0.30), and a
-site-percolation frame where 62% of the pixels are admissible; the
-synthetic boxes are read as flames.  Per-frame cases: all 12 boxes of the
+site-percolation frame where 62% of the pixels are admissible, and a
+one-pixel spiral corridor that fills the box and ends at its seed (45,608
+pixels, one breadth-first level each); the synthetic boxes are read as
+flames.  Per-frame cases: all 12 boxes of the
 first monitor frame (6 flames, 6 smokes), grown by one `segment_frame` call
 per box and by one call for the whole frame; "pixels" there is the
 admitted total.  Each figure is the best of 7 timings of a batch of calls,
@@ -33,6 +35,7 @@ from flaremon.core import BBox, DetClass, Frame  # noqa: E402
 from flaremon.segment import segment_frame  # noqa: E402
 from flaremon.simulator import render  # noqa: E402
 from perfbench.scenes import MONITOR, scene  # noqa: E402
+from tests.bfs_oracle import spiral  # noqa: E402
 
 
 def best_of_7(call):
@@ -100,6 +103,11 @@ def synthetic_cases():
     on[199:202, 199:202] = True  # the seed patch, so its mean is the on colour
     pix = np.where(on[..., None], 100, 200).astype(np.uint8).repeat(3, axis=2)
     yield "percolation 62%", grow_one(square_frame(pix), BOX, True)
+    on = np.zeros((400, 400), dtype=bool)
+    on[50:351, 50:351] = spiral(301)  # its corridor ends at (200, 200)
+    on[199:202, 199:202] = True
+    pix = np.where(on[..., None], 100, 200).astype(np.uint8).repeat(3, axis=2)
+    yield "spiral corridor", grow_one(square_frame(pix), BOX, True)
 
 
 def main():

@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flaremon"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PERFBENCH = SRC.parent.parent / "perfbench"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source: str):
@@ -370,3 +372,30 @@ def test_default_checkers_see_parameters_fields_and_calls():
         ("D", "v", 0), ("f", "q", 1), ("N", "d", 1), ("K", "g", 1)]
     assert passed_arguments("f(1, *a, q=2)\no.m(**kw)\n") == {
         ("f", 0), ("f", "*"), ("f", "q"), ("m", "**")}
+
+
+def fixed_settings(readme: str):
+    """(constant, module) of each row of the README's "Fixed settings"
+    table, the module without its `flaremon.` prefix."""
+    section = readme.split("\n## Fixed settings\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|.*\| `flaremon\.(\w+)` \|$", section,
+                      flags=re.MULTILINE)
+
+
+def test_fixed_settings_exist():
+    """Every constant the README lists as a fixed setting is bound in the
+    module its row names, so a removed or renamed setting leaves no row."""
+    rows = fixed_settings(README.read_text(encoding="utf-8"))
+    assert rows
+    assert [(name, module) for name, module in rows
+            if name not in bound_names(
+                (SRC / f"{module}.py").read_text(encoding="utf-8"))] == []
+
+
+def test_fixed_settings_checker_reads_only_its_table():
+    readme = ("# x\n| `Z` | 0 | `flaremon.core` |\n## Fixed settings\n\n"
+              "| Constant | Value | Module |\n| --- | --- | --- |\n"
+              "| `A` | 1 (a | b) | `flaremon.core` |\n"
+              "| `B_C` | 2 | `flaremon.segment` |\n\n## Next\n"
+              "| `D` | 3 | `flaremon.core` |\n")
+    assert fixed_settings(readme) == [("A", "core"), ("B_C", "segment")]

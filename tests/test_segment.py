@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flaremon import segment
-from flaremon.core import BBox, Frame
+from flaremon.core import BBox, DetClass, Frame
 from flaremon.segment import segment_frame
-from tests.bfs_oracle import segment_box_bfs, segment_frame_bfs
+from flaremon.simulator import PRESETS, preset, render
+from tests.bfs_oracle import (segment_box_bfs, segment_frame_bfs,
+                               serpentine, spiral)
 from tests.fullframe_oracle import decode_runs
 
 
@@ -204,31 +206,26 @@ def uncapped_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(uncapped_case())
-def test_run_walk_matches_pixel_bfs(case):
+def test_uncapped_labelling_matches_pixel_bfs(case):
     frame, box, cfg = case
-    expect, degenerate = segment_box_bfs(frame, box, *cfg)
-    # With the short-run guard lifted, every grow that is not degenerate
-    # takes the run walk, and the level search never runs.
+    expect, _ = segment_box_bfs(frame, box, *cfg)
+    # The cap never binds, so the run labelling alone grows the region and
+    # the level search never runs.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(segment, "MIN_MEAN_RUN", 0)
-        walks = count_calls(mp, "_component_runs")
         searches = count_calls(mp, "_level_bfs")
         got = grow(frame, box, *cfg)
-    assert got == expect
-    # grow reads the box twice, so each path runs once per reading.
-    assert len(walks) == 2 * (not degenerate) and not searches
+    assert got == expect and not searches
 
 
 def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
-    # A uniform 300x300 box: one run per row, far above the short-run
-    # guard, and a component of the whole window, far above the cap.
+    # A uniform 300x300 box: a component of the whole window, far above the
+    # cap.
     frame = frame_of(make_frame(w=400, h=400, bg=(128, 128, 128)))
     box = BBox(50, 50, 350, 350)
     cfg = (40, 0.5)
-    walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
-    assert len(walks) == 2 and len(searches) == 2  # once per reading
+    assert len(searches) == 2  # once per reading
     assert got.area() == int(0.5 * box.area)
     assert got == segment_box_bfs(frame, box, *cfg)[0]
 
@@ -243,11 +240,17 @@ def noisy_frame(amplitude, seed):
     return frame_of(pix)
 
 
-def percolation_frame(p, seed):
-    on = np.random.default_rng(seed).random((60, 60)) < p
+def two_tone(on):
+    """Colour 100 where `on`, 200 elsewhere, and the 3x3 patch around
+    (30, 30) on."""
+    on = on.copy()
     on[29:32, 29:32] = True
     return frame_of(np.where(on[..., None], 100, 200).astype(np.uint8)
                     .repeat(3, axis=2))
+
+
+def percolation_frame(p, seed):
+    return two_tone(np.random.default_rng(seed).random((60, 60)) < p)
 
 
 @pytest.mark.parametrize("frame", [
@@ -255,24 +258,25 @@ def percolation_frame(p, seed):
       for seed in range(3)),
     *(percolation_frame(p, seed) for p in (0.55, 0.62, 0.7)
       for seed in range(3)),
+    two_tone(spiral(60)), two_tone(serpentine(60)),
 ])
-def test_short_runs_take_level_bfs(frame, monkeypatch):
-    # Fragmented windows whose runs average under MIN_MEAN_RUN pixels skip
-    # the run walk; the level search then grows the same region.
+def test_fragmented_windows_match_pixel_bfs(frame, monkeypatch):
+    # Windows of short runs, down to one pixel, and corridors that take
+    # thousands of breadth-first levels: the cap does not bind, so the run
+    # labelling alone grows the oracle's region.
     box = BBox(5, 5, 55, 55)
     cfg = (40,)
-    walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
     expect, degenerate = segment_box_bfs(frame, box, *cfg)
-    assert not walks and len(searches) == 2  # once per reading
+    assert not searches
     assert not degenerate and got == expect
     assert got.area() > 1
 
 
 def test_diagonal_runs_do_not_touch():
     # The seed's 8 px wide block meets a block at each corner only
-    # diagonally; every run is 8 px long, so the run walk handles it.
+    # diagonally, so their runs overlap in no column.
     pix = make_frame(w=24, h=9)
     for rows, cols in ((slice(0, 3), slice(0, 8)), (slice(0, 3), slice(16, 24)),
                        (slice(3, 6), slice(8, 16)), (slice(6, 9), slice(0, 8)),
@@ -286,7 +290,7 @@ def test_diagonal_runs_do_not_touch():
     assert got == segment_box_bfs(frame, box, *cfg)[0]
 
 
-def test_component_of_exactly_the_cap_takes_the_walk(monkeypatch):
+def test_component_of_exactly_the_cap_is_not_capped(monkeypatch):
     pix = make_frame()
     pix[10:30, 20:40] = (200, 50, 50)
     frame = frame_of(pix)
@@ -377,35 +381,31 @@ def test_frame_matches_pixel_bfs_per_box(case):
 def test_mixed_frame_matches_pixel_bfs(monkeypatch):
     # One frame holding: a flame box and an overlapping smoke box, boxes
     # clipped by each edge, a seed off the frame, a degenerate seed, a
-    # cap-bound window on the uniform left half and a short-run window on
+    # cap-bound window on the uniform left half and a fragmented window on
     # the percolation right half.
     pix = make_frame(w=80, h=40, bg=(128, 128, 128))
     on = np.random.default_rng(0).random((40, 40)) < 0.62
-    on[19:22, 59:62] = True  # the short-run box's seed patch
+    on[19:22, 59:62] = True  # the fragmented box's seed patch
     pix[:, 40:] = np.where(on[..., None], 100, 200)
     pix[5:8, 20:23] = (0, 0, 0)
     pix[6, 22] = (255, 255, 255)  # a seed unlike its 3x3 mean
     frame = frame_of(pix)
     boxes = [BBox(10, 10, 20, 20),   # flame, cap-bound: 13x13 window > 150
-             BBox(45, 5, 75, 35),    # flame, short runs
+             BBox(45, 5, 75, 35),    # flame, fragmented
              BBox(15, 15, 30, 30),   # smoke overlapping the first flame
              BBox(-5, 2, 6, 12), BBox(70, -3, 90, 8),  # left, top, right
              BBox(30, 30, 50, 45),   # bottom
              BBox(81, 10, 95, 20),   # seed off the frame
              BBox(19, 4, 24, 9)]     # degenerate seed
-    walks = count_calls(monkeypatch, "_component_runs")
     searches = count_calls(monkeypatch, "_level_bfs")
     got = segment_frame(frame, boxes, 2)
     assert got == segment_frame_bfs(frame, boxes, 2)
     assert got[6] is None and got[7] == 1
     assert got[0].area() == int(segment.MAX_REGION_FRACTION * 100)
-    # Each path's last argument is the cap, distinct for each box here: the
-    # cap-bound flame (150) walks and falls back to the level search, the
-    # short-run flame (1350) goes straight to it.
-    walked = [args[-1] for args in walks]
-    searched = [args[-1] for args in searches]
-    assert 150 in walked and 150 in searched
-    assert 1350 not in walked and 1350 in searched
+    # The level search's last argument is the cap, distinct for each box
+    # here: only the cap-bound windows take it, the first flame's (150) and
+    # the smoke's over it (337), and not the fragmented flame's (1350).
+    assert [args[-1] for args in searches] == [150, 337]
 
 
 def test_full_frame_boxes_flush_the_batch(monkeypatch):
@@ -428,3 +428,33 @@ def test_no_boxes_no_work(monkeypatch):
     batches = count_calls(monkeypatch, "_grow_batch")
     assert segment_frame(frame_of(make_frame()), [], 0) == []
     assert not batches
+
+
+# The floors of the median and the least IoU of the grown flame regions
+# with the rendered flames over the first 40 frames of each preset.  Every
+# grown smoke region is its rendered smoke.
+FLAME_IOU_FLOORS = {
+    "clean_high": (0.92, 0.83),
+    "smoky_low": (0.50, 0.42),
+    "windy": (0.92, 0.84),
+    "three_stacks": (0.93, 0.46),
+    "crossing_near_miss": (0.96, 0.88),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_regions_against_rendered_truth(name):
+    ious = {DetClass.FLAME: [], DetClass.SMOKE: []}
+    for rendered in render(preset(name)._replace(frame_count=40)):
+        dets = rendered.annotation.detections
+        got = segment_frame(rendered.frame, [d.bbox for d in dets],
+                            len(dets))
+        truth = dict(rendered.annotation.masks)
+        for i, det in enumerate(dets):
+            grown, drawn = decode_runs(got[i]), decode_runs(truth[i])
+            ious[det.cls].append((grown & drawn).sum() / (grown | drawn).sum())
+    flame = np.array(ious[DetClass.FLAME])
+    median, least = FLAME_IOU_FLOORS[name]
+    assert flame.size >= 40
+    assert np.median(flame) >= median and flame.min() >= least
+    assert ious[DetClass.SMOKE] and min(ious[DetClass.SMOKE]) == 1.0
