@@ -1,4 +1,4 @@
-"""Per-flame combustion features: area ratio, weighted RGB index, flame angle."""
+"""Flame features from pixel indices: area ratio, weighted RGB index, angle."""
 
 from __future__ import annotations
 
@@ -30,18 +30,20 @@ class FeatureVector(NamedTuple):
         return np.array([self.smoke_flame_ratio, self.rgb_index, self.flame_angle])
 
 
-def flame_moments(frame: Frame, masks: Sequence[Mask]):
-    """Foreground count, mean (R, G, B) and central second moments (mu20,
-    mu02, mu11) of each mask over `frame`, as (k,), (k, 3) and (k, 3)
-    arrays.  A mask with no foreground has NaN means and zero moments.
+def flame_moments(frame: Frame, pixels: Sequence[np.ndarray]):
+    """Pixel count, mean (R, G, B) and central second moments (mu20, mu02,
+    mu11) over `frame` of each flame, given as its sorted flat row-major
+    pixel indices, as (k,), (k, 3) and (k, 3) arrays.  A flame with no
+    pixels has NaN means and zero moments.
 
-    The masks share one decode and one pixel gather, and the channel and
-    coordinate sums are one int64 reduceat each, so they are exact.  Each
-    mask's moments are dot products over its own contiguous slice.  Every
-    value thus equals, bit for bit, a float mean and a dot product over
-    that mask's pixels alone.
+    The flames share one pixel gather, and the channel and coordinate sums
+    are one int64 reduceat each, so they are exact.  Each flame's moments
+    are dot products over its own contiguous slice.  Every value thus
+    equals, bit for bit, a float mean and a dot product over that flame's
+    pixels alone.
     """
-    idx, counts = foreground_indices(masks)
+    counts = np.array([len(p) for p in pixels], dtype=np.int64)
+    idx = np.concatenate(pixels) if len(pixels) else counts  # empty
     ys, xs = np.divmod(idx, frame.width)
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -66,7 +68,8 @@ def flame_moments(frame: Frame, masks: Sequence[Mask]):
 
 def channel_means(frame: Frame, mask: Mask):
     """Mean (R, G, B) over the mask's foreground pixels."""
-    counts, means, _ = flame_moments(frame, [mask])
+    idx, _ = foreground_indices([mask])
+    counts, means, _ = flame_moments(frame, [idx])
     if not counts[0]:
         raise EmptyRegion("mask has no foreground pixels")
     return tuple(means[0].tolist())

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import classify, formats
 from .classify import LOW, ClassifierModel
-from .core import DetClass, Frame, Mask
+from .core import DetClass, Frame, foreground_indices
 from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
                      InsufficientSignal, TrainingDataError)
 from .features import (N_FEATURES, FeatureVector, angle_from_moments,
@@ -75,7 +75,7 @@ def extract_track_features(
         regions = matched + [(None, i) for i, d in enumerate(ann.detections)
                              if d.cls is DetClass.SMOKE]
         external = dict(ann.masks or ())
-        # The box-only regions, flames first so that they get masks: one
+        # The box-only regions, flames first so that they get pixels: one
         # segment_frame call per frame, and none when every mask came in.
         grow = [(t, i) for t, i in regions if i not in external]
         grown = {}
@@ -84,13 +84,12 @@ def extract_track_features(
             grown = dict(zip([i for _, i in grow], segment_frame(
                 frame, [ann.detections[i].bbox for _, i in grow],
                 sum(t is not None for t, _ in grow))))
-        flames: List[Tuple[int, Mask]] = []
+        flames = []  # (track id, detection index)
         smoke_regions = []
         for track_id, i in regions:
             box = ann.detections[i].bbox
             if i in grown:
-                region = grown[i]
-                if region is None:
+                if grown[i] is None:
                     what = (f"smoke detection {i}" if track_id is None
                             else f"track {track_id}")
                     log.warning("frame %d %s skipped: seed %s outside %dx%d",
@@ -98,19 +97,22 @@ def extract_track_features(
                                 frame.width, frame.height)
                     continue
             else:
-                region = external[i]
-                if (region.width, region.height) != (frame.width,
-                                                     frame.height):
+                mask = external[i]
+                if (mask.width, mask.height) != (frame.width, frame.height):
                     raise DecodeError(
                         f"frame {ann.frame_index} detection {i}: mask is "
-                        f"{region.width}x{region.height}, frame is "
+                        f"{mask.width}x{mask.height}, frame is "
                         f"{frame.width}x{frame.height}")
-                if track_id is None:
-                    region = region.area()
             if track_id is None:
-                smoke_regions.append((box, region))
+                smoke_regions.append(
+                    (box, grown[i] if i in grown else external[i].area()))
             else:
-                flames.append((track_id, region))
+                flames.append((track_id, i))
+        masked = [i for _, i in flames if i not in grown]
+        if masked:  # their pixels, decoded in one call, join the grown
+            idx, counts = foreground_indices([external[i] for i in masked])
+            grown.update((i, idx[end - n:end]) for i, end, n in zip(
+                masked, np.cumsum(counts).tolist(), counts.tolist()))
 
         smoke, orphans = associate_smoke(  # pixels per flame detection
             {i: ann.detections[i].bbox for i in flame_idx}, smoke_regions)
@@ -123,8 +125,8 @@ def extract_track_features(
             log.debug("frame %d: %d smoke pixel(s) over unreported flames",
                       ann.frame_index, warming_up)
 
-        counts, means, moments = flame_moments(frame,
-                                               [m for _, m in flames])
+        counts, means, moments = flame_moments(
+            frame, [grown[i] for _, i in flames])
         out: List[StatusRecord] = []
         for (track_id, _), n, rgb, mu in zip(flames, counts.tolist(),
                                              means.tolist(), moments.tolist()):

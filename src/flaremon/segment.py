@@ -8,12 +8,13 @@ breadth-first order: level by level from the seed, within a level by
 parent, and each parent's neighbours in the order up, down, left, right.
 
 `segment_frame` grows every box-only region of a frame in one call.  A
-flame region comes back as a mask, for its moments; a smoke region as its
-pixel count, the only thing smoke attribution reads.  Each box keeps its
-own seed mean and lookup table, and its admissible pixels fill a window
-padded with an inadmissible border.  The padded windows lie end to end in
-one flat array, each with its own stride, so that runs never join across
-windows and one set of numpy calls labels the runs of every window.
+flame region comes back as its sorted flat pixel indices, for its moments;
+a smoke region as its pixel count, the only thing smoke attribution reads.
+Each box keeps its own seed mean and lookup table, and its admissible
+pixels fill a window padded with an inadmissible border.  The padded
+windows lie end to end in one flat array, each with its own stride, so
+that runs never join across windows and one set of numpy calls labels the
+runs of every window.
 
 The seed's component is found over row runs, as in He, Chao and Suzuki's
 run-based labelling (IEEE TIP, 2008): the admissible pixels split into
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BBox, Frame, Mask, box_center
+from .core import BBox, Frame, box_center
 
 # Largest per-channel distance from the seed mean that a pixel may have.
 COLOR_TOLERANCE = 40.0
@@ -55,17 +56,17 @@ def seed_pixel(box: BBox):
 
 
 def segment_frame(frame: Frame, boxes: Sequence[BBox],
-                  n_masks: int) -> List[Optional[Union[Mask, int]]]:
-    """The region grown in each box, in box order: a Mask for each of the
-    first n_masks boxes, the pixel count for each later one, and None for
-    a box whose seed lies off the frame.
+                  n_masks: int) -> List[Optional[Union[np.ndarray, int]]]:
+    """The region grown in each box, in box order: the sorted flat pixel
+    indices for each of the first n_masks boxes, the pixel count for each
+    later one, and None for a box whose seed lies off the frame.
 
     The windows are stacked in batches; a batch is grown once its stacked
     windows reach the frame's pixel count, so that memory stays within
     about twice the frame's pixels.
     """
     width, height = frame.width, frame.height
-    out: List[Optional[Union[Mask, int]]] = [None] * len(boxes)
+    out: List[Optional[Union[np.ndarray, int]]] = [None] * len(boxes)
     seeds = [seed_pixel(box) for box in boxes]
     on = [k for k, (sx, sy) in enumerate(seeds)
           if 0 <= sx < width and 0 <= sy < height]
@@ -92,9 +93,7 @@ def segment_frame(frame: Frame, boxes: Sequence[BBox],
     for j, k in enumerate(on):
         x, y = seeds[k]
         if not seed_ok[j]:  # degenerate: the seed alone
-            at = y * width + x
-            out[k] = Mask.from_runs([at], [at + 1], size=(width, height)) \
-                if k < n_masks else 1
+            out[k] = np.array([y * width + x]) if k < n_masks else 1
             continue
         box = boxes[k]
         dx, dy = 0.1 * box.width, 0.1 * box.height
@@ -116,7 +115,6 @@ def segment_frame(frame: Frame, boxes: Sequence[BBox],
 def _grow_batch(frame, batch, n_masks, out):
     """Grow into `out` the region of each window of `batch`: (box number,
     lookup table, seed x and y, window x, y, width and height, cap)."""
-    size = (frame.width, frame.height)
     ks, tables, xs, ys, x_los, y_los, ws, hs, caps = zip(*batch)
     x_lo, y_lo = np.array(x_los), np.array(y_los)
     strides = np.array(ws) + 2
@@ -144,32 +142,39 @@ def _grow_batch(frame, batch, n_masks, out):
     run_length = ends - starts
     label = _label_runs(starts, ends, stride)
     roots = label[np.searchsorted(starts, seeds, side="right") - 1]
-    areas = np.bincount(label, weights=run_length)[roots].astype(int)
-    # Each run's first pixel as a flat index of the frame.
-    row, col = np.divmod(starts - np.repeat(offsets, per_run), stride)
-    at = (row + np.repeat(y_lo - 1, per_run)) * frame.width \
-        + col + np.repeat(x_lo - 1, per_run)
+    areas = np.bincount(label, weights=run_length)[roots].astype(int).tolist()
+    # A flame whose component fits under the cap gets the pixels of its
+    # seed's runs (-1 is no run's label), expanded by one arange for all.
+    whole = [k < n_masks and area <= cap
+             for k, cap, area in zip(ks, caps, areas)]
+    if any(whole):
+        # Each run's first pixel as a flat index of the frame.
+        row, col = np.divmod(starts - np.repeat(offsets, per_run), stride)
+        at = (row + np.repeat(y_lo - 1, per_run)) * frame.width \
+            + col + np.repeat(x_lo - 1, per_run)
+        keep = label == np.repeat(np.where(whole, roots, -1), per_run)
+        length = run_length[keep]
+        pixels = np.arange(int(length.sum())) \
+            + np.repeat(at[keep] - np.cumsum(length) + length, length)
 
+    end = 0
     for j, (k, x0, y0, w, h, cap, area) in enumerate(
-            zip(ks, x_los, y_los, ws, hs, caps, areas.tolist())):
+            zip(ks, x_los, y_los, ws, hs, caps, areas)):
+        if whole[j]:  # its pixels follow the previous whole flame's
+            end += area
+            out[k] = pixels[end - area:end]
+            continue
         if area <= cap:
-            if k < n_masks:
-                comp = lo[j] + np.flatnonzero(
-                    label[lo[j]:lo[j] + per_run[j]] == roots[j])
-                out[k] = Mask.from_runs(at[comp],
-                                        at[comp] + run_length[comp],
-                                        size=size)
-            else:
-                out[k] = area
+            out[k] = area
             continue
         # The cap binds, so breadth-first order decides what is kept.
         off = int(offsets[j])
         admitted = _level_bfs(ok[off:off + (w + 2) * (h + 2)],
                               int(seeds[j]) - off, w + 2, cap)
         if k < n_masks:
-            out[k] = Mask.from_array(
-                admitted.reshape(h + 2, w + 2)[1:-1, 1:-1],
-                origin=(x0, y0), size=size)
+            rows, cols = np.nonzero(
+                admitted.reshape(h + 2, w + 2)[1:-1, 1:-1])
+            out[k] = (rows + y0) * frame.width + cols + x0
         else:
             out[k] = int(np.count_nonzero(admitted))
 

@@ -3,8 +3,8 @@
 `flaremon.segment.segment_frame` stacks a frame's windows, labels their
 row runs, and grows a whole breadth-first level per numpy step only where
 the cap binds.  This module keeps the plain pixel-at-a-time breadth-first
-search, one box at a time, so the tests can require identical masks and
-smoke areas, the cap and degenerate seeds included, whichever path
+search, one box at a time, so the tests can require identical flame
+pixels and smoke areas, the cap and degenerate seeds included, whichever path
 `segment_frame` takes.  It also draws the corridors, a spiral and a
 serpentine, that take a breadth-first search thousands of levels.
 """
@@ -15,14 +15,15 @@ from collections import deque
 
 import numpy as np
 
-from flaremon.core import BBox, Frame, Mask, box_center
+from flaremon.core import BBox, Frame, box_center
 
 
 def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
                     max_region_fraction=1.5):
     """Flood fill from the box midpoint, clipped to the box dilated by 10%:
-    (mask, whether the seed itself is inadmissible), or None when the seed
-    lies off the frame.  The defaults are the values of
+    (the sorted flat row-major indices of the filled pixels, whether the
+    seed itself is inadmissible), or None when the seed lies off the
+    frame.  The defaults are the values of
     `segment.COLOR_TOLERANCE` and `segment.MAX_REGION_FRACTION`."""
     cx, cy = box_center(box)
     sx, sy = int(round(cx)), int(round(cy))
@@ -63,19 +64,19 @@ def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
                 if count >= max_pixels:
                     break
 
-    return Mask.from_array(admitted), degenerate
+    return np.flatnonzero(admitted), degenerate
 
 
 def segment_frame_bfs(frame: Frame, boxes, n_masks, color_tolerance=40.0,
                       max_region_fraction=1.5):
-    """`segment_frame` one box at a time through `segment_box_bfs`: a mask
-    for each of the first n_masks boxes, the pixel count for each later
-    one, None for a box seeded off the frame."""
+    """`segment_frame` one box at a time through `segment_box_bfs`: the
+    pixel indices for each of the first n_masks boxes, the pixel count for
+    each later one, None for a box seeded off the frame."""
     out = []
     for k, box in enumerate(boxes):
         res = segment_box_bfs(frame, box, color_tolerance, max_region_fraction)
         out.append(None if res is None
-                   else res[0] if k < n_masks else res[0].area())
+                   else res[0] if k < n_masks else len(res[0]))
     return out
 
 

@@ -15,9 +15,11 @@ the same inputs.  Every command's exit code is compared too:
   each of the four classifiers it fits, as JSON, whose floats round-trip
   exactly.  The model file keeps only the selected one;
 - ``monitor --log`` with that model on every preset and on the seed-41
-  benchmark monitor scene, with its masks, box-only, and box-only with
-  stray boxes: from frame 5 on a flame and a smoke box right of the frame,
-  and on every frame a smoke box with no flame below it.  The stray boxes
+  benchmark monitor scene, with its masks, half-masked (the masks of the
+  odd detection indices dropped, so that each frame has grown and masked
+  flames and smokes), box-only, and box-only with stray boxes: from frame
+  5 on a flame and a smoke box right of the frame, and on every frame a
+  smoke box with no flame below it.  The stray boxes
   make ``monitor`` warn on stderr, so that the text and the order of its
   warnings are compared too.  Also box-only with overlapping boxes: on
   every frame a smoke box over the top half of the first flame box, and a
@@ -136,11 +138,15 @@ def outputs(tree, work, llm):
     orphan = {"class": "smoke", "bbox": [0, h - 10, 10, h], "confidence": 0.9}
     sky = {"class": "flame", "bbox": [20, 20, 30, 30], "confidence": 0.9}
     with open(scene_dir / "annotations.jsonl") as src, \
+            open(scene_dir / "half_masked.jsonl", "w") as half, \
             open(scene_dir / "box_only.jsonl", "w") as plain, \
             open(scene_dir / "box_only_overlap.jsonl", "w") as overlap, \
             open(scene_dir / "box_only_stray.jsonl", "w") as stray:
         for line in src:
             record = json.loads(line)
+            half.write(json.dumps(dict(record, masks=[
+                m for m in record["masks"] if m["detection"] % 2 == 0]))
+                + "\n")
             record.pop("masks", None)
             plain.write(json.dumps(record) + "\n")
             x0, y0, x1, y1 = next(d["bbox"] for d in record["detections"]
@@ -187,6 +193,7 @@ def outputs(tree, work, llm):
     frames = ["--frames", "monitor_scene/frames"]
     inputs = [(f"preset:{p}", []) for p in PRESETS] + [
         ("monitor_scene/annotations.jsonl", frames),
+        ("monitor_scene/half_masked.jsonl", frames),
         ("monitor_scene/box_only.jsonl", frames),
         ("monitor_scene/box_only_overlap.jsonl", frames),
         ("monitor_scene/box_only_stray.jsonl", frames)] + [

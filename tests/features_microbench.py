@@ -11,8 +11,9 @@ pixels with 1, 6 and 20 tilted elliptical flames of 30x12 px half-axes,
 on a grid 85 px apart, 32 frames each.  Both sides compute what
 `pipeline.extract_track_features` needs of each flame: pixel count, E
 and angle, errors included.  The oracle decodes and reduces one mask per
-call, as the pipeline did before; the batched side makes one
-`flame_moments` call per frame.  Each figure is the best of 7 passes
+call, as the pipeline did before; the batched side decodes a frame's masks
+with one `foreground_indices` call and hands their pixel indices to one
+`flame_moments` call.  Each figure is the best of 7 passes
 over the frames, divided by the number of frames.  pytest does not
 collect this file.
 """
@@ -27,7 +28,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from flaremon.core import DetClass, Frame, Mask  # noqa: E402
+from flaremon.core import (DetClass, Frame, Mask,  # noqa: E402
+                           foreground_indices)
 from flaremon.errors import EmptyRegion, FlaremonError  # noqa: E402
 from flaremon.features import (angle_from_moments, flame_moments,  # noqa: E402
                                rgb_index)
@@ -58,7 +60,12 @@ def oracle_features(frame, masks):
 
 
 def batched_features(frame, masks):
-    counts, means, moments = flame_moments(frame, masks)
+    # The masks' pixels from one decode, as pipeline.extract_track_features
+    # hands them on.
+    idx, counts = foreground_indices(masks)
+    ends = np.cumsum(counts).tolist()
+    counts, means, moments = flame_moments(
+        frame, [idx[end - n:end] for end, n in zip(ends, counts.tolist())])
     return [(n, outcome(rgb_index, rgb) if n else EmptyRegion,
              outcome(angle_from_moments, n, *mu))
             for n, rgb, mu in zip(counts.tolist(), means.tolist(),

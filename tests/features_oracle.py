@@ -1,10 +1,11 @@
 """Per-mask colour and angle features, one mask and one decode per call.
 
 This is how `flaremon.features` computed a flame's mean colour and angle
-before `flame_moments` took every mask of a frame at once: each call
-decoded its mask's runs to flat indices, gathered its pixels and reduced
-them with numpy's float mean.  The batched path must match it bit for
-bit, values and raised errors alike.  pytest does not collect this file.
+before `flame_moments` took the pixels of every flame of a frame at once:
+each call decoded its mask's runs to flat indices, gathered its pixels and
+reduced them with numpy's float mean.  The batched path, given the same
+indices (`indices` here), must match it bit for bit, values and raised
+errors alike.  pytest does not collect this file.
 """
 
 from __future__ import annotations

@@ -4,20 +4,22 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/segment_microbench.py
 
-Single-box cases, one `segment_frame` call each: one flame (a mask) and one
-smoke region (a pixel count) of the benchmark monitor scene (640x360, six
-stacks, seed 41), a solid 300x300 box, a 300x300 box on a 400x400 frame of
-base colour 128 plus uniform integer noise of +/-40 to +/-60 per channel at
-tolerance 40 (a pixel is admissible with probability
-(81 / (2 * noise + 1)) ** 3: 1.0, 0.70, 0.56, 0.46 and 0.30), and a
-site-percolation frame where 62% of the pixels are admissible, and a
+Single-box cases, one `segment_frame` call each: one flame (its pixel
+indices) and one smoke region (a pixel count) of the benchmark monitor
+scene (640x360, six stacks, seed 41), a solid 300x300 box, a 300x300 box
+on a 400x400 frame of base colour 128 plus uniform integer noise of +/-40
+to +/-60 per channel at tolerance 40 (a pixel is admissible with
+probability (81 / (2 * noise + 1)) ** 3: 1.0, 0.70, 0.56, 0.46 and 0.30),
+and a site-percolation frame where 62% of the pixels are admissible, and a
 one-pixel spiral corridor that fills the box and ends at its seed (45,608
 pixels, one breadth-first level each); the synthetic boxes are read as
-flames.  Per-frame cases: all 12 boxes of the
-first monitor frame (6 flames, 6 smokes), grown by one `segment_frame` call
-per box and by one call for the whole frame; "pixels" there is the
-admitted total.  Each figure is the best of 7 timings of a batch of calls,
-divided by the batch size; the batch grows until it takes about 20 ms.
+flames.  Per-frame cases: all 12 boxes of the first monitor frame (6
+flames, 6 smokes), grown by one `segment_frame` call per box and by one
+call for the whole frame, and that call followed by the
+`features.flame_moments` call that `monitor` makes on the grown flames;
+"pixels" there is the admitted total.  Each figure is the best of 7
+timings of a batch of calls, divided by the batch size; the batch grows
+until it takes about 20 ms.
 pytest does not collect this file.
 """
 
@@ -32,6 +34,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from flaremon.core import BBox, DetClass, Frame  # noqa: E402
+from flaremon.features import flame_moments  # noqa: E402
 from flaremon.segment import segment_frame  # noqa: E402
 from flaremon.simulator import render  # noqa: E402
 from perfbench.scenes import MONITOR, scene  # noqa: E402
@@ -57,7 +60,8 @@ def best_of_7(call):
 
 
 def area(region):
-    return region if isinstance(region, int) else region.area()
+    """A smoke region's pixel count, or the number of a flame's pixels."""
+    return region if isinstance(region, int) else len(region)
 
 
 def grow_one(frame, box, as_mask):
@@ -79,6 +83,12 @@ def scene_cases():
                        for k, b in enumerate(boxes)))
     yield ("frame, 1 call",
            lambda: sum(map(area, segment_frame(frame, boxes, len(flames)))))
+
+    def grow_and_moments():
+        regions = segment_frame(frame, boxes, len(flames))
+        counts, _, _ = flame_moments(frame, regions[:len(flames)])
+        return int(counts.sum()) + sum(regions[len(flames):])
+    yield "frame, grow + moments", grow_and_moments
 
 
 def square_frame(pixels):

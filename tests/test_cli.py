@@ -508,6 +508,14 @@ def box_only(pairs):
     return [(f, a._replace(masks=None)) for f, a in pairs]
 
 
+def half_masked(pairs):
+    """The frames with the masks of the odd detection indices dropped, so
+    that some flames and smokes of each frame bring masks and the others
+    are grown."""
+    return [(f, a._replace(masks=[(i, m) for i, m in a.masks if i % 2 == 0]))
+            for f, a in pairs]
+
+
 def monitor_outputs(model, pairs, out_dir, capsys):
     """Exit code, feature log bytes and stdout of `monitor --log`."""
     ann_path, frames_dir = write_stream(pairs, out_dir)
@@ -518,13 +526,15 @@ def monitor_outputs(model, pairs, out_dir, capsys):
         return code, fh.read(), capsys.readouterr().out
 
 
-def test_box_only_monitor_matches_pixel_bfs(three_stacks_head, table_model,
-                                            tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("strip", [box_only, half_masked])
+def test_box_only_monitor_matches_pixel_bfs(strip, three_stacks_head,
+                                            table_model, tmp_path,
+                                            monkeypatch, capsys):
     outputs = []
     for grow in (segment_frame_bfs, segment.segment_frame):
         monkeypatch.setattr(segment, "segment_frame", grow)
         outputs.append(monitor_outputs(
-            table_model, box_only(three_stacks_head),
+            table_model, strip(three_stacks_head),
             str(tmp_path / grow.__name__), capsys))
     assert outputs[0] == outputs[1]
     code, log_bytes, _ = outputs[1]

@@ -140,7 +140,8 @@ def angle_of(mask):
     blank frame of the mask's size: colour plays no part in it."""
     blank = np.zeros((mask.height, mask.width, 3), dtype=np.uint8)
     counts, _, moments = flame_moments(
-        Frame(0, 0.0, mask.width, mask.height, blank), [mask])
+        Frame(0, 0.0, mask.width, mask.height, blank),
+        [features_oracle.indices(mask)])
     return angle_from_moments(int(counts[0]), *moments[0].tolist())
 
 
@@ -257,8 +258,10 @@ def frames_with_masks(draw):
 
 def batched_rows(frame, masks):
     """Per mask: count, means, E and angle (or the error each raises) from
-    one flame_moments call; an empty mask's means are NaN."""
-    counts, means, moments = flame_moments(frame, masks)
+    one flame_moments call on the masks' decoded pixel indices; an empty
+    mask's means are NaN."""
+    counts, means, moments = flame_moments(
+        frame, [features_oracle.indices(m) for m in masks])
     rows = []
     for n, rgb, mu in zip(counts.tolist(), means.tolist(), moments.tolist()):
         if n:

@@ -34,29 +34,52 @@ def grow_all(frame, boxes, n_masks, tolerance,
 
 
 def grow(frame, box, tolerance, fraction=segment.MAX_REGION_FRACTION):
-    """The mask of one box, grown by one segment_frame call that reads the
-    box twice: once as a flame, for the mask, and once as a smoke, whose
-    pixel count must be the mask's area.  None for an off-frame seed."""
-    mask, area = grow_all(frame, [box, box], 1, tolerance, fraction)
-    assert area == (None if mask is None else mask.area())
-    return mask
+    """The pixel indices of one box, grown by one segment_frame call that
+    reads the box twice: once as a flame, for the indices, and once as a
+    smoke, whose pixel count must be their number.  None for an off-frame
+    seed."""
+    pixels, area = grow_all(frame, [box, box], 1, tolerance, fraction)
+    assert area == (None if pixels is None else len(pixels))
+    return pixels
+
+
+def same(got, expect):
+    """Whether two grown regions are equal: the same pixel indices, element
+    for element and of the same dtype, or the same pixel count, or both
+    None."""
+    if isinstance(expect, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == expect.dtype
+                and np.array_equal(got, expect))
+    return type(got) is type(expect) and got == expect
+
+
+def same_regions(got, expect):
+    """Whether two lists of grown regions are equal, region by region."""
+    return len(got) == len(expect) and all(map(same, got, expect))
+
+
+def region_array(frame, pixels):
+    """The frame-sized boolean array that is True at the pixel indices."""
+    arr = np.zeros(frame.height * frame.width, dtype=bool)
+    arr[pixels] = True
+    return arr.reshape(frame.height, frame.width)
 
 
 def test_uniform_region_on_contrasting_background():
     pix = make_frame()
     pix[10:30, 20:40] = (200, 50, 50)
     frame = frame_of(pix)
-    mask = grow(frame, BBox(20, 10, 40, 30), 30, 2.0)
+    pixels = grow(frame, BBox(20, 10, 40, 30), 30, 2.0)
     expect = np.zeros((40, 60), dtype=bool)
     expect[10:30, 20:40] = True
-    assert np.array_equal(decode_runs(mask), expect)
+    assert np.array_equal(pixels, np.flatnonzero(expect))
 
 
 def test_tolerance_255_fills_clipped_box():
     pix = make_frame()
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
-    arr = decode_runs(grow(frame, box, 255, 2.0))
+    arr = region_array(frame, grow(frame, box, 255, 2.0))
     # everything inside the 10%-dilated box is admitted
     assert arr[12, 25] and arr[10, 20]
     assert arr[8, 25]  # inside dilation margin
@@ -67,7 +90,8 @@ def test_seed_always_in_mask():
     pix = make_frame()
     pix[19:22, 29:32] = (200, 200, 200)
     frame = frame_of(pix)
-    assert decode_runs(grow(frame, BBox(25, 15, 35, 25), 5, 1.0))[20, 30]
+    assert region_array(frame, grow(frame, BBox(25, 15, 35, 25), 5, 1.0))[
+        20, 30]
 
 
 def test_degenerate_seed_gives_single_pixel():
@@ -79,8 +103,7 @@ def test_degenerate_seed_gives_single_pixel():
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
     assert segment_box_bfs(frame, box, 10, 1.0)[1]  # the oracle's flag
-    mask = grow(frame, box, 10, 1.0)
-    assert mask.area() == 1 and decode_runs(mask)[20, 30]
+    assert same(grow(frame, box, 10, 1.0), np.array([20 * 60 + 30]))
 
 
 def test_out_of_bounds_seed():
@@ -94,7 +117,7 @@ def test_output_connected():
     pix[10:30, 20:40] = (200, 50, 50)
     pix[5:8, 50:55] = (200, 50, 50)  # same color, not 4-connected to seed
     frame = frame_of(pix)
-    arr = decode_runs(grow(frame, BBox(18, 8, 56, 32), 30, 2.0))
+    arr = region_array(frame, grow(frame, BBox(18, 8, 56, 32), 30, 2.0))
     assert not arr[6, 52]
     # flood-fill recount from any foreground pixel covers the whole mask
     from collections import deque
@@ -118,14 +141,14 @@ def test_deterministic():
     pix += rng.integers(0, 40, pix.shape).astype(np.uint8)
     frame = frame_of(pix)
     box = BBox(15, 8, 45, 32)
-    assert grow(frame, box, 25, 1.5) == grow(frame, box, 25, 1.5)
+    assert same(grow(frame, box, 25, 1.5), grow(frame, box, 25, 1.5))
 
 
 def test_region_capped_by_fraction():
     pix = make_frame(bg=(100, 100, 100))
     frame = frame_of(pix)
     box = BBox(20, 10, 30, 20)
-    assert grow(frame, box, 255, 0.5).area() <= int(0.5 * box.area) + 1
+    assert len(grow(frame, box, 255, 0.5)) <= int(0.5 * box.area) + 1
 
 
 @st.composite
@@ -157,7 +180,7 @@ def frame_box_config(draw):
 def test_matches_pixel_bfs(case):
     frame, box, cfg = case
     expect = segment_box_bfs(frame, box, *cfg)
-    assert grow(frame, box, *cfg) == (None if expect is None else expect[0])
+    assert same(grow(frame, box, *cfg), None if expect is None else expect[0])
 
 
 def test_cap_keeps_breadth_first_order():
@@ -167,12 +190,12 @@ def test_cap_keeps_breadth_first_order():
     frame = frame_of(make_frame(w=11, h=11))
     box = BBox(0, 0, 10, 10)
     for n, extra in ((5, None), (6, (3, 5))):
-        mask = grow(frame, box, 0, n / box.area)
+        pixels = grow(frame, box, 0, n / box.area)
         expect = np.zeros((11, 11), dtype=bool)
         expect[[5, 4, 6, 5, 5], [5, 5, 5, 4, 6]] = True
         if extra:
             expect[extra] = True
-        assert np.array_equal(decode_runs(mask), expect)
+        assert np.array_equal(pixels, np.flatnonzero(expect))
 
 
 def count_calls(monkeypatch, name):
@@ -214,7 +237,7 @@ def test_uncapped_labelling_matches_pixel_bfs(case):
     with pytest.MonkeyPatch.context() as mp:
         searches = count_calls(mp, "_level_bfs")
         got = grow(frame, box, *cfg)
-    assert got == expect and not searches
+    assert same(got, expect) and not searches
 
 
 def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
@@ -226,8 +249,8 @@ def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
     assert len(searches) == 2  # once per reading
-    assert got.area() == int(0.5 * box.area)
-    assert got == segment_box_bfs(frame, box, *cfg)[0]
+    assert len(got) == int(0.5 * box.area)
+    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
 
 
 def noisy_frame(amplitude, seed):
@@ -270,8 +293,8 @@ def test_fragmented_windows_match_pixel_bfs(frame, monkeypatch):
     got = grow(frame, box, *cfg)
     expect, degenerate = segment_box_bfs(frame, box, *cfg)
     assert not searches
-    assert not degenerate and got == expect
-    assert got.area() > 1
+    assert not degenerate and same(got, expect)
+    assert len(got) > 1
 
 
 def test_diagonal_runs_do_not_touch():
@@ -286,8 +309,8 @@ def test_diagonal_runs_do_not_touch():
     box = BBox(0, 0, 24, 9)
     cfg = (30, 2.0)
     got = grow(frame, box, *cfg)
-    assert got.area() == 24
-    assert got == segment_box_bfs(frame, box, *cfg)[0]
+    assert len(got) == 24
+    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
 
 
 def test_component_of_exactly_the_cap_is_not_capped(monkeypatch):
@@ -298,8 +321,8 @@ def test_component_of_exactly_the_cap_is_not_capped(monkeypatch):
     cfg = (30, 1.0)  # the cap is the region's 400 pixels
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
-    assert not searches and got.area() == 400
-    assert got == segment_box_bfs(frame, box, *cfg)[0]
+    assert not searches and len(got) == 400
+    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
 
 
 @pytest.mark.parametrize("distance", [20, 40])
@@ -320,8 +343,8 @@ def test_tolerance_boundary_in_float64(distance):
     box = BBox(5, 5, 15, 15)
     cfg = (tol, 2.0)
     got = grow(frame, box, *cfg)
-    assert decode_runs(got)[10, 12:16].all()
-    assert got == segment_box_bfs(frame, box, *cfg)[0]
+    assert region_array(frame, got)[10, 12:16].all()
+    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
 
 
 @st.composite
@@ -375,7 +398,7 @@ def frame_boxes_config(draw):
 def test_frame_matches_pixel_bfs_per_box(case):
     frame, boxes, n_masks, cfg = case
     got = grow_all(frame, boxes, n_masks, *cfg)
-    assert got == segment_frame_bfs(frame, boxes, n_masks, *cfg)
+    assert same_regions(got, segment_frame_bfs(frame, boxes, n_masks, *cfg))
 
 
 def test_mixed_frame_matches_pixel_bfs(monkeypatch):
@@ -399,9 +422,9 @@ def test_mixed_frame_matches_pixel_bfs(monkeypatch):
              BBox(19, 4, 24, 9)]     # degenerate seed
     searches = count_calls(monkeypatch, "_level_bfs")
     got = segment_frame(frame, boxes, 2)
-    assert got == segment_frame_bfs(frame, boxes, 2)
+    assert same_regions(got, segment_frame_bfs(frame, boxes, 2))
     assert got[6] is None and got[7] == 1
-    assert got[0].area() == int(segment.MAX_REGION_FRACTION * 100)
+    assert len(got[0]) == int(segment.MAX_REGION_FRACTION * 100)
     # The level search's last argument is the cap, distinct for each box
     # here: only the cap-bound windows take it, the first flame's (150) and
     # the smoke's over it (337), and not the fragmented flame's (1350).
@@ -421,7 +444,7 @@ def test_full_frame_boxes_flush_the_batch(monkeypatch):
     batches = count_calls(monkeypatch, "_grow_batch")
     got = segment_frame(frame, boxes, 2)
     assert [len(args[1]) for args in batches] == [1, 2, 2]
-    assert got == segment_frame_bfs(frame, boxes, 2)
+    assert same_regions(got, segment_frame_bfs(frame, boxes, 2))
 
 
 def test_no_boxes_no_work(monkeypatch):
@@ -451,7 +474,8 @@ def test_regions_against_rendered_truth(name):
                             len(dets))
         truth = dict(rendered.annotation.masks)
         for i, det in enumerate(dets):
-            grown, drawn = decode_runs(got[i]), decode_runs(truth[i])
+            grown = region_array(rendered.frame, got[i])
+            drawn = decode_runs(truth[i])
             ious[det.cls].append((grown & drawn).sum() / (grown | drawn).sum())
     flame = np.array(ious[DetClass.FLAME])
     median, least = FLAME_IOU_FLOORS[name]
