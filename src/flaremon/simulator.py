@@ -73,8 +73,13 @@ class SceneSpec(_Checked, _SceneSpec):
 
     def __new__(_cls, width=320, height=240, frame_count=200, rng_seed=7,
                 stacks=(), noise_amplitude=6):
+        for name, size in (("width", width), ("height", height)):
+            if type(size) is not int or size < 1:
+                raise ValueError(f"{name} must be an int >= 1")
         if frame_count < 1:
             raise ValueError("frame_count must be >= 1")
+        if type(noise_amplitude) is not int or not 0 <= noise_amplitude <= 255:
+            raise ValueError("noise_amplitude must be an int in [0, 255]")
         return tuple.__new__(_cls, (width, height, frame_count, rng_seed,
                                     stacks, noise_amplitude))
 
@@ -112,9 +117,8 @@ def _ellipse_mask(width, height, cx, cy, a, b, axis_dir):
     y_lo = max(0, int(math.floor(cy - a - 2)))
     y_hi = min(height - 1, int(math.ceil(cy + a + 2)))
     win = (slice(y_lo, max(y_lo, y_hi + 1)), slice(x_lo, max(x_lo, x_hi + 1)))
-    ys, xs = np.mgrid[win]
-    dx = xs - cx
-    dy = ys - cy
+    dx = np.arange(win[1].start, win[1].stop)[None, :] - cx
+    dy = np.arange(win[0].start, win[0].stop)[:, None] - cy
     u = dx * ax + dy * ay
     v = -dx * ay + dy * ax
     r2 = (u / a) ** 2 + (v / b) ** 2
@@ -126,12 +130,13 @@ def _ellipse_mask(width, height, cx, cy, a, b, axis_dir):
 
 
 def _tight_bbox(win, inside) -> Optional[BBox]:
-    ys, xs = np.nonzero(inside)
-    if xs.size == 0:
+    ys = np.flatnonzero(inside.any(axis=1))
+    if ys.size == 0:
         return None
+    xs = np.flatnonzero(inside.any(axis=0))
     x0, y0 = win[1].start, win[0].start
-    return BBox(float(x0 + xs.min()), float(y0 + ys.min()),
-                float(x0 + xs.max() + 1), float(y0 + ys.max() + 1))
+    return BBox(float(x0 + xs[0]), float(y0 + ys[0]),
+                float(x0 + xs[-1] + 1), float(y0 + ys[-1] + 1))
 
 
 def _encode(win, inside, width, height) -> Mask:
@@ -152,9 +157,9 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
     """Yield (frame, ground truth, annotation) for every frame of the scene."""
     rng = np.random.default_rng(spec.rng_seed)
     w, h = spec.width, spec.height
+    background = np.full((h, w, 3), BACKGROUND, dtype=np.int16)
     for fi in range(spec.frame_count):
-        img = np.empty((h, w, 3), dtype=np.int16)
-        img[:, :] = BACKGROUND
+        img = background.copy()
         truths: List[StackTruth] = []
 
         for si, stack in enumerate(spec.stacks):
@@ -200,8 +205,11 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
         if spec.noise_amplitude > 0:
             noise = rng.integers(-spec.noise_amplitude,
                                  spec.noise_amplitude + 1, size=img.shape)
-            img = img + noise
-        pixels = np.clip(img, 0, 255).astype(np.uint8)
+            # With |noise| <= 255, clipping to [-256, 511] first leaves the
+            # clipped sum unchanged and keeps it inside int16.
+            np.clip(img, -256, 511, out=img)
+            img += noise
+        pixels = np.clip(img, 0, 255, out=img).astype(np.uint8)
         frame = Frame(index=fi, timestamp=fi / FPS, width=w, height=h,
                       pixels=pixels)
 

@@ -122,15 +122,19 @@ def test_decode_checker_sees_calls():
     assert to_array_calls(source) == [2]
 
 
+def python_out(code: str, cwd=None) -> str:
+    """The last line a fresh interpreter prints, running `code` in `cwd`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         check=True, capture_output=True, text=True).stdout
+    return out.strip().rsplit("\n", 1)[-1]
+
+
 def loaded_by_cli_import(condition: str) -> str:
     """The sorted names `m` of sys.modules that meet `condition` after a
     fresh interpreter imports flaremon.cli."""
-    code = ("import sys, flaremon.cli; print(sorted(m for m in sys.modules "
-            f"if {condition}))")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip()
+    return python_out("import sys, flaremon.cli; print(sorted(m for m in "
+                      f"sys.modules if {condition}))")
 
 
 def test_cli_import_loads_no_http_client():
@@ -152,6 +156,23 @@ def test_cli_import_loads_no_simulator_or_labeling():
     inputs, `label` and `train` import them when they run."""
     assert loaded_by_cli_import(
         "m in ('flaremon.simulator', 'flaremon.labeling')") == "[]"
+
+
+def test_file_input_train_and_monitor_load_no_simulator(tmp_path):
+    """`train` and `monitor` on files run no simulator code, so a change to
+    the renderer cannot move their timings."""
+    python_out("from flaremon import formats\n"
+               "from flaremon.simulator import preset, render\n"
+               "spec = preset('three_stacks')._replace(frame_count=10)\n"
+               "formats.save_scene(render(spec), 'scene')", tmp_path)
+    assert python_out(
+        "import sys\nfrom flaremon.cli import main\n"
+        "files = ['scene/annotations.jsonl', '--frames', 'scene/frames']\n"
+        "assert main(['train', '--annotations', *files, '--out', 'm.json'])"
+        " == 0\n"
+        "assert main(['monitor', '--model', 'm.json', '--input', *files])"
+        " == 0\n"
+        "print('flaremon.simulator' in sys.modules)", tmp_path) == "False"
 
 
 def bound_names(source: str):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -256,9 +260,10 @@ DEFECTS = ("record must be an object with frame_index", "bad frame_index",
            "mask references detection", "second mask for detection")
 
 
-def test_fuzzed_lines_draw_every_defect():
-    """Every kind of defect is still drawn, and so are masks of another
-    size than the frame's, which parse."""
+def drawn_defects():
+    """The DEFECTS that 2,000 derandomized `annotation_lines` raise, and
+    "wrong size" if one with a mask of another size than the frame's
+    parses."""
     seen = set()
 
     @settings(max_examples=2000, derandomize=True, database=None,
@@ -274,4 +279,19 @@ def test_fuzzed_lines_draw_every_defect():
             seen.add("wrong size")
 
     sample()
-    assert seen == {*DEFECTS, "wrong size"}
+    return seen
+
+
+def test_fuzzed_lines_draw_every_defect():
+    """Every kind of defect is still drawn, and so are masks of another
+    size than the frame's, which parse.  Hypothesis also draws constants
+    that it finds in every local module loaded so far, so the draws run in
+    a fresh interpreter that loads this module and its imports alone: the
+    tests that happen to be collected beside it do not change them."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "from tests.test_ingest import drawn_defects; "
+         "print(sorted(drawn_defects()))"],
+        cwd=root, env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == str(sorted({*DEFECTS, "wrong size"}))

@@ -131,6 +131,12 @@ def test_equal_records_hash_equal(record):
     (FlameSpec(10.0, 20.0, 8.0, 3.0, 5.0), {"tilt_deg": 90.0}),
     (FlameSpec(10.0, 20.0, 8.0, 3.0, 5.0), {"minor": 0.0}),
     (SceneSpec(), {"frame_count": 0}),
+    (SceneSpec(), {"width": 0}),
+    (SceneSpec(), {"width": -5}),
+    (SceneSpec(), {"height": 240.0}),
+    (SceneSpec(), {"noise_amplitude": -3}),
+    (SceneSpec(), {"noise_amplitude": 2.5}),
+    (SceneSpec(), {"noise_amplitude": 40000}),
 ], ids=lambda v: type(v).__name__ if hasattr(v, "_fields") else str(v))
 def test_replace_runs_the_constructor_checks(record, change):
     with pytest.raises((ValueError, DecodeError)) as built:

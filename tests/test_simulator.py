@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flaremon.core import DetClass
 from flaremon.errors import ParseError
 from flaremon.features import channel_means, rgb_index
 from flaremon.ingest import read_annotation_stream, write_annotation_stream
 from flaremon.labeling import rule_label
-from flaremon.simulator import (FlameSpec, SceneSpec, SmokeSpec, StackSpec,
-                                _ellipse_mask, preset, render)
+from flaremon.simulator import (PRESETS, FlameSpec, SceneSpec, SmokeSpec,
+                                StackSpec, _ellipse_mask, preset, render)
+from perfbench.scenes import MONITOR, TRAIN, scene
 from tests import fullframe_oracle as oracle
+from tests import render_oracle
 from tests.features_oracle import flame_angle
 
 
@@ -44,6 +46,56 @@ class TestEllipseWindow:
         assert np.array_equal(pasted, mask)
         assert np.array_equal(rho_fg, rho[mask])
         assert win_truncated == truncated
+
+
+# 8-bit colors, or any int16 value, which the noise can push past the limits
+int16s = (st.integers(0, 255) | st.integers(-2 ** 15, 2 ** 15 - 1)
+          | st.sampled_from((-2 ** 15, 2 ** 15 - 1)))
+colors = st.tuples(int16s, int16s, int16s)
+
+
+@st.composite
+def scene_specs(draw):
+    """Scenes up to 96x96 whose stacks are centred up to 40 px past every
+    edge, so that flames and smoke get cut off or fall off the frame."""
+    width, height = draw(st.integers(1, 96)), draw(st.integers(1, 96))
+    stacks = []
+    for _ in range(draw(st.integers(0, 3))):
+        major = draw(st.floats(0.5, 40))
+        flame = FlameSpec(
+            draw(st.floats(-40, width + 40)), draw(st.floats(-40, height + 40)),
+            major, major * draw(st.floats(0.2, 1.0)),
+            draw(st.floats(0.0, 89.9)),
+            drift=(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))),
+            core_color=draw(colors), edge_color=draw(colors))
+        smoke = draw(st.none() | st.builds(
+            SmokeSpec, st.floats(0.05, 3.0), int16s,
+            st.floats(0.0, 12.0)))
+        stacks.append(StackSpec(flame, smoke, draw(st.sampled_from(
+            ("high", "low")))))
+    return SceneSpec(width, height, draw(st.integers(1, 3)),
+                     draw(st.integers(0, 2 ** 32 - 1)), tuple(stacks),
+                     draw(st.sampled_from((0, 1, 255)) | st.integers(0, 255)))
+
+
+class TestMatchesRenderOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=scene_specs())
+    @example(spec=preset("three_stacks")._replace(
+        width=96, height=96, frame_count=2, noise_amplitude=0))
+    @example(spec=preset("windy")._replace(frame_count=2, noise_amplitude=1))
+    @example(spec=preset("smoky_low")._replace(frame_count=2,
+                                               noise_amplitude=255))
+    def test_random_scenes(self, spec):
+        render_oracle.assert_renders_alike(spec)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_first_frames(self, name):
+        render_oracle.assert_renders_alike(preset(name), frames=10)
+
+    @pytest.mark.parametrize("role", [MONITOR, TRAIN])
+    def test_benchmark_scenes(self, role):
+        render_oracle.assert_renders_alike(scene(777, role))
 
 
 class TestRenderBasics:
@@ -158,3 +210,11 @@ class TestPresets:
             FlameSpec(0, 0, major=5, minor=5, tilt_deg=95)
         with pytest.raises(ValueError):
             SceneSpec(frame_count=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", 0), ("width", -5), ("height", 240.0), ("height", True),
+        ("noise_amplitude", -3), ("noise_amplitude", 2.5),
+        ("noise_amplitude", 256), ("noise_amplitude", 40000)])
+    def test_scene_spec_rejects_what_it_cannot_render(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            SceneSpec(**{field: value})
