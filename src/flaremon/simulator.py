@@ -10,6 +10,7 @@ deterministic per (spec, seed).
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -42,15 +43,29 @@ class FlameSpec(_Checked, _FlameSpec):
             raise ValueError("axes must be positive")
         if not (0.0 <= tilt_deg < 90.0):
             raise ValueError("tilt must lie in [0, 90)")
+        for name, color in (("core_color", core_color),
+                            ("edge_color", edge_color)):
+            if len(color) != 3 or not all(isinstance(c, Real)
+                                          and 0 <= c <= 255 for c in color):
+                raise ValueError(f"{name} must be 3 numbers in [0, 255]")
         return tuple.__new__(_cls, (base_x, base_y, major, minor, tilt_deg,
                                     drift, core_color, edge_color))
 
 
-class SmokeSpec(NamedTuple):
+class _SmokeSpec(NamedTuple):
     area_multiplier: float  # smoke area relative to flame area
-    gray: int = 110
-    gap: float = 8.0  # px between flame top and smoke bottom; must exceed
-    # the +/-2 px annotation box jitter so smoke stays attributable
+    gray: int
+    gap: float  # px between flame top and smoke bottom; must exceed the
+    # +/-2 px annotation box jitter so smoke stays attributable
+
+
+class SmokeSpec(_Checked, _SmokeSpec):
+    __slots__ = ()
+
+    def __new__(_cls, area_multiplier, gray=110, gap=8.0):
+        if type(gray) is not int or not 0 <= gray <= 255:
+            raise ValueError("gray must be an int in [0, 255]")
+        return tuple.__new__(_cls, (area_multiplier, gray, gap))
 
 
 class StackSpec(NamedTuple):
@@ -203,12 +218,8 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
             ))
 
         if spec.noise_amplitude > 0:
-            noise = rng.integers(-spec.noise_amplitude,
-                                 spec.noise_amplitude + 1, size=img.shape)
-            # With |noise| <= 255, clipping to [-256, 511] first leaves the
-            # clipped sum unchanged and keeps it inside int16.
-            np.clip(img, -256, 511, out=img)
-            img += noise
+            img += rng.integers(-spec.noise_amplitude,
+                                spec.noise_amplitude + 1, size=img.shape)
         pixels = np.clip(img, 0, 255, out=img).astype(np.uint8)
         frame = Frame(index=fi, timestamp=fi / FPS, width=w, height=h,
                       pixels=pixels)

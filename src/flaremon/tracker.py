@@ -2,19 +2,23 @@
 
 State is the 7-vector (u, v, s, r, du, dv, ds): box center, scale (area),
 aspect ratio, and velocities for all but the aspect ratio.  Constant
-velocity transition with unit timestep.
+velocity with unit timestep; only (u, v, s, r) is observed.  Q, R and the
+birth covariance are diagonal, so the covariance P stays block-diagonal
+over (u, du), (v, dv), (s, ds) and r.  The filter runs elementwise, in the
+full-matrix filter's operation order, on ``var`` (..., 7), the diagonal of
+P, and ``cov`` (..., 3), the entries P[i, i + 4] for u, v and s.
 
 `SortTracker` keeps its tracks as stacked arrays, one row per track in
-birth order: ``x`` (n, 7), ``P`` (n, 7, 7), ``hits``, ``time_since_update``
-and ``id``.  Each step is one batched predict, one broadcast IoU matrix, one
+birth order: ``x``, ``var``, ``cov``, ``hits``, ``time_since_update`` and
+``id``.  Each step is one batched predict, one broadcast IoU matrix, one
 Hungarian assignment, one batched update of the matched rows, and births
 and deaths by concatenation and a boolean mask.  The Kalman functions take
-any leading batch axes, a single (7,)/(7, 7) state included.
+any leading batch axes.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,66 +27,47 @@ from .errors import NumericalError
 
 _SCALE_EPS = 1e-9
 
-
-class KalmanParams(NamedTuple):
-    """Transition F, process noise Q, observation H, measurement noise R."""
-    F: np.ndarray
-    Q: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
-
-
-# Constant velocity; only the box (u, v, s, r) is observed.
-KALMAN = KalmanParams(F=np.eye(7) + np.eye(7, k=4),
-                      Q=np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4]),
-                      H=np.eye(4, 7), R=np.diag([1.0, 1.0, 10.0, 10.0]))
+PROCESS_VAR = np.array([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4])  # diag Q
+MEASUREMENT_VAR = np.array([1.0, 1.0, 10.0, 10.0])  # diag R
 IOU_THRESHOLD = 0.3  # least IoU of a track and the detection it matches
 MAX_AGE = 5  # frames a track lives on without a match
 MIN_HITS = 3  # matches before a track is reported
 
 
-def _symmetrize(P):
-    return (P + P.swapaxes(-1, -2)) / 2.0
-
-
-def _apply(A, v):
-    """A @ v for every vector v on the last axis."""
-    return (A @ v[..., None])[..., 0]
-
-
-def kalman_predict(x, P, p: KalmanParams):
-    x = _apply(p.F, x)
-    P = _symmetrize(p.F @ P @ p.F.T + p.Q)
+def kalman_predict(x, var, cov):
+    x = x.copy()
+    x[..., :3] += x[..., 4:]
     x[..., 2] = np.where(x[..., 2] <= 0.0, _SCALE_EPS, x[..., 2])
-    return x, P
+    pos, vel = var[..., :3], var[..., 4:]
+    var = var + PROCESS_VAR
+    var[..., :3] = ((pos + cov) + (cov + vel)) + PROCESS_VAR[:3]
+    return x, var, cov + vel
 
 
-def kalman_update(x, P, z, p: KalmanParams):
+def kalman_update(x, var, cov, z):
     z = np.asarray(z, dtype=float)
-    S = _symmetrize(p.H @ P @ p.H.T + p.R)
-    innovation = z - _apply(p.H, x)
+    pos = var[..., :4]
+    S = pos + MEASUREMENT_VAR
+    innovation = z - x[..., :4]
 
-    # Exact-zero innovation modes arise in the perfect-measurement limit
-    # (R = 0 collapses already-measured variances to zero).  A zero mode
-    # whose innovation is also zero carries no correction; a zero mode with
-    # a non-zero innovation means the gain is numerically undefined.  The
-    # zero-mode threshold also bounds the spread of the modes kept below
-    # 1e12, so no positive spectrum is too ill-conditioned to invert.
-    vals, vecs = np.linalg.eigh(S)
-    lam_max = vals.max(axis=-1, keepdims=True)
-    zero = vals <= np.maximum(lam_max * 1e-12, 1e-300)
+    # Exact-zero innovation variances arise in the perfect-measurement limit
+    # (R = 0 collapses already-measured variances to zero).  A zero axis
+    # carries no correction, and a non-zero innovation on one leaves the
+    # gain undefined.  The threshold keeps the axes' spread below 1e12.
+    zero = S <= np.maximum(S.max(axis=-1, keepdims=True) * 1e-12, 1e-300)
     if zero.any():
-        innov_rot = _apply(vecs.swapaxes(-1, -2), innovation)
         scale = 1.0 + np.sqrt((z * z).sum(axis=-1, keepdims=True))
-        if np.any(zero & (np.abs(innov_rot) > 1e-9 * scale)):
+        if np.any(zero & (np.abs(innovation) > 1e-9 * scale)):
             raise NumericalError("innovation covariance is singular")
-    positive = np.where(zero, np.inf, vals)  # zero modes invert to 0
-    S_pinv = (vecs * (1.0 / positive)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    inv = 1.0 / np.where(zero, np.inf, S)  # zero axes invert to 0
 
-    K = P @ p.H.T @ S_pinv
-    x = x + _apply(K, innovation)
-    P = _symmetrize((np.eye(P.shape[-1]) - K @ p.H) @ P)
-    return x, P
+    k_pos, k_vel = pos * inv, cov * inv[..., :3]
+    x = x + np.concatenate([k_pos * innovation,
+                            k_vel * innovation[..., :3]], axis=-1)
+    keep = 1.0 - k_pos
+    var = np.concatenate([keep * pos, -k_vel * cov + var[..., 4:]], axis=-1)
+    cov = (keep[..., :3] * cov + (-k_vel * pos[..., :3] + cov)) / 2.0
+    return x, var, cov
 
 
 def _measurements(b):
@@ -181,16 +166,16 @@ class SortTracker:
 
     def __init__(self):
         self.x = np.zeros((0, 7))
-        self.P = np.zeros((0, 7, 7))
+        self.var = np.zeros((0, 7))
+        self.cov = np.zeros((0, 3))
         self.hits = np.zeros(0, dtype=np.int64)
         self.time_since_update = np.zeros(0, dtype=np.int64)
         self.id = np.zeros(0, dtype=np.int64)
         self._next_id = 1
         # A newborn's covariance: measurement-noise variances (floored so the
         # first update stays well-posed even with R = 0), velocities x1000.
-        meas_var = np.maximum(np.diag(KALMAN.R), 1.0)
-        self._birth_P = np.diag(np.concatenate(
-            [meas_var, meas_var[:3] * 1000.0]))[None]
+        meas_var = np.maximum(MEASUREMENT_VAR, 1.0)
+        self._birth_var = np.concatenate([meas_var, meas_var[:3] * 1000.0])
 
     def step(self, detections: Sequence[Detection]):
         """Advance one frame.
@@ -199,7 +184,7 @@ class SortTracker:
         with hits >= MIN_HITS matched or born this frame, (track_id,
         detection_index) pairs, and the ids born and died this frame.
         """
-        x, P = kalman_predict(self.x, self.P, KALMAN)
+        x, var, cov = kalman_predict(self.x, self.var, self.cov)
         det_boxes = np.array([d.bbox for d in detections],
                              dtype=float).reshape(-1, 4)
         # Huge boxes overflow here silently, as they do in Python floats.
@@ -217,8 +202,8 @@ class SortTracker:
         keep = iou_mat[rows, cols] >= IOU_THRESHOLD
         rows, cols = rows[keep], cols[keep]
         if rows.size:
-            x[rows], P[rows] = kalman_update(x[rows], P[rows], z[cols],
-                                             KALMAN)
+            x[rows], var[rows], cov[rows] = kalman_update(
+                x[rows], var[rows], cov[rows], z[cols])
 
         self.hits[rows] += 1
         self.time_since_update += 1
@@ -237,13 +222,13 @@ class SortTracker:
 
             x_born = np.zeros((len(born), 7))
             x_born[:, :4] = z[unmatched]
-            x, P = grow(x, x_born), grow(P, np.repeat(self._birth_P,
-                                                      len(born), axis=0))
+            x, cov = grow(x, x_born), grow(cov, np.zeros((len(born), 3)))
+            var = grow(var, np.broadcast_to(self._birth_var, (len(born), 7)))
             self.hits = grow(self.hits, np.ones_like(born))
             self.time_since_update = grow(self.time_since_update,
                                           np.zeros_like(born))
             self.id = grow(self.id, born)
-        self.x, self.P = x, P
+        self.x, self.var, self.cov = x, var, cov
         reported = self.id[(self.hits >= MIN_HITS)
                            & (self.time_since_update == 0)]
         return reported.tolist(), match_ids, born.tolist(), deaths

@@ -1,18 +1,18 @@
 """Hypothesis strategies for annotation lines near the schema of
 `flaremon.ingest`.  Two annotation objects in three are sound; the others
-have one defect, in the record itself, in one detection or in one mask: a
-field left out or of the wrong JSON type, an integer given as a float or
-a bool, including every mask field, a box coordinate or confidence given
-as a bool, a numeric string, an integer too large for a float or a float
-of 1e200, a box whose area overflows, an unknown class, a mask record
-given twice, or a mask of another size than the frame's, whose runs do
-not sum to its size, that has a negative run though its runs sum right,
-or that names a detection out of range.  A share of the defective
-objects is drawn for their masks alone: one mask, added if the object has
-none, gets a negative run, runs one off their sum, a run that is not an
-int, a second mask for its detection, or a detection out of range.  Now
-and then a record is any JSON value instead.  Streams of such lines take
-frame indices that skip frames and now and then repeat one."""
+have one defect, whose kind is drawn first, from `DEFECT_KINDS`, so that
+every kind is drawn often: a field of the record, of a detection or of a
+mask left out or of the wrong JSON type, or a number given as a near
+miss: an integer as a float, as n + 0.5 or as a bool, including every
+mask field and run, a box coordinate or confidence as a bool, a numeric
+string, an integer too large for a float or a float of 1e200.  The other
+kinds are a detection without its box, an unknown class, a box whose area
+overflows, and, in one mask (added if the object has none), another size
+than the frame's, a run one too long or too short or one run more, a
+negative run though its runs sum right, the mask record given twice or a
+second mask for its detection, or a detection out of range.  Now and then
+a record is any JSON value instead.  Streams of such lines take frame
+indices that skip frames and now and then repeat one."""
 
 from __future__ import annotations
 
@@ -40,27 +40,27 @@ def near_miss(n):
 
 
 @st.composite
-def spoil(draw, part, swaps=()):
-    """Give `part` (a dict) one defect in place: a field left out or
-    swapped for junk, an integer field (or one run) given as a float, as
-    n + 0.5 or as a bool, a float field (or one coordinate) given as a
-    bool, a string, a huge integer or +-1e200, or else the fields of one
-    of `swaps`, strategies of dicts of bad fields for this kind of part."""
-    key = draw(st.sampled_from(sorted(part)))
-    action = draw(st.integers(0, 5 if swaps else 2))
-    if action == 0:
-        del part[key]
-    elif action == 1:
-        part[key] = draw(JSON)
-    elif action == 2:
+def spoil(draw, part, how, key=None):
+    """Give `part` (a dict) one defect in place: a field (`key`, if
+    given) "left out", a field made "junk", or a "near miss": an integer
+    field (or one run) given as a float, as n + 0.5 or as a bool, a float
+    field (or one coordinate) given as a bool, a string, a huge integer or
+    +-1e200."""
+    if how == "left out":
+        del part[key or draw(st.sampled_from(sorted(part)))]
+    elif how == "junk":
+        part[draw(st.sampled_from(sorted(part)))] = draw(JSON)
+    else:
+        key = draw(st.sampled_from(sorted(
+            k for k, v in part.items()
+            if type(v) in (int, float) or type(v) is list and v
+            and type(v[0]) in (int, float))))
         value = part[key]
-        if type(value) in (int, float):
-            part[key] = draw(near_miss(value))
-        elif type(value) is list and value and type(value[0]) in (int, float):
+        if type(value) is list:
             i = draw(st.integers(0, len(value) - 1))  # a run or coordinate
             value[i] = draw(near_miss(value[i]))
-    else:
-        part.update(draw(st.one_of(swaps)))
+        else:
+            part[key] = draw(near_miss(value))
 
 
 @st.composite
@@ -72,27 +72,55 @@ def mask_fields(draw, width, height):
     return {"width": width, "height": height, "runs": runs}
 
 
+# (part, defect, field): a field of the record, of a detection or of a mask
+# left out, made junk or given as a near miss, the box of a detection left
+# out, and the defects of one kind of part.
+DEFECT_KINDS = (
+    *((part, how, None) for part in ("record", "detection", "mask")
+      for how in ("left out", "junk", "near miss")),
+    ("detection", "left out", "bbox"),
+    ("detection", "unknown class", None),
+    ("detection", "overflowing box", None),
+    *(("mask", how, None) for how in (
+        "of another size", "runs one off", "negative run", "second mask",
+        "detection out of range")))
+
+
 @st.composite
-def mask_defect(draw, record, width, height):
-    """Give one mask of `record`, added for detection 0 if it has none, one
-    defect: a negative run though its runs sum right, runs that sum one
-    too high or too low, a run given as a float, as n + 0.5 or as a bool,
-    a second mask for its detection, or a detection out of range."""
-    masks = record["masks"] = record["masks"] or [
-        {"detection": 0, **draw(mask_fields(width, height))}]
-    mask = draw(st.sampled_from(masks))
-    runs = mask["runs"]
-    i = draw(st.integers(0, len(runs) - 1))
-    defect = draw(st.integers(0, 4))
-    if defect == 0:
+def defect(draw, record, width, height):
+    """Give `record` one defect of a kind drawn from DEFECT_KINDS.  A mask
+    defect goes to one of its masks, added for detection 0 if it has
+    none."""
+    part, how, key = draw(st.sampled_from(DEFECT_KINDS))
+    target = detection = draw(st.sampled_from(record["detections"]))
+    if part == "record":
+        target = record
+    elif part == "mask":
+        masks = record["masks"] = record["masks"] or [
+            {"detection": 0, **draw(mask_fields(width, height))}]
+        target = mask = draw(st.sampled_from(masks))
+        runs = mask["runs"]
+    if how in ("left out", "junk", "near miss"):
+        draw(spoil(target, how, key))
+    elif how == "unknown class":
+        detection["class"] = "steam"
+    elif how == "overflowing box":
+        detection["bbox"] = [0.0, 0.0, 1e200, 1.0]
+    elif how == "of another size":
+        mask.update(draw(mask_fields(draw(st.integers(1, 4)),
+                                     draw(st.integers(1, 4)))))
+    elif how == "runs one off":  # one run off by one, or a run of 1 more
+        i = draw(st.integers(0, len(runs)))
+        if i == len(runs):
+            runs.append(1)
+        else:
+            runs[i] += draw(st.sampled_from([-1, 1])) if runs[i] else 1
+    elif how == "negative run":
         mask["runs"] = [-1, runs[0] + 1, *runs[1:]]
-    elif defect == 1:
-        runs[i] += draw(st.sampled_from([-1, 1])) if runs[i] else 1
-    elif defect == 2:
-        runs[i] = draw(near_miss(runs[i]))
-    elif defect == 3:
-        masks.append({"detection": mask["detection"],
-                      **draw(mask_fields(width, height))})
+    elif how == "second mask":  # the same record again, or another
+        other = {"detection": mask["detection"],
+                 **draw(mask_fields(width, height))}
+        masks.append(draw(st.sampled_from([dict(mask), other])))
     else:
         mask["detection"] = draw(st.sampled_from(
             [-1, len(record["detections"])]))
@@ -112,10 +140,8 @@ def detection_record(draw, width, height):
 def annotation_object(draw, width, height):
     """An annotation object for a width x height frame with one to three
     detections, and with or without masks, each of the frame's size and
-    for a detection of its own.  A third of the time one part of it, the
-    record, a detection or a mask, is spoiled, or else a mask is given a
-    `mask_defect`; leaving out the record's detections gives a frame with
-    none."""
+    for a detection of its own.  A third of the time it has one `defect`;
+    leaving out the record's detections gives a frame with none."""
     detections = draw(st.lists(detection_record(width, height), min_size=1,
                                max_size=3))
     owners = draw(st.lists(st.integers(0, len(detections) - 1),
@@ -124,27 +150,8 @@ def annotation_object(draw, width, height):
         {"detection": i, **draw(mask_fields(width, height))} for i in owners]
     record = {"frame_index": draw(st.integers(0, 2)),
               "detections": detections, "masks": masks}
-    # The parts of each kind, each part with the defects of its own kind.
-    record_swaps = [st.just({"masks": [*masks, masks[-1]]})] if masks else []
-    detection_swaps = [st.just({"class": "steam"}),
-                       st.just({"bbox": [0.0, 0.0, 1e200, 1.0]})]
-    other_size = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
-        lambda size: mask_fields(*size))
-    out_of_range = st.sampled_from([-1, len(detections)]).map(
-        lambda i: {"detection": i})
-    mask_parts = [(m, [other_size, out_of_range,
-                       st.just({"runs": [*m["runs"], 1]}),
-                       st.just({"runs": [-1, m["runs"][0] + 1,
-                                         *m["runs"][1:]]})])
-                  for m in masks or []]
-    kinds = [[(record, record_swaps)],
-             [(d, detection_swaps) for d in detections], mask_parts]
     if draw(st.integers(0, 2)) == 2:
-        kind = draw(st.sampled_from([k for k in kinds if k] + [None]))
-        if kind is None:
-            draw(mask_defect(record, width, height))
-        else:
-            draw(spoil(*draw(st.sampled_from(kind))))
+        draw(defect(record, width, height))
     return record
 
 

@@ -2,16 +2,18 @@
 
 `flaremon.tracker.SortTracker` keeps its tracks as stacked arrays and runs
 one batched predict, one broadcast IoU matrix and one batched update per
-frame.  This module keeps the plain form: a list of frozen `Track`s, one
-Kalman predict and update per track on a single (7,)/(7, 7) state, and one
-`BBox` and `iou` call per (track, detection) pair, so the tests can require
-the same reported ids, matches, births, deaths and states (SORT: Bewley et
-al., arXiv 1602.00763).
+frame, and runs the filter per axis on the diagonal of the covariance.
+This module keeps the plain form: a list of frozen `Track`s, one Kalman
+predict and update per track on a full (7,)/(7, 7) state with matrices F,
+Q, H and R and an `eigh` pseudo-inverse, and one `BBox` and `iou` call per
+(track, detection) pair, so the tests can require the same reported ids,
+matches, births, deaths and states (SORT: Bewley et al., arXiv 1602.00763).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -19,15 +21,41 @@ import numpy as np
 
 from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import NumericalError
-from flaremon.tracker import KalmanParams, hungarian
+from flaremon import tracker
+from flaremon.tracker import hungarian
 
 _SCALE_EPS = 1e-9
+
+
+class KalmanParams(NamedTuple):
+    """Transition F, process noise Q, observation H, measurement noise R."""
+    F: np.ndarray
+    Q: np.ndarray
+    H: np.ndarray
+    R: np.ndarray
+
+
+def kalman_params(process_var, measurement_var) -> KalmanParams:
+    """The constant-velocity filter with Q = diag(process_var) and R =
+    diag(measurement_var), as `flaremon.tracker` runs it per axis."""
+    return KalmanParams(F=np.eye(7) + np.eye(7, k=4),
+                        Q=np.diag(process_var), H=np.eye(4, 7),
+                        R=np.diag(measurement_var))
 
 
 class KalmanState(NamedTuple):
     """One track's state x (7,) and covariance P (7, 7)."""
     x: np.ndarray
     P: np.ndarray
+
+
+def covariance(var, cov):
+    """The (..., 7, 7) covariance of `flaremon.tracker`'s (var, cov) arrays:
+    diagonal `var`, and `cov` at [i, i + 4] and [i + 4, i] for i < 3."""
+    P = var[..., None] * np.eye(7)
+    i = np.arange(3)
+    P[..., i, i + 4] = P[..., i + 4, i] = cov
+    return P
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -55,10 +83,12 @@ def _symmetrize(P):
 
 
 def kalman_predict(state: KalmanState, p: KalmanParams) -> KalmanState:
-    x = p.F @ state.x
+    # The mean moves by F without its 0 * x terms, so an overflowed entry
+    # stays in its own component instead of making the others NaN.
+    x = state.x.copy()
+    x[:3] += x[4:]
     P = _symmetrize(p.F @ state.P @ p.F.T + p.Q)
     if x[2] <= 0.0:
-        x = x.copy()
         x[2] = _SCALE_EPS
     return KalmanState(x=x, P=P)
 
@@ -199,3 +229,37 @@ class SortTracker:
         reported = [t for t in next_tracks
                     if t.hits >= self.min_hits and t.time_since_update == 0]
         return reported, match_ids, births, deaths
+
+
+def assert_steps_alike(new: tracker.SortTracker, ref: SortTracker, frames):
+    """Step `flaremon.tracker.SortTracker` `new` and the oracle `ref`, set
+    up alike, through the same frames: both must report, match, give
+    birth, die, raise and warn alike, and hold the same states to the bit
+    (NaN included)."""
+    for dets in frames:
+        outcome = []
+        for t in (new, ref):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    outcome.append(("ok", t.step(dets)))
+                except (ValueError, NumericalError) as exc:
+                    outcome.append((type(exc), str(exc)))
+            outcome.append([str(w.message) for w in caught])
+        (kind, got), new_warnings, (ref_kind, want), ref_warnings = outcome
+        assert new_warnings == ref_warnings
+        if kind != "ok" or ref_kind != "ok":
+            assert (kind, got) == (ref_kind, want)
+            return
+        reported, matches, births, deaths = want
+        assert got == ([t.id for t in reported], matches, births, deaths)
+        tracks = ref.tracks
+        assert new.id.tolist() == [t.id for t in tracks]
+        assert new.hits.tolist() == [t.hits for t in tracks]
+        assert new.time_since_update.tolist() == [t.time_since_update
+                                                  for t in tracks]
+        if tracks:
+            assert np.array_equal(new.x, [t.state.x for t in tracks],
+                                  equal_nan=True)
+            assert np.array_equal(covariance(new.var, new.cov),
+                                  [t.state.P for t in tracks])

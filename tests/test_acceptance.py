@@ -26,12 +26,12 @@ from flaremon.simulator import (FlameSpec, SceneSpec, StackSpec, preset,
                                 render, rendered_stream)
 from flaremon.stats import (eigen_symmetric, pca_fit, pca_project,
                             standardize_apply, standardize_fit)
-from flaremon.tracker import (KALMAN, SortTracker, hungarian, kalman_predict,
+from flaremon.tracker import (SortTracker, hungarian, kalman_predict,
                               kalman_update)
 from tests import classify_oracle
 from tests.assignment_oracle import brute_force_assignment
 from tests.features_oracle import flame_angle
-from tests.sort_oracle import iou, measurement_to_bbox
+from tests.sort_oracle import covariance, iou, measurement_to_bbox
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS, feature_log_text
 
 
@@ -57,15 +57,14 @@ def test_criterion_1_hungarian_oracle():
 
 def test_criterion_2_kalman_limits(monkeypatch):
     # R = 0 update reproduces the measurement
-    p = KALMAN._replace(F=np.eye(7), Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
-    x, P = np.zeros(7), np.eye(7) * 5.0
+    monkeypatch.setattr("flaremon.tracker.MEASUREMENT_VAR", np.zeros(4))
+    x, var, cov = np.zeros(7), np.full(7, 5.0), np.zeros(3)
     z = np.array([3.0, -1.0, 7.0, 2.0])
-    x, _ = kalman_update(x, P, z, p)
+    x, _, _ = kalman_update(x, var, cov, z)
     assert np.allclose(x[:4], z, atol=1e-9)
 
     # zero-noise constant-velocity target within 1e-6 after 3 updates
-    monkeypatch.setattr("flaremon.tracker.KALMAN", KALMAN._replace(
-        Q=np.zeros((7, 7)), R=np.zeros((4, 4))))
+    monkeypatch.setattr("flaremon.tracker.PROCESS_VAR", np.zeros(7))
     monkeypatch.setattr("flaremon.tracker.MIN_HITS", 1)
     tracker = SortTracker()
     errs = []
@@ -79,18 +78,20 @@ def test_criterion_2_kalman_limits(monkeypatch):
             m = tracker.x[tracker.id == reported[0]][0]
             errs.append(abs(m[0] - (x0 + 6)) + abs(m[1] - (y0 + 10)))
     assert max(errs) < 1e-6
+    monkeypatch.undo()
 
-    # P symmetric PSD over a 1000-step randomized run
+    # P symmetric PSD over a 1000-step randomized run with the shipped noise
     rng = np.random.default_rng(2002)
-    p = KALMAN
-    x, P = np.array([0, 0, 150.0, 1.2, 0, 0, 0]), np.eye(7) * 10.0
+    x = np.array([0, 0, 150.0, 1.2, 0, 0, 0])
+    var, cov = np.full(7, 10.0), np.zeros(3)
     min_eig = np.inf
     for _ in range(1000):
-        x, P = kalman_predict(x, P, p)
+        x, var, cov = kalman_predict(x, var, cov)
         z = x[:4] + rng.normal(scale=[2.0, 2.0, 8.0, 0.05])
         z[2] = max(z[2], 1.0)
         z[3] = max(z[3], 0.05)
-        x, P = kalman_update(x, P, z, p)
+        x, var, cov = kalman_update(x, var, cov, z)
+        P = covariance(var, cov)
         assert np.array_equal(P, P.T)
         min_eig = min(min_eig, np.linalg.eigvalsh(P).min())
     assert min_eig >= -1e-9

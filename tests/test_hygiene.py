@@ -420,3 +420,48 @@ def test_fixed_settings_checker_reads_only_its_table():
               "| `B_C` | 2 | `flaremon.segment` |\n\n## Next\n"
               "| `D` | 3 | `flaremon.core` |\n")
     assert fixed_settings(readme) == [("A", "core"), ("B_C", "segment")]
+
+
+# The names of `perfbench.tracing.WRAPPED` that no longer resolve, and what
+# does their work now.  The tracer reports each as not found and times
+# nothing for it; ROADMAP item 1b re-points them.
+STALE_TRACED = {
+    ("flaremon.core", "Mask.to_array"):
+        "masks decode through core.foreground_indices",
+    ("flaremon.pipeline", "format_feature_log"):
+        "formats.feature_log_writer writes the log a row at a time",
+    ("flaremon.segment", "segment_box"):
+        "segment.segment_frame grows all of a frame's boxes in one batch",
+    ("flaremon.features", "flame_angle"):
+        "the angle comes from features.flame_moments and angle_from_moments",
+}
+
+
+def resolves(source: str, attr: str) -> bool:
+    """Whether the module binds `attr`, a name or a Class.method."""
+    name, _, member = attr.partition(".")
+    if not member:
+        return name in bound_names(source)
+    return any(isinstance(node, ast.ClassDef) and node.name == name
+               and member in {n.name for n in node.body
+                              if isinstance(n, ast.FunctionDef)}
+               for node in ast.parse(source).body)
+
+
+def test_traced_names_resolve_in_src():
+    """A rename in `src/` cannot silently blind a per-layer metric such as
+    `tracker.kalman_s`: every traced name resolves but the stale ones."""
+    from perfbench.tracing import WRAPPED
+
+    unresolved = {(module, attr) for module, attr, _ in WRAPPED
+                  if not resolves((SRC / f"{module.split('.')[1]}.py")
+                                  .read_text(encoding="utf-8"), attr)}
+    assert unresolved == set(STALE_TRACED)
+
+
+def test_resolves_sees_names_and_methods():
+    source = ("from .a import b\nclass C:\n    def m(self):\n        pass\n"
+              "def f():\n    pass\n")
+    assert [resolves(source, a) for a in ("b", "C", "f", "C.m", "g", "C.x",
+                                          "D.m", "f.m")] == [
+        True, True, True, True, False, False, False, False]

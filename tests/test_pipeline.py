@@ -521,7 +521,8 @@ class TestMonitor:
                 live.difference_update(deaths)
                 counts["died"] += len(deaths)
                 assert sorted(self.id.tolist()) == sorted(live)
-                assert {len(a) for a in (self.x, self.P, self.hits,
+                assert {len(a) for a in (self.x, self.var, self.cov,
+                                         self.hits,
                                          self.time_since_update)} == {
                     len(live)}
                 assert len(live) <= slots

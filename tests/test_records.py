@@ -16,7 +16,6 @@ from flaremon.pipeline import Alert
 from flaremon.simulator import (FlameSpec, RenderedFrame, SceneSpec,
                                 SmokeSpec, StackSpec, StackTruth)
 from flaremon.stats import PcaModel, StandardizationParams
-from flaremon.tracker import KalmanParams
 
 BOX = BBox(1.0, 2.0, 5.5, 9.0)
 BOX_TEXT = "BBox(x_min=1.0, y_min=2.0, x_max=5.5, y_max=9.0)"
@@ -53,9 +52,6 @@ RECORDS = [
      "explained_variance_fraction=array([1.]))"),
     (ClassifierModel("knn", {"k": 1}, 0),
      "ClassifierModel(kind='knn', parameters={'k': 1}, parameter_count=0)"),
-    (KalmanParams(ONE, ONE, ONE, ONE),
-     "KalmanParams(F=array([1.]), Q=array([1.]), H=array([1.]), "
-     "R=array([1.]))"),
     (Alert(1, 2, 6, FV, (0.5, -0.25)),
      f"Alert(track_id=1, first_frame=2, last_frame=6, features={FV_TEXT}, "
      "pcs=(0.5, -0.25))"),
@@ -108,7 +104,7 @@ def test_positional_and_keyword_construction_agree(record):
 # The records without an array, dict or list, which hash.
 HASHABLE = [r for r, _ in RECORDS if not isinstance(
     r, (Frame, EfficiencyModel, StandardizationParams, PcaModel,
-        ClassifierModel, KalmanParams))]
+        ClassifierModel))]
 
 
 @pytest.mark.parametrize("record", HASHABLE,
@@ -130,6 +126,8 @@ def test_equal_records_hash_equal(record):
     (Frame(0, 0.0, 1, 1, PIXELS), {"width": 2}),
     (FlameSpec(10.0, 20.0, 8.0, 3.0, 5.0), {"tilt_deg": 90.0}),
     (FlameSpec(10.0, 20.0, 8.0, 3.0, 5.0), {"minor": 0.0}),
+    (FlameSpec(10.0, 20.0, 8.0, 3.0, 5.0), {"core_color": (0, 0, 256)}),
+    (SmokeSpec(0.2), {"gray": 40000}),
     (SceneSpec(), {"frame_count": 0}),
     (SceneSpec(), {"width": 0}),
     (SceneSpec(), {"width": -5}),

@@ -48,10 +48,8 @@ class TestEllipseWindow:
         assert win_truncated == truncated
 
 
-# 8-bit colors, or any int16 value, which the noise can push past the limits
-int16s = (st.integers(0, 255) | st.integers(-2 ** 15, 2 ** 15 - 1)
-          | st.sampled_from((-2 ** 15, 2 ** 15 - 1)))
-colors = st.tuples(int16s, int16s, int16s)
+channels = st.integers(0, 255) | st.sampled_from((0, 255))
+colors = st.tuples(channels, channels, channels)
 
 
 @st.composite
@@ -69,7 +67,7 @@ def scene_specs(draw):
             drift=(draw(st.floats(-3, 3)), draw(st.floats(-3, 3))),
             core_color=draw(colors), edge_color=draw(colors))
         smoke = draw(st.none() | st.builds(
-            SmokeSpec, st.floats(0.05, 3.0), int16s,
+            SmokeSpec, st.floats(0.05, 3.0), channels,
             st.floats(0.0, 12.0)))
         stacks.append(StackSpec(flame, smoke, draw(st.sampled_from(
             ("high", "low")))))
@@ -218,3 +216,23 @@ class TestPresets:
     def test_scene_spec_rejects_what_it_cannot_render(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             SceneSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("core_color", (90, 40000, 245)), ("core_color", (-1, 110, 245)),
+        ("edge_color", (130, 150, 256)), ("edge_color", (130, 150)),
+        ("core_color", (90.0, float("nan"), 245)),
+        ("edge_color", ("130", 150, 250)), ("gray", 40000), ("gray", -1),
+        ("gray", 110.0)])
+    def test_colors_outside_8_bits_rejected(self, field, value):
+        """Every pixel is a colour in [0, 255] before the noise."""
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            if field == "gray":
+                SmokeSpec(1.0, gray=value)
+            else:
+                FlameSpec(0, 0, 5, 5, 0, **{field: value})
+
+    def test_colors_at_the_8_bit_limits_accepted(self):
+        flame = FlameSpec(0, 0, 5, 5, 0, core_color=(0, 0.5, 255),
+                          edge_color=(255, 255, 255))
+        assert flame.core_color == (0, 0.5, 255)
+        assert SmokeSpec(1.0, gray=0).gray == 0

@@ -1,6 +1,3 @@
-import itertools
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,104 +6,131 @@ from hypothesis import strategies as st
 from flaremon import tracker
 from flaremon.core import BBox, DetClass, Detection
 from flaremon.errors import NumericalError
-from flaremon.tracker import (KALMAN, SortTracker, _boxes, _iou_matrix,
-                              _measurements, hungarian, kalman_predict,
-                              kalman_update)
+from flaremon.simulator import PRESETS, preset, render
+from flaremon.tracker import (MEASUREMENT_VAR, PROCESS_VAR, SortTracker,
+                              _boxes, _iou_matrix, _measurements, hungarian,
+                              kalman_predict, kalman_update)
 from tests import sort_oracle as oracle
-from tests.sort_oracle import KalmanState, iou
+from tests.sort_oracle import KalmanState, covariance, iou
 from tests.assignment_oracle import brute_force_assignment
+from perfbench.scenes import MONITOR, scene
 
 
-NOISELESS = KALMAN._replace(Q=np.zeros((7, 7)), R=np.zeros((4, 4)))
+# (PROCESS_VAR, MEASUREMENT_VAR) pairs: the shipped noise, none at all, and
+# perfect measurements.
+SHIPPED = (PROCESS_VAR, MEASUREMENT_VAR)
+NOISELESS = (np.zeros(7), np.zeros(4))
+ZERO_R = (PROCESS_VAR, np.zeros(4))
 
 
-def identity_params(q=0.0, r=1.0):
-    return KALMAN._replace(F=np.eye(7), Q=np.eye(7) * q, R=np.eye(4) * r)
+def set_noise(mp, noise):
+    mp.setattr(tracker, "PROCESS_VAR", noise[0])
+    mp.setattr(tracker, "MEASUREMENT_VAR", noise[1])
+
+
+def split(P):
+    """A block-diagonal (..., 7, 7) covariance as its (var, cov) arrays."""
+    var = np.diagonal(P, axis1=-2, axis2=-1).copy()
+    return var, P[..., [0, 1, 2], [4, 5, 6]]
 
 
 def state_with(x, p=1.0):
     return KalmanState(x=np.asarray(x, dtype=float), P=np.eye(7) * p)
 
 
-def predict(s, p):
+def predict(s):
     """kalman_predict on an oracle state, as an oracle state."""
-    return KalmanState(*kalman_predict(s.x, s.P, p))
+    x, var, cov = kalman_predict(s.x, *split(s.P))
+    return KalmanState(x, covariance(var, cov))
 
 
-def update(s, z, p):
+def update(s, z):
     """kalman_update on an oracle state, as an oracle state."""
-    return KalmanState(*kalman_update(s.x, s.P, z, p))
+    x, var, cov = kalman_update(s.x, *split(s.P), z)
+    return KalmanState(x, covariance(var, cov))
 
 
 class TestKalmanPredict:
-    def test_identity_no_noise(self):
-        s = state_with([1, 2, 3, 4, 5, 6, 7])
-        out = predict(s, identity_params(q=0.0))
-        assert np.allclose(out.x, s.x)
-        assert np.allclose(out.P, s.P)
+    def test_hand_case(self):
+        # F P F^T + Q for P = I: position 1 + 1 + q, position-velocity 1,
+        # velocity 1 + q; the aspect ratio has no velocity.
+        x, var, cov = kalman_predict(np.arange(1.0, 8.0), np.ones(7),
+                                     np.zeros(3))
+        assert x.tolist() == [6, 8, 10, 4, 5, 6, 7]
+        assert var.tolist() == (np.array([2, 2, 2, 1, 1, 1, 1.0])
+                                + PROCESS_VAR).tolist()
+        assert cov.tolist() == [1, 1, 1]
 
-    def test_identity_unit_noise(self):
-        s = state_with([1, 2, 3, 4, 5, 6, 7])
-        out = predict(s, identity_params(q=1.0))
-        assert np.allclose(out.x, s.x)
-        assert np.allclose(out.P, s.P + np.eye(7))
+    def test_process_noise_only(self, monkeypatch):
+        s = state_with([1, 2, 3, 4, 0, 0, 0], p=0.0)
+        out = predict(s)
+        assert np.array_equal(out.x, s.x)
+        assert np.array_equal(out.P, np.diag(PROCESS_VAR))
+        monkeypatch.setattr(tracker, "PROCESS_VAR", np.zeros(7))
+        assert np.array_equal(predict(s).P, s.P)
+
+    def test_inputs_unchanged(self):
+        x, var, cov = np.arange(7.0), np.ones(7), np.full(3, 0.5)
+        kalman_predict(x, var, cov)
+        kalman_update(x, var, cov, np.ones(4))
+        assert x.tolist() == list(range(7)) and var.tolist() == [1] * 7
+        assert cov.tolist() == [0.5] * 3
 
     def test_constant_velocity_center(self):
         s = state_with([0, 0, 1, 1, 2, 3, 0])
-        out = predict(s, KALMAN)
+        out = predict(s)
         assert out.x[0] == pytest.approx(2)
         assert out.x[1] == pytest.approx(3)
 
     def test_degenerate_scale_clamped(self):
         s = state_with([0, 0, 1, 1, 0, 0, -5])
-        out = predict(s, KALMAN)
+        out = predict(s)
         assert out.x[2] == 1e-9
 
 
 class TestKalmanUpdate:
-    def test_perfect_measurement(self):
-        p = identity_params(r=0.0)
+    def test_perfect_measurement(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MEASUREMENT_VAR", np.zeros(4))
         s = state_with([0, 0, 1, 1, 0, 0, 0], p=4.0)
         z = np.array([3.0, 4.0, 5.0, 2.0])
-        out = update(s, z, p)
+        out = update(s, z)
         assert np.allclose(out.x[:4], z, atol=1e-9)
         assert np.allclose(out.P[:4, :4], 0.0, atol=1e-9)
 
     def test_zero_innovation(self):
-        p = identity_params(r=1.0)
         s = state_with([1, 2, 3, 4, 0, 0, 0])
-        out = update(s, s.x[:4], p)
+        out = update(s, s.x[:4])
         assert np.allclose(out.x, s.x)
 
-    def test_scalar_gain_half(self):
+    def test_scalar_gain_half(self, monkeypatch):
         # P=1, R=1, H selects component -> K=0.5, posterior variance 0.5
-        p = identity_params(r=1.0)
+        monkeypatch.setattr(tracker, "MEASUREMENT_VAR", np.ones(4))
         s = state_with([0, 0, 0, 0, 0, 0, 0], p=1.0)
-        out = update(s, np.array([1.0, 0, 0, 0]), p)
+        out = update(s, np.array([1.0, 0, 0, 0]))
         assert out.x[0] == pytest.approx(0.5)
         assert out.P[0, 0] == pytest.approx(0.5)
 
-    def test_singular_inconsistent_innovation_raises(self):
+    def test_singular_inconsistent_innovation_raises(self, monkeypatch):
         # zero innovation covariance cannot explain a non-zero innovation
-        p = KALMAN._replace(R=np.zeros((4, 4)))
+        monkeypatch.setattr(tracker, "MEASUREMENT_VAR", np.zeros(4))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
-            update(s, np.ones(4), p)
+            update(s, np.ones(4))
 
-    def test_ill_conditioned_innovation_raises(self):
-        p = KALMAN._replace(R=np.diag([1.0, 1.0, 1.0, 1e-14]))
+    def test_ill_conditioned_innovation_raises(self, monkeypatch):
+        monkeypatch.setattr(tracker, "MEASUREMENT_VAR",
+                            np.array([1.0, 1.0, 1.0, 1e-14]))
         s = KalmanState(x=np.zeros(7), P=np.zeros((7, 7)))
         with pytest.raises(NumericalError):
-            update(s, np.ones(4), p)
+            update(s, np.ones(4))
 
     def test_covariance_psd_randomized(self):
         rng = np.random.default_rng(0)
-        p = KALMAN
         s = state_with([0, 0, 100, 1, 0, 0, 0], p=10.0)
         for _ in range(200):
-            s = predict(s, p)
+            s = predict(s)
             z = s.x[:4] + rng.normal(scale=[2, 2, 5, 0.05])
-            s = update(s, z, p)
+            s = update(s, z)
             assert np.allclose(s.P, s.P.T)
             assert np.linalg.eigvalsh(s.P).min() >= -1e-9
 
@@ -235,7 +259,7 @@ class TestSortStep:
 
     def test_noiseless_constant_velocity_tracked(self, monkeypatch):
         # Q=0, R=0: tracked center equals ground truth within 1e-6 after 3 updates
-        monkeypatch.setattr(tracker, "KALMAN", NOISELESS)
+        set_noise(monkeypatch, NOISELESS)
         monkeypatch.setattr(tracker, "MIN_HITS", 1)
         t = SortTracker()
         for k in range(5):
@@ -261,101 +285,77 @@ class TestSortStep:
         assert run() == run()
 
 
-def assert_states_close(got, want):
-    np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(got.P, want.P, rtol=1e-12, atol=1e-12)
+def assert_states_equal(got, want):
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.P, want.P)
+
+
+def random_stack(rng, n):
+    """n block-diagonal covariances, positive definite, and their boxes."""
+    var = rng.uniform(0.1, 100.0, (n, 7))
+    corr = rng.uniform(-0.99, 0.99, (n, 3))
+    cov = corr * np.sqrt(var[:, :3] * var[:, 4:])
+    x = rng.normal(size=(n, 7)) * 50.0
+    return (KalmanState(x=x, P=covariance(var, cov)),
+            x[:, :4] + rng.normal(size=(n, 4)))
 
 
 class TestStackedKalman:
-    def random_stack(self, rng, n):
-        A = rng.normal(size=(n, 7, 7))
-        P = A @ A.swapaxes(-1, -2) + np.eye(7) * rng.uniform(0.1, 10.0)
-        x = rng.normal(size=(n, 7)) * 50.0
-        return KalmanState(x=x, P=P), x[:, :4] + rng.normal(size=(n, 4))
-
-    def test_stacked_equals_single_row_by_row(self):
+    @pytest.mark.parametrize("noise", [
+        SHIPPED, ZERO_R, (PROCESS_VAR, np.array([0.0, 1e-3, 0.0, 2.0]))])
+    def test_stacked_equals_single_row_by_row(self, noise, monkeypatch):
+        set_noise(monkeypatch, noise)
+        ref_params = oracle.kalman_params(*noise)
         rng = np.random.default_rng(5)
-        for p in (KALMAN,
-                  KALMAN._replace(R=np.diag([0.0, 1e-3, 0.0, 2.0]))):
-            for n in (1, 2, 6, 20):
-                s, z = self.random_stack(rng, n)
-                pred, post = predict(s, p), update(s, z, p)
-                for i in range(n):
-                    one = KalmanState(x=s.x[i], P=s.P[i])
-                    for stacked, single, ref in (
-                            (pred, predict(one, p),
-                             oracle.kalman_predict(one, p)),
-                            (post, update(one, z[i], p),
-                             oracle.kalman_update(one, z[i], p))):
-                        assert_states_close(
-                            KalmanState(x=stacked.x[i], P=stacked.P[i]),
-                            single)
-                        assert_states_close(single, ref)
+        for n in (1, 2, 6, 20):
+            s, z = random_stack(rng, n)
+            pred, post = predict(s), update(s, z)
+            for i in range(n):
+                one = KalmanState(x=s.x[i], P=s.P[i])
+                for stacked, single, ref in (
+                        (pred, predict(one),
+                         oracle.kalman_predict(one, ref_params)),
+                        (post, update(one, z[i]),
+                         oracle.kalman_update(one, z[i], ref_params))):
+                    assert_states_equal(
+                        KalmanState(x=stacked.x[i], P=stacked.P[i]), single)
+                    assert_states_equal(single, ref)
 
     def test_degenerate_scale_clamped_per_row(self):
         x = np.array([[0, 0, 1, 1, 0, 0, -5], [0, 0, 9, 1, 0, 0, -5]], float)
-        out_x, _ = kalman_predict(x, np.stack([np.eye(7)] * 2),
-                                  KALMAN)
+        out_x, _, _ = kalman_predict(x, np.ones((2, 7)), np.zeros((2, 3)))
         assert out_x[:, 2].tolist() == [1e-9, 4.0]
 
-    @staticmethod
-    def stack_with_bad_row(bad_row, n=4):
-        # R = 0 and zero covariance: only a zero innovation is consistent.
-        p = KALMAN._replace(R=np.zeros((4, 4)))
-        s = KalmanState(x=np.zeros((n, 7)), P=np.zeros((n, 7, 7)))
-        z = np.zeros((n, 4))
-        z[bad_row] = 1.0
-        return s, z, p
-
     @pytest.mark.parametrize("bad_row", [0, 2, 3])
-    def test_one_singular_row_raises(self, bad_row):
-        s, z, p = self.stack_with_bad_row(bad_row)
+    def test_one_singular_row_raises(self, bad_row, monkeypatch):
+        # R = 0 and zero covariance: only a zero innovation is consistent.
+        monkeypatch.setattr(tracker, "MEASUREMENT_VAR", np.zeros(4))
+        x, var, cov = np.zeros((4, 7)), np.zeros((4, 7)), np.zeros((4, 3))
+        z = np.zeros((4, 4))
+        z[bad_row] = 1.0
         with pytest.raises(NumericalError, match="singular"):
-            update(s, z, p)
+            kalman_update(x, var, cov, z)
         z[bad_row] = 0.0
-        out = update(s, z, p)
-        assert np.array_equal(out.x, s.x)
+        out_x, _, _ = kalman_update(x, var, cov, z)
+        assert np.array_equal(out_x, x)
 
 
 def run_both(frames, iou_threshold=tracker.IOU_THRESHOLD,
              max_age=tracker.MAX_AGE, min_hits=tracker.MIN_HITS,
-             kalman=KALMAN):
+             noise=SHIPPED):
     """Step the stacked tracker, its constants set to these values, and the
     per-track oracle through the same frames; both must report, match,
-    give birth, die and raise alike."""
+    give birth, die and raise alike, and hold the same states to the bit."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in (("IOU_THRESHOLD", iou_threshold),
-                            ("MAX_AGE", max_age), ("MIN_HITS", min_hits),
-                            ("KALMAN", kalman)):
+                            ("MAX_AGE", max_age), ("MIN_HITS", min_hits)):
             mp.setattr(tracker, name, value)
-        new = SortTracker()
-        ref = oracle.SortTracker(iou_threshold, max_age, min_hits, kalman)
-        for dets in frames:
-            outcome = []
-            for t in (new, ref):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        outcome.append(("ok", t.step(dets)))
-                    except (ValueError, NumericalError) as exc:
-                        outcome.append((type(exc), str(exc)))
-                outcome.append([str(w.message) for w in caught])
-            (kind, got), new_warnings, (ref_kind, want), ref_warnings = outcome
-            assert new_warnings == ref_warnings
-            if kind != "ok" or ref_kind != "ok":
-                assert (kind, got) == (ref_kind, want)
-                return
-            reported, matches, births, deaths = want
-            assert got == ([t.id for t in reported], matches, births, deaths)
-            tracks = ref.tracks
-            assert new.id.tolist() == [t.id for t in tracks]
-            assert new.hits.tolist() == [t.hits for t in tracks]
-            assert new.time_since_update.tolist() == [t.time_since_update
-                                                      for t in tracks]
-            if tracks:
-                assert_states_close(new, KalmanState(
-                    x=np.array([t.state.x for t in tracks]),
-                    P=np.array([t.state.P for t in tracks])))
+        set_noise(mp, noise)
+        oracle.assert_steps_alike(
+            SortTracker(), oracle.SortTracker(iou_threshold, max_age,
+                                              min_hits,
+                                              oracle.kalman_params(*noise)),
+            frames)
 
 
 @st.composite
@@ -389,17 +389,20 @@ class TestAgainstPerTrackOracle:
     @settings(max_examples=300, deadline=None)
     @given(detection_streams(), st.integers(1, 4), st.integers(1, 4),
            st.sampled_from([0.1, 0.3, 0.6]),
-           st.sampled_from([KALMAN, NOISELESS]))
+           st.sampled_from([SHIPPED, NOISELESS, ZERO_R]))
     def test_streams_match(self, frames, min_hits, max_age, threshold,
-                           kalman):
-        run_both(frames, threshold, max_age, min_hits, kalman)
+                           noise):
+        run_both(frames, threshold, max_age, min_hits, noise)
 
-    def test_three_stacks_scene_matches(self):
-        from flaremon.simulator import preset, render
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(preset(name), id=name) for name in PRESETS),
+        *(pytest.param(scene(seed, MONITOR), id=f"monitor-{seed}")
+          for seed in (777, 41))])
+    def test_scene_states_bit_identical(self, spec):
+        """The flames of each preset and of two benchmark monitor scenes:
+        every frame's states equal the oracle's to the bit."""
         run_both([[d for d in rf.annotation.detections
-                   if d.cls is DetClass.FLAME]
-                  for rf in itertools.islice(render(preset("three_stacks")),
-                                             60)])
+                   if d.cls is DetClass.FLAME] for rf in render(spec)])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_state_ends_as_before(self):
