@@ -55,8 +55,7 @@ def _int_at_least(least, what):
 def _input_stream(args):
     if args.input.startswith("preset:"):
         from .simulator import preset, render, rendered_stream
-        name = args.input.split(":", 1)[1]
-        return rendered_stream(render(preset(name)))
+        return rendered_stream(render(preset(args.input.split(":", 1)[1])))
     if not args.frames:
         raise ParseError("--frames is required with a file input")
     return formats.load_annotated_frames(args.input, args.frames)
@@ -154,6 +153,10 @@ def cmd_train(args):
 
 
 def cmd_monitor(args):
+    if args.input.startswith("preset:") and args.frames is not None:
+        print("monitor --input preset:NAME takes no --frames",
+              file=sys.stderr)
+        return EXIT_USAGE
     model = formats.load_model(args.model)
     n_alerts = 0
     with formats.feature_log_writer(args.log) as write_row:

@@ -139,21 +139,11 @@ class Mask(_Checked, _Mask):
                              f"{width}x{height}")
         ys, xs = np.nonzero(arr)
         idx = (ys + y0) * width + (xs + x0)
-        return cls.from_runs(idx, idx + 1, size=(width, height))
-
-    @classmethod
-    def from_runs(cls, starts, ends, size) -> "Mask":
-        """Encode foreground runs [starts[i], ends[i]) of flat row-major
-        indices, sorted and disjoint, in a frame of size (width, height);
-        runs that touch are merged."""
-        width, height = size
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        # A foreground run ends wherever the next one does not start.
-        gap = np.flatnonzero(starts[1:] != ends[:-1])
-        bounds = np.column_stack((np.concatenate((starts[:1], starts[gap + 1])),
-                                  np.concatenate((ends[gap], ends[-1:])))).ravel()
-        runs = np.diff(np.concatenate(([0], bounds, [width * height])))
+        # A foreground run ends where the next index is not one more.
+        cut = np.flatnonzero(idx[1:] != idx[:-1] + 1)
+        bounds = np.column_stack((np.concatenate((idx[:1], idx[cut + 1])),
+                                  np.concatenate((idx[cut], idx[-1:])) + 1))
+        runs = np.diff(np.concatenate(([0], bounds.ravel(), [width * height])))
         if runs.size > 1 and runs[-1] == 0:
             runs = runs[:-1]
         return cls._unchecked(int(width), int(height), tuple(runs.tolist()))

@@ -57,13 +57,18 @@ def extract_track_features(
     frame (degenerate orientation, empty region, box-only detection centred
     off the frame) are skipped with a log line, not fatal; an off-frame
     box-only smoke detection is left out of smoke attribution the same way.
-    A mask whose size differs from its frame raises DecodeError.  Smoke
+    Any mask whose size differs from its frame raises DecodeError.  Smoke
     counts for the nearest flame detection at or below it, reported or not
     (features.associate_smoke), so smoke over a warming-up flame counts for
     no flame.
     """
     tracker = SortTracker()
     for frame, ann in stream:
+        for i, mask in ann.masks or ():  # in record order
+            if (mask.width, mask.height) != (frame.width, frame.height):
+                raise DecodeError(f"frame {ann.frame_index} detection {i}: "
+                                  f"mask is {mask.width}x{mask.height}, "
+                                  f"frame is {frame.width}x{frame.height}")
         flame_idx = [i for i, d in enumerate(ann.detections)
                      if d.cls is DetClass.FLAME]
         reported, matches, _, deaths = tracker.step(
@@ -71,7 +76,7 @@ def extract_track_features(
         det_of_track = {t: flame_idx[j] for t, j in matches}
         matched = [(t, det_of_track[t]) for t in reported if t in det_of_track]
         # Flames in reported order, then smokes (track None) in detection
-        # order: the order of warnings and errors.
+        # order: the order of the off-frame seed warnings.
         regions = matched + [(None, i) for i, d in enumerate(ann.detections)
                              if d.cls is DetClass.SMOKE]
         external = dict(ann.masks or ())
@@ -88,21 +93,13 @@ def extract_track_features(
         smoke_regions = []
         for track_id, i in regions:
             box = ann.detections[i].bbox
-            if i in grown:
-                if grown[i] is None:
-                    what = (f"smoke detection {i}" if track_id is None
-                            else f"track {track_id}")
-                    log.warning("frame %d %s skipped: seed %s outside %dx%d",
-                                ann.frame_index, what, seed_pixel(box),
-                                frame.width, frame.height)
-                    continue
-            else:
-                mask = external[i]
-                if (mask.width, mask.height) != (frame.width, frame.height):
-                    raise DecodeError(
-                        f"frame {ann.frame_index} detection {i}: mask is "
-                        f"{mask.width}x{mask.height}, frame is "
-                        f"{frame.width}x{frame.height}")
+            if i in grown and grown[i] is None:
+                what = (f"smoke detection {i}" if track_id is None
+                        else f"track {track_id}")
+                log.warning("frame %d %s skipped: seed %s outside %dx%d",
+                            ann.frame_index, what, seed_pixel(box),
+                            frame.width, frame.height)
+                continue
             if track_id is None:
                 smoke_regions.append(
                     (box, grown[i] if i in grown else external[i].area()))
@@ -128,11 +125,11 @@ def extract_track_features(
         counts, means, moments = flame_moments(
             frame, [grown[i] for _, i in flames])
         out: List[StatusRecord] = []
-        for (track_id, _), n, rgb, mu in zip(flames, counts.tolist(),
+        for (track_id, i), n, rgb, mu in zip(flames, counts.tolist(),
                                              means.tolist(), moments.tolist()):
             try:
                 # An empty mask fails here, so its NaN means go unread.
-                ratio = smoke_flame_ratio(smoke[det_of_track[track_id]], n)
+                ratio = smoke_flame_ratio(smoke[i], n)
                 index = rgb_index(rgb)
                 angle = angle_from_moments(n, *mu)
             except (DegenerateOrientation, EmptyRegion,

@@ -23,11 +23,11 @@ rows.  Every run of a batch is labelled at once, in rounds: each hooks
 every root to the least root beside it, then jumps pointers until each
 run points at its root (Shiloach and Vishkin, 1982).  The rounds end when
 no two touching runs differ in label.  A window's component is the label
-of its seed's run, and its area that label's total run length.  When the
-area fits under the cap, no order matters and that is the result.  Only
-when it does not, the region is grown by a breadth-first search that
-expands a whole level per numpy step.  External masks, when present,
-always take precedence over this fallback.
+of its seed's run, and its area that label's total run length.  A smoke
+count is the lesser of that area and the cap, at which a capped growth
+stops.  Only a flame whose area exceeds the cap is grown by breadth-first
+search, a whole level per numpy step, as its order picks the pixels.
+External masks, when present, always take precedence over this fallback.
 """
 
 from __future__ import annotations
@@ -163,20 +163,15 @@ def _grow_batch(frame, batch, n_masks, out):
         if whole[j]:  # its pixels follow the previous whole flame's
             end += area
             out[k] = pixels[end - area:end]
-            continue
-        if area <= cap:
-            out[k] = area
-            continue
-        # The cap binds, so breadth-first order decides what is kept.
-        off = int(offsets[j])
-        admitted = _level_bfs(ok[off:off + (w + 2) * (h + 2)],
-                              int(seeds[j]) - off, w + 2, cap)
-        if k < n_masks:
+        elif k >= n_masks:  # a capped growth stops at exactly cap pixels
+            out[k] = min(area, cap)
+        else:  # the cap binds on a flame: breadth-first order picks pixels
+            off = int(offsets[j])
+            admitted = _level_bfs(ok[off:off + (w + 2) * (h + 2)],
+                                  int(seeds[j]) - off, w + 2, cap)
             rows, cols = np.nonzero(
                 admitted.reshape(h + 2, w + 2)[1:-1, 1:-1])
             out[k] = (rows + y0) * frame.width + cols + x0
-        else:
-            out[k] = int(np.count_nonzero(admitted))
 
 
 def _label_runs(starts, ends, stride):

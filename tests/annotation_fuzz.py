@@ -1,7 +1,7 @@
 """Hypothesis strategies for annotation lines near the schema of
 `flaremon.ingest`.  Two annotation objects in three are sound; the others
-have one defect, whose kind is drawn first, from `DEFECT_KINDS`, so that
-every kind is drawn often: a field of the record, of a detection or of a
+have one defect, of a kind that is given or else drawn first from
+`DEFECT_KINDS`: a field of the record, of a detection or of a
 mask left out or of the wrong JSON type, or a number given as a near
 miss: an integer as a float, as n + 0.5 or as a bool, including every
 mask field and run, a box coordinate or confidence as a bool, a numeric
@@ -87,11 +87,11 @@ DEFECT_KINDS = (
 
 
 @st.composite
-def defect(draw, record, width, height):
-    """Give `record` one defect of a kind drawn from DEFECT_KINDS.  A mask
-    defect goes to one of its masks, added for detection 0 if it has
-    none."""
-    part, how, key = draw(st.sampled_from(DEFECT_KINDS))
+def defect(draw, record, width, height, kind=None):
+    """Give `record` one defect of `kind`, one of DEFECT_KINDS, or of a kind
+    drawn from them.  A mask defect goes to one of its masks, added for
+    detection 0 if it has none."""
+    part, how, key = kind or draw(st.sampled_from(DEFECT_KINDS))
     target = detection = draw(st.sampled_from(record["detections"]))
     if part == "record":
         target = record
@@ -137,11 +137,12 @@ def detection_record(draw, width, height):
 
 
 @st.composite
-def annotation_object(draw, width, height):
+def annotation_object(draw, width, height, kind=None):
     """An annotation object for a width x height frame with one to three
     detections, and with or without masks, each of the frame's size and
-    for a detection of its own.  A third of the time it has one `defect`;
-    leaving out the record's detections gives a frame with none."""
+    for a detection of its own.  A third of the time it has one `defect`,
+    and always one of `kind` if that is given; leaving out the record's
+    detections gives a frame with none."""
     detections = draw(st.lists(detection_record(width, height), min_size=1,
                                max_size=3))
     owners = draw(st.lists(st.integers(0, len(detections) - 1),
@@ -150,8 +151,8 @@ def annotation_object(draw, width, height):
         {"detection": i, **draw(mask_fields(width, height))} for i in owners]
     record = {"frame_index": draw(st.integers(0, 2)),
               "detections": detections, "masks": masks}
-    if draw(st.integers(0, 2)) == 2:
-        draw(defect(record, width, height))
+    if kind or draw(st.integers(0, 2)) == 2:
+        draw(defect(record, width, height, kind))
     return record
 
 

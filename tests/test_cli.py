@@ -225,6 +225,14 @@ def test_monitor_bad_option_is_usage_error(tmp_path, capsys, argv, message):
     assert err.startswith("usage: flaremon monitor") and message in err
 
 
+def test_monitor_preset_with_frames_is_usage_error(tmp_path, capsys):
+    # A preset renders its own frames, so --frames would go unread.
+    assert run("monitor", "--model", str(tmp_path / "nope.json"), "--input",
+               "preset:windy", "--frames", str(tmp_path / "no-such-dir")) == 1
+    assert capsys.readouterr() == (
+        "", "monitor --input preset:NAME takes no --frames\n")
+
+
 def test_usage_error_exit_code():
     assert run("train") in (1, 2)  # missing required --out
     assert run() == 1
@@ -685,6 +693,24 @@ def fuzz_lines(indices):
             {"class": "smoke", "bbox": [1, 0, 7, 2], "confidence": 0.8}],
         "masks": [{"detection": 0, "width": 8, "height": 6,
                    "runs": runs}]}) + "\n" for i in indices)
+
+
+def test_mask_of_unreported_flame_of_wrong_size_is_data_error(
+        fuzz_frames, table_model, tmp_path, capsys):
+    # Two frames, so the flame's track never reports; its 10x6 mask is
+    # still checked against the 8x6 frame.
+    wide = np.zeros((6, 10), dtype=bool)
+    wide[3:6, 1:7] = True
+    mask = {"detection": 0, "width": 10, "height": 6,
+            "runs": list(Mask.from_array(wide).runs)}
+    ann_path = tmp_path / "annotations.jsonl"
+    ann_path.write_text("".join(
+        json.dumps({**json.loads(line), "masks": [mask]}) + "\n"
+        for line in fuzz_lines(range(2)).splitlines()))
+    assert run("monitor", "--model", table_model, "--input", str(ann_path),
+               "--frames", fuzz_frames) == 2
+    assert capsys.readouterr().err == \
+        "error: frame 0 detection 0: mask is 10x6, frame is 8x6\n"
 
 
 @pytest.fixture(scope="module")

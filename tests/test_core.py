@@ -134,20 +134,6 @@ class TestMask:
         assert (Mask.from_array(win, origin=(left, top), size=size)
                 == Mask.from_array(pasted))
 
-    @given(mask_arrays())
-    @example(LEADING_AND_WRAPPING)
-    def test_row_runs_merge_across_rows(self, arr):
-        # Each row's runs on their own, so a run that wraps into the next
-        # row arrives in two pieces that from_runs must merge.
-        h, w = arr.shape
-        flat = np.r_[False, np.pad(arr, ((0, 0), (0, 1))).ravel()]
-        edges = np.flatnonzero(flat[1:] != flat[:-1])
-        starts, ends = edges[0::2], edges[1::2]
-        row = starts // (w + 1)
-        starts, ends = starts - row, ends - row  # drop the pad column
-        assert (Mask.from_runs(starts, ends, size=(w, h))
-                == Mask.from_array(arr))
-
     @pytest.mark.parametrize("width, height, runs", [
         (2, 2, (1.9, 3.9)), (2.0, 2, (1, 3)), (2, 2.5, (1, 4)),
         (2, 2, ("1", "3")), (2, 2, (1, None, 3))])

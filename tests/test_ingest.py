@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from flaremon.ingest import (FrameAnnotation, format_annotation,
                              parse_annotation_line, read_annotation_stream,
                              write_annotation_stream)
 from tests import ingest_oracle
-from tests.annotation_fuzz import annotation_lines
+from tests.annotation_fuzz import (DEFECT_KINDS, annotation_lines,
+                                   annotation_object)
 
 ONE_FLAME = ('{"frame_index":0,"detections":[{"class":"flame",'
              '"bbox":[1.0,2.0,5.0,9.0],"confidence":0.9}]}')
@@ -260,25 +262,27 @@ DEFECTS = ("record must be an object with frame_index", "bad frame_index",
            "mask references detection", "second mask for detection")
 
 
-def drawn_defects():
-    """The DEFECTS that 2,000 derandomized `annotation_lines` raise, and
-    "wrong size" if one with a mask of another size than the frame's
-    parses."""
-    seen = set()
+def drawn_defects(per_kind=118):
+    """How many of `per_kind` derandomized annotation lines with a defect of
+    each of the DEFECT_KINDS, about 2,000 lines in all, raise each of the
+    DEFECTS, and how many with a mask of another size than the frame's
+    parse ("wrong size").  Each kind gets its own lines, so that its share
+    does not hang on how Hypothesis weighs a `sampled_from`."""
+    seen = collections.Counter()
+    for kind in DEFECT_KINDS:
+        @settings(max_examples=per_kind, derandomize=True, database=None,
+                  phases=[Phase.generate])
+        @given(annotation_object(8, 6, kind).map(json.dumps))
+        def sample(line):
+            try:
+                ann = parse_annotation_line(line)
+            except FlaremonError as exc:
+                seen.update(d for d in DEFECTS if d in str(exc))
+                return
+            if any((m.width, m.height) != (8, 6) for _, m in ann.masks or ()):
+                seen["wrong size"] += 1
 
-    @settings(max_examples=2000, derandomize=True, database=None,
-              phases=[Phase.generate])
-    @given(annotation_lines(8, 6))
-    def sample(line):
-        try:
-            ann = parse_annotation_line(line)
-        except FlaremonError as exc:
-            seen.update(d for d in DEFECTS if d in str(exc))
-            return
-        if any((m.width, m.height) != (8, 6) for _, m in ann.masks or ()):
-            seen.add("wrong size")
-
-    sample()
+        sample()
     return seen
 
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from flaremon import pipeline
 from flaremon.classify import HIGH, LOW
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
-from flaremon.errors import FlaremonError, ParseError, TrainingDataError
+from flaremon.errors import (DecodeError, FlaremonError, ParseError,
+                             TrainingDataError)
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
 from flaremon.formats import (StatusRecord, emit_scatter_plot, load_frames,
@@ -137,6 +138,42 @@ class TestSmokeOwnership:
         assert [r.getMessage().split(":")[0] for r in caplog.records
                 if "unreported flames" in r.getMessage()] == [
             "frame 0", "frame 1", "frame 10", "frame 11"]
+
+
+class TestMaskSize:
+    @staticmethod
+    def stream(masks):
+        """Two 60x40 frames with two flames, detections 0 and 1, and these
+        (detection, mask) records; no track reports in two frames."""
+        dets = (Detection(BBox(10, 10, 20, 20), DetClass.FLAME, 0.9),
+                Detection(BBox(40, 10, 50, 20), DetClass.FLAME, 0.9))
+        pixels = np.zeros((40, 60, 3), dtype=np.uint8)
+        return iter([(Frame(f, f / 30, 60, 40, pixels),
+                      FrameAnnotation(f, dets, masks)) for f in range(2)])
+
+    @staticmethod
+    def mask(width):
+        arr = np.zeros((40, width), dtype=bool)
+        arr[10:20, 10:20] = True
+        return Mask.from_array(arr)
+
+    def test_mask_of_unreported_flame_is_checked(self):
+        # The flame's track is still warming up, so no record reads its
+        # mask; the mask is checked against its frame all the same.
+        with pytest.raises(DecodeError, match="^frame 0 detection 0: mask is "
+                           "70x40, frame is 60x40$"):
+            list(extract_track_features(self.stream(((0, self.mask(70)),))))
+
+    def test_first_wrong_mask_in_record_order_is_named(self):
+        masks = ((1, self.mask(50)), (0, self.mask(70)))
+        with pytest.raises(DecodeError, match="^frame 0 detection 1: mask is "
+                           "50x40, frame is 60x40$"):
+            list(extract_track_features(self.stream(masks)))
+
+    def test_masks_of_the_frame_size_pass(self):
+        masks = ((0, self.mask(60)), (1, self.mask(60)))
+        assert [recs for recs, _ in extract_track_features(
+            self.stream(masks))] == [[], []]
 
 
 class TestTraining:

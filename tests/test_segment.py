@@ -248,7 +248,7 @@ def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
     cfg = (40, 0.5)
     searches = count_calls(monkeypatch, "_level_bfs")
     got = grow(frame, box, *cfg)
-    assert len(searches) == 2  # once per reading
+    assert len(searches) == 1  # the flame reading only: a smoke needs none
     assert len(got) == int(0.5 * box.area)
     assert same(got, segment_box_bfs(frame, box, *cfg)[0])
 
@@ -426,9 +426,10 @@ def test_mixed_frame_matches_pixel_bfs(monkeypatch):
     assert got[6] is None and got[7] == 1
     assert len(got[0]) == int(segment.MAX_REGION_FRACTION * 100)
     # The level search's last argument is the cap, distinct for each box
-    # here: only the cap-bound windows take it, the first flame's (150) and
-    # the smoke's over it (337), and not the fragmented flame's (1350).
-    assert [args[-1] for args in searches] == [150, 337]
+    # here: only a cap-bound flame's window takes it, the first flame's
+    # (150), and not the fragmented flame's (1350) or the capped smoke's
+    # over it (337), whose count is its cap.
+    assert [args[-1] for args in searches] == [150]
 
 
 def test_full_frame_boxes_flush_the_batch(monkeypatch):
