@@ -56,8 +56,6 @@ def _input_stream(args):
     if args.input.startswith("preset:"):
         from .simulator import preset, render, rendered_stream
         return rendered_stream(render(preset(args.input.split(":", 1)[1])))
-    if not args.frames:
-        raise ParseError("--frames is required with a file input")
     return formats.load_annotated_frames(args.input, args.frames)
 
 
@@ -153,9 +151,13 @@ def cmd_train(args):
 
 
 def cmd_monitor(args):
-    if args.input.startswith("preset:") and args.frames is not None:
+    from_preset = args.input.startswith("preset:")
+    if from_preset and args.frames is not None:
         print("monitor --input preset:NAME takes no --frames",
               file=sys.stderr)
+        return EXIT_USAGE
+    if not from_preset and not args.frames:
+        print("monitor with a file --input needs --frames", file=sys.stderr)
         return EXIT_USAGE
     model = formats.load_model(args.model)
     n_alerts = 0

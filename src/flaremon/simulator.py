@@ -10,6 +10,8 @@ deterministic per (spec, seed).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from numbers import Real
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -88,11 +90,10 @@ class SceneSpec(_Checked, _SceneSpec):
 
     def __new__(_cls, width=320, height=240, frame_count=200, rng_seed=7,
                 stacks=(), noise_amplitude=6):
-        for name, size in (("width", width), ("height", height)):
+        for name, size in (("width", width), ("height", height),
+                           ("frame_count", frame_count)):
             if type(size) is not int or size < 1:
                 raise ValueError(f"{name} must be an int >= 1")
-        if frame_count < 1:
-            raise ValueError("frame_count must be >= 1")
         if type(noise_amplitude) is not int or not 0 <= noise_amplitude <= 255:
             raise ValueError("noise_amplitude must be an int in [0, 255]")
         return tuple.__new__(_cls, (width, height, frame_count, rng_seed,
@@ -169,24 +170,46 @@ def _jitter_box(box: BBox, rng, width, height) -> BBox:
 
 
 def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
-    """Yield (frame, ground truth, annotation) for every frame of the scene."""
+    """Yield (frame, ground truth, annotation) for every frame of the scene.
+
+    The scene's random stream is drawn in this order: frame 0's noise, then
+    frame 0's box jitter and confidences, then frame 1's noise, and so on.
+    One worker thread draws each frame's noise while the frame before it is
+    consumed and the frame itself is painted.  The render touches the
+    stream only after that draw has returned, so the order never depends
+    on timing.  The worker stops when the render ends, is closed or raises.
+    """
+    with ThreadPoolExecutor(1) as worker:
+        yield from _render(spec, worker)
+
+
+def _render(spec: SceneSpec, worker) -> Iterator[RenderedFrame]:
     rng = np.random.default_rng(spec.rng_seed)
     w, h = spec.width, spec.height
     background = np.full((h, w, 3), BACKGROUND, dtype=np.int16)
+    looks = []  # per stack: major-axis direction, core and edge colors
+    for stack in spec.stacks:
+        t = math.radians(stack.flame.tilt_deg)
+        looks.append(((math.sin(t), -math.cos(t)),  # y is down; tilted up
+                      np.array(stack.flame.core_color, dtype=float),
+                      np.array(stack.flame.edge_color, dtype=float)))
+    # An int32 draw gives the values and the generator state of numpy's
+    # default int64 draw, in half the memory.
+    draw_noise = partial(rng.integers, -spec.noise_amplitude,
+                         spec.noise_amplitude + 1, size=background.shape,
+                         dtype=np.int32)
+    noise = worker.submit(draw_noise) if spec.noise_amplitude > 0 else None
     for fi in range(spec.frame_count):
         img = background.copy()
         truths: List[StackTruth] = []
 
-        for si, stack in enumerate(spec.stacks):
+        for si, (stack, (axis_dir, core, edge)) in enumerate(
+                zip(spec.stacks, looks)):
             fl = stack.flame
             cx = fl.base_x + fl.drift[0] * fi
             cy = fl.base_y + fl.drift[1] * fi
-            t = math.radians(fl.tilt_deg)
-            axis_dir = (math.sin(t), -math.cos(t))  # y is down; up-tilted major axis
             fwin, ffg, rho, truncated = _ellipse_mask(w, h, cx, cy, fl.major,
                                                       fl.minor, axis_dir)
-            core = np.array(fl.core_color, dtype=float)
-            edge = np.array(fl.edge_color, dtype=float)
             mix = rho[:, None]
             img[fwin][ffg] = np.round(core * (1.0 - mix) + edge * mix)
             fbox = _tight_bbox(fwin, ffg)
@@ -217,9 +240,8 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
                 smoke_mask=smask,
             ))
 
-        if spec.noise_amplitude > 0:
-            img += rng.integers(-spec.noise_amplitude,
-                                spec.noise_amplitude + 1, size=img.shape)
+        if noise is not None:
+            img += noise.result()
         pixels = np.clip(img, 0, 255, out=img).astype(np.uint8)
         frame = Frame(index=fi, timestamp=fi / FPS, width=w, height=h,
                       pixels=pixels)
@@ -240,6 +262,8 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
                     _jitter_box(truth.smoke_box, rng, w, h),
                     DetClass.SMOKE, round(conf, 4)))
                 masks.append((len(detections) - 1, truth.smoke_mask))
+        if noise is not None and fi + 1 < spec.frame_count:
+            noise = worker.submit(draw_noise)
 
         annotation = FrameAnnotation(frame_index=fi,
                                      detections=tuple(detections),

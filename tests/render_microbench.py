@@ -10,12 +10,16 @@ frames) and training scene (400x240, four stacks, 40 frames).  Both
 renderers must give the same frames, truths and annotations, which is
 checked first.  Each figure is the best of 7 passes over the whole scene,
 divided by its frame count: `render` alone, then `render` written to a
-temporary directory with `formats.save_scene`.  pytest does not collect
-this file.
+temporary directory with `formats.save_scene`.  The current renderer draws
+each frame's noise on a worker thread while the frame before it is
+consumed, so its timings show that overlap only when a second CPU is free;
+the script first prints how many CPUs this process may run on.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import tempfile
 import time
@@ -48,6 +52,7 @@ def best_of_7(run, render, spec):
 
 
 def main():
+    print(f"CPUs available: {len(os.sched_getaffinity(0))}")
     print(f"{'scene':<10}{'case':<16}{'oracle ms':>11}{'current ms':>12}")
     for name, role in (("monitor", MONITOR), ("training", TRAIN)):
         spec = scene(777, role)

@@ -233,6 +233,17 @@ def test_monitor_preset_with_frames_is_usage_error(tmp_path, capsys):
         "", "monitor --input preset:NAME takes no --frames\n")
 
 
+def test_monitor_file_without_frames_is_usage_error(tmp_path, capsys):
+    # Checked before the model is read and before --log is opened.
+    log = tmp_path / "run.csv"
+    log.write_bytes(b"an earlier run's log\n")
+    assert run("monitor", "--model", str(tmp_path / "nope.json"), "--input",
+               str(tmp_path / "annotations.jsonl"), "--log", str(log)) == 1
+    assert capsys.readouterr() == (
+        "", "monitor with a file --input needs --frames\n")
+    assert log.read_bytes() == b"an earlier run's log\n"
+
+
 def test_usage_error_exit_code():
     assert run("train") in (1, 2)  # missing required --out
     assert run() == 1

@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -145,6 +147,90 @@ class TestRenderBasics:
             assert abs(det.bbox.y_max - truth.y_max) <= 2.0 + 1e-9
 
 
+def assert_same_frames(got, expected):
+    assert got.frame[:4] == expected.frame[:4]
+    assert got.frame.pixels.tobytes() == expected.frame.pixels.tobytes()
+    assert got.truths == expected.truths
+    assert got.annotation == expected.annotation
+
+
+class TestNoiseWorker:
+    """The thread that draws each frame's noise lives only as long as its
+    render, however the render ends."""
+
+    SPEC = preset("three_stacks")._replace(frame_count=6)
+
+    def test_ends_with_a_consumed_render(self):
+        before = threading.active_count()
+        for rf in render(self.SPEC):
+            if rf.frame.index == 2:
+                assert threading.active_count() == before + 1
+        assert threading.active_count() == before
+
+    def test_ends_when_closed_early(self):
+        before = threading.active_count()
+        frames = render(self.SPEC)
+        for rf in frames:
+            if rf.frame.index == 2:
+                break
+        assert threading.active_count() == before + 1
+        frames.close()
+        assert threading.active_count() == before
+
+    def test_ends_when_the_consumer_raises(self):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^consumer failed$"):
+            for rf in render(self.SPEC):
+                if rf.frame.index == 2:
+                    assert threading.active_count() == before + 1
+                    raise RuntimeError("consumer failed")
+        assert threading.active_count() == before
+
+    def test_no_worker_without_noise(self):
+        before = threading.active_count()
+        for _ in render(self.SPEC._replace(noise_amplitude=0)):
+            assert threading.active_count() == before
+        assert threading.active_count() == before
+
+    def test_interleaved_renders_match_renders_in_turn(self):
+        a = self.SPEC
+        b = preset("windy")._replace(frame_count=6, rng_seed=3)
+        in_turn = list(render(a)), list(render(b))
+        for ga, gb, ea, eb in zip(render(a), render(b), *in_turn,
+                                  strict=True):
+            assert_same_frames(ga, ea)
+            assert_same_frames(gb, eb)
+
+    def test_concurrent_renders_match_renders_in_turn(self):
+        """Six renders consumed at once by six threads, each with its own
+        noise worker, with thread switches forced often: any read of a
+        scene's random stream before its pending draw returned would
+        shift that scene's jitter, confidences or noise."""
+        specs = [preset(name)._replace(frame_count=4, rng_seed=seed)
+                 for seed, name in enumerate(sorted(PRESETS) + ["windy"])]
+        expected = [list(render(spec)) for spec in specs]
+        got = [None] * len(specs)
+
+        def consume(i):
+            got[i] = list(render(specs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consume, args=(i,))
+                       for i in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for frames, expected_frames in zip(got, expected, strict=True):
+            for g, e in zip(frames, expected_frames, strict=True):
+                assert_same_frames(g, e)
+
+
 class TestAngleGroundTruth:
     @pytest.mark.parametrize("tilt", [10.0, 20.0, 30.0, 45.0])
     def test_flame_angle_recovers_tilt(self, tilt):
@@ -211,6 +297,7 @@ class TestPresets:
 
     @pytest.mark.parametrize("field, value", [
         ("width", 0), ("width", -5), ("height", 240.0), ("height", True),
+        ("frame_count", 2.5), ("frame_count", True), ("frame_count", 0),
         ("noise_amplitude", -3), ("noise_amplitude", 2.5),
         ("noise_amplitude", 256), ("noise_amplitude", 40000)])
     def test_scene_spec_rejects_what_it_cannot_render(self, field, value):
