@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 external-service error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import classify, formats, pipeline
@@ -160,10 +161,15 @@ def cmd_monitor(args):
         print("monitor with a file --input needs --frames", file=sys.stderr)
         return EXIT_USAGE
     model = formats.load_model(args.model)
+    # The input's first pair is read before --log is opened, so an input
+    # that cannot start leaves an earlier log as it was.
+    stream = _input_stream(args)
+    head = list(itertools.islice(stream, 1))
     n_alerts = 0
     with formats.feature_log_writer(args.log) as write_row:
         for rec, alert in pipeline.run_monitor(
-                model, _input_stream(args), args.alert_window, args.cooldown):
+                model, itertools.chain(head, stream), args.alert_window,
+                args.cooldown):
             f = rec.features
             print(f"frame {rec.frame} track {rec.track_id} "
                   f"ratio={f.smoke_flame_ratio:.3f} E={f.rgb_index:.3f} "
@@ -222,7 +228,8 @@ def build_parser():
     p.add_argument("--frames")
     p.add_argument("--features", help="pre-extracted labeled feature CSV")
     p.add_argument("--labeling", choices=("llm", "rule"), default="rule")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0, "non-negative"),
+                   default=0)
     p.add_argument("--log", help="write the training feature log CSV here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -2,10 +2,8 @@
 
 Grows a 4-connected region from the box midpoint, admitting pixels whose
 per-channel (Chebyshev) distance from the 3x3 seed-neighborhood mean stays
-within COLOR_TOLERANCE, inside the box dilated by 10% (the window).  The cap
-keeps the first max(1, int(MAX_REGION_FRACTION * box area)) pixels in
-breadth-first order: level by level from the seed, within a level by
-parent, and each parent's neighbours in the order up, down, left, right.
+within COLOR_TOLERANCE, inside the box dilated by 10% (the window).  The
+window alone bounds the region: it is the seed's whole component there.
 
 `segment_frame` grows every box-only region of a frame in one call.  A
 flame region comes back as its sorted flat pixel indices, for its moments;
@@ -23,11 +21,10 @@ rows.  Every run of a batch is labelled at once, in rounds: each hooks
 every root to the least root beside it, then jumps pointers until each
 run points at its root (Shiloach and Vishkin, 1982).  The rounds end when
 no two touching runs differ in label.  A window's component is the label
-of its seed's run, and its area that label's total run length.  A smoke
-count is the lesser of that area and the cap, at which a capped growth
-stops.  Only a flame whose area exceeds the cap is grown by breadth-first
-search, a whole level per numpy step, as its order picks the pixels.
-External masks, when present, always take precedence over this fallback.
+of its seed's run.  A smoke's count is that label's total run length, and
+the pixels of every flame of the batch are expanded from their labels'
+runs at once.  External masks, when present, always take precedence over
+this fallback.
 """
 
 from __future__ import annotations
@@ -41,8 +38,6 @@ from .core import BBox, Frame, box_center
 
 # Largest per-channel distance from the seed mean that a pixel may have.
 COLOR_TOLERANCE = 40.0
-# The cap on the region, as a multiple of the box area.
-MAX_REGION_FRACTION = 1.5
 
 # Offsets (dx, dy) of the 3x3 seed neighbourhood.
 _PATCH_DX = np.tile([-1, 0, 1], 3)
@@ -101,8 +96,7 @@ def segment_frame(frame: Frame, boxes: Sequence[BBox],
         y_lo = max(0, math.floor(box.y_min - dy))
         w = min(width - 1, math.ceil(box.x_max + dx)) - x_lo + 1
         h = min(height - 1, math.ceil(box.y_max + dy)) - y_lo + 1
-        batch.append((k, fits[j], x, y, x_lo, y_lo, w, h,
-                      max(1, int(MAX_REGION_FRACTION * box.area))))
+        batch.append((k, fits[j], x, y, x_lo, y_lo, w, h))
         stacked += (w + 2) * (h + 2)
         if stacked >= width * height:
             _grow_batch(frame, batch, n_masks, out)
@@ -114,8 +108,8 @@ def segment_frame(frame: Frame, boxes: Sequence[BBox],
 
 def _grow_batch(frame, batch, n_masks, out):
     """Grow into `out` the region of each window of `batch`: (box number,
-    lookup table, seed x and y, window x, y, width and height, cap)."""
-    ks, tables, xs, ys, x_los, y_los, ws, hs, caps = zip(*batch)
+    lookup table, seed x and y, window x, y, width and height)."""
+    ks, tables, xs, ys, x_los, y_los, ws, hs = zip(*batch)
     x_lo, y_lo = np.array(x_los), np.array(y_los)
     strides = np.array(ws) + 2
     lengths = strides * (np.array(hs) + 2)
@@ -143,35 +137,25 @@ def _grow_batch(frame, batch, n_masks, out):
     label = _label_runs(starts, ends, stride)
     roots = label[np.searchsorted(starts, seeds, side="right") - 1]
     areas = np.bincount(label, weights=run_length)[roots].astype(int).tolist()
-    # A flame whose component fits under the cap gets the pixels of its
-    # seed's runs (-1 is no run's label), expanded by one arange for all.
-    whole = [k < n_masks and area <= cap
-             for k, cap, area in zip(ks, caps, areas)]
-    if any(whole):
-        # Each run's first pixel as a flat index of the frame.
+    flames = [k < n_masks for k in ks]
+    if any(flames):
+        # The runs of each flame's component (-1 is no run's label), their
+        # first pixels as flat indices of the frame, expanded by one arange.
         row, col = np.divmod(starts - np.repeat(offsets, per_run), stride)
         at = (row + np.repeat(y_lo - 1, per_run)) * frame.width \
             + col + np.repeat(x_lo - 1, per_run)
-        keep = label == np.repeat(np.where(whole, roots, -1), per_run)
+        keep = label == np.repeat(np.where(flames, roots, -1), per_run)
         length = run_length[keep]
         pixels = np.arange(int(length.sum())) \
             + np.repeat(at[keep] - np.cumsum(length) + length, length)
 
     end = 0
-    for j, (k, x0, y0, w, h, cap, area) in enumerate(
-            zip(ks, x_los, y_los, ws, hs, caps, areas)):
-        if whole[j]:  # its pixels follow the previous whole flame's
+    for k, flame, area in zip(ks, flames, areas):
+        if flame:  # its pixels follow the previous flame's
             end += area
             out[k] = pixels[end - area:end]
-        elif k >= n_masks:  # a capped growth stops at exactly cap pixels
-            out[k] = min(area, cap)
-        else:  # the cap binds on a flame: breadth-first order picks pixels
-            off = int(offsets[j])
-            admitted = _level_bfs(ok[off:off + (w + 2) * (h + 2)],
-                                  int(seeds[j]) - off, w + 2, cap)
-            rows, cols = np.nonzero(
-                admitted.reshape(h + 2, w + 2)[1:-1, 1:-1])
-            out[k] = (rows + y0) * frame.width + cols + x0
+        else:
+            out[k] = area
 
 
 def _label_runs(starts, ends, stride):
@@ -199,22 +183,3 @@ def _label_runs(starts, ends, stride):
             if np.array_equal(up, label):
                 break
             label = up
-
-
-def _level_bfs(ok, seed, stride, max_pixels):
-    """Breadth-first grow over the flat padded window, a whole level per
-    step: the first max_pixels admissible pixels in breadth-first order."""
-    steps = np.array([-stride, stride, -1, 1])  # up, down, left, right
-    admitted = np.zeros_like(ok)
-    admitted[seed] = True
-    count = 1
-    frontier = np.array([seed])
-    while frontier.size and count < max_pixels:
-        # Candidates in discovery order: by parent, then by step.
-        cand = (frontier[:, None] + steps).ravel()
-        cand = cand[ok[cand] & ~admitted[cand]]
-        _, first = np.unique(cand, return_index=True)
-        frontier = cand[np.sort(first)][:max_pixels - count]
-        admitted[frontier] = True
-        count += frontier.size
-    return admitted

@@ -1,12 +1,11 @@
 """Reference region grow: the per-pixel deque BFS that `segment_frame` must match.
 
-`flaremon.segment.segment_frame` stacks a frame's windows, labels their
-row runs, and grows a whole breadth-first level per numpy step only where
-the cap binds.  This module keeps the plain pixel-at-a-time breadth-first
+`flaremon.segment.segment_frame` stacks a frame's windows and labels
+their row runs.  This module keeps the plain pixel-at-a-time breadth-first
 search, one box at a time, so the tests can require identical flame
-pixels and smoke areas, the cap and degenerate seeds included, whichever path
-`segment_frame` takes.  It also draws the corridors, a spiral and a
-serpentine, that take a breadth-first search thousands of levels.
+pixels and smoke areas, degenerate seeds and leaked windows included.  It
+also draws the corridors, a spiral and a serpentine, that take a
+breadth-first search thousands of levels.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ import numpy as np
 from flaremon.core import BBox, Frame, box_center
 
 
-def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
-                    max_region_fraction=1.5):
+def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0):
     """Flood fill from the box midpoint, clipped to the box dilated by 10%:
     (the sorted flat row-major indices of the filled pixels, whether the
     seed itself is inadmissible), or None when the seed lies off the
-    frame.  The defaults are the values of
-    `segment.COLOR_TOLERANCE` and `segment.MAX_REGION_FRACTION`."""
+    frame.  The default is `segment.COLOR_TOLERANCE`."""
     cx, cy = box_center(box)
     sx, sy = int(round(cx)), int(round(cy))
     if not (0 <= sx < frame.width and 0 <= sy < frame.height):
@@ -40,7 +37,6 @@ def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
     seed_patch = pix[max(0, sy - 1):sy + 2, max(0, sx - 1):sx + 2]
     seed_mean = seed_patch.reshape(-1, 3).mean(axis=0)
 
-    max_pixels = max(1, int(max_region_fraction * box.area))
     admitted = np.zeros((frame.height, frame.width), dtype=bool)
 
     def fits(x, y):
@@ -49,9 +45,8 @@ def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
     degenerate = not fits(sx, sy)
     admitted[sy, sx] = True
     if not degenerate:
-        count = 1
         queue = deque([(sx, sy)])
-        while queue and count < max_pixels:
+        while queue:
             x, y = queue.popleft()
             for nx, ny in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
                 if not (x_lo <= nx <= x_hi and y_lo <= ny <= y_hi):
@@ -59,22 +54,18 @@ def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0,
                 if admitted[ny, nx] or not fits(nx, ny):
                     continue
                 admitted[ny, nx] = True
-                count += 1
                 queue.append((nx, ny))
-                if count >= max_pixels:
-                    break
 
     return np.flatnonzero(admitted), degenerate
 
 
-def segment_frame_bfs(frame: Frame, boxes, n_masks, color_tolerance=40.0,
-                      max_region_fraction=1.5):
+def segment_frame_bfs(frame: Frame, boxes, n_masks, color_tolerance=40.0):
     """`segment_frame` one box at a time through `segment_box_bfs`: the
     pixel indices for each of the first n_masks boxes, the pixel count for
     each later one, None for a box seeded off the frame."""
     out = []
     for k, box in enumerate(boxes):
-        res = segment_box_bfs(frame, box, color_tolerance, max_region_fraction)
+        res = segment_box_bfs(frame, box, color_tolerance)
         out.append(None if res is None
                    else res[0] if k < n_masks else len(res[0]))
     return out

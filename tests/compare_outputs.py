@@ -23,8 +23,8 @@ the same inputs.  Every command's exit code is compared too:
   make ``monitor`` warn on stderr, so that the text and the order of its
   warnings are compared too.  Also box-only with overlapping boxes: on
   every frame a smoke box over the top half of the first flame box, and a
-  10x10 flame box in the plain sky, whose window holds more pixels than
-  the region cap allows.  For each: the CSV, stdout and stderr.
+  10x10 flame box in the plain sky, whose region leaks to fill its whole
+  13x13 window.  For each: the CSV, stdout and stderr.
 - the same ``monitor --log`` outputs on ``three_stacks`` with a staggered
   birth, with masks and box-only: the right flame's detection is left out
   before frame 10, so its track warms up in frames 10 and 11 while its
@@ -51,12 +51,16 @@ the same inputs.  Every command's exit code is compared too:
   empty stdin (exit 2, ``input ended at sample [0] of 6``); and ``label
   --mode llm`` against a stub whose reply names neither label (exit 2).
 
-Prints one line per output and exits 1 if any differs.  pytest does not
-collect this file.
+Prints one line per output and exits 1 if any differs.  Under each
+differing output that both checkouts wrote as UTF-8 text, up to 10 lines
+of its unified diff follow, this checkout's side as ``+``.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
 
+import difflib
+import itertools
 import json
 import os
 import subprocess
@@ -282,6 +286,18 @@ def outputs(tree, work, llm):
     return got
 
 
+def text_diff(before, after, limit=10):
+    """Up to `limit` lines of the unified diff from `before` to `after`,
+    or none unless both are bytes that decode as UTF-8."""
+    try:
+        old, new = before.decode(), after.decode()
+    except (AttributeError, UnicodeDecodeError):
+        return []
+    return list(itertools.islice(difflib.unified_diff(
+        old.splitlines(), new.splitlines(), "before", "after", lineterm=""),
+        limit))
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -306,6 +322,9 @@ def main(argv):
         differ += not same
         print(f"{'same  ' if same else 'DIFFER'} {name} "
               f"({len(this.get(name, b''))} bytes)")
+        if not same:
+            for line in text_diff(other.get(name), this.get(name)):
+                print(f"    {line}")
     print(f"{len(this)} outputs, {differ} differ")
     return 1 if differ else 0
 

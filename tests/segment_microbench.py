@@ -13,18 +13,17 @@ probability (81 / (2 * noise + 1)) ** 3: 1.0, 0.70, 0.56, 0.46 and 0.30),
 and a site-percolation frame where 62% of the pixels are admissible, and a
 one-pixel spiral corridor that fills the box and ends at its seed (45,608
 pixels, one breadth-first level each), all read as flames; and a 40x40 box
-on a uniform 200x200 frame, whose window exceeds the cap, read as a flame
-("capped flame", its first 2,400 pixels in breadth-first order) and as a
-smoke ("capped smoke", its count).  Per-frame cases: all 12 boxes of the first monitor frame (6
-flames, 6 smokes), grown by one `segment_frame` call per box and by one
-call for the whole frame, and that call followed by the
-`features.flame_moments` call that `monitor` makes on the grown flames;
-"pixels" there is the admitted total.  Before a case is timed, its
-regions must equal those of the pixel-by-pixel oracle in
-`tests/bfs_oracle.py`.  Each figure is the best of 7
-timings of a batch of calls, divided by the batch size; the batch grows
-until it takes about 20 ms.
-pytest does not collect this file.
+on a uniform 200x200 frame, whose region leaks to fill its whole 49x49
+window, read as a flame ("leaked flame", its 2,401 pixel indices) and as
+a smoke ("leaked smoke", its count).  Per-frame cases: all 12 boxes of the
+first monitor frame (6 flames, 6 smokes), grown by one `segment_frame`
+call per box and by one call for the whole frame, and that call followed
+by the `features.flame_moments` call that `monitor` makes on the grown
+flames; "pixels" there is the admitted total.  Before a case is timed,
+its regions must equal those of the pixel-by-pixel oracle in
+`tests/bfs_oracle.py`.  Each figure is the best of 7 timings of a batch
+of calls, divided by the batch size; the batch grows until it takes about
+20 ms.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ BOX = BBox(50.0, 50.0, 350.0, 350.0)
 
 def synthetic_cases():
     """The same for the synthetic frames, each box grown as a flame but in
-    the capped smoke case."""
+    the leaked smoke case."""
     rng = np.random.default_rng(0)
     yield ("solid 300x300", square_frame(np.full((400, 400, 3), 128,
                                                  np.uint8)), [BOX], 1, one_call)
@@ -140,11 +139,12 @@ def synthetic_cases():
     on[199:202, 199:202] = True
     pix = np.where(on[..., None], 100, 200).astype(np.uint8).repeat(3, axis=2)
     yield "spiral corridor", square_frame(pix), [BOX], 1, one_call
-    # The dilated window's 49 x 49 pixels exceed the cap of 1.5 * 40 * 40.
+    # The region fills the dilated window's 49 x 49 pixels, 1.5 times the
+    # box area and more.
     uniform = square_frame(np.full((200, 200, 3), 128, np.uint8))
     small = BBox(80.0, 80.0, 120.0, 120.0)
-    yield "capped flame", uniform, [small], 1, one_call
-    yield "capped smoke", uniform, [small], 0, one_call
+    yield "leaked flame", uniform, [small], 1, one_call
+    yield "leaked smoke", uniform, [small], 0, one_call
 
 
 def main():

@@ -244,6 +244,47 @@ def test_monitor_file_without_frames_is_usage_error(tmp_path, capsys):
     assert log.read_bytes() == b"an earlier run's log\n"
 
 
+@pytest.mark.parametrize("defect, message", [
+    ("no annotations", "No such file or directory"),
+    ("meta.json not JSON", "meta.json: invalid JSON: "),
+    ("line 1 not JSON", "line 1: invalid JSON: ")])
+def test_monitor_that_cannot_start_leaves_log_untouched(tmp_path, capsys,
+                                                        defect, message):
+    # The input's first pair is read before --log is opened.
+    model, _ = pipeline.fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+    formats.save_model(model, tmp_path / "model.json")
+    frames = tmp_path / "frames"
+    write_frame_dir(frames, "{" if defect == "meta.json not JSON" else
+                    '{"frame_count": 1, "width": 2, "height": 2}',
+                    [12], bytes(12))
+    annotations = tmp_path / "annotations.jsonl"
+    if defect != "no annotations":
+        annotations.write_text("{\n" if defect == "line 1 not JSON" else
+                               '{"frame_index": 0, "detections": []}\n')
+    log = tmp_path / "run.csv"
+    log.write_bytes(b"an earlier run's log\n")
+    assert run("monitor", "--model", str(tmp_path / "model.json"),
+               "--input", str(annotations), "--frames", str(frames),
+               "--log", str(log)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert log.read_bytes() == b"an earlier run's log\n"
+
+
+@pytest.mark.parametrize("source", [
+    ("--features", "features.csv"),
+    ("--annotations", "annotations.jsonl", "--frames", "frames")])
+def test_train_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys,
+                                            source):
+    # Checked as the options are parsed, before any input is read: none of
+    # these files exists.
+    monkeypatch.chdir(tmp_path)
+    assert run("train", *source, "--seed", "-1", "--out", "model.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flaremon train")
+    assert "argument --seed: invalid non-negative int value: '-1'" in err
+
+
 def test_usage_error_exit_code():
     assert run("train") in (1, 2)  # missing required --out
     assert run() == 1

@@ -8,6 +8,7 @@ from flaremon import segment
 from flaremon.core import BBox, DetClass, Frame
 from flaremon.segment import segment_frame
 from flaremon.simulator import PRESETS, preset, render
+from perfbench.scenes import MONITOR, scene
 from tests.bfs_oracle import (segment_box_bfs, segment_frame_bfs,
                                serpentine, spiral)
 from tests.fullframe_oracle import decode_runs
@@ -24,21 +25,19 @@ def frame_of(pix):
     return Frame(0, 0.0, w, h, pix)
 
 
-def grow_all(frame, boxes, n_masks, tolerance,
-             fraction=segment.MAX_REGION_FRACTION):
-    """segment_frame with its colour tolerance and region cap set to these."""
+def grow_all(frame, boxes, n_masks, tolerance=segment.COLOR_TOLERANCE):
+    """segment_frame with its colour tolerance set to this."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segment, "COLOR_TOLERANCE", tolerance)
-        mp.setattr(segment, "MAX_REGION_FRACTION", fraction)
         return segment_frame(frame, boxes, n_masks)
 
 
-def grow(frame, box, tolerance, fraction=segment.MAX_REGION_FRACTION):
+def grow(frame, box, tolerance=segment.COLOR_TOLERANCE):
     """The pixel indices of one box, grown by one segment_frame call that
     reads the box twice: once as a flame, for the indices, and once as a
     smoke, whose pixel count must be their number.  None for an off-frame
     seed."""
-    pixels, area = grow_all(frame, [box, box], 1, tolerance, fraction)
+    pixels, area = grow_all(frame, [box, box], 1, tolerance)
     assert area == (None if pixels is None else len(pixels))
     return pixels
 
@@ -69,7 +68,7 @@ def test_uniform_region_on_contrasting_background():
     pix = make_frame()
     pix[10:30, 20:40] = (200, 50, 50)
     frame = frame_of(pix)
-    pixels = grow(frame, BBox(20, 10, 40, 30), 30, 2.0)
+    pixels = grow(frame, BBox(20, 10, 40, 30), 30)
     expect = np.zeros((40, 60), dtype=bool)
     expect[10:30, 20:40] = True
     assert np.array_equal(pixels, np.flatnonzero(expect))
@@ -79,7 +78,7 @@ def test_tolerance_255_fills_clipped_box():
     pix = make_frame()
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
-    arr = region_array(frame, grow(frame, box, 255, 2.0))
+    arr = region_array(frame, grow(frame, box, 255))
     # everything inside the 10%-dilated box is admitted
     assert arr[12, 25] and arr[10, 20]
     assert arr[8, 25]  # inside dilation margin
@@ -90,8 +89,7 @@ def test_seed_always_in_mask():
     pix = make_frame()
     pix[19:22, 29:32] = (200, 200, 200)
     frame = frame_of(pix)
-    assert region_array(frame, grow(frame, BBox(25, 15, 35, 25), 5, 1.0))[
-        20, 30]
+    assert region_array(frame, grow(frame, BBox(25, 15, 35, 25), 5))[20, 30]
 
 
 def test_degenerate_seed_gives_single_pixel():
@@ -102,8 +100,8 @@ def test_degenerate_seed_gives_single_pixel():
     pix[patch == 1] = (0, 0, 0)
     frame = frame_of(pix)
     box = BBox(20, 10, 40, 30)
-    assert segment_box_bfs(frame, box, 10, 1.0)[1]  # the oracle's flag
-    assert same(grow(frame, box, 10, 1.0), np.array([20 * 60 + 30]))
+    assert segment_box_bfs(frame, box, 10)[1]  # the oracle's flag
+    assert same(grow(frame, box, 10), np.array([20 * 60 + 30]))
 
 
 def test_out_of_bounds_seed():
@@ -117,7 +115,7 @@ def test_output_connected():
     pix[10:30, 20:40] = (200, 50, 50)
     pix[5:8, 50:55] = (200, 50, 50)  # same color, not 4-connected to seed
     frame = frame_of(pix)
-    arr = region_array(frame, grow(frame, BBox(18, 8, 56, 32), 30, 2.0))
+    arr = region_array(frame, grow(frame, BBox(18, 8, 56, 32), 30))
     assert not arr[6, 52]
     # flood-fill recount from any foreground pixel covers the whole mask
     from collections import deque
@@ -141,21 +139,46 @@ def test_deterministic():
     pix += rng.integers(0, 40, pix.shape).astype(np.uint8)
     frame = frame_of(pix)
     box = BBox(15, 8, 45, 32)
-    assert same(grow(frame, box, 25, 1.5), grow(frame, box, 25, 1.5))
+    assert same(grow(frame, box, 25), grow(frame, box, 25))
 
 
-def test_region_capped_by_fraction():
-    pix = make_frame(bg=(100, 100, 100))
-    frame = frame_of(pix)
-    box = BBox(20, 10, 30, 20)
-    assert len(grow(frame, box, 255, 0.5)) <= int(0.5 * box.area) + 1
+def window_indices(frame, x_lo, y_lo, x_hi, y_hi):
+    """The sorted flat indices of the window [x_lo, x_hi] x [y_lo, y_hi]."""
+    arr = np.zeros((frame.height, frame.width), dtype=bool)
+    arr[y_lo:y_hi + 1, x_lo:x_hi + 1] = True
+    return np.flatnonzero(arr)
+
+
+def test_leaked_window_grows_whole_window():
+    # A 40x40 box on a uniform frame: its window, the box dilated by 4 px
+    # and rounded outwards, is 49x49, and the region fills it, 1.5 times
+    # the box area and more.
+    frame = frame_of(make_frame(w=200, h=200, bg=(128, 128, 128)))
+    box = BBox(80, 80, 120, 120)
+    expect = window_indices(frame, 76, 76, 124, 124)
+    assert len(expect) == 2401
+    assert same_regions(segment_frame(frame, [box, box], 1), [expect, 2401])
+    assert same_regions(segment_frame_bfs(frame, [box, box], 1),
+                        [expect, 2401])
+
+
+def test_sky_box_grows_its_whole_window():
+    # The 10x10 flame box in the plain sky of the benchmark monitor scene
+    # that tests/compare_outputs.py adds: every frame grows its whole 13x13
+    # window.
+    box = BBox(20, 20, 30, 30)
+    for rendered in render(scene(41, MONITOR)):
+        frame = rendered.frame
+        expect = window_indices(frame, 19, 19, 31, 31)
+        assert same_regions(segment_frame(frame, [box, box], 1),
+                            [expect, 169])
 
 
 @st.composite
 def frame_box_config(draw):
     """A blocky frame of four colours, two of them close, a box around a
-    seed that may lie off the frame, and a (tolerance, cap) pair that
-    reaches their extremes."""
+    seed that may lie off the frame, and a tolerance that reaches its
+    extremes."""
     block = draw(st.integers(1, 4))
     cells = draw(arrays(np.uint8, (draw(st.integers(1, 16)),
                                    draw(st.integers(1, 16))),
@@ -170,32 +193,17 @@ def frame_box_config(draw):
     hw = draw(st.floats(0.05, w + 2))
     hh = draw(st.floats(0.05, h + 2))
     box = BBox(cx - hw, cy - hh, cx + hw, cy + hh)
-    cfg = (draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0)),
-           draw(st.floats(0.05, 2.0)))
-    return Frame(0, 0.0, w, h, pix), box, cfg
+    tolerance = draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0))
+    return Frame(0, 0.0, w, h, pix), box, tolerance
 
 
 @settings(max_examples=500, deadline=None)
 @given(frame_box_config())
 def test_matches_pixel_bfs(case):
-    frame, box, cfg = case
-    expect = segment_box_bfs(frame, box, *cfg)
-    assert same(grow(frame, box, *cfg), None if expect is None else expect[0])
-
-
-def test_cap_keeps_breadth_first_order():
-    # Uniform frame, seed at (5, 5): the first five pixels in BFS order are
-    # the seed and its up, down, left and right neighbours; the sixth is
-    # the up neighbour's up neighbour.
-    frame = frame_of(make_frame(w=11, h=11))
-    box = BBox(0, 0, 10, 10)
-    for n, extra in ((5, None), (6, (3, 5))):
-        pixels = grow(frame, box, 0, n / box.area)
-        expect = np.zeros((11, 11), dtype=bool)
-        expect[[5, 4, 6, 5, 5], [5, 5, 5, 4, 6]] = True
-        if extra:
-            expect[extra] = True
-        assert np.array_equal(pixels, np.flatnonzero(expect))
+    frame, box, tolerance = case
+    expect = segment_box_bfs(frame, box, tolerance)
+    assert same(grow(frame, box, tolerance),
+                None if expect is None else expect[0])
 
 
 def count_calls(monkeypatch, name):
@@ -214,43 +222,51 @@ def count_calls(monkeypatch, name):
 @st.composite
 def uncapped_case(draw):
     """A frame from frame_box_config and a box at least 16 px on a side
-    around an on-frame seed.  Its window, the box dilated by 10% and
-    rounded outwards, is at most 1.2 * side + 3 px on a side, so it holds
-    fewer pixels than twice the box area and the cap of
-    MAX_REGION_FRACTION=2.0 never binds."""
-    frame, _, (tolerance, _) = draw(frame_box_config())
+    around an on-frame seed."""
+    frame, _, tolerance = draw(frame_box_config())
     cx = draw(st.integers(0, frame.width - 1)) + draw(st.floats(-0.45, 0.45))
     cy = draw(st.integers(0, frame.height - 1)) + draw(st.floats(-0.45, 0.45))
     hw = draw(st.floats(8.0, max(8.0, frame.width + 2.0)))
     hh = draw(st.floats(8.0, max(8.0, frame.height + 2.0)))
     box = BBox(cx - hw, cy - hh, cx + hw, cy + hh)
-    return frame, box, (tolerance, 2.0)
+    return frame, box, tolerance
 
 
 @settings(max_examples=300, deadline=None)
 @given(uncapped_case())
 def test_uncapped_labelling_matches_pixel_bfs(case):
-    frame, box, cfg = case
-    expect, _ = segment_box_bfs(frame, box, *cfg)
-    # The cap never binds, so the run labelling alone grows the region and
-    # the level search never runs.
-    with pytest.MonkeyPatch.context() as mp:
-        searches = count_calls(mp, "_level_bfs")
-        got = grow(frame, box, *cfg)
-    assert same(got, expect) and not searches
+    frame, box, tolerance = case
+    expect, _ = segment_box_bfs(frame, box, tolerance)
+    assert same(grow(frame, box, tolerance), expect)
 
 
-def test_binding_cap_falls_back_to_level_bfs(monkeypatch):
-    # A uniform 300x300 box: a component of the whole window, far above the
-    # cap.
-    frame = frame_of(make_frame(w=400, h=400, bg=(128, 128, 128)))
-    box = BBox(50, 50, 350, 350)
-    cfg = (40, 0.5)
-    searches = count_calls(monkeypatch, "_level_bfs")
-    got = grow(frame, box, *cfg)
-    assert len(searches) == 1  # the flame reading only: a smoke needs none
-    assert len(got) == int(0.5 * box.area)
-    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
+@st.composite
+def leaked_case(draw):
+    """A uniform or two-tone frame of blocks, its tones 0, 30 or 100 apart
+    (the tolerance is 40), and 1 to 4 boxes 1 to 30 px on a side, whose
+    seeds may lie off the frame, with the number of them read as flames:
+    windows that the region fills, or nearly."""
+    w, h = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    block = draw(st.integers(1, 8))
+    cells = draw(arrays(bool, (h // block + 1, w // block + 1)))
+    on = cells.repeat(block, axis=0).repeat(block, axis=1)[:h, :w]
+    tone = draw(st.sampled_from([100, 130, 200]))
+    pix = np.where(on[..., None], 100, tone).astype(np.uint8).repeat(3, axis=2)
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.floats(-5.0, w + 1.0))
+        y = draw(st.floats(-5.0, h + 1.0))
+        boxes.append(BBox(x, y, x + draw(st.floats(1.0, 30.0)),
+                          y + draw(st.floats(1.0, 30.0))))
+    return frame_of(pix), boxes, draw(st.integers(0, len(boxes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaked_case())
+def test_leaked_windows_match_pixel_bfs(case):
+    frame, boxes, n_masks = case
+    assert same_regions(segment_frame(frame, boxes, n_masks),
+                        segment_frame_bfs(frame, boxes, n_masks))
 
 
 def noisy_frame(amplitude, seed):
@@ -283,16 +299,12 @@ def percolation_frame(p, seed):
       for seed in range(3)),
     two_tone(spiral(60)), two_tone(serpentine(60)),
 ])
-def test_fragmented_windows_match_pixel_bfs(frame, monkeypatch):
+def test_fragmented_windows_match_pixel_bfs(frame):
     # Windows of short runs, down to one pixel, and corridors that take
-    # thousands of breadth-first levels: the cap does not bind, so the run
-    # labelling alone grows the oracle's region.
+    # thousands of breadth-first levels.
     box = BBox(5, 5, 55, 55)
-    cfg = (40,)
-    searches = count_calls(monkeypatch, "_level_bfs")
-    got = grow(frame, box, *cfg)
-    expect, degenerate = segment_box_bfs(frame, box, *cfg)
-    assert not searches
+    got = grow(frame, box)
+    expect, degenerate = segment_box_bfs(frame, box)
     assert not degenerate and same(got, expect)
     assert len(got) > 1
 
@@ -307,22 +319,9 @@ def test_diagonal_runs_do_not_touch():
         pix[rows, cols] = (200, 50, 50)
     frame = frame_of(pix)
     box = BBox(0, 0, 24, 9)
-    cfg = (30, 2.0)
-    got = grow(frame, box, *cfg)
+    got = grow(frame, box, 30)
     assert len(got) == 24
-    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
-
-
-def test_component_of_exactly_the_cap_is_not_capped(monkeypatch):
-    pix = make_frame()
-    pix[10:30, 20:40] = (200, 50, 50)
-    frame = frame_of(pix)
-    box = BBox(20, 10, 40, 30)
-    cfg = (30, 1.0)  # the cap is the region's 400 pixels
-    searches = count_calls(monkeypatch, "_level_bfs")
-    got = grow(frame, box, *cfg)
-    assert not searches and len(got) == 400
-    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
+    assert same(got, segment_box_bfs(frame, box, 30)[0])
 
 
 @pytest.mark.parametrize("distance", [20, 40])
@@ -341,10 +340,9 @@ def test_tolerance_boundary_in_float64(distance):
     pix[10, 12:16] = value
     frame = frame_of(pix)
     box = BBox(5, 5, 15, 15)
-    cfg = (tol, 2.0)
-    got = grow(frame, box, *cfg)
+    got = grow(frame, box, tol)
     assert region_array(frame, got)[10, 12:16].all()
-    assert same(got, segment_box_bfs(frame, box, *cfg)[0])
+    assert same(got, segment_box_bfs(frame, box, tol)[0])
 
 
 @st.composite
@@ -355,7 +353,7 @@ def frame_boxes_config(draw):
     shifted copy of an earlier one (overlapping flame and smoke boxes), with
     seeds that may lie off the frame, sides from under 3 px to past every
     edge, and whole-frame boxes that fill a batch; the number of boxes read
-    as flames; and a (tolerance, cap) pair."""
+    as flames; and a tolerance."""
     palette = np.array([[200, 60, 40], [220, 80, 30], [30, 40, 200],
                         [0, 0, 0]], dtype=np.uint8)
     h = draw(st.integers(1, 12))
@@ -388,23 +386,23 @@ def frame_boxes_config(draw):
         hh = draw(st.floats(0.05, h + 2))
         boxes.append(BBox(cx - hw, cy - hh, cx + hw, cy + hh))
     n_masks = draw(st.integers(0, len(boxes)))
-    cfg = (draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0)),
-           draw(st.floats(0.05, 2.0)))
-    return Frame(0, 0.0, w, h, pix), boxes, n_masks, cfg
+    tolerance = draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0))
+    return Frame(0, 0.0, w, h, pix), boxes, n_masks, tolerance
 
 
 @settings(max_examples=300, deadline=None)
 @given(frame_boxes_config())
 def test_frame_matches_pixel_bfs_per_box(case):
-    frame, boxes, n_masks, cfg = case
-    got = grow_all(frame, boxes, n_masks, *cfg)
-    assert same_regions(got, segment_frame_bfs(frame, boxes, n_masks, *cfg))
+    frame, boxes, n_masks, tolerance = case
+    got = grow_all(frame, boxes, n_masks, tolerance)
+    assert same_regions(got, segment_frame_bfs(frame, boxes, n_masks,
+                                               tolerance))
 
 
-def test_mixed_frame_matches_pixel_bfs(monkeypatch):
+def test_mixed_frame_matches_pixel_bfs():
     # One frame holding: a flame box and an overlapping smoke box, boxes
     # clipped by each edge, a seed off the frame, a degenerate seed, a
-    # cap-bound window on the uniform left half and a fragmented window on
+    # leaked window on the uniform left half and a fragmented window on
     # the percolation right half.
     pix = make_frame(w=80, h=40, bg=(128, 128, 128))
     on = np.random.default_rng(0).random((40, 40)) < 0.62
@@ -413,23 +411,18 @@ def test_mixed_frame_matches_pixel_bfs(monkeypatch):
     pix[5:8, 20:23] = (0, 0, 0)
     pix[6, 22] = (255, 255, 255)  # a seed unlike its 3x3 mean
     frame = frame_of(pix)
-    boxes = [BBox(10, 10, 20, 20),   # flame, cap-bound: 13x13 window > 150
+    boxes = [BBox(10, 10, 20, 20),   # flame, leaked: its 13x13 window
              BBox(45, 5, 75, 35),    # flame, fragmented
              BBox(15, 15, 30, 30),   # smoke overlapping the first flame
              BBox(-5, 2, 6, 12), BBox(70, -3, 90, 8),  # left, top, right
              BBox(30, 30, 50, 45),   # bottom
              BBox(81, 10, 95, 20),   # seed off the frame
              BBox(19, 4, 24, 9)]     # degenerate seed
-    searches = count_calls(monkeypatch, "_level_bfs")
     got = segment_frame(frame, boxes, 2)
     assert same_regions(got, segment_frame_bfs(frame, boxes, 2))
     assert got[6] is None and got[7] == 1
-    assert len(got[0]) == int(segment.MAX_REGION_FRACTION * 100)
-    # The level search's last argument is the cap, distinct for each box
-    # here: only a cap-bound flame's window takes it, the first flame's
-    # (150), and not the fragmented flame's (1350) or the capped smoke's
-    # over it (337), whose count is its cap.
-    assert [args[-1] for args in searches] == [150]
+    # The smoke over the first flame fills its 20x20 window too.
+    assert len(got[0]) == 13 * 13 and got[2] == 20 * 20
 
 
 def test_full_frame_boxes_flush_the_batch(monkeypatch):
