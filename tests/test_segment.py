@@ -162,6 +162,18 @@ def test_leaked_window_grows_whole_window():
                         [expect, 2401])
 
 
+def test_large_leaked_window_matches_pixel_bfs():
+    # A uniform 300x300 box: the region is its whole 361x361 window, far
+    # above 1.5 times the box area, grown from the labelled runs alone.
+    frame = frame_of(make_frame(w=400, h=400, bg=(128, 128, 128)))
+    box = BBox(50, 50, 350, 350)
+    expect = window_indices(frame, 20, 20, 380, 380)
+    assert len(expect) == 361 * 361
+    got = segment_frame(frame, [box, box], 1)
+    assert same_regions(got, [expect, len(expect)])
+    assert same_regions(got, segment_frame_bfs(frame, [box, box], 1))
+
+
 def test_sky_box_grows_its_whole_window():
     # The 10x10 flame box in the plain sky of the benchmark monitor scene
     # that tests/compare_outputs.py adds: every frame grows its whole 13x13
