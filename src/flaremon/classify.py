@@ -21,6 +21,7 @@ EPOCHS = 2000  # full-batch gradient steps of the logistic, SVM and MLP fits
 LEARNING_RATE = 0.1
 SVM_REGULARIZATION = 1e-2  # weight of the SVM's L2 penalty
 MLP_HIDDEN = 8  # tanh units of the MLP's one hidden layer
+KNN_MIN_ROWS = 12  # training rows from which KNN votes with k = 3, not 1
 
 
 class ClassifierModel(NamedTuple):
@@ -100,12 +101,11 @@ def train_svm(data, labels) -> ClassifierModel:
     return _train_linear("svm", X, step)
 
 
-def train_knn(data, labels, k: int = 3) -> ClassifierModel:
+def train_knn(data, labels) -> ClassifierModel:
+    """Stores the samples with k = 1 below KNN_MIN_ROWS rows, where a
+    3-neighbourhood could out-vote an isolated but correct sample, else 3."""
     X, _ = _check_data(data, labels)
-    if k % 2 == 0:
-        raise TrainingDataError("k must be odd")
-    if k > X.shape[0]:
-        raise TrainingDataError(f"k={k} exceeds sample count {X.shape[0]}")
+    k = 3 if X.shape[0] >= KNN_MIN_ROWS else 1
     return ClassifierModel(
         kind="knn",
         parameters={"samples": X.tolist(), "labels": list(labels), "k": k},

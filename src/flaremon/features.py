@@ -26,9 +26,6 @@ class FeatureVector(NamedTuple):
     rgb_index: float
     flame_angle: float  # degrees from vertical, in [0, 90]
 
-    def as_array(self):
-        return np.array([self.smoke_flame_ratio, self.rgb_index, self.flame_angle])
-
 
 def flame_moments(frame: Frame, pixels: Sequence[np.ndarray]):
     """Pixel count, mean (R, G, B) and central second moments (mu20, mu02,

@@ -166,14 +166,10 @@ def stratified_split(labels: Sequence[str], seed: int = 0):
 
 def train_all_classifiers(pcs, labels, seed: int = 0):
     """Fit the four classifiers on (PC1, PC2) data."""
-    n = len(labels)
-    # tiny datasets: k=1, otherwise a 3-neighborhood can out-vote an
-    # isolated but correct sample
-    k = 3 if n >= 12 else 1
     return {
         "logistic": classify.train_logistic(pcs, labels),
         "svm": classify.train_svm(pcs, labels),
-        "knn": classify.train_knn(pcs, labels, k=k),
+        "knn": classify.train_knn(pcs, labels),
         "mlp": classify.train_mlp(pcs, labels, seed=seed),
     }
 
@@ -208,12 +204,11 @@ def fit_efficiency_model(features, labels, seed: int = 0):
     pcs = pca_project(zs, pca)
 
     train_idx, test_idx = stratified_split(labels, seed=seed)
-    eval_idx = test_idx if test_idx else train_idx
     train_labels = [labels[i] for i in train_idx]
     models = train_all_classifiers(pcs[train_idx], train_labels, seed=seed)
-    eval_labels = [labels[i] for i in eval_idx]
-    accuracies = {kind: classify.score(eval_labels,
-                                       classify.predict(m, pcs[eval_idx]))[0]
+    test_labels = [labels[i] for i in test_idx]
+    accuracies = {kind: classify.score(test_labels,
+                                       classify.predict(m, pcs[test_idx]))[0]
                   for kind, m in models.items()}
     best = select_classifier(models, accuracies)
 
@@ -305,8 +300,7 @@ class AlertState:
 
 def feature_matrix(vectors: Iterable[FeatureVector]) -> np.ndarray:
     """(k, 3) array of feature vectors, k = 0 included."""
-    return np.array([v.as_array() for v in vectors],
-                    dtype=float).reshape(-1, N_FEATURES)
+    return np.array(list(vectors), dtype=float).reshape(-1, N_FEATURES)
 
 
 def classify_features(model: EfficiencyModel, X):

@@ -155,11 +155,6 @@ def _tight_bbox(win, inside) -> Optional[BBox]:
                 float(x0 + xs[-1] + 1), float(y0 + ys[-1] + 1))
 
 
-def _encode(win, inside, width, height) -> Mask:
-    return Mask.from_array(inside, origin=(win[1].start, win[0].start),
-                           size=(width, height))
-
-
 def _jitter_box(box: BBox, rng, width, height) -> BBox:
     j = rng.uniform(-2.0, 2.0, size=4)
     x0 = min(max(box.x_min + j[0], 0.0), width - 2.0)
@@ -226,8 +221,10 @@ def _render(spec: SceneSpec, worker) -> Iterator[RenderedFrame]:
                 if sfg.any():
                     img[swin][sfg] = sm.gray
                     sbox = _tight_bbox(swin, sfg)
-                    smask = _encode(swin, sfg, w, h)
-            fmask = None if fbox is None else _encode(fwin, ffg, w, h)
+                    smask = Mask.from_array(
+                        sfg, (swin[1].start, swin[0].start), (w, h))
+            fmask = None if fbox is None else Mask.from_array(
+                ffg, (fwin[1].start, fwin[0].start), (w, h))
 
             truths.append(StackTruth(
                 stack_id=si,
@@ -248,20 +245,18 @@ def _render(spec: SceneSpec, worker) -> Iterator[RenderedFrame]:
 
         detections: List[Detection] = []
         masks: List[Tuple[int, Mask]] = []
-        for truth in truths:
-            if truth.flame_box is not None:
-                conf = float(rng.uniform(0.85, 0.99))
-                detections.append(Detection(
-                    _jitter_box(truth.flame_box, rng, w, h),
-                    DetClass.FLAME, round(conf, 4)))
-                masks.append((len(detections) - 1, truth.flame_mask))
-        for truth in truths:
-            if truth.smoke_box is not None:
-                conf = float(rng.uniform(0.80, 0.99))
-                detections.append(Detection(
-                    _jitter_box(truth.smoke_box, rng, w, h),
-                    DetClass.SMOKE, round(conf, 4)))
-                masks.append((len(detections) - 1, truth.smoke_mask))
+        # every flame, then every smoke: a confidence, then a box jitter
+        for cls, least, regions in (
+                (DetClass.FLAME, 0.85,
+                 [(t.flame_box, t.flame_mask) for t in truths]),
+                (DetClass.SMOKE, 0.80,
+                 [(t.smoke_box, t.smoke_mask) for t in truths])):
+            for box, mask in regions:
+                if box is not None:
+                    conf = float(rng.uniform(least, 0.99))
+                    detections.append(Detection(_jitter_box(box, rng, w, h),
+                                                cls, round(conf, 4)))
+                    masks.append((len(detections) - 1, mask))
         if noise is not None and fi + 1 < spec.frame_count:
             noise = worker.submit(draw_noise)
 

@@ -98,9 +98,9 @@ def _iou_matrix(a, b):
 def hungarian(cost) -> List[Tuple[int, int]]:
     """Minimum-cost assignment of min(n, m) pairs on an n x m matrix.
 
-    Rectangular matrices are padded square internally; padded pairs are
-    excluded from the output.  Deterministic: equal-cost optima resolve to
-    the same assignment for identical input.
+    The matrix is padded square with zeros, held as Python floats, which
+    the loop indexes faster than numpy's; padded pairs are not output.
+    Deterministic: equal-cost optima resolve alike for identical input.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
@@ -109,8 +109,8 @@ def hungarian(cost) -> List[Tuple[int, int]]:
         raise NumericalError("cost matrix contains NaN")
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
-    a = np.zeros((n, n))
-    a[:n_rows, :n_cols] = cost
+    a = [row + [0.0] * (n - n_cols) for row in cost.tolist()]
+    a += [[0.0] * n] * (n - n_rows)
 
     # Jonker-style shortest augmenting paths with potentials, 1-indexed.
     INF = float("inf")

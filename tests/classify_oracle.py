@@ -174,7 +174,7 @@ def predict(model, X):
 def classify_features(model, f):
     """((PC1, PC2), label) of one FeatureVector."""
     std = model.standardization
-    z = (f.as_array() - std.means) / std.stds
+    z = (np.array(f) - std.means) / std.stds
     pc = pca_project(z, model.pca)
     label = predict(model.classifier, pc.reshape(1, -1))[0]
     return (float(pc[0]), float(pc[1])), label

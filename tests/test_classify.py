@@ -107,29 +107,39 @@ class TestSvm:
             assert rel_err(gw[i], fd) < 1e-4
 
 
+def knn(X, y, k):
+    """A KNN model record as a model file may hold it, with any odd k."""
+    return classify.ClassifierModel(
+        "knn", {"samples": np.asarray(X, dtype=float).tolist(),
+                "labels": list(y), "k": k}, parameter_count=3 * len(y))
+
+
 class TestKnn:
+    @pytest.mark.parametrize("rows, k", [(11, 1), (12, 3)])
+    def test_k_from_row_count(self, rows, k):
+        """k is 1 below KNN_MIN_ROWS = 12 training rows, 3 from there on."""
+        X = np.arange(2.0 * rows).reshape(rows, 2)
+        y = [HIGH, LOW] * (rows // 2) + [HIGH] * (rows % 2)
+        assert train_knn(X, y).parameters["k"] == k
+
     def test_k1_exact_point(self):
-        assert predict(train_knn(SEP_X, SEP_Y, k=1), SEP_X[2]) == [LOW]
+        assert predict(knn(SEP_X, SEP_Y, 1), SEP_X[2]) == [LOW]
 
     def test_k3_majority(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
         y = [HIGH, HIGH, LOW, LOW]
-        assert predict(train_knn(X, y, k=3), [0.05, 0.0]) == [HIGH]
+        assert predict(knn(X, y, 3), [0.05, 0.0]) == [HIGH]
 
     def test_k_equals_n_global_majority(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
                       [4.0, 0.0]])
         y = [LOW, LOW, LOW, HIGH, HIGH]
-        assert predict(train_knn(X, y, k=5), [100.0, 100.0]) == [LOW]
-
-    def test_even_k_rejected(self):
-        with pytest.raises(TrainingDataError, match="^k must be odd$"):
-            train_knn(SEP_X, SEP_Y, k=4)
+        assert predict(knn(X, y, 5), [100.0, 100.0]) == [LOW]
 
     def test_distance_tie_lower_index(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = [HIGH, LOW]
-        assert predict(train_knn(X, y, k=1), [0.0, 0.0]) == [HIGH]
+        assert predict(knn(X, y, 1), [0.0, 0.0]) == [HIGH]
 
 
 class TestMlp:

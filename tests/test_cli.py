@@ -866,7 +866,7 @@ def test_eval_and_train_on_fuzzed_csvs_exit_0_or_2(table_model, text):
     if rows is None:
         assert [code for code, _ in results] == [2, 2]
     else:
-        assert all(np.isfinite(r.features.as_array()).all() for r in rows)
+        assert all(np.isfinite(r.features).all() for r in rows)
         assert {r.label for r in rows} <= {"high", "low", None}
 
 

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from flaremon.core import BBox, Frame, Mask
 from flaremon.errors import (DegenerateOrientation, EmptyRegion,
                              InsufficientSignal)
-from flaremon.features import (FeatureVector, angle_from_moments,
-                               associate_smoke, channel_means, flame_moments,
-                               rgb_index, smoke_flame_ratio)
+from flaremon.features import (angle_from_moments, associate_smoke,
+                               channel_means, flame_moments, rgb_index,
+                               smoke_flame_ratio)
 from flaremon.simulator import PRESETS, preset, render
 from tests import features_oracle
 from tests import fullframe_oracle as oracle
@@ -184,12 +184,6 @@ class TestFlameAngle:
             tilt = rng.uniform(0, 89)
             angle = angle_of(solid_ellipse(tilt))
             assert 0.0 <= angle <= 90.0
-
-
-class TestFeatureVector:
-    def test_as_array(self):
-        f = FeatureVector(0.22, 0.62, 52.0)
-        assert np.array_equal(f.as_array(), [0.22, 0.62, 52.0])
 
 
 class TestFullFrameOracle:

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import logging
+import sys
 import tempfile
 import tracemalloc
 
@@ -377,7 +378,7 @@ class TestFeatureLog:
         except FlaremonError:
             return
         for r in rows:
-            assert np.isfinite(r.features.as_array()).all()
+            assert np.isfinite(r.features).all()
             if r.pcs is None:  # a bare ratio,E,angle[,label] row
                 assert (r.frame, r.track_id) == (None, None)
                 assert r.label in (HIGH, LOW, None)
@@ -518,11 +519,21 @@ class TestMonitor:
     SLOTS, LIFE, GAP = 6, 4, 6
     WIDTH, HEIGHT = 12 * SLOTS, 20
 
-    def turnover_stream(self, frames, collect_every=None):
+    @staticmethod
+    def settle():
+        """Empty what CPython keeps between calls that tracemalloc counts.
+        The method cache holds a reference to the name each attribute was
+        looked up by; numpy looks some up by a fresh string on every call,
+        so copies of one name fill its 4,096 slots over a long run.  A
+        full collection empties the free lists, whose slowly filling
+        tuples would count too."""
+        sys._clear_type_cache()
+        gc.collect()
+
+    def turnover_stream(self, frames, settle_every=None):
         """`frames` (Frame, FrameAnnotation) pairs of masked flames, which
-        never skip a record.  With `collect_every`, a full collection runs
-        every that many frames: it empties CPython's free lists, whose
-        slowly filling tuples tracemalloc would otherwise count."""
+        never skip a record; with `settle_every`, `settle` runs every that
+        many frames."""
         assert self.GAP > MAX_AGE
         w, h = self.WIDTH, self.HEIGHT
         pixels = np.full((h, w, 3), (200, 120, 40), dtype=np.uint8)
@@ -530,8 +541,8 @@ class TestMonitor:
                    Mask.from_array(np.ones((8, 3)), (x, 10), (w, h)))
                   for x in range(2, w, 12)]
         for f in range(frames):
-            if collect_every and f % collect_every == 0:
-                gc.collect()
+            if settle_every and f % settle_every == 0:
+                self.settle()
             shown = [flame for k, flame in enumerate(flames)
                      if (f + 3 * k) % (self.LIFE + self.GAP) < self.LIFE]
             yield (Frame(f, f / 30, w, h, pixels),
@@ -590,9 +601,10 @@ class TestMonitor:
 
     def test_memory_is_bounded(self):
         """The tracemalloc peak of a monitor run over 10 * N frames is at
-        most 1.2 times its peak over N frames; it read 0.90-1.03 times.
-        Had the alert state kept dead tracks, the ratio read 3.0; had the
-        tracker kept a list of dead track ids, 1.28-1.46."""
+        most 1.2 times its peak over N frames; it read 1.00-1.03 times.
+        Had the alert state kept dead tracks, the ratio read 2.7; had the
+        tracker kept a list of dead track ids, 1.41.  Without `settle` it
+        read 1.06-1.21, as the method cache filled with name copies."""
         model = fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)[0]
         n = 150
         for _ in run_monitor(model, self.turnover_stream(n), 5, 50):
@@ -601,6 +613,7 @@ class TestMonitor:
         gc.freeze()  # so that each collection walks only the run's objects
         try:
             for frames in (n, 10 * n):
+                self.settle()  # both runs start from the same state
                 tracemalloc.start()
                 try:
                     for _ in run_monitor(
