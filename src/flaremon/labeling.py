@@ -52,8 +52,9 @@ def build_prompt(f: FeatureVector) -> str:
 
 
 def parse_label(text: str) -> str:
-    """Last case-insensitive occurrence of 'high' or 'low' wins."""
-    matches = list(re.finditer(r"high|low", text, re.IGNORECASE))
+    """The last case-insensitive whole word 'high' or 'low' wins, so a word
+    that only contains one ("flow", "below", "highly") counts for neither."""
+    matches = list(re.finditer(r"\b(high|low)\b", text, re.IGNORECASE))
     if not matches:
         raise UnparseableReply(f"no 'high' or 'low' in reply: {text!r}")
     return matches[-1].group(0).lower()

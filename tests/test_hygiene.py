@@ -99,6 +99,33 @@ def test_format_checkers_see_imports_and_names():
         source)
 
 
+TESTS = SRC.parent.parent / "tests"
+CLOCKS = {"perf_counter", "perf_counter_ns", "timeit"}
+
+
+def clocks(source: str):
+    """The timers a module reads: `perf_counter`, `perf_counter_ns` or
+    anything named `timeit`, imported or taken as an attribute."""
+    return identifiers(source) & CLOCKS
+
+
+def test_one_clock_in_tests():
+    """Layer timings come from the one timer in `tests/microbench.py`, so
+    no other module under tests/ grows a timer of its own."""
+    assert [p.name for p in sorted(TESTS.glob("*.py"))
+            if p.name != "microbench.py"
+            and clocks(p.read_text(encoding="utf-8"))] == []
+
+
+def test_clock_checker_sees_timers():
+    assert clocks("import time, timeit\nfrom time import perf_counter as p\n"
+                  "t = time.perf_counter_ns()\n") == CLOCKS
+    assert clocks("import time\nt = time.monotonic()  # perf_counter\n"
+                  "s = 'timeit'\n") == set()
+    assert clocks((TESTS / "microbench.py").read_text(
+        encoding="utf-8")) == {"perf_counter"}
+
+
 def to_array_calls(source: str):
     """Lines that call a method named to_array: a full-frame mask decode."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))

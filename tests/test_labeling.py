@@ -50,8 +50,15 @@ class TestParseLabel:
         assert parse_label("low? no: high") == HIGH
 
     def test_unparseable(self):
-        with pytest.raises(UnparseableReply):
-            parse_label("unsure")
+        # "slow", "highly" and "flow below" hold the words only inside others.
+        for reply in ("unsure", "slow", "highly", "flow below"):
+            with pytest.raises(UnparseableReply):
+                parse_label(reply)
+
+    def test_whole_words_only(self):
+        assert parse_label("High. The gas flow looks steady.") == HIGH
+        assert parse_label("high; the smoke is below normal") == HIGH
+        assert parse_label("LOW, though the flame burns highly") == LOW
 
 
 class TestRuleLabel:
