@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecodeError
+from .errors import ParseError
 
 FPS = 25.0  # of rendered scenes, and of frame directories that give none
 
@@ -79,15 +79,15 @@ class Detection(_Checked, _Detection):
 
 
 def check_runs(width, height, runs):
-    """Raise DecodeError unless the int sizes are positive and the int runs
+    """Raise ParseError unless the int sizes are positive and the int runs
     are non-negative and sum to width * height."""
     if width <= 0 or height <= 0:
-        raise DecodeError(f"bad mask size {width}x{height}")
+        raise ParseError(f"bad mask size {width}x{height}")
     if runs and min(runs) < 0:
-        raise DecodeError("negative run length")
+        raise ParseError("negative run length")
     total = sum(runs)
     if total != width * height:
-        raise DecodeError(f"runs sum to {total}, expected {width * height}")
+        raise ParseError(f"runs sum to {total}, expected {width * height}")
 
 
 class _Mask(NamedTuple):
@@ -115,7 +115,7 @@ class Mask(_Checked, _Mask):
             width, height = operator.index(width), operator.index(height)
             runs = tuple(map(operator.index, runs))
         except TypeError as exc:  # a float or a string, say
-            raise DecodeError(f"mask sizes and runs must be integers: {exc}") \
+            raise ParseError(f"mask sizes and runs must be integers: {exc}") \
                 from exc
         check_runs(width, height, runs)
         return tuple.__new__(_cls, (width, height, runs))

@@ -7,13 +7,10 @@ class FlaremonError(Exception):
     """Base class for all package errors."""
 
 
-class DecodeError(FlaremonError):
-    """Run-length data does not describe a mask of the stated size."""
-
-
 class ParseError(FlaremonError):
     """Input flaremon cannot read: a record that violates its schema or
-    comes out of order, a model file of another schema version, an unknown
+    comes out of order, run-length data that does not describe a mask of
+    the stated size, a model file of another schema version, an unknown
     preset name, or interactive input that ended early."""
 
     def __init__(self, message, line_number=None):
@@ -42,9 +39,10 @@ class DegenerateOrientation(FlaremonError):
 
 
 class TrainingDataError(FlaremonError):
-    """Data a fit cannot use: missing or single-class training data, a
-    constant feature column, a matrix of the wrong shape, or a KNN
-    neighbor count that is even or larger than the data."""
+    """Data a fit cannot use: too few samples, a label neither high nor
+    low, single-class training data, a constant feature column, or a
+    matrix of the wrong shape or not symmetric.  A bad KNN neighbor count
+    in a model file is a ParseError."""
 
 
 class UnparseableReply(FlaremonError):

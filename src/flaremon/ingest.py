@@ -23,7 +23,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .core import BBox, DetClass, Detection, Mask, check_runs
-from .errors import DecodeError, ParseError
+from .errors import ParseError
 
 
 class FrameAnnotation(NamedTuple):
@@ -85,7 +85,7 @@ def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
                              "and runs must be integers", line_no)
         try:
             check_runs(width, height, runs)
-        except DecodeError as exc:
+        except ParseError as exc:
             raise ParseError(f"bad mask: {exc}", line_no) from exc
         if not (0 <= det_idx < len(detections)):
             raise ParseError(f"mask references detection {det_idx} of "

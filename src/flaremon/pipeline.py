@@ -13,8 +13,8 @@ import numpy as np
 from . import classify, formats
 from .classify import LOW, ClassifierModel
 from .core import DetClass, Frame, foreground_indices
-from .errors import (DecodeError, DegenerateOrientation, EmptyRegion,
-                     InsufficientSignal, TrainingDataError)
+from .errors import (DegenerateOrientation, EmptyRegion, InsufficientSignal,
+                     ParseError, TrainingDataError)
 from .features import (N_FEATURES, FeatureVector, angle_from_moments,
                        associate_smoke, flame_moments, rgb_index,
                        smoke_flame_ratio)
@@ -57,7 +57,7 @@ def extract_track_features(
     frame (degenerate orientation, empty region, box-only detection centred
     off the frame) are skipped with a log line, not fatal; an off-frame
     box-only smoke detection is left out of smoke attribution the same way.
-    Any mask whose size differs from its frame raises DecodeError.  Smoke
+    Any mask whose size differs from its frame raises ParseError.  Smoke
     counts for the nearest flame detection at or below it, reported or not
     (features.associate_smoke), so smoke over a warming-up flame counts for
     no flame.
@@ -66,9 +66,9 @@ def extract_track_features(
     for frame, ann in stream:
         for i, mask in ann.masks or ():  # in record order
             if (mask.width, mask.height) != (frame.width, frame.height):
-                raise DecodeError(f"frame {ann.frame_index} detection {i}: "
-                                  f"mask is {mask.width}x{mask.height}, "
-                                  f"frame is {frame.width}x{frame.height}")
+                raise ParseError(f"frame {ann.frame_index} detection {i}: "
+                                 f"mask is {mask.width}x{mask.height}, "
+                                 f"frame is {frame.width}x{frame.height}")
         flame_idx = [i for i, d in enumerate(ann.detections)
                      if d.cls is DetClass.FLAME]
         reported, matches, _, deaths = tracker.step(
@@ -80,15 +80,14 @@ def extract_track_features(
         regions = matched + [(None, i) for i, d in enumerate(ann.detections)
                              if d.cls is DetClass.SMOKE]
         external = dict(ann.masks or ())
-        # The box-only regions, flames first so that they get pixels: one
-        # segment_frame call per frame, and none when every mask came in.
-        grow = [(t, i) for t, i in regions if i not in external]
+        # The box-only regions: one segment_frame call per frame, and none
+        # when every mask came in.
+        grow = [i for _, i in regions if i not in external]
         grown = {}
         if grow:  # so that a masked stream never loads the segmenter
             from .segment import seed_pixel, segment_frame
-            grown = dict(zip([i for _, i in grow], segment_frame(
-                frame, [ann.detections[i].bbox for _, i in grow],
-                sum(t is not None for t, _ in grow))))
+            grown = dict(zip(grow, segment_frame(
+                frame, [ann.detections[i].bbox for i in grow])))
         flames = []  # (track id, detection index)
         smoke_regions = []
         for track_id, i in regions:
@@ -101,8 +100,8 @@ def extract_track_features(
                             frame.width, frame.height)
                 continue
             if track_id is None:
-                smoke_regions.append(
-                    (box, grown[i] if i in grown else external[i].area()))
+                area = len(grown[i]) if i in grown else external[i].area()
+                smoke_regions.append((box, area))
             else:
                 flames.append((track_id, i))
         masked = [i for _, i in flames if i not in grown]

@@ -5,14 +5,12 @@ per-channel (Chebyshev) distance from the 3x3 seed-neighborhood mean stays
 within COLOR_TOLERANCE, inside the box dilated by 10% (the window).  The
 window alone bounds the region: it is the seed's whole component there.
 
-`segment_frame` grows every box-only region of a frame in one call.  A
-flame region comes back as its sorted flat pixel indices, for its moments;
-a smoke region as its pixel count, the only thing smoke attribution reads.
-Each box keeps its own seed mean and lookup table, and its admissible
-pixels fill a window padded with an inadmissible border.  The padded
-windows lie end to end in one flat array, each with its own stride, so
-that runs never join across windows and one set of numpy calls labels the
-runs of every window.
+`segment_frame` grows every box-only region of a frame in one call, and
+gives each back as its sorted flat pixel indices.  Each box keeps its own
+seed mean and lookup table, and its admissible pixels fill a window padded
+with an inadmissible border.  The padded windows lie end to end in one
+flat array, each with its own stride, so that runs never join across
+windows and one set of numpy calls labels the runs of every window.
 
 The seed's component is found over row runs, as in He, Chao and Suzuki's
 run-based labelling (IEEE TIP, 2008): the admissible pixels split into
@@ -21,16 +19,15 @@ rows.  Every run of a batch is labelled at once, in rounds: each hooks
 every root to the least root beside it, then jumps pointers until each
 run points at its root (Shiloach and Vishkin, 1982).  The rounds end when
 no two touching runs differ in label.  A window's component is the label
-of its seed's run.  A smoke's count is that label's total run length, and
-the pixels of every flame of the batch are expanded from their labels'
-runs at once.  External masks, when present, always take precedence over
-this fallback.
+of its seed's run, and the pixels of every window of the batch are
+expanded from their labels' runs at once.  External masks, when present,
+always take precedence over this fallback.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -50,18 +47,17 @@ def seed_pixel(box: BBox):
     return int(round(cx)), int(round(cy))
 
 
-def segment_frame(frame: Frame, boxes: Sequence[BBox],
-                  n_masks: int) -> List[Optional[Union[np.ndarray, int]]]:
-    """The region grown in each box, in box order: the sorted flat pixel
-    indices for each of the first n_masks boxes, the pixel count for each
-    later one, and None for a box whose seed lies off the frame.
+def segment_frame(frame: Frame,
+                  boxes: Sequence[BBox]) -> List[Optional[np.ndarray]]:
+    """The region grown in each box, in box order: its sorted flat pixel
+    indices, or None for a box whose seed lies off the frame.
 
     The windows are stacked in batches; a batch is grown once its stacked
     windows reach the frame's pixel count, so that memory stays within
     about twice the frame's pixels.
     """
     width, height = frame.width, frame.height
-    out: List[Optional[Union[np.ndarray, int]]] = [None] * len(boxes)
+    out: List[Optional[np.ndarray]] = [None] * len(boxes)
     seeds = [seed_pixel(box) for box in boxes]
     on = [k for k, (sx, sy) in enumerate(seeds)
           if 0 <= sx < width and 0 <= sy < height]
@@ -88,7 +84,7 @@ def segment_frame(frame: Frame, boxes: Sequence[BBox],
     for j, k in enumerate(on):
         x, y = seeds[k]
         if not seed_ok[j]:  # degenerate: the seed alone
-            out[k] = np.array([y * width + x]) if k < n_masks else 1
+            out[k] = np.array([y * width + x])
             continue
         box = boxes[k]
         dx, dy = 0.1 * box.width, 0.1 * box.height
@@ -99,14 +95,14 @@ def segment_frame(frame: Frame, boxes: Sequence[BBox],
         batch.append((k, fits[j], x, y, x_lo, y_lo, w, h))
         stacked += (w + 2) * (h + 2)
         if stacked >= width * height:
-            _grow_batch(frame, batch, n_masks, out)
+            _grow_batch(frame, batch, out)
             batch, stacked = [], 0
     if batch:
-        _grow_batch(frame, batch, n_masks, out)
+        _grow_batch(frame, batch, out)
     return out
 
 
-def _grow_batch(frame, batch, n_masks, out):
+def _grow_batch(frame, batch, out):
     """Grow into `out` the region of each window of `batch`: (box number,
     lookup table, seed x and y, window x, y, width and height)."""
     ks, tables, xs, ys, x_los, y_los, ws, hs = zip(*batch)
@@ -137,25 +133,20 @@ def _grow_batch(frame, batch, n_masks, out):
     label = _label_runs(starts, ends, stride)
     roots = label[np.searchsorted(starts, seeds, side="right") - 1]
     areas = np.bincount(label, weights=run_length)[roots].astype(int).tolist()
-    flames = [k < n_masks for k in ks]
-    if any(flames):
-        # The runs of each flame's component (-1 is no run's label), their
-        # first pixels as flat indices of the frame, expanded by one arange.
-        row, col = np.divmod(starts - np.repeat(offsets, per_run), stride)
-        at = (row + np.repeat(y_lo - 1, per_run)) * frame.width \
-            + col + np.repeat(x_lo - 1, per_run)
-        keep = label == np.repeat(np.where(flames, roots, -1), per_run)
-        length = run_length[keep]
-        pixels = np.arange(int(length.sum())) \
-            + np.repeat(at[keep] - np.cumsum(length) + length, length)
+    # The runs of each window's component, their first pixels as flat
+    # indices of the frame, expanded by one arange.
+    row, col = np.divmod(starts - np.repeat(offsets, per_run), stride)
+    at = (row + np.repeat(y_lo - 1, per_run)) * frame.width \
+        + col + np.repeat(x_lo - 1, per_run)
+    keep = label == np.repeat(roots, per_run)
+    length = run_length[keep]
+    pixels = np.repeat(at[keep] - np.cumsum(length) + length, length)
+    pixels += np.arange(len(pixels))
 
     end = 0
-    for k, flame, area in zip(ks, flames, areas):
-        if flame:  # its pixels follow the previous flame's
-            end += area
-            out[k] = pixels[end - area:end]
-        else:
-            out[k] = area
+    for k, area in zip(ks, areas):  # its pixels follow the previous window's
+        end += area
+        out[k] = pixels[end - area:end]
 
 
 def _label_runs(starts, ends, stride):

@@ -2,10 +2,10 @@
 
 `flaremon.segment.segment_frame` stacks a frame's windows and labels
 their row runs.  This module keeps the plain pixel-at-a-time breadth-first
-search, one box at a time, so the tests can require identical flame
-pixels and smoke areas, degenerate seeds and leaked windows included.  It
-also draws the corridors, a spiral and a serpentine, that take a
-breadth-first search thousands of levels.
+search, one box at a time, so the tests can require identical pixels for
+every box, degenerate seeds and leaked windows included.  It also draws
+the corridors, a spiral and a serpentine, that take a breadth-first search
+thousands of levels.
 """
 
 from __future__ import annotations
@@ -59,15 +59,13 @@ def segment_box_bfs(frame: Frame, box: BBox, color_tolerance=40.0):
     return np.flatnonzero(admitted), degenerate
 
 
-def segment_frame_bfs(frame: Frame, boxes, n_masks, color_tolerance=40.0):
+def segment_frame_bfs(frame: Frame, boxes, color_tolerance=40.0):
     """`segment_frame` one box at a time through `segment_box_bfs`: the
-    pixel indices for each of the first n_masks boxes, the pixel count for
-    each later one, None for a box seeded off the frame."""
+    pixel indices of each box, None for a box seeded off the frame."""
     out = []
-    for k, box in enumerate(boxes):
+    for box in boxes:
         res = segment_box_bfs(frame, box, color_tolerance)
-        out.append(None if res is None
-                   else res[0] if k < n_masks else len(res[0]))
+        out.append(None if res is None else res[0])
     return out
 
 

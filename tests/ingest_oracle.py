@@ -16,7 +16,7 @@ import math
 import operator
 
 from flaremon.core import BBox, DetClass, Detection, Mask
-from flaremon.errors import DecodeError, ParseError
+from flaremon.errors import ParseError
 from flaremon.ingest import FrameAnnotation
 
 
@@ -26,15 +26,15 @@ def checked_mask(width, height, runs) -> Mask:
         size = operator.index(width), operator.index(height)
         runs = tuple(map(operator.index, runs))
     except TypeError as exc:  # a float or a string, say
-        raise DecodeError(f"mask sizes and runs must be integers: {exc}") \
+        raise ParseError(f"mask sizes and runs must be integers: {exc}") \
             from exc
     if size[0] <= 0 or size[1] <= 0:
-        raise DecodeError(f"bad mask size {size[0]}x{size[1]}")
+        raise ParseError(f"bad mask size {size[0]}x{size[1]}")
     if runs and min(runs) < 0:
-        raise DecodeError("negative run length")
+        raise ParseError("negative run length")
     total = sum(runs)
     if total != size[0] * size[1]:
-        raise DecodeError(
+        raise ParseError(
             f"runs sum to {total}, expected {size[0] * size[1]}"
         )
     return Mask(*size, runs)
@@ -93,7 +93,7 @@ def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
                              "and runs must be integers", line_no)
         try:
             mask = checked_mask(width, height, runs)
-        except DecodeError as exc:
+        except ParseError as exc:
             raise ParseError(f"bad mask: {exc}", line_no) from exc
         if not (0 <= det_idx < len(detections)):
             raise ParseError(f"mask references detection {det_idx} of "

@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 
 from flaremon.core import (BBox, Detection, DetClass, Frame, Mask, box_center,
                            foreground_indices)
-from flaremon.errors import DecodeError
+from flaremon.errors import ParseError
 from tests.fullframe_oracle import decode_runs, encode_runs, mask_arrays
 from tests.sort_oracle import iou
 
@@ -75,9 +75,9 @@ class TestMask:
         assert arr.ravel()[3:5].all() and arr.sum() == 2
 
     def test_malformed_runs(self):
-        with pytest.raises(DecodeError):
+        with pytest.raises(ParseError):
             Mask(4, 4, (3, 2, 10))
-        with pytest.raises(DecodeError):
+        with pytest.raises(ParseError):
             Mask(4, 4, (-1, 17))
 
     def test_area_complement(self):
@@ -138,7 +138,7 @@ class TestMask:
         (2, 2, (1.9, 3.9)), (2.0, 2, (1, 3)), (2, 2.5, (1, 4)),
         (2, 2, ("1", "3")), (2, 2, (1, None, 3))])
     def test_non_integer_fields_rejected(self, width, height, runs):
-        with pytest.raises(DecodeError):
+        with pytest.raises(ParseError):
             Mask(width, height, runs)
 
     def test_window_outside_frame_rejected(self):

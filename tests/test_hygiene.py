@@ -292,7 +292,6 @@ def caught_names(source: str):
 # FlaremonError subclasses that no `except` clause in src/ names, each with
 # the reason it stays a class of its own.
 UNCAUGHT_ERRORS = {
-    "ParseError": "what a caller decides: input flaremon cannot read",
     "TrainingDataError": "what a caller decides: data a fit cannot use",
     "NumericalError": "what a caller decides: a numerical failure",
     "UnparseableReply": "what a caller decides: a bad LLM reply",

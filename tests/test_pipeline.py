@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from flaremon import pipeline
 from flaremon.classify import HIGH, LOW
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
-from flaremon.errors import (DecodeError, FlaremonError, ParseError,
-                             TrainingDataError)
+from flaremon.errors import FlaremonError, ParseError, TrainingDataError
 from flaremon.features import FeatureVector
 from flaremon.ingest import FrameAnnotation
 from flaremon.formats import (StatusRecord, emit_scatter_plot, load_frames,
@@ -161,13 +160,13 @@ class TestMaskSize:
     def test_mask_of_unreported_flame_is_checked(self):
         # The flame's track is still warming up, so no record reads its
         # mask; the mask is checked against its frame all the same.
-        with pytest.raises(DecodeError, match="^frame 0 detection 0: mask is "
+        with pytest.raises(ParseError, match="^frame 0 detection 0: mask is "
                            "70x40, frame is 60x40$"):
             list(extract_track_features(self.stream(((0, self.mask(70)),))))
 
     def test_first_wrong_mask_in_record_order_is_named(self):
         masks = ((1, self.mask(50)), (0, self.mask(70)))
-        with pytest.raises(DecodeError, match="^frame 0 detection 1: mask is "
+        with pytest.raises(ParseError, match="^frame 0 detection 1: mask is "
                            "50x40, frame is 60x40$"):
             list(extract_track_features(self.stream(masks)))
 
@@ -175,6 +174,40 @@ class TestMaskSize:
         masks = ((0, self.mask(60)), (1, self.mask(60)))
         assert [recs for recs, _ in extract_track_features(
             self.stream(masks))] == [[], []]
+
+
+def test_masked_frame_decodes_only_its_reported_flames(monkeypatch, caplog):
+    """A masked frame decodes the masks of its reported flames in at most
+    one foreground_indices call; a smoke mask counts by `Mask.area()`
+    and is never decoded."""
+    seen, calls = [], []  # the annotations read; (annotation, masks)
+    real = pipeline.foreground_indices
+
+    def spy(masks):
+        calls.append((seen[-1], list(masks)))
+        return real(masks)
+
+    def watched(stream):
+        for frame, ann in stream:
+            seen.append(ann)
+            yield frame, ann
+
+    monkeypatch.setattr(pipeline, "foreground_indices", spy)
+    spec = preset("three_stacks")._replace(frame_count=40)
+    with caplog.at_level(logging.WARNING, logger="flaremon.pipeline"):
+        per_frame = [recs for recs, _ in extract_track_features(
+            watched(rendered_stream(render(spec))))]
+    records = {ann.frame_index: recs for ann, recs in zip(seen, per_frame)}
+    assert warnings_of(caplog) == []  # so every decoded flame gives a record
+    frames = [ann.frame_index for ann, _ in calls]
+    assert len(frames) == len(set(frames))
+    assert frames == [f for f, recs in records.items() if recs]
+    for ann, masks in calls:
+        flames = [m for i, m in ann.masks
+                  if ann.detections[i].cls is DetClass.FLAME]
+        assert all(any(m is f for f in flames) for m in masks)
+        assert len(masks) == len(records[ann.frame_index])
+    assert max(len(masks) for _, masks in calls) == 3
 
 
 class TestTraining:

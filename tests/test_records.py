@@ -7,7 +7,7 @@ import pytest
 
 from flaremon.classify import ClassifierModel
 from flaremon.core import BBox, DetClass, Detection, Frame, Mask
-from flaremon.errors import DecodeError
+from flaremon.errors import ParseError
 from flaremon.features import FeatureVector
 from flaremon.formats import EfficiencyModel, StatusRecord
 from flaremon.ingest import FrameAnnotation
@@ -137,7 +137,7 @@ def test_equal_records_hash_equal(record):
     (SceneSpec(), {"noise_amplitude": 40000}),
 ], ids=lambda v: type(v).__name__ if hasattr(v, "_fields") else str(v))
 def test_replace_runs_the_constructor_checks(record, change):
-    with pytest.raises((ValueError, DecodeError)) as built:
+    with pytest.raises((ValueError, ParseError)) as built:
         type(record)(**{**record._asdict(), **change})
     with pytest.raises(built.type) as replaced:
         record._replace(**change)

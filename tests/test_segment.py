@@ -25,31 +25,26 @@ def frame_of(pix):
     return Frame(0, 0.0, w, h, pix)
 
 
-def grow_all(frame, boxes, n_masks, tolerance=segment.COLOR_TOLERANCE):
+def grow_all(frame, boxes, tolerance=segment.COLOR_TOLERANCE):
     """segment_frame with its colour tolerance set to this."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segment, "COLOR_TOLERANCE", tolerance)
-        return segment_frame(frame, boxes, n_masks)
+        return segment_frame(frame, boxes)
 
 
 def grow(frame, box, tolerance=segment.COLOR_TOLERANCE):
-    """The pixel indices of one box, grown by one segment_frame call that
-    reads the box twice: once as a flame, for the indices, and once as a
-    smoke, whose pixel count must be their number.  None for an off-frame
-    seed."""
-    pixels, area = grow_all(frame, [box, box], 1, tolerance)
-    assert area == (None if pixels is None else len(pixels))
-    return pixels
+    """The pixel indices of one box, grown by one segment_frame call, or
+    None for an off-frame seed."""
+    return grow_all(frame, [box], tolerance)[0]
 
 
 def same(got, expect):
     """Whether two grown regions are equal: the same pixel indices, element
-    for element and of the same dtype, or the same pixel count, or both
-    None."""
-    if isinstance(expect, np.ndarray):
-        return (isinstance(got, np.ndarray) and got.dtype == expect.dtype
-                and np.array_equal(got, expect))
-    return type(got) is type(expect) and got == expect
+    for element and of the same dtype, or both None."""
+    if expect is None:
+        return got is None
+    return (isinstance(got, np.ndarray) and got.dtype == expect.dtype
+            and np.array_equal(got, expect))
 
 
 def same_regions(got, expect):
@@ -106,7 +101,7 @@ def test_degenerate_seed_gives_single_pixel():
 
 def test_out_of_bounds_seed():
     frame = frame_of(make_frame())
-    assert segment_frame(frame, [BBox(100, 100, 120, 120)] * 2, 1) == \
+    assert segment_frame(frame, [BBox(100, 100, 120, 120)] * 2) == \
         [None, None]
 
 
@@ -157,9 +152,8 @@ def test_leaked_window_grows_whole_window():
     box = BBox(80, 80, 120, 120)
     expect = window_indices(frame, 76, 76, 124, 124)
     assert len(expect) == 2401
-    assert same_regions(segment_frame(frame, [box, box], 1), [expect, 2401])
-    assert same_regions(segment_frame_bfs(frame, [box, box], 1),
-                        [expect, 2401])
+    assert same_regions(segment_frame(frame, [box]), [expect])
+    assert same_regions(segment_frame_bfs(frame, [box]), [expect])
 
 
 def test_large_leaked_window_matches_pixel_bfs():
@@ -169,9 +163,9 @@ def test_large_leaked_window_matches_pixel_bfs():
     box = BBox(50, 50, 350, 350)
     expect = window_indices(frame, 20, 20, 380, 380)
     assert len(expect) == 361 * 361
-    got = segment_frame(frame, [box, box], 1)
-    assert same_regions(got, [expect, len(expect)])
-    assert same_regions(got, segment_frame_bfs(frame, [box, box], 1))
+    got = segment_frame(frame, [box])
+    assert same_regions(got, [expect])
+    assert same_regions(got, segment_frame_bfs(frame, [box]))
 
 
 def test_sky_box_grows_its_whole_window():
@@ -182,8 +176,8 @@ def test_sky_box_grows_its_whole_window():
     for rendered in render(scene(41, MONITOR)):
         frame = rendered.frame
         expect = window_indices(frame, 19, 19, 31, 31)
-        assert same_regions(segment_frame(frame, [box, box], 1),
-                            [expect, 169])
+        assert len(expect) == 169
+        assert same_regions(segment_frame(frame, [box]), [expect])
 
 
 @st.composite
@@ -256,8 +250,8 @@ def test_uncapped_labelling_matches_pixel_bfs(case):
 def leaked_case(draw):
     """A uniform or two-tone frame of blocks, its tones 0, 30 or 100 apart
     (the tolerance is 40), and 1 to 4 boxes 1 to 30 px on a side, whose
-    seeds may lie off the frame, with the number of them read as flames:
-    windows that the region fills, or nearly."""
+    seeds may lie off the frame: windows that the region fills, or
+    nearly."""
     w, h = draw(st.integers(1, 48)), draw(st.integers(1, 48))
     block = draw(st.integers(1, 8))
     cells = draw(arrays(bool, (h // block + 1, w // block + 1)))
@@ -270,15 +264,15 @@ def leaked_case(draw):
         y = draw(st.floats(-5.0, h + 1.0))
         boxes.append(BBox(x, y, x + draw(st.floats(1.0, 30.0)),
                           y + draw(st.floats(1.0, 30.0))))
-    return frame_of(pix), boxes, draw(st.integers(0, len(boxes)))
+    return frame_of(pix), boxes
 
 
 @settings(max_examples=300, deadline=None)
 @given(leaked_case())
 def test_leaked_windows_match_pixel_bfs(case):
-    frame, boxes, n_masks = case
-    assert same_regions(segment_frame(frame, boxes, n_masks),
-                        segment_frame_bfs(frame, boxes, n_masks))
+    frame, boxes = case
+    assert same_regions(segment_frame(frame, boxes),
+                        segment_frame_bfs(frame, boxes))
 
 
 def noisy_frame(amplitude, seed):
@@ -364,8 +358,7 @@ def frame_boxes_config(draw):
     can hold short-run and long-run windows; 0 to 8 boxes, each new or a
     shifted copy of an earlier one (overlapping flame and smoke boxes), with
     seeds that may lie off the frame, sides from under 3 px to past every
-    edge, and whole-frame boxes that fill a batch; the number of boxes read
-    as flames; and a tolerance."""
+    edge, and whole-frame boxes that fill a batch; and a tolerance."""
     palette = np.array([[200, 60, 40], [220, 80, 30], [30, 40, 200],
                         [0, 0, 0]], dtype=np.uint8)
     h = draw(st.integers(1, 12))
@@ -397,18 +390,16 @@ def frame_boxes_config(draw):
         hw = draw(st.floats(0.05, w + 2))
         hh = draw(st.floats(0.05, h + 2))
         boxes.append(BBox(cx - hw, cy - hh, cx + hw, cy + hh))
-    n_masks = draw(st.integers(0, len(boxes)))
     tolerance = draw(st.sampled_from([0.0, 255.0]) | st.floats(0.0, 255.0))
-    return Frame(0, 0.0, w, h, pix), boxes, n_masks, tolerance
+    return Frame(0, 0.0, w, h, pix), boxes, tolerance
 
 
 @settings(max_examples=300, deadline=None)
 @given(frame_boxes_config())
 def test_frame_matches_pixel_bfs_per_box(case):
-    frame, boxes, n_masks, tolerance = case
-    got = grow_all(frame, boxes, n_masks, tolerance)
-    assert same_regions(got, segment_frame_bfs(frame, boxes, n_masks,
-                                               tolerance))
+    frame, boxes, tolerance = case
+    assert same_regions(grow_all(frame, boxes, tolerance),
+                        segment_frame_bfs(frame, boxes, tolerance))
 
 
 def test_mixed_frame_matches_pixel_bfs():
@@ -430,11 +421,11 @@ def test_mixed_frame_matches_pixel_bfs():
              BBox(30, 30, 50, 45),   # bottom
              BBox(81, 10, 95, 20),   # seed off the frame
              BBox(19, 4, 24, 9)]     # degenerate seed
-    got = segment_frame(frame, boxes, 2)
-    assert same_regions(got, segment_frame_bfs(frame, boxes, 2))
-    assert got[6] is None and got[7] == 1
+    got = segment_frame(frame, boxes)
+    assert same_regions(got, segment_frame_bfs(frame, boxes))
+    assert got[6] is None and same(got[7], np.array([6 * 80 + 22]))
     # The smoke over the first flame fills its 20x20 window too.
-    assert len(got[0]) == 13 * 13 and got[2] == 20 * 20
+    assert len(got[0]) == 13 * 13 and len(got[2]) == 20 * 20
 
 
 def test_full_frame_boxes_flush_the_batch(monkeypatch):
@@ -448,14 +439,14 @@ def test_full_frame_boxes_flush_the_batch(monkeypatch):
     boxes = [whole, BBox(20, 10, 40, 30), whole, BBox(22, 12, 38, 28),
              BBox(25, 15, 35, 25)]
     batches = count_calls(monkeypatch, "_grow_batch")
-    got = segment_frame(frame, boxes, 2)
+    got = segment_frame(frame, boxes)
     assert [len(args[1]) for args in batches] == [1, 2, 2]
-    assert same_regions(got, segment_frame_bfs(frame, boxes, 2))
+    assert same_regions(got, segment_frame_bfs(frame, boxes))
 
 
 def test_no_boxes_no_work(monkeypatch):
     batches = count_calls(monkeypatch, "_grow_batch")
-    assert segment_frame(frame_of(make_frame()), [], 0) == []
+    assert segment_frame(frame_of(make_frame()), []) == []
     assert not batches
 
 
@@ -476,8 +467,7 @@ def test_regions_against_rendered_truth(name):
     ious = {DetClass.FLAME: [], DetClass.SMOKE: []}
     for rendered in render(preset(name)._replace(frame_count=40)):
         dets = rendered.annotation.detections
-        got = segment_frame(rendered.frame, [d.bbox for d in dets],
-                            len(dets))
+        got = segment_frame(rendered.frame, [d.bbox for d in dets])
         truth = dict(rendered.annotation.masks)
         for i, det in enumerate(dets):
             grown = region_array(rendered.frame, got[i])
