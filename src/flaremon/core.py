@@ -154,8 +154,8 @@ class Mask(_Checked, _Mask):
 
 
 def foreground_indices(masks):
-    """Each mask's sorted flat row-major foreground indices, concatenated in
-    mask order, and each mask's foreground count, as int64 arrays.
+    """Each mask's sorted flat row-major foreground indices, an int64 array
+    per mask, in mask order.
 
     One decode serves any number of masks, and no frame is built.
     """
@@ -176,7 +176,8 @@ def foreground_indices(masks):
               - np.repeat(np.cumsum(sizes) - sizes, fg_runs))
     before = np.cumsum(lengths) - lengths  # foreground ahead of each run
     idx = np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)
-    return idx, np.add.reduceat(lengths, np.cumsum(fg_runs) - fg_runs)
+    cuts = [*before[np.cumsum(fg_runs) - fg_runs].tolist(), len(idx)]
+    return [idx[a:b] for a, b in zip(cuts, cuts[1:])]  # from each first run
 
 
 class _Frame(NamedTuple):

@@ -65,8 +65,7 @@ def flame_moments(frame: Frame, pixels: Sequence[np.ndarray]):
 
 def channel_means(frame: Frame, mask: Mask):
     """Mean (R, G, B) over the mask's foreground pixels."""
-    idx, _ = foreground_indices([mask])
-    counts, means, _ = flame_moments(frame, [idx])
+    counts, means, _ = flame_moments(frame, foreground_indices([mask]))
     if not counts[0]:
         raise EmptyRegion("mask has no foreground pixels")
     return tuple(means[0].tolist())

@@ -205,16 +205,17 @@ def parse_feature_csv(text: str) -> List[StatusRecord]:
     whose first line is a header when none of its feature fields is a
     number.  Every number must be finite and every label HIGH or LOW;
     anything else is a ParseError naming its line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    is_log = bool(lines) and lines[0] == FEATURE_LOG_HEADER
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+                if ln.strip()]  # blank lines are skipped but counted
+    first = numbered[0][1] if numbered else ""
+    is_log = first == FEATURE_LOG_HEADER
     if is_log:
         widths, start = (8,), 1
     else:
         widths = (3, 4)
-        start = 1 if lines and all(
-            _number(f) is None for f in lines[0].split(",")[:3]) else 0
+        start = int(all(_number(f) is None for f in first.split(",")[:3]))
     rows = []
-    for i, line in enumerate(lines[start:], start=start + 1):
+    for i, line in numbered[start:]:
         parts = line.split(",")
         if len(parts) not in widths:
             raise ParseError(f"expected {' or '.join(map(str, widths))} "

@@ -106,9 +106,8 @@ def extract_track_features(
                 flames.append((track_id, i))
         masked = [i for _, i in flames if i not in grown]
         if masked:  # their pixels, decoded in one call, join the grown
-            idx, counts = foreground_indices([external[i] for i in masked])
-            grown.update((i, idx[end - n:end]) for i, end, n in zip(
-                masked, np.cumsum(counts).tolist(), counts.tolist()))
+            grown.update(zip(masked, foreground_indices(
+                [external[i] for i in masked])))
 
         smoke, orphans = associate_smoke(  # pixels per flame detection
             {i: ann.detections[i].bbox for i in flame_idx}, smoke_regions)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from flaremon.errors import (DegenerateOrientation, EmptyRegion,
                              FlaremonError)
+from flaremon.features import MIN_AXIS_RATIO
 
 
 def mask_arrays(max_side: int = 12):
@@ -57,7 +58,7 @@ def channel_means(frame, mask):
     return float(means[0]), float(means[1]), float(means[2])
 
 
-def flame_angle(mask, min_axis_ratio: float = 1.05) -> float:
+def flame_angle(mask) -> float:
     ys, xs = np.nonzero(decode_runs(mask))
     if xs.size < 5:
         raise EmptyRegion(f"only {xs.size} foreground pixels, need >= 5")
@@ -74,9 +75,9 @@ def flame_angle(mask, min_axis_ratio: float = 1.05) -> float:
         axis_ratio = math.inf
     else:
         axis_ratio = math.sqrt(lam_major / lam_minor)
-    if axis_ratio < min_axis_ratio:
+    if axis_ratio < MIN_AXIS_RATIO:
         raise DegenerateOrientation(
-            f"axis ratio {axis_ratio:.4f} below {min_axis_ratio}")
+            f"axis ratio {axis_ratio:.4f} below {MIN_AXIS_RATIO}")
 
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
     angle = abs(90.0 - abs(math.degrees(theta)))

@@ -1,8 +1,7 @@
 """The annotation parser as it was, kept as a reference for the current one.
 
-It checks each mask record's field types, and then checks the mask as the
-frozen dataclass `Mask` did when built, walking the runs again: it maps
-`operator.index` over them and takes their `min` and `sum`.
+It checks each mask record's field types, and then builds the mask with
+`Mask`, whose own checks walk the runs again.
 `flaremon.ingest.parse_annotation_line` checks each record once and builds
 the mask unchecked.  For every line both must give an equal
 `FrameAnnotation`, or a `ParseError` with the same text.  pytest does not
@@ -13,31 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 
 from flaremon.core import BBox, DetClass, Detection, Mask
 from flaremon.errors import ParseError
 from flaremon.ingest import FrameAnnotation
-
-
-def checked_mask(width, height, runs) -> Mask:
-    """The mask, checked as `Mask.__post_init__` checked it."""
-    try:
-        size = operator.index(width), operator.index(height)
-        runs = tuple(map(operator.index, runs))
-    except TypeError as exc:  # a float or a string, say
-        raise ParseError(f"mask sizes and runs must be integers: {exc}") \
-            from exc
-    if size[0] <= 0 or size[1] <= 0:
-        raise ParseError(f"bad mask size {size[0]}x{size[1]}")
-    if runs and min(runs) < 0:
-        raise ParseError("negative run length")
-    total = sum(runs)
-    if total != size[0] * size[1]:
-        raise ParseError(
-            f"runs sum to {total}, expected {size[0] * size[1]}"
-        )
-    return Mask(*size, runs)
 
 
 def parse_detection(obj, line_no) -> Detection:
@@ -92,7 +70,7 @@ def parse_annotation_line(line: str, line_no: int = None) -> FrameAnnotation:
             raise ParseError("bad mask record: detection, width, height "
                              "and runs must be integers", line_no)
         try:
-            mask = checked_mask(width, height, runs)
+            mask = Mask(width, height, runs)
         except ParseError as exc:
             raise ParseError(f"bad mask: {exc}", line_no) from exc
         if not (0 <= det_idx < len(detections)):

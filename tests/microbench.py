@@ -18,11 +18,12 @@ the run before any figure for that case.  The cases:
   each equal bit for bit to `tests/classify_oracle.py`'s, per fit.
 - features: what `pipeline.extract_track_features` needs of each flame
   (pixel count, E and angle, errors included), from one decode and one
-  `flame_moments` call per frame, equal to the per-mask oracle of
-  `tests/features_oracle.py`, per frame.  Frames: the flame masks of the
-  benchmark monitor scene (640x360, six stacks, 32 frames, seed 41), and
-  32 synthetic 640x360 frames of random pixels with 1, 6 and 20 tilted
-  elliptical flames of 30x12 px half-axes, on a grid 85 px apart.
+  `flame_moments` call per frame, equal to the full-frame oracle of
+  `tests/fullframe_oracle.py` (values, error types and messages), per
+  frame.  Frames: the flame masks of the benchmark monitor scene (640x360,
+  six stacks, 32 frames, seed 41), and 32 synthetic 640x360 frames of
+  random pixels with 1, 6 and 20 tilted elliptical flames of 30x12 px
+  half-axes, on a grid 85 px apart.
 - render: the seed-777 monitor scene (640x360, six stacks, 32 frames) and
   training scene (400x240, four stacks, 40 frames), alone and written with
   `formats.save_scene` to a temporary directory, per frame, after the
@@ -79,16 +80,17 @@ sys.path.insert(0, str(ROOT))
 from flaremon import classify, formats, pipeline, tracker  # noqa: E402
 from flaremon.core import (BBox, DetClass, Detection, Frame,  # noqa: E402
                            Mask, foreground_indices)
-from flaremon.errors import EmptyRegion, FlaremonError  # noqa: E402
+from flaremon.errors import EmptyRegion  # noqa: E402
 from flaremon.features import (angle_from_moments, flame_moments,  # noqa: E402
                                rgb_index)
 from flaremon.ingest import FrameAnnotation  # noqa: E402
 from flaremon.segment import segment_frame  # noqa: E402
 from flaremon.simulator import render, rendered_stream  # noqa: E402
 from perfbench.scenes import LAYOUTS, MONITOR, TRAIN, scene  # noqa: E402
-from tests import (classify_oracle, features_oracle,  # noqa: E402
+from tests import (classify_oracle, fullframe_oracle,  # noqa: E402
                    render_oracle, sort_oracle)
 from tests.bfs_oracle import segment_frame_bfs, spiral  # noqa: E402
+from tests.fullframe_oracle import outcome  # noqa: E402
 
 
 def timed(call):
@@ -142,32 +144,22 @@ def classify_cases():
         row("classify", name, inputs, "fit", timed(lambda: train(pcs, labels)))
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except FlaremonError as exc:
-        return type(exc)
-
-
 def oracle_features(frame, masks):
     out = []
     for mask in masks:
-        means = outcome(features_oracle.channel_means, frame, mask)
+        means = outcome(fullframe_oracle.channel_means, frame, mask)
         out.append((mask.area(),
-                    means if isinstance(means, type)
-                    else outcome(rgb_index, means),
-                    outcome(features_oracle.flame_angle, mask)))
+                    means if len(means) == 2 else outcome(rgb_index, means),
+                    outcome(fullframe_oracle.flame_angle, mask)))
     return out
 
 
 def batched_features(frame, masks):
     # The masks' pixels from one decode, as pipeline.extract_track_features
     # hands them on.
-    idx, counts = foreground_indices(masks)
-    ends = np.cumsum(counts).tolist()
-    counts, means, moments = flame_moments(
-        frame, [idx[end - n:end] for end, n in zip(ends, counts.tolist())])
-    return [(n, outcome(rgb_index, rgb) if n else EmptyRegion,
+    counts, means, moments = flame_moments(frame, foreground_indices(masks))
+    empty = (EmptyRegion, "mask has no foreground pixels")
+    return [(n, outcome(rgb_index, rgb) if n else empty,
              outcome(angle_from_moments, n, *mu))
             for n, rgb, mu in zip(counts.tolist(), means.tolist(),
                                   moments.tolist())]

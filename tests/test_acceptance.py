@@ -30,7 +30,7 @@ from flaremon.tracker import (SortTracker, hungarian, kalman_predict,
                               kalman_update)
 from tests import classify_oracle
 from tests.assignment_oracle import brute_force_assignment
-from tests.features_oracle import flame_angle
+from tests.fullframe_oracle import flame_angle
 from tests.sort_oracle import covariance, iou, measurement_to_bbox
 from tests.conftest import TRAINING_LABELS, TRAINING_ROWS, feature_log_text
 

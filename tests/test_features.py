@@ -11,7 +11,6 @@ from flaremon.features import (angle_from_moments, associate_smoke,
                                channel_means, flame_moments, rgb_index,
                                smoke_flame_ratio)
 from flaremon.simulator import PRESETS, preset, render
-from tests import features_oracle
 from tests import fullframe_oracle as oracle
 
 
@@ -141,7 +140,7 @@ def angle_of(mask):
     blank = np.zeros((mask.height, mask.width, 3), dtype=np.uint8)
     counts, _, moments = flame_moments(
         Frame(0, 0.0, mask.width, mask.height, blank),
-        [features_oracle.indices(mask)])
+        [np.flatnonzero(oracle.decode_runs(mask))])
     return angle_from_moments(int(counts[0]), *moments[0].tolist())
 
 
@@ -184,30 +183,6 @@ class TestFlameAngle:
             tilt = rng.uniform(0, 89)
             angle = angle_of(solid_ellipse(tilt))
             assert 0.0 <= angle <= 90.0
-
-
-class TestFullFrameOracle:
-    """Window-free features must equal the full-frame ones exactly."""
-
-    def assert_same(self, frame, mask):
-        assert (oracle.outcome(channel_means, frame, mask)
-                == oracle.outcome(oracle.channel_means, frame, mask))
-        assert (oracle.outcome(angle_of, mask)
-                == oracle.outcome(oracle.flame_angle, mask))
-
-    @given(oracle.mask_arrays(), st.integers(0, 2 ** 32 - 1))
-    def test_random_masks(self, arr, seed):
-        h, w = arr.shape
-        pixels = np.random.default_rng(seed).integers(0, 256, (h, w, 3))
-        self.assert_same(frame_with(pixels), Mask.from_array(arr))
-
-    def test_every_three_stacks_mask(self):
-        count = 0
-        for rf in render(preset("three_stacks")):
-            for _, mask in rf.annotation.masks:
-                self.assert_same(rf.frame, mask)
-                count += 1
-        assert count == 1200  # 3 flames and 3 smoke regions, 200 frames
 
 
 def mask_shape(kind, w, h, rng):
@@ -255,7 +230,7 @@ def batched_rows(frame, masks):
     one flame_moments call on the masks' decoded pixel indices; an empty
     mask's means are NaN."""
     counts, means, moments = flame_moments(
-        frame, [features_oracle.indices(m) for m in masks])
+        frame, [np.flatnonzero(oracle.decode_runs(m)) for m in masks])
     rows = []
     for n, rgb, mu in zip(counts.tolist(), means.tolist(), moments.tolist()):
         if n:
@@ -269,25 +244,26 @@ def batched_rows(frame, masks):
 
 
 def oracle_row(frame, mask):
-    """The same from the per-mask oracle."""
-    rgb = oracle.outcome(features_oracle.channel_means, frame, mask)
+    """The same from the full-frame oracle, one mask at a time."""
+    rgb = oracle.outcome(oracle.channel_means, frame, mask)
     index = rgb if len(rgb) == 2 else oracle.outcome(rgb_index, rgb)
-    return (len(features_oracle.indices(mask)), rgb, index,
-            oracle.outcome(features_oracle.flame_angle, mask))
+    return (mask.area(), rgb, index,
+            oracle.outcome(oracle.flame_angle, mask))
 
 
 class TestBatchedAgainstPerMaskOracle:
-    """flame_moments over a frame's masks equals the per-mask oracle
-    exactly: count, means, E, angle and every raised error."""
+    """flame_moments over a frame's masks, and channel_means over each
+    mask, equal the full-frame oracle taken one mask at a time exactly:
+    count, means, E, angle and every raised error."""
 
     def assert_same(self, frame, masks):
         assert batched_rows(frame, masks) == [oracle_row(frame, m)
                                               for m in masks]
         for m in masks:
             assert (oracle.outcome(channel_means, frame, m)
-                    == oracle.outcome(features_oracle.channel_means, frame, m))
+                    == oracle.outcome(oracle.channel_means, frame, m))
             assert (oracle.outcome(angle_of, m)
-                    == oracle.outcome(features_oracle.flame_angle, m))
+                    == oracle.outcome(oracle.flame_angle, m))
 
     @given(frames_with_masks())
     def test_random_frames(self, case):

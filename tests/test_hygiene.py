@@ -267,6 +267,30 @@ def test_public_definitions_skip_private_and_nested_names():
     assert public_definitions(source) == ["f", "C"]
 
 
+def defined_twice(sources):
+    """Each public top-level name that more than one of the named sources
+    defines, with the sorted names of those sources."""
+    where = {}
+    for module, source in sources.items():
+        for name in public_definitions(source):
+            where.setdefault(name, []).append(module)
+    return {name: sorted(ms) for name, ms in where.items() if len(ms) > 1}
+
+
+def test_one_reference_per_fact():
+    """A test reference defines each function or class once: two oracles
+    of one fact could drift apart while each still passes its own tests."""
+    assert defined_twice({p.name: p.read_text(encoding="utf-8")
+                          for p in TESTS.glob("*_oracle.py")}) == {}
+
+
+def test_twice_defined_checker_sees_shared_public_names():
+    sources = {"b.py": "def f(): pass\ndef _g(): pass\nclass C: pass\n",
+               "a.py": "def f(): pass\ndef _g(): pass\n"
+                       "def h():\n    def C(): pass\n"}
+    assert defined_twice(sources) == {"f": ["a.py", "b.py"]}
+
+
 def error_subclasses(source: str):
     """The classes a module defines on FlaremonError, directly or through
     another of its classes."""

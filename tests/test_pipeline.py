@@ -402,6 +402,13 @@ class TestFeatureLog:
         with pytest.raises(ParseError):
             parse_feature_csv(text)
 
+    def test_error_line_counts_blank_lines(self, tmp_path):
+        with pytest.raises(ParseError, match="^line 5: could not convert"):
+            parse_feature_csv("ratio,E,angle\n\n0.1,0.5,3\n\nx,0.5,3\n")
+        header, row, _ = feature_log_text(
+            self.rows(), tmp_path / "a.csv").split("\n", 2)
+        with pytest.raises(ParseError, match="^line 4: expected 8 columns"):
+            parse_feature_csv(f"{header}\n\n{row}\n1,2,3\n")
 
     @settings(max_examples=300, deadline=None)
     @given(feature_csvs())

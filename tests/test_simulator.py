@@ -17,7 +17,7 @@ from flaremon.simulator import (PRESETS, FlameSpec, SceneSpec, SmokeSpec,
 from perfbench.scenes import MONITOR, TRAIN, scene
 from tests import fullframe_oracle as oracle
 from tests import render_oracle
-from tests.features_oracle import flame_angle
+from tests.fullframe_oracle import flame_angle
 
 
 def single_flame_spec(**kw):
