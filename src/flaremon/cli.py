@@ -125,8 +125,8 @@ def cmd_train(args):
             return EXIT_USAGE
         X, labels = _labeled(formats.load_feature_csv(args.features),
                              "feature CSV")
-        model, report = pipeline.fit_efficiency_model(X, labels,
-                                                      seed=args.seed)
+        model, accuracies = pipeline.fit_efficiency_model(X, labels,
+                                                          seed=args.seed)
     else:
         if not (args.annotations and args.frames):
             print("train needs --features or both --annotations and --frames",
@@ -135,7 +135,7 @@ def cmd_train(args):
         if args.labeling == "rule" and _unused_llm_options(
                 args, "train --labeling rule"):
             return EXIT_USAGE
-        model, report, rows = pipeline.run_training(
+        model, accuracies, rows = pipeline.run_training(
             formats.load_annotated_frames(args.annotations, args.frames),
             llm_cfg=_llm_cfg(args, args.labeling),
             do_review=args.review, seed=args.seed)
@@ -146,8 +146,8 @@ def cmd_train(args):
                 write_row(row)
     print("held-out accuracy per classifier:")
     for kind in classify.KINDS:
-        print(f"  {kind:<10} {report['accuracies'][kind]:.3f}")
-    print(f"selected: {report['selected']} -> {args.out}")
+        print(f"  {kind:<10} {accuracies[kind]:.3f}")
+    print(f"selected: {model.classifier.kind} -> {args.out}")
     return EXIT_OK
 
 

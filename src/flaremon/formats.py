@@ -204,9 +204,10 @@ def parse_feature_csv(text: str) -> List[StatusRecord]:
     """The rows of a feature log or of a bare ratio,E,angle[,label] CSV,
     whose first line is a header when none of its feature fields is a
     number.  Every number must be finite and every label HIGH or LOW;
-    anything else is a ParseError naming its line."""
-    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
-                if ln.strip()]  # blank lines are skipped but counted
+    anything else is a ParseError naming its line.  Lines end at LF, CRLF
+    or CR, as in a file read in text mode; blank ones count but hold no row."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    numbered = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
     first = numbered[0][1] if numbered else ""
     is_log = first == FEATURE_LOG_HEADER
     if is_log:

@@ -64,7 +64,8 @@ def extract_track_features(
     """
     tracker = SortTracker()
     for frame, ann in stream:
-        for i, mask in ann.masks or ():  # in record order
+        masks = dict(ann.masks or ())
+        for i, mask in masks.items():  # in record order
             if (mask.width, mask.height) != (frame.width, frame.height):
                 raise ParseError(f"frame {ann.frame_index} detection {i}: "
                                  f"mask is {mask.width}x{mask.height}, "
@@ -74,54 +75,48 @@ def extract_track_features(
         reported, matches, _, deaths = tracker.step(
             [ann.detections[i] for i in flame_idx])
         det_of_track = {t: flame_idx[j] for t, j in matches}
-        matched = [(t, det_of_track[t]) for t in reported if t in det_of_track]
-        # Flames in reported order, then smokes (track None) in detection
-        # order: the order of the off-frame seed warnings.
-        regions = matched + [(None, i) for i, d in enumerate(ann.detections)
-                             if d.cls is DetClass.SMOKE]
-        external = dict(ann.masks or ())
-        # The box-only regions: one segment_frame call per frame, and none
-        # when every mask came in.
-        grow = [i for _, i in regions if i not in external]
-        grown = {}
+        flames = [(t, det_of_track[t]) for t in reported if t in det_of_track]
+        unreported = set(flame_idx).difference(i for _, i in flames)
+        smokes = [i for i, d in enumerate(ann.detections)
+                  if d.cls is DetClass.SMOKE]
+        # The box-only regions, in the order of the off-frame warnings: one
+        # segment_frame call per frame, and none when every mask came in.
+        grow = [i for i in [j for _, j in flames] + smokes if i not in masks]
+        pixels = {}  # detection index -> the region's pixel indices
         if grow:  # so that a masked stream never loads the segmenter
             from .segment import seed_pixel, segment_frame
-            grown = dict(zip(grow, segment_frame(
+            pixels = dict(zip(grow, segment_frame(
                 frame, [ann.detections[i].bbox for i in grow])))
-        flames = []  # (track id, detection index)
-        smoke_regions = []
-        for track_id, i in regions:
-            box = ann.detections[i].bbox
-            if i in grown and grown[i] is None:
-                what = (f"smoke detection {i}" if track_id is None
-                        else f"track {track_id}")
+            what = {i: f"track {t}" for t, i in flames}
+            off = [i for i in grow if pixels[i] is None]
+            for i in off:
                 log.warning("frame %d %s skipped: seed %s outside %dx%d",
-                            ann.frame_index, what, seed_pixel(box),
+                            ann.frame_index,
+                            what.get(i, f"smoke detection {i}"),
+                            seed_pixel(ann.detections[i].bbox),
                             frame.width, frame.height)
-                continue
-            if track_id is None:
-                area = len(grown[i]) if i in grown else external[i].area()
-                smoke_regions.append((box, area))
-            else:
-                flames.append((track_id, i))
-        masked = [i for _, i in flames if i not in grown]
-        if masked:  # their pixels, decoded in one call, join the grown
-            grown.update(zip(masked, foreground_indices(
-                [external[i] for i in masked])))
+            flames = [(t, i) for t, i in flames if i not in off]
+            smokes = [i for i in smokes if i not in off]
+        masked = [i for _, i in flames if i not in pixels]
+        if masked:  # the reported masked flames, decoded in one call
+            pixels.update(zip(masked, foreground_indices(
+                [masks[i] for i in masked])))
 
         smoke, orphans = associate_smoke(  # pixels per flame detection
-            {i: ann.detections[i].bbox for i in flame_idx}, smoke_regions)
+            {i: ann.detections[i].bbox for i in flame_idx},
+            [(ann.detections[i].bbox,
+              len(pixels[i]) if i in pixels else masks[i].area())
+             for i in smokes])
         if orphans:
             log.warning("frame %d: %d unassignable smoke region(s)",
                         ann.frame_index, orphans)
-        unreported = set(flame_idx).difference(i for _, i in matched)
         warming_up = sum(smoke[i] for i in unreported)
         if warming_up:
             log.debug("frame %d: %d smoke pixel(s) over unreported flames",
                       ann.frame_index, warming_up)
 
         counts, means, moments = flame_moments(
-            frame, [grown[i] for _, i in flames])
+            frame, [pixels[i] for _, i in flames])
         out: List[StatusRecord] = []
         for (track_id, i), n, rgb, mu in zip(flames, counts.tolist(),
                                              means.tolist(), moments.tolist()):
@@ -186,8 +181,8 @@ def select_classifier(models: Dict[str, ClassifierModel], accuracies):
 def fit_efficiency_model(features, labels, seed: int = 0):
     """Standardize -> PCA -> train all four classifiers -> pick the best.
 
-    Returns (model, report) where report maps classifier kind to held-out
-    accuracy and lists the split sizes.
+    Returns (model, accuracies): accuracies maps each classifier kind to
+    its held-out accuracy, and model.classifier is the one picked.
     """
     features = np.asarray(features, dtype=float)
     labels = list(labels)
@@ -218,20 +213,14 @@ def fit_efficiency_model(features, labels, seed: int = 0):
     }
     model = EfficiencyModel(standardization=std, pca=pca, classifier=best,
                             metadata=meta)
-    report = {
-        "accuracies": accuracies,
-        "selected": best.kind,
-        "train_size": len(train_idx),
-        "test_size": len(test_idx),
-    }
-    return model, report
+    return model, accuracies
 
 
 def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
                  llm_cfg=None, do_review: bool = False, seed: int = 0):
     """Full training pass over a frame/annotation stream.
 
-    Returns (model, report, feature_log_rows).
+    Returns (model, accuracies, feature_log_rows).
     """
     from .labeling import label_samples  # so that monitoring never loads it
     samples: List[StatusRecord] = []
@@ -242,14 +231,14 @@ def run_training(stream: Iterable[Tuple[Frame, FrameAnnotation]],
             f"only {len(samples)} feature samples extracted")
     labeled = label_samples([s.features for s in samples], llm_cfg, do_review)
     features = feature_matrix(s.features for s in samples)
-    model, report = fit_efficiency_model(
+    model, accuracies = fit_efficiency_model(
         features, [s.label for s in labeled], seed)
     pcs = pca_project(standardize_apply(features, model.standardization),
                       model.pca)
     rows = [StatusRecord(s.frame, s.track_id, s.features, tuple(pc),
                          lab.label)
             for s, pc, lab in zip(samples, pcs.tolist(), labeled)]
-    return model, report, rows
+    return model, accuracies, rows
 
 
 # ---------------------------------------------------------------------------

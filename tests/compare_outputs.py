@@ -19,12 +19,12 @@ the same inputs.  Every command's exit code is compared too:
   odd detection indices dropped, so that each frame has grown and masked
   flames and smokes), box-only, and box-only with stray boxes: from frame
   5 on a flame and a smoke box right of the frame, and on every frame a
-  smoke box with no flame below it.  The stray boxes
-  make ``monitor`` warn on stderr, so that the text and the order of its
-  warnings are compared too.  Also box-only with overlapping boxes: on
-  every frame a smoke box over the top half of the first flame box, and a
-  10x10 flame box in the plain sky, whose region leaks to fill its whole
-  13x13 window.  For each: the CSV, stdout and stderr.
+  smoke box with no flame below it, and half-masked with those stray boxes.
+  The stray boxes make ``monitor`` warn on stderr, so that the text and the
+  order of its warnings are compared too.  Also box-only with overlapping
+  boxes: on every frame a smoke box over the top half of the first flame
+  box, and a 10x10 flame box in the plain sky, whose region leaks to fill
+  its whole 13x13 window.  For each: the CSV, stdout and stderr.
 - the same ``monitor --log`` outputs on ``three_stacks`` with a staggered
   birth, with masks and box-only: the right flame's detection is left out
   before frame 10, so its track warms up in frames 10 and 11 while its
@@ -145,12 +145,13 @@ def outputs(tree, work, llm):
             open(scene_dir / "half_masked.jsonl", "w") as half, \
             open(scene_dir / "box_only.jsonl", "w") as plain, \
             open(scene_dir / "box_only_overlap.jsonl", "w") as overlap, \
-            open(scene_dir / "box_only_stray.jsonl", "w") as stray:
+            open(scene_dir / "box_only_stray.jsonl", "w") as stray, \
+            open(scene_dir / "half_masked_stray.jsonl", "w") as half_stray:
         for line in src:
             record = json.loads(line)
-            half.write(json.dumps(dict(record, masks=[
-                m for m in record["masks"] if m["detection"] % 2 == 0]))
-                + "\n")
+            halved = dict(record, masks=[
+                m for m in record["masks"] if m["detection"] % 2 == 0])
+            half.write(json.dumps(halved) + "\n")
             record.pop("masks", None)
             plain.write(json.dumps(record) + "\n")
             x0, y0, x1, y1 = next(d["bbox"] for d in record["detections"]
@@ -160,10 +161,11 @@ def outputs(tree, work, llm):
             overlap.write(json.dumps(dict(
                 record, detections=record["detections"] + [over, sky]))
                 + "\n")
-            if record["frame_index"] >= 5:
-                record["detections"] += off_frame
-            record["detections"].append(orphan)
-            stray.write(json.dumps(record) + "\n")
+            strays = (off_frame if record["frame_index"] >= 5 else []) + [
+                orphan]
+            for out, rec in ((stray, record), (half_stray, halved)):
+                out.write(json.dumps(dict(
+                    rec, detections=rec["detections"] + strays)) + "\n")
 
     os.mkdir(work / "staggered")
     with open(work / "sim" / "three_stacks" / "annotations.jsonl") as src, \
@@ -200,7 +202,8 @@ def outputs(tree, work, llm):
         ("monitor_scene/half_masked.jsonl", frames),
         ("monitor_scene/box_only.jsonl", frames),
         ("monitor_scene/box_only_overlap.jsonl", frames),
-        ("monitor_scene/box_only_stray.jsonl", frames)] + [
+        ("monitor_scene/box_only_stray.jsonl", frames),
+        ("monitor_scene/half_masked_stray.jsonl", frames)] + [
         (f"staggered/{name}.jsonl", ["--frames", "sim/three_stacks/frames"])
         for name in ("masks", "box_only")]
     for i, (source, extra) in enumerate(inputs):

@@ -3,13 +3,16 @@ current one.
 
 `flaremon.simulator.render` fills each frame's background from a frame it
 fills once per scene, adds the noise in place in int16, rasterizes an
-ellipse from broadcast 1-D offsets and takes a region's tight box from row
-and column projections.  This module keeps the version that did each of
-these the long way: a background broadcast per frame, the noise sum and
-the clip in int64, two full `np.mgrid` grids per ellipse and a `nonzero`
-over every foreground pixel.  The current one must render the same pixels
-(bytes and dtype), truths and annotations, which `assert_renders_alike`
-checks.  pytest does not collect this file.
+ellipse from broadcast 1-D offsets inside its window, takes a region's
+tight box from row and column projections and encodes the window's mask.
+This module does each of these the long way: a background broadcast per
+frame, the noise sum and the clip in int64, each ellipse rasterized over
+the whole frame by `fullframe_oracle.ellipse_mask`, a `nonzero` over that
+frame for the tight box, and the whole frame's runs from
+`fullframe_oracle.encode_runs`, so no encoder of `flaremon` is used.  The
+current one must render the same pixels (bytes and dtype), truths and
+annotations, which `assert_renders_alike` checks.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -25,40 +28,15 @@ from flaremon.ingest import FrameAnnotation
 from flaremon.simulator import (BACKGROUND, RenderedFrame, SceneSpec,
                                 StackTruth, _jitter_box)
 from flaremon.simulator import render as current_render
+from tests.fullframe_oracle import ellipse_mask, encode_runs
 
 
-def _ellipse_mask(width, height, cx, cy, a, b, axis_dir):
-    ax, ay = axis_dir
-    x_lo = max(0, int(math.floor(cx - a - 2)))
-    x_hi = min(width - 1, int(math.ceil(cx + a + 2)))
-    y_lo = max(0, int(math.floor(cy - a - 2)))
-    y_hi = min(height - 1, int(math.ceil(cy + a + 2)))
-    win = (slice(y_lo, max(y_lo, y_hi + 1)), slice(x_lo, max(x_lo, x_hi + 1)))
-    ys, xs = np.mgrid[win]
-    dx = xs - cx
-    dy = ys - cy
-    u = dx * ax + dy * ay
-    v = -dx * ay + dy * ax
-    r2 = (u / a) ** 2 + (v / b) ** 2
-    inside = r2 <= 1.0
-    rho = np.sqrt(np.clip(r2[inside], 0.0, 1.0))
-    truncated = (cx - a < 0 or cx + a > width - 1
-                 or cy - a < 0 or cy + a > height - 1)
-    return win, inside, rho, truncated
-
-
-def _tight_bbox(win, inside) -> Optional[BBox]:
-    ys, xs = np.nonzero(inside)
+def _tight_bbox(mask) -> Optional[BBox]:
+    ys, xs = np.nonzero(mask)
     if xs.size == 0:
         return None
-    x0, y0 = win[1].start, win[0].start
-    return BBox(float(x0 + xs.min()), float(y0 + ys.min()),
-                float(x0 + xs.max() + 1), float(y0 + ys.max() + 1))
-
-
-def _encode(win, inside, width, height) -> Mask:
-    return Mask.from_array(inside, origin=(win[1].start, win[0].start),
-                           size=(width, height))
+    return BBox(float(xs.min()), float(ys.min()),
+                float(xs.max() + 1), float(ys.max() + 1))
 
 
 def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
@@ -76,13 +54,13 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
             cy = fl.base_y + fl.drift[1] * fi
             t = math.radians(fl.tilt_deg)
             axis_dir = (math.sin(t), -math.cos(t))  # y is down; up-tilted major axis
-            fwin, ffg, rho, truncated = _ellipse_mask(w, h, cx, cy, fl.major,
-                                                      fl.minor, axis_dir)
+            ffg, rho, truncated = ellipse_mask(w, h, cx, cy, fl.major,
+                                               fl.minor, axis_dir)
             core = np.array(fl.core_color, dtype=float)
             edge = np.array(fl.edge_color, dtype=float)
-            mix = rho[:, None]
-            img[fwin][ffg] = np.round(core * (1.0 - mix) + edge * mix)
-            fbox = _tight_bbox(fwin, ffg)
+            mix = rho[ffg][:, None]
+            img[ffg] = np.round(core * (1.0 - mix) + edge * mix)
+            fbox = _tight_bbox(ffg)
 
             sbox = smask = None
             if stack.smoke is not None and fbox is not None:
@@ -91,13 +69,12 @@ def render(spec: SceneSpec) -> Iterator[RenderedFrame]:
                 a_s = math.sqrt(area / math.pi * 1.5)
                 b_s = area / (math.pi * a_s)
                 scy = fbox.y_min - sm.gap - b_s
-                swin, sfg, _, _ = _ellipse_mask(w, h, cx, scy, a_s, b_s,
-                                                (1.0, 0.0))
+                sfg, _, _ = ellipse_mask(w, h, cx, scy, a_s, b_s, (1.0, 0.0))
                 if sfg.any():
-                    img[swin][sfg] = sm.gray
-                    sbox = _tight_bbox(swin, sfg)
-                    smask = _encode(swin, sfg, w, h)
-            fmask = None if fbox is None else _encode(fwin, ffg, w, h)
+                    img[sfg] = sm.gray
+                    sbox = _tight_bbox(sfg)
+                    smask = Mask(w, h, encode_runs(sfg))
+            fmask = None if fbox is None else Mask(w, h, encode_runs(ffg))
 
             truths.append(StackTruth(
                 stack_id=si,

@@ -93,7 +93,7 @@ def test_train_monitor_flow(sim_dir, tmp_path, capsys):
     import numpy as np
     from flaremon.pipeline import run_training
     from tests.test_pipeline import two_regime_stream
-    model, report, rows = run_training(two_regime_stream(60))
+    model, _, _ = run_training(two_regime_stream(60))
     formats.save_model(model, model_path)
 
     log_path = tmp_path / "monitor.csv"
@@ -623,12 +623,13 @@ def test_segmenter_loads_only_for_box_only_regions(three_stacks_head,
                                ann_path, "--frames", frames_dir) == "True"
 
 
+@pytest.mark.parametrize("strip", [box_only, half_masked])
 def test_off_frame_box_only_detections_skip_their_records(
-        three_stacks_head, table_model, tmp_path, capsys, caplog):
+        strip, three_stacks_head, table_model, tmp_path, capsys, caplog):
     # Flame and smoke boxes centred at (345, 20), right of the 320 px frame.
     extra = (Detection(BBox(330, 10, 360, 30), DetClass.FLAME, 0.9),
              Detection(BBox(330, 10, 360, 30), DetClass.SMOKE, 0.9))
-    plain = box_only(three_stacks_head)
+    plain = strip(three_stacks_head)
     stray = [(f, a._replace(detections=a.detections + extra))
              if f.index >= 5 else (f, a) for f, a in plain]
     expect = monitor_outputs(table_model, plain, str(tmp_path / "plain"),

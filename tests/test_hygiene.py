@@ -268,12 +268,14 @@ def test_public_definitions_skip_private_and_nested_names():
 
 
 def defined_twice(sources):
-    """Each public top-level name that more than one of the named sources
-    defines, with the sorted names of those sources."""
+    """Each top-level function or class name, leading underscores stripped,
+    that more than one of the named sources defines, with the sorted names
+    of those sources."""
     where = {}
     for module, source in sources.items():
-        for name in public_definitions(source):
-            where.setdefault(name, []).append(module)
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where.setdefault(node.name.lstrip("_"), set()).add(module)
     return {name: sorted(ms) for name, ms in where.items() if len(ms) > 1}
 
 
@@ -286,9 +288,10 @@ def test_one_reference_per_fact():
 
 def test_twice_defined_checker_sees_shared_public_names():
     sources = {"b.py": "def f(): pass\ndef _g(): pass\nclass C: pass\n",
-               "a.py": "def f(): pass\ndef _g(): pass\n"
+               "a.py": "def f(): pass\ndef g(): pass\n"
                        "def h():\n    def C(): pass\n"}
-    assert defined_twice(sources) == {"f": ["a.py", "b.py"]}
+    assert defined_twice(sources) == {"f": ["a.py", "b.py"],
+                                      "g": ["a.py", "b.py"]}
 
 
 def error_subclasses(source: str):

@@ -56,8 +56,7 @@ def two_regime_stream(frames=60):
 
 @pytest.fixture(scope="module")
 def trained():
-    model, report, rows = run_training(two_regime_stream())
-    return model, report, rows
+    return run_training(two_regime_stream())
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +211,7 @@ def test_masked_frame_decodes_only_its_reported_flames(monkeypatch, caplog):
 
 class TestTraining:
     def test_table_rows_all_classifiers_perfect(self):
-        model, report = fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
+        model, _ = fit_efficiency_model(TRAINING_ROWS, TRAINING_LABELS)
         # evaluate on the full nine rows through the fitted transform
         pcs, _ = pipeline.classify_features(model, TRAINING_ROWS)
         from flaremon import classify
@@ -222,8 +221,8 @@ class TestTraining:
             assert acc == 1.0, kind
 
     def test_two_regime_training_separates(self, trained):
-        model, report, rows = trained
-        assert report["accuracies"][report["selected"]] == 1.0
+        model, accuracies, rows = trained
+        assert accuracies[model.classifier.kind] == 1.0
         assert {r.label for r in rows} == {HIGH, LOW}
 
     def test_single_regime_fails(self):
@@ -409,6 +408,24 @@ class TestFeatureLog:
             self.rows(), tmp_path / "a.csv").split("\n", 2)
         with pytest.raises(ParseError, match="^line 4: expected 8 columns"):
             parse_feature_csv(f"{header}\n\n{row}\n1,2,3\n")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_rows_end_at_each_line_end(self, end):
+        text = end.join(["ratio,E,angle", "0.1,0.5,3", "", "x,0.5,3", ""])
+        with pytest.raises(ParseError, match="^line 4: could not convert"):
+            parse_feature_csv(text)
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_other_line_breaks_end_no_row(self, brk):
+        # str.splitlines also breaks at these; a text-mode file read does not.
+        with pytest.raises(ParseError, match="^line 3: could not convert"):
+            parse_feature_csv(f"ratio,E,angle\n0.1,0.5,3{brk}\nx,0.5,3\n")
+        with pytest.raises(ParseError, match="^line 2: expected 3 or 4 "
+                                             "columns, got 5$"):
+            parse_feature_csv(f"ratio,E,angle\n0.1,0.5,3{brk}0.2,0.5,3\n")
+        assert parse_feature_csv(f"ratio,E,angle\n0.1,0.5{brk},3\n") == \
+            parse_feature_csv("ratio,E,angle\n0.1,0.5,3\n")
 
     @settings(max_examples=300, deadline=None)
     @given(feature_csvs())
